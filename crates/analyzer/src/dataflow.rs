@@ -35,7 +35,7 @@
 //!
 //! ## Soundness
 //!
-//! This is a *may* analysis over tokens, not types (DESIGN.md §14): both
+//! This is a *may* analysis over tokens, not types (DESIGN.md §13): both
 //! branches of every `if`/`match` contribute facts, aliasing through field
 //! projections or cross-function flow is invisible, and a same-named
 //! binding in a sibling scope can over-merge. Facts may therefore

@@ -1,7 +1,7 @@
 //! Workspace self-lint: rules the generic clippy pass cannot express
 //! because they encode *this* codebase's invariants.
 //!
-//! Eight token-level rules over the [lexed](crate::lexer) stream with the
+//! Seven token-level rules over the [lexed](crate::lexer) stream with the
 //! same item/`#[cfg(test)]` tracking the extractor uses, plus one
 //! dataflow-fed rule ([`RULE_SHARED_WITHOUT_SYNC`]) driven by the
 //! [escape facts](crate::dataflow::EscapeFacts) of the dataflow pass:
@@ -44,14 +44,6 @@
 //!   reintroduces exactly the torn files the salvage loader exists to
 //!   quarantine. The atomic writer module itself is the one exemption —
 //!   it is where the raw I/O is supposed to live.
-//! * [`RULE_NO_LOCK_IN_LOCKFREE`] — no `Mutex`/`RwLock`/`parking_lot`
-//!   tokens inside cs-lockfree's hot-path modules. The strategy tier
-//!   prices the lock-free map as the low-contention-slope variant, and the
-//!   runtime switches sites onto it precisely when locks are the problem;
-//!   a blocking primitive hidden in its operation paths would falsify the
-//!   cost model and the progress guarantee at once. The crate root
-//!   (docs and re-exports — the cold module) and `#[cfg(test)]` harnesses
-//!   are exempt.
 //! * [`RULE_NO_BLOCKING_IO_SAMPLER`] — no filesystem or socket tokens
 //!   (`fs`/`File`/`OpenOptions`, `TcpStream`/`TcpListener`/`UdpSocket`)
 //!   in cs-obs's sampler-path modules (`sampler.rs`, `window.rs`,
@@ -90,8 +82,6 @@ pub const RULE_NO_ALLOC_SPAN_PATH: &str = "no-alloc-in-span-path";
 pub const RULE_NO_ALLOC_HEAP_COUNT: &str = "no-alloc-in-heap-count-path";
 /// Rule id: raw filesystem writes on a persistence path.
 pub const RULE_NO_RAW_PERSIST_WRITE: &str = "no-raw-persist-write";
-/// Rule id: blocking lock primitives inside the lock-free tier.
-pub const RULE_NO_LOCK_IN_LOCKFREE: &str = "no-lock-in-lockfree-path";
 /// Rule id: blocking I/O tokens on cs-obs's sampler path.
 pub const RULE_NO_BLOCKING_IO_SAMPLER: &str = "no-blocking-io-in-sampler-path";
 /// Rule id: a plain collection crossing a thread boundary bare.
@@ -132,20 +122,12 @@ fn persist_rule_applies(path: &str) -> bool {
     in_scope && path != "crates/state/src/writer.rs"
 }
 
-/// Hot-path modules of the lock-free tier: everything under
-/// `crates/lockfree/src/` except the crate root, which holds only docs and
-/// re-exports (the designated cold module). New modules added to the crate
-/// are guarded by default — opting one out is an explicit edit here.
-fn lockfree_rule_applies(path: &str) -> bool {
-    path.starts_with("crates/lockfree/src/") && path != "crates/lockfree/src/lib.rs"
-}
-
 /// The sampler-path modules of cs-obs: everything the periodic sampler
 /// tick touches (sampling, the frame window, drift scoring). `http.rs` is
 /// the designated I/O module and `lib.rs` only wires — both exempt. New
-/// modules added to the crate are unguarded until listed here, the
-/// inverse default of the lock-free rule, because a new obs module is more
-/// likely an endpoint (I/O by design) than a new tick stage.
+/// modules added to the crate are unguarded until listed here, because a
+/// new obs module is more likely an endpoint (I/O by design) than a new
+/// tick stage.
 fn sampler_rule_applies(path: &str) -> bool {
     [
         "crates/obs/src/sampler.rs",
@@ -654,7 +636,7 @@ impl<'a> Linter<'a> {
             }
             // Any socket token on the sampler path — type position,
             // constructor, or `use` — is blocking I/O inside the periodic
-            // tick; like the lock-free rule, the token is the finding.
+            // tick; the token itself is the finding.
             "TcpStream" | "TcpListener" | "UdpSocket" if sampler_rule_applies(self.path) => {
                 let msg = format!(
                     "`{}` on the obs sampler path — socket I/O makes the tick unbounded \
@@ -662,18 +644,6 @@ impl<'a> Linter<'a> {
                     t.text
                 );
                 self.emit(RULE_NO_BLOCKING_IO_SAMPLER, t.line, msg);
-                self.pos += 1;
-            }
-            // Any appearance of a blocking primitive — type position,
-            // constructor, or `use` — violates the lock-free tier's
-            // progress guarantee; the token itself is the finding.
-            "Mutex" | "RwLock" | "parking_lot" if lockfree_rule_applies(self.path) => {
-                let msg = format!(
-                    "`{}` in a lock-free hot-path module — blocking primitives forfeit \
-                     the progress guarantee the strategy tier's cost model prices",
-                    t.text
-                );
-                self.emit(RULE_NO_LOCK_IN_LOCKFREE, t.line, msg);
                 self.pos += 1;
             }
             // Raw writes on persistence paths: `fs::write(` (also matches
@@ -1095,41 +1065,6 @@ mod tests {
 }
 "#;
         assert!(lint_file("crates/state/src/reader.rs", src).is_empty());
-    }
-
-    #[test]
-    fn lock_primitives_in_lockfree_hot_modules_are_flagged() {
-        let src = r#"
-fn degrade(&self) {
-    let fallback = parking_lot::Mutex::new(0u64);
-    let table: RwLock<Vec<u64>> = RwLock::new(Vec::new());
-}
-"#;
-        let d = lint_file("crates/lockfree/src/map.rs", src);
-        assert_eq!(d.len(), 4, "parking_lot, Mutex, RwLock x2: {d:?}");
-        assert!(d.iter().all(|x| x.rule == RULE_NO_LOCK_IN_LOCKFREE), "{d:?}");
-        assert!(d.iter().all(|x| x.item == "degrade"));
-        assert!(d[0].message.contains("progress guarantee"), "{}", d[0].message);
-
-        let epoch = "fn pin() -> Guard { let g = Mutex::new(()); Guard }";
-        assert_eq!(lint_file("crates/lockfree/src/epoch.rs", epoch).len(), 1);
-    }
-
-    #[test]
-    fn lockfree_rule_exempts_tests_crate_root_and_other_crates() {
-        // Test harnesses may coordinate with locks; the crate root is the
-        // cold docs/re-export module; and the rest of the workspace (the
-        // lock-striped substrate included) locks on purpose.
-        let test_src = r#"
-#[cfg(test)]
-mod tests {
-    fn gate() { let barrier = parking_lot::Mutex::new(()); }
-}
-"#;
-        assert!(lint_file("crates/lockfree/src/map.rs", test_src).is_empty());
-        let src = "fn f() { let m = parking_lot::Mutex::new(0u64); }";
-        assert!(lint_file("crates/lockfree/src/lib.rs", src).is_empty());
-        assert!(lint_file("crates/runtime/src/map.rs", src).is_empty());
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //!    honest.
 //!
 //! The artifact header stamps the process heap account and peak RSS, like
-//! the runtime/contention sidecars, so BENCH files are comparable on
+//! the runtime sidecar, so BENCH files are comparable on
 //! memory across PRs.
 //!
 //! Output paths: `--out PATH` (or `CS_BENCH_OUT`; the flag wins), default

@@ -132,6 +132,13 @@ impl<T: Eq + Hash + Clone> ListOps<T> for AnyList<T> {
     fn contains(&self, value: &T) -> bool {
         dispatch_list!(self, l => ListOps::contains(l, value))
     }
+    // Kept out of line: the walk takes a `dyn` callback so every caller
+    // runs the same per-element call. Inlined, a caller with a trivial
+    // closure can see through it and fold the walk into a length read, and
+    // whether that happens depends on how the caller's crate is split into
+    // codegen units, so a raw `AnyList` walk and a handle walk would stop
+    // being comparable.
+    #[inline(never)]
     fn for_each_value(&self, f: &mut dyn FnMut(&T)) {
         dispatch_list!(self, l => ListOps::for_each_value(l, f))
     }

@@ -349,75 +349,9 @@ impl FromStr for MapKind {
     }
 }
 
-/// Concurrency-strategy identifiers for shared map sites.
-///
-/// Where [`MapKind`] names the *element layout* of one sequential map, a
-/// `ConcKind` names the *synchronization substrate* a concurrent site runs
-/// on — the paper's one-abstraction-many-representations contract lifted
-/// one level up: callers keep using `ConcurrentMap`, and the engine
-/// switches between a lock-striped representation and a lock-free one when
-/// observed contention crosses the modeled break-even.
-///
-/// # Examples
-///
-/// ```
-/// use cs_collections::ConcKind;
-///
-/// assert_eq!(ConcKind::ALL.len(), 2);
-/// assert_eq!("lockfree".parse::<ConcKind>(), Ok(ConcKind::LockFree));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum ConcKind {
-    /// Mutex-striped shards, each holding a sequential adaptive map.
-    /// Cheap uncontended, degrades as writers queue on shard locks.
-    LockStriped,
-    /// Lock-free open-addressing map (cs-lockfree): CAS-based ops with
-    /// epoch reclamation. Pays a fixed atomic premium uncontended, stays
-    /// flat as contention rises.
-    LockFree,
-}
-
-impl ConcKind {
-    /// Every concurrency strategy.
-    pub const ALL: [ConcKind; 2] = [ConcKind::LockStriped, ConcKind::LockFree];
-}
-
-impl fmt::Display for ConcKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ConcKind::LockStriped => "lockstriped",
-            ConcKind::LockFree => "lockfree",
-        };
-        f.write_str(s)
-    }
-}
-
-impl FromStr for ConcKind {
-    type Err = ParseKindError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "lockstriped" => Ok(ConcKind::LockStriped),
-            "lockfree" => Ok(ConcKind::LockFree),
-            _ => Err(ParseKindError {
-                input: s.to_owned(),
-                expected: "concurrency strategy",
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn conc_kind_round_trips_through_display() {
-        for kind in ConcKind::ALL {
-            assert_eq!(kind.to_string().parse::<ConcKind>(), Ok(kind));
-        }
-        assert!("spinlock".parse::<ConcKind>().is_err());
-    }
 
     #[test]
     fn list_kind_round_trips_through_display() {

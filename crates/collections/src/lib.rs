@@ -65,7 +65,7 @@ pub mod traits;
 pub use adaptive::{AdaptiveList, AdaptiveMap, AdaptiveSet};
 pub use any::{AnyList, AnyMap, AnySet};
 pub use hash::{hash_one, FxBuildHasher, FxHasher};
-pub use kind::{Abstraction, ConcKind, LibraryProfile, ListKind, MapKind, SetKind};
+pub use kind::{Abstraction, LibraryProfile, ListKind, MapKind, SetKind};
 pub use list::{ArrayList, HashArrayList, LinkedList};
 pub use map::{
     ArrayMap, ChainedHashMap, CompactHashMap, LinkedHashMap, OpenHashMap, ShardedHashMap, TreeMap,

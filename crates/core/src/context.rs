@@ -372,9 +372,6 @@ impl<K: Kind> ContextCore<K> {
             round,
             current: current.to_string(),
             current_primary_cost: explained.current_primary_cost,
-            current_contention_cost: explained.current_contention_cost,
-            contention_ratio: explained.contention_ratio,
-            contention_driven: explained.contention_driven,
             current_alloc_cost: explained.current_alloc_cost,
             current_energy_cost: explained.current_energy_cost,
             alloc_bytes_per_op: explained.alloc_bytes_per_op,

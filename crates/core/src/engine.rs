@@ -9,7 +9,7 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Instant, SystemTime};
 
-use cs_collections::{Abstraction, ConcKind, ListKind, MapKind, SetKind};
+use cs_collections::{Abstraction, ListKind, MapKind, SetKind};
 use cs_model::{default_models, PerformanceModel};
 use cs_profile::WindowConfig;
 use parking_lot::Mutex;
@@ -31,12 +31,6 @@ use crate::subscriber::{EngineEventSink, SinkRegistry};
 /// ([`cs_model::default_models`]); replace them with
 /// hardware-calibrated models from [`cs_model::builder`] for
 /// machine-specific selection, as the paper prescribes.
-///
-/// `conc` prices the *concurrency-strategy* tier (lock-striped vs
-/// lock-free) behind `cs-runtime`'s concurrent handles; it carries
-/// contention cost curves and is not persisted by
-/// [`Models::save_to_dir`] / [`Models::load_from_dir`] — strategy
-/// selection relearns from live contention after every restart.
 #[derive(Debug, Clone)]
 pub struct Models {
     /// List variant model.
@@ -45,8 +39,6 @@ pub struct Models {
     pub set: PerformanceModel<SetKind>,
     /// Map variant model.
     pub map: PerformanceModel<MapKind>,
-    /// Concurrency-strategy model (lock-striped vs lock-free).
-    pub conc: PerformanceModel<ConcKind>,
 }
 
 impl Default for Models {
@@ -55,7 +47,6 @@ impl Default for Models {
             list: default_models::list_model().clone(),
             set: default_models::set_model().clone(),
             map: default_models::map_model().clone(),
-            conc: default_models::conc_model().clone(),
         }
     }
 }
@@ -110,7 +101,6 @@ impl Models {
             list: parse(dir.join("lists.model"))?,
             set: parse(dir.join("sets.model"))?,
             map: parse(dir.join("maps.model"))?,
-            conc: default_models::conc_model().clone(),
         })
     }
 
@@ -171,7 +161,6 @@ impl Models {
                 default_models::map_model(),
                 &mut fallbacks,
             ),
-            conc: default_models::conc_model().clone(),
         };
         (models, fallbacks)
     }
@@ -203,12 +192,6 @@ struct Registry {
     lists: Vec<Arc<ContextCore<ListKind>>>,
     sets: Vec<Arc<ContextCore<SetKind>>>,
     maps: Vec<Arc<ContextCore<MapKind>>>,
-    /// Concurrency-strategy contexts (one per `cs-runtime` concurrent
-    /// handle running the strategy tier). Analyzed like any other context,
-    /// but excluded from snapshots and the site manifest: strategy choice
-    /// depends on live contention, which no snapshot can promise to still
-    /// hold.
-    concs: Vec<Arc<ContextCore<ConcKind>>>,
 }
 
 /// Test-only hook invoked (with the pass number) at the start of every
@@ -774,9 +757,6 @@ fn analyze_shared(shared: &Shared) -> bool {
         for core in &registry.maps {
             analyze_core(core, &shared.models.map, shared, &mut events);
         }
-        for core in &registry.concs {
-            analyze_core(core, &shared.models.conc, shared, &mut events);
-        }
         drop(registry);
         shared.record_and_dispatch(events);
     }));
@@ -980,39 +960,6 @@ impl Switch {
         MapContext::from_core(core)
     }
 
-    /// Creates a *concurrency-strategy* context: the per-site brain behind
-    /// a `cs-runtime` concurrent handle, deciding between the lock-striped
-    /// and lock-free map strategies as observed contention crosses the
-    /// model's break-even ratio.
-    ///
-    /// Unlike the list/set/map factories this returns the bare
-    /// [`ContextCore`] — there is no single-owner handle for the strategy
-    /// tier; the runtime's `ConcurrentMap` owns the representation and
-    /// feeds this core its flushed profiles (`contended` counters
-    /// included). The full guardrail pipeline (verification, rollback,
-    /// quarantine, cooldown, budget) applies unchanged.
-    ///
-    /// Strategy contexts are excluded from [`Switch::site_manifest`] and
-    /// [`Switch::export_state`]: the static analyzer matches collection
-    /// allocation sites (a strategy site shadows its data site's name), and
-    /// a snapshot cannot promise the contention regime it learned under
-    /// still holds — v1 deliberately relearns after every restart.
-    pub fn named_conc_context(
-        &self,
-        default: ConcKind,
-        name: impl Into<String>,
-    ) -> Arc<ContextCore<ConcKind>> {
-        let core = Arc::new(ContextCore::with_freeze(
-            self.next_id(),
-            name.into(),
-            default,
-            self.shared.config.window,
-            Arc::clone(&self.shared.degraded),
-        ));
-        self.shared.registry.lock().concs.push(Arc::clone(&core));
-        core
-    }
-
     /// Runs one synchronous analysis pass over every registered context —
     /// the deterministic alternative to the background analyzer, used by
     /// tests and benchmarks. Panics in the pass are contained exactly as
@@ -1021,11 +968,10 @@ impl Switch {
         analyze_shared(&self.shared);
     }
 
-    /// Number of registered allocation contexts (concurrency-strategy
-    /// contexts included).
+    /// Number of registered allocation contexts.
     pub fn context_count(&self) -> usize {
         let r = self.shared.registry.lock();
-        r.lists.len() + r.sets.len() + r.maps.len() + r.concs.len()
+        r.lists.len() + r.sets.len() + r.maps.len()
     }
 
     /// A copy of the transition log (feeds the paper's Table 6): the
@@ -1103,11 +1049,6 @@ impl Switch {
                 return core.explain();
             }
         }
-        for core in &registry.concs {
-            if core.id() == site_id {
-                return core.explain();
-            }
-        }
         None
     }
 
@@ -1145,10 +1086,6 @@ impl Switch {
                 dropped += core.profiles_dropped();
             }
             for core in &registry.maps {
-                ingested += core.profiles_pushed();
-                dropped += core.profiles_dropped();
-            }
-            for core in &registry.concs {
                 ingested += core.profiles_pushed();
                 dropped += core.profiles_dropped();
             }
@@ -1223,7 +1160,6 @@ impl Switch {
         out.extend(registry.lists.iter().map(|c| summarize(c)));
         out.extend(registry.sets.iter().map(|c| summarize(c)));
         out.extend(registry.maps.iter().map(|c| summarize(c)));
-        out.extend(registry.concs.iter().map(|c| summarize(c)));
         out
     }
 
@@ -1233,9 +1169,7 @@ impl Switch {
     /// and a meta record (sequence, wall-clock time, rule, site count).
     ///
     /// This is the read-only half of [`Switch::save_state`]; it never
-    /// touches the filesystem. Concurrency-strategy contexts are not
-    /// exported: their selection depends on live contention, so they
-    /// cold-start (and relearn) on every boot by design.
+    /// touches the filesystem.
     pub fn export_state(&self) -> cs_state::Snapshot {
         self.export_state_seq(self.shared.snapshot_seq.load(Ordering::Relaxed))
     }
@@ -1366,8 +1300,6 @@ impl Switch {
     /// drift check — `cs-analyzer` compares it against the allocation sites
     /// it finds in source, reporting static sites never exercised at
     /// runtime and dynamic sites with no static counterpart.
-    /// Concurrency-strategy contexts are excluded — a strategy site shadows
-    /// its data site's name and would double-count it in the drift check.
     ///
     /// # Examples
     ///
@@ -1591,55 +1523,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert_eq!(ctx.current_kind(), ListKind::HashArray);
-    }
-
-    #[test]
-    fn conc_context_switches_on_contention_and_back() {
-        use cs_profile::{OpCounters, OpKind, WorkloadProfile};
-        let engine = Switch::builder()
-            .window(fast_window())
-            .guardrails(GuardrailConfig::disabled())
-            .build();
-        let core = engine.named_conc_context(ConcKind::LockStriped, "hot-cache");
-        assert_eq!(engine.context_count(), 1);
-        // Write-heavy with half the ops contended: far past break-even.
-        for _ in 0..30 {
-            let mut ops = OpCounters::new();
-            ops.add(OpKind::Populate, 1_000);
-            core.ingest_profile(WorkloadProfile::new(ops, 256).with_contended(500));
-        }
-        engine.analyze_now();
-        assert_eq!(core.current_kind(), ConcKind::LockFree);
-        let explanation = engine.explain(core.id()).expect("pass was scored");
-        assert!(
-            explanation.contention_driven,
-            "the lock-free win must be attributed to the contention term"
-        );
-        assert!(explanation.contention_ratio > 0.4);
-        assert!(explanation.current_contention_cost > 0.0);
-        // Read-mostly and uncontended (heavy enough to outweigh the decayed
-        // contended history): the striped strategy wins back on raw costs.
-        for _ in 0..30 {
-            let mut ops = OpCounters::new();
-            ops.add(OpKind::Contains, 10_000);
-            core.ingest_profile(WorkloadProfile::new(ops, 256));
-        }
-        engine.analyze_now();
-        assert_eq!(core.current_kind(), ConcKind::LockStriped);
-        let back = engine.explain(core.id()).unwrap();
-        assert!(!back.contention_driven);
-        // Strategy contexts stay out of snapshots and the manifest.
-        assert!(engine.site_manifest().is_empty());
-        assert!(engine.export_state().sites.is_empty());
-        let edges: Vec<String> = engine
-            .transition_log()
-            .iter()
-            .map(|t| t.edge())
-            .collect();
-        assert_eq!(
-            edges,
-            vec!["lockstriped -> lockfree", "lockfree -> lockstriped"]
-        );
     }
 
     #[test]

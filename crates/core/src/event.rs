@@ -89,12 +89,6 @@ pub struct CandidateEstimate {
     /// `TC(candidate) / TC(current)` on the primary dimension (< 1 is an
     /// improvement).
     pub primary_ratio: f64,
-    /// The slice of `primary_cost` attributable to the contention term —
-    /// `total_ops · cost(contention ratio)` — for candidates whose cost
-    /// model carries contention curves; 0 for the rest. Lets an audit-trail
-    /// reader see whether a win came from raw op costs or from the
-    /// candidate tolerating contention better.
-    pub contention_cost: f64,
     /// Estimated allocation-rate cost `TC_alloc_rate(V)` of the candidate
     /// over the workload history (modeled bytes churned, no instance term);
     /// 0 when the model carries no alloc-rate curves.
@@ -158,19 +152,6 @@ pub struct SelectionExplanation {
     /// Estimated total cost of the current variant on the rule's primary
     /// dimension.
     pub current_primary_cost: f64,
-    /// The slice of `current_primary_cost` attributable to the contention
-    /// term (0 for variants without contention curves).
-    pub current_contention_cost: f64,
-    /// The contention ratio `r = contended / total_ops` of the aggregated
-    /// workload history the pass evaluated — the input to every candidate's
-    /// contention term.
-    pub contention_ratio: f64,
-    /// Whether the contention term decided this pass: true when a winner
-    /// exists that would *not* have beaten the current variant on
-    /// contention-free costs alone. These are the switches the lock-free
-    /// tier exists for, and the flight recorder's `contention_switch`
-    /// trigger keys on this bit.
-    pub contention_driven: bool,
     /// Estimated allocation-rate cost of the current variant over the
     /// history (0 when its model carries no alloc-rate curves).
     pub current_alloc_cost: f64,
@@ -662,9 +643,6 @@ mod tests {
             round: 2,
             current: "array".into(),
             current_primary_cost: 100.0,
-            current_contention_cost: 0.0,
-            contention_ratio: 0.0,
-            contention_driven: false,
             current_alloc_cost: 0.0,
             current_energy_cost: 0.0,
             alloc_bytes_per_op: 0.0,
@@ -673,7 +651,6 @@ mod tests {
                 variant: "hasharray".into(),
                 primary_cost: 40.0,
                 primary_ratio: 0.4,
-                contention_cost: 0.0,
                 alloc_cost: 0.0,
                 energy_cost: 0.0,
                 satisfied: true,
@@ -698,9 +675,6 @@ mod tests {
             round: 0,
             current: "chained".into(),
             current_primary_cost: 10.0,
-            current_contention_cost: 0.0,
-            contention_ratio: 0.0,
-            contention_driven: false,
             current_alloc_cost: 0.0,
             current_energy_cost: 0.0,
             alloc_bytes_per_op: 0.0,

@@ -3,7 +3,7 @@
 use std::fmt::Display;
 use std::hash::Hash;
 
-use cs_collections::{adaptive, Abstraction, ConcKind, ListKind, MapKind, SetKind};
+use cs_collections::{adaptive, Abstraction, ListKind, MapKind, SetKind};
 
 /// What the selection machinery needs from a variant-kind enum
 /// ([`ListKind`], [`SetKind`], [`MapKind`]): a stable index (for the atomic
@@ -19,7 +19,7 @@ use cs_collections::{adaptive, Abstraction, ConcKind, ListKind, MapKind, SetKind
 /// use cs_core::Kind;
 ///
 /// assert_eq!(ListKind::from_index(ListKind::Array.index()), ListKind::Array);
-/// assert_eq!(ListKind::adaptive_kind(), Some(ListKind::Adaptive));
+/// assert_eq!(ListKind::adaptive_kind(), ListKind::Adaptive);
 /// ```
 pub trait Kind: Copy + Eq + Hash + Display + Send + Sync + 'static {
     /// Which abstraction this kind family belongs to.
@@ -45,13 +45,10 @@ pub trait Kind: Copy + Eq + Hash + Display + Send + Sync + 'static {
         Self::all()[index]
     }
 
-    /// The size-adaptive kind of this abstraction, if it has one.
-    /// Families without an adaptive member (the concurrency-strategy tier)
-    /// return `None`, which disables the eligibility gate entirely.
-    fn adaptive_kind() -> Option<Self>;
+    /// The size-adaptive kind of this abstraction.
+    fn adaptive_kind() -> Self;
 
     /// The adaptive kind's default transition threshold (paper Table 1).
-    /// Unused when [`Kind::adaptive_kind`] is `None`.
     fn adaptive_threshold() -> usize;
 }
 
@@ -62,8 +59,8 @@ impl Kind for ListKind {
         &ListKind::ALL
     }
 
-    fn adaptive_kind() -> Option<Self> {
-        Some(ListKind::Adaptive)
+    fn adaptive_kind() -> Self {
+        ListKind::Adaptive
     }
 
     fn adaptive_threshold() -> usize {
@@ -78,8 +75,8 @@ impl Kind for SetKind {
         &SetKind::ALL
     }
 
-    fn adaptive_kind() -> Option<Self> {
-        Some(SetKind::Adaptive)
+    fn adaptive_kind() -> Self {
+        SetKind::Adaptive
     }
 
     fn adaptive_threshold() -> usize {
@@ -94,30 +91,12 @@ impl Kind for MapKind {
         &MapKind::ALL
     }
 
-    fn adaptive_kind() -> Option<Self> {
-        Some(MapKind::Adaptive)
+    fn adaptive_kind() -> Self {
+        MapKind::Adaptive
     }
 
     fn adaptive_threshold() -> usize {
         adaptive::MAP_THRESHOLD
-    }
-}
-
-impl Kind for ConcKind {
-    // A concurrency strategy is still a map representation from the
-    // caller's point of view — the abstraction contract is ConcurrentMap.
-    const ABSTRACTION: Abstraction = Abstraction::Map;
-
-    fn all() -> &'static [Self] {
-        &ConcKind::ALL
-    }
-
-    fn adaptive_kind() -> Option<Self> {
-        None
-    }
-
-    fn adaptive_threshold() -> usize {
-        0
     }
 }
 
@@ -143,7 +122,7 @@ mod tests {
         assert_eq!(ListKind::adaptive_threshold(), 80);
         assert_eq!(SetKind::adaptive_threshold(), 40);
         assert_eq!(MapKind::adaptive_threshold(), 50);
-        assert_eq!(SetKind::adaptive_kind(), Some(SetKind::Adaptive));
+        assert_eq!(SetKind::adaptive_kind(), SetKind::Adaptive);
     }
 
     #[test]
@@ -151,14 +130,5 @@ mod tests {
         assert_eq!(ListKind::ABSTRACTION, Abstraction::List);
         assert_eq!(SetKind::ABSTRACTION, Abstraction::Set);
         assert_eq!(MapKind::ABSTRACTION, Abstraction::Map);
-        assert_eq!(ConcKind::ABSTRACTION, Abstraction::Map);
-    }
-
-    #[test]
-    fn conc_kind_has_no_adaptive_member() {
-        assert_eq!(ConcKind::adaptive_kind(), None);
-        for k in ConcKind::ALL {
-            assert_eq!(ConcKind::from_index(k.index()), k);
-        }
     }
 }

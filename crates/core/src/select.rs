@@ -116,18 +116,6 @@ pub struct ExplainedSelection<K> {
     /// Estimated total cost of the current variant on the rule's primary
     /// dimension (0 when the pass bailed before scoring).
     pub current_primary_cost: f64,
-    /// The slice of `current_primary_cost` attributable to the contention
-    /// term of the current variant's cost model (0 when the model carries
-    /// no contention curves, or when the pass bailed).
-    pub current_contention_cost: f64,
-    /// The contention ratio `r = contended / total_ops` of the history the
-    /// pass evaluated — the operand of every contention term.
-    pub contention_ratio: f64,
-    /// True when the winner owes its victory to the contention term: with
-    /// contention costs subtracted from both sides, the winner would *not*
-    /// have beaten the current variant on the primary dimension. False
-    /// whenever there is no winner.
-    pub contention_driven: bool,
     /// Estimated allocation-rate cost `TC_alloc_rate` of the current
     /// variant over the history (0 when the model carries no alloc-rate
     /// curves, or when the pass bailed).
@@ -168,9 +156,6 @@ pub fn select_variant_explained<K: Kind>(
         selection: None,
         candidates: Vec::new(),
         current_primary_cost: 0.0,
-        current_contention_cost: 0.0,
-        contention_ratio: 0.0,
-        contention_driven: false,
         current_alloc_cost: 0.0,
         current_energy_cost: 0.0,
         alloc_bytes_per_op: 0.0,
@@ -202,9 +187,6 @@ pub fn select_variant_explained<K: Kind>(
     }
 
     let current_primary_cost = current_cost(primary.dimension);
-    let contention_ratio = history.contention_ratio();
-    let current_contention_cost =
-        model.contention_component(current, primary.dimension, history);
     // Allocation and energy columns are part of every audit row regardless
     // of the rule, so a reader can see what an alloc- or energy-primary
     // rule *would* have decided.
@@ -215,13 +197,12 @@ pub fn select_variant_explained<K: Kind>(
     let alloc_bytes_per_op = history.alloc_bytes_per_op();
     let mut candidates = Vec::new();
     let mut best: Option<Selection<K>> = None;
-    let mut best_contention_cost = 0.0;
     let mut best_time_cost = 0.0;
     for &candidate in K::all() {
         if candidate == current {
             continue;
         }
-        let excluded = if Some(candidate) == adaptive && !adaptive_ok {
+        let excluded = if candidate == adaptive && !adaptive_ok {
             Some("adaptive-gate")
         } else if !eligible(candidate) {
             Some("quarantined")
@@ -235,7 +216,6 @@ pub fn select_variant_explained<K: Kind>(
                 variant: candidate.to_string(),
                 primary_cost: f64::NAN,
                 primary_ratio: f64::NAN,
-                contention_cost: f64::NAN,
                 alloc_cost: f64::NAN,
                 energy_cost: f64::NAN,
                 satisfied: false,
@@ -252,7 +232,6 @@ pub fn select_variant_explained<K: Kind>(
         });
         let primary_cost = model.histogram_cost(candidate, primary.dimension, history);
         let primary_ratio = primary_cost / current_primary_cost;
-        let contention_cost = model.contention_component(candidate, primary.dimension, history);
         let alloc_cost = model.histogram_cost(candidate, CostDimension::AllocRate, history);
         let time_cost = model.histogram_cost(candidate, CostDimension::Time, history);
         let energy_cost = weights.energy(time_cost, alloc_cost);
@@ -260,7 +239,6 @@ pub fn select_variant_explained<K: Kind>(
             variant: candidate.to_string(),
             primary_cost,
             primary_ratio,
-            contention_cost,
             alloc_cost,
             energy_cost,
             satisfied,
@@ -278,18 +256,9 @@ pub fn select_variant_explained<K: Kind>(
                 kind: candidate,
                 primary_ratio,
             });
-            best_contention_cost = contention_cost;
             best_time_cost = time_cost;
         }
     }
-    // A switch is contention-driven when stripping the contention term from
-    // both sides erases (or reverses) the winner's advantage: the candidate
-    // is not cheaper per-op, it just degrades less under the observed
-    // contention ratio.
-    let contention_driven = best.as_ref().is_some_and(|b| {
-        let winner_base = b.primary_ratio * current_primary_cost - best_contention_cost;
-        winner_base >= current_primary_cost - current_contention_cost
-    });
     // A switch is alloc-driven when the allocation term carried it: either
     // the rule optimizes an allocation dimension outright, or it optimizes
     // the energy proxy and the winner is no faster on the time term alone
@@ -305,9 +274,6 @@ pub fn select_variant_explained<K: Kind>(
         selection: best,
         candidates,
         current_primary_cost,
-        current_contention_cost,
-        contention_ratio,
-        contention_driven,
         current_alloc_cost,
         current_energy_cost,
         alloc_bytes_per_op,
@@ -650,85 +616,6 @@ mod tests {
         assert!(explained.selection.is_none());
         assert!(explained.candidates.is_empty());
         assert_eq!(explained.current_primary_cost, 0.0);
-    }
-
-    #[test]
-    fn contended_write_storm_switches_to_lockfree_and_is_contention_driven() {
-        use cs_collections::ConcKind;
-        // Half the operations lost a CAS or hit a held lock: well past the
-        // modeled break-even ratio. The lock-free strategy pays a per-op
-        // premium but degrades three times slower under contention.
-        let mut ops = OpCounters::new();
-        ops.add(OpKind::Populate, 10_000);
-        let w = WorkloadProfile::new(ops, 512).with_contended(5_000);
-        let history = hist(&[w]);
-        let explained = select_variant_explained(
-            default_models::conc_model(),
-            &SelectionRule::r_time(),
-            ConcKind::LockStriped,
-            &history,
-            |_| true,
-        );
-        let sel = explained.selection.expect("high contention must switch");
-        assert_eq!(sel.kind, ConcKind::LockFree);
-        assert!(
-            explained.contention_driven,
-            "lock-free wins only through the contention term"
-        );
-        assert!((explained.contention_ratio - 0.5).abs() < 1e-9);
-        assert!(explained.current_contention_cost > 0.0);
-        let row = explained
-            .candidates
-            .iter()
-            .find(|c| c.variant == "lockfree")
-            .unwrap();
-        assert!(row.contention_cost > 0.0);
-        assert!(row.contention_cost < explained.current_contention_cost);
-    }
-
-    #[test]
-    fn uncontended_reads_switch_back_to_striped_on_raw_costs() {
-        use cs_collections::ConcKind;
-        let mut ops = OpCounters::new();
-        ops.add(OpKind::Contains, 10_000);
-        let w = WorkloadProfile::new(ops, 512);
-        let explained = select_variant_explained(
-            default_models::conc_model(),
-            &SelectionRule::r_time(),
-            ConcKind::LockFree,
-            &hist(&[w]),
-            |_| true,
-        );
-        let sel = explained
-            .selection
-            .expect("read-mostly uncontended workload must return to striped");
-        assert_eq!(sel.kind, ConcKind::LockStriped);
-        assert_eq!(explained.contention_ratio, 0.0);
-        assert!(
-            !explained.contention_driven,
-            "the way back is won on raw per-op costs, not contention"
-        );
-    }
-
-    #[test]
-    fn below_break_even_contention_keeps_the_striped_strategy() {
-        use cs_collections::ConcKind;
-        // Contention at half the break-even ratio: the lock-free premium is
-        // not yet amortized, so no switch may fire.
-        let ratio = default_models::conc_break_even_ratio() / 2.0;
-        let total = 10_000u64;
-        let mut ops = OpCounters::new();
-        ops.add(OpKind::Populate, total);
-        let w = WorkloadProfile::new(ops, 512)
-            .with_contended((ratio * total as f64) as u64);
-        let explained = select_variant_explained(
-            default_models::conc_model(),
-            &SelectionRule::r_time(),
-            ConcKind::LockStriped,
-            &hist(&[w]),
-            |_| true,
-        );
-        assert!(explained.selection.is_none());
     }
 
     #[test]

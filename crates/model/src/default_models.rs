@@ -38,7 +38,7 @@
 
 use std::sync::OnceLock;
 
-use cs_collections::{ConcKind, LibraryProfile, ListKind, MapKind, SetKind};
+use cs_collections::{LibraryProfile, ListKind, MapKind, SetKind};
 use cs_profile::OpKind;
 
 use crate::curve::CostCurve;
@@ -455,91 +455,6 @@ pub fn set_model() -> &'static PerformanceModel<SetKind> {
     })
 }
 
-// ---------------------------------------------------------------------------
-// Concurrency strategies (the lock-striped vs lock-free tier)
-// ---------------------------------------------------------------------------
-
-/// Per-op contention penalty slope (ns per op at full contention) for the
-/// lock-striped strategy: a contended op queues on a shard mutex, so the
-/// penalty grows steeply with the contention ratio.
-const STRIPED_CONTENTION_SLOPE: f64 = 90.0;
-/// Same slope for the lock-free strategy: a contended op retries a CAS or
-/// helps a migration chunk — bounded work, so the curve stays shallow.
-const LOCKFREE_CONTENTION_SLOPE: f64 = 30.0;
-/// Uncontended per-op premium the lock-free map pays over a striped shard
-/// (atomic loads/CAS + epoch pin vs a clean mutex acquire).
-const LOCKFREE_BASE_PREMIUM: f64 = 6.0;
-
-/// The modeled break-even contention ratio for a write-dominated workload:
-/// `r* = base_premium / (slope_striped − slope_lockfree)`. Below `r*` the
-/// striped strategy wins (the lock-free tier's atomic premium is wasted);
-/// above it the striped penalty dominates. Exported so benches and CI can
-/// gate the measured crossover against the model.
-pub fn conc_break_even_ratio() -> f64 {
-    LOCKFREE_BASE_PREMIUM / (STRIPED_CONTENTION_SLOPE - LOCKFREE_CONTENTION_SLOPE)
-}
-
-fn conc_curves(kind: ConcKind) -> Curves {
-    match kind {
-        // Per-op costs are flat in `s`: both substrates are hash-indexed,
-        // so size shows up only in iteration and footprint.
-        ConcKind::LockStriped => Curves {
-            time: [
-                |_| 20.0,            // insert under a clean mutex
-                |_| 14.0,            // read through the shard lock
-                |s| 6.0 + 0.55 * s,  // iterate: lock shards in turn
-                |_| 24.0,            // remove
-            ],
-            alloc: [|_| 40.0, zero, zero, zero],
-            alloc_instance: |_| 1024.0, // 16 shard tables up front
-            footprint: |s| 1024.0 + 48.0 * s,
-            brk: None,
-        },
-        ConcKind::LockFree => Curves {
-            time: [
-                |_| 20.0 + LOCKFREE_BASE_PREMIUM,
-                |_| 14.0 + LOCKFREE_BASE_PREMIUM,
-                |s| 8.0 + 0.6 * s,   // settle migrations, walk one table
-                |_| 24.0 + LOCKFREE_BASE_PREMIUM,
-            ],
-            // Every insert boxes key + value; removes retire through the
-            // epoch collector (charged to populate's churn).
-            alloc: [|_| 56.0, zero, zero, zero],
-            alloc_instance: |_| 768.0, // initial 32-slot table + collector
-            footprint: |s| 768.0 + 56.0 * s,
-            brk: None,
-        },
-    }
-}
-
-/// The default concurrency-strategy model (both [`ConcKind`] variants),
-/// the only shipped model with contention curves: selection between the
-/// two strategies is driven by the contention term crossing
-/// [`conc_break_even_ratio`].
-pub fn conc_model() -> &'static PerformanceModel<ConcKind> {
-    static MODEL: OnceLock<PerformanceModel<ConcKind>> = OnceLock::new();
-    MODEL.get_or_init(|| {
-        let mut m = PerformanceModel::new();
-        for kind in ConcKind::ALL {
-            let mut vm = build_variant(&conc_curves(kind));
-            let slope = match kind {
-                ConcKind::LockStriped => STRIPED_CONTENTION_SLOPE,
-                ConcKind::LockFree => LOCKFREE_CONTENTION_SLOPE,
-            };
-            vm.set_contention_cost(
-                CostDimension::Time,
-                Polynomial::from_coeffs(vec![0.0, slope]),
-            );
-            vm.set_contention_cost(
-                CostDimension::Energy,
-                Polynomial::from_coeffs(vec![0.0, slope]),
-            );
-            m.insert_variant(kind, vm);
-        }
-        m
-    })
-}
-
 /// The default map performance model (all eight [`MapKind`] variants).
 pub fn map_model() -> &'static PerformanceModel<MapKind> {
     static MODEL: OnceLock<PerformanceModel<MapKind>> = OnceLock::new();
@@ -733,55 +648,6 @@ mod tests {
         let tc_adaptive = m.total_cost(MapKind::Adaptive, CostDimension::Alloc, &w);
         let tc_chained = m.total_cost(MapKind::Chained, CostDimension::Alloc, &w);
         assert!(tc_adaptive < tc_chained);
-    }
-
-    #[test]
-    fn conc_strategies_cross_at_the_modeled_break_even() {
-        use cs_profile::ProfileHistogram;
-        let m = conc_model();
-        let r_star = conc_break_even_ratio();
-        assert!(r_star > 0.0 && r_star < 1.0, "r* = {r_star}");
-        // Write-dominated workload at a given contention ratio.
-        let cost_at = |r: f64| {
-            let total: u64 = 10_000;
-            let mut c = OpCounters::new();
-            c.add(OpKind::Populate, total);
-            let p = WorkloadProfile::new(c, 100).with_contended((r * total as f64) as u64);
-            let h = ProfileHistogram::from_profiles(&[p]);
-            (
-                m.histogram_cost(ConcKind::LockStriped, CostDimension::Time, &h),
-                m.histogram_cost(ConcKind::LockFree, CostDimension::Time, &h),
-            )
-        };
-        // Read-mostly / uncontended: striped wins.
-        let (ls, lf) = cost_at(0.0);
-        assert!(ls < lf, "uncontended: striped {ls} must beat lock-free {lf}");
-        let (ls, lf) = cost_at(r_star / 2.0);
-        assert!(ls < lf, "below break-even: striped {ls} vs {lf}");
-        // Past the break-even: lock-free wins.
-        let (ls, lf) = cost_at(r_star * 2.0);
-        assert!(lf < ls, "above break-even: lock-free {lf} must beat striped {ls}");
-        let (ls, lf) = cost_at(0.8);
-        assert!(lf < ls, "heavy contention: {lf} vs {ls}");
-    }
-
-    #[test]
-    fn conc_model_round_trips_through_persist() {
-        let text = crate::persist::to_text(conc_model());
-        assert!(text.contains("contention lockstriped time"), "{text}");
-        let restored: PerformanceModel<ConcKind> = crate::persist::from_text(&text).unwrap();
-        for kind in ConcKind::ALL {
-            let a = conc_model().variant(kind).unwrap();
-            let b = restored.variant(kind).unwrap();
-            for r in [0.0, 0.25, 1.0] {
-                assert!(
-                    (a.contention_cost(CostDimension::Time, r)
-                        - b.contention_cost(CostDimension::Time, r))
-                    .abs()
-                        < 1e-9
-                );
-            }
-        }
     }
 
     #[test]

@@ -41,12 +41,6 @@ pub struct VariantCostModel {
     // sub-microsecond analysis budget (paper Fig. 7).
     op_costs: [[Option<CostCurve>; 4]; 5],
     instance_costs: [Option<CostCurve>; 5],
-    // Per-dimension contention curves, evaluated at the *contention ratio*
-    // r = contended/total_ops ∈ [0, 1] (not at the collection size) and
-    // weighted by the total operation count. Sequential variants leave
-    // these empty; the concurrency-strategy tier uses them to price lock
-    // waits vs CAS retries.
-    contention_costs: [Option<CostCurve>; 5],
 }
 
 impl VariantCostModel {
@@ -70,14 +64,6 @@ impl VariantCostModel {
         self.instance_costs[dimension.index()] = Some(curve.into());
     }
 
-    /// Sets the contention cost curve for `dimension`. The curve is
-    /// evaluated at the observed contention ratio `r ∈ [0, 1]` and its
-    /// value is charged *per operation* — so the modeled penalty is
-    /// `total_ops · curve(r)`.
-    pub fn set_contention_cost(&mut self, dimension: CostDimension, curve: impl Into<CostCurve>) {
-        self.contention_costs[dimension.index()] = Some(curve.into());
-    }
-
     /// Cost of one execution of `op` at collection size `size` along
     /// `dimension`. Missing entries cost zero.
     #[inline]
@@ -95,20 +81,6 @@ impl VariantCostModel {
             .map_or(0.0, |p| p.eval(size))
     }
 
-    /// Per-operation contention penalty at contention ratio `ratio`
-    /// (clamped to `[0, 1]`) along `dimension`. Missing entries cost zero.
-    #[inline]
-    pub fn contention_cost(&self, dimension: CostDimension, ratio: f64) -> f64 {
-        self.contention_costs[dimension.index()]
-            .as_ref()
-            .map_or(0.0, |p| p.eval(ratio.clamp(0.0, 1.0)))
-    }
-
-    /// `true` when any dimension carries a contention curve.
-    pub fn has_contention_costs(&self) -> bool {
-        self.contention_costs.iter().any(Option::is_some)
-    }
-
     /// The paper's `tc_W(V)` for one workload profile:
     /// `instance(s) + Σ_op N_op · cost_op(s)` with `s = max_size`.
     pub fn total_cost(&self, dimension: CostDimension, profile: &WorkloadProfile) -> f64 {
@@ -117,7 +89,7 @@ impl VariantCostModel {
         for (op, n) in profile.counters().iter_nonzero() {
             tc += n as f64 * self.op_cost(dimension, op, s);
         }
-        tc + profile.total_ops() as f64 * self.contention_cost(dimension, profile.contention_ratio())
+        tc
     }
 
     /// Iterates over the per-operation entries. Used by [`crate::persist`].
@@ -137,13 +109,6 @@ impl VariantCostModel {
     pub fn iter_instance_costs(&self) -> impl Iterator<Item = (CostDimension, &CostCurve)> + '_ {
         CostDimension::ALL.into_iter().filter_map(move |d| {
             self.instance_costs[d.index()].as_ref().map(|p| (d, p))
-        })
-    }
-
-    /// Iterates over the contention entries. Used by [`crate::persist`].
-    pub fn iter_contention_costs(&self) -> impl Iterator<Item = (CostDimension, &CostCurve)> + '_ {
-        CostDimension::ALL.into_iter().filter_map(move |d| {
-            self.contention_costs[d.index()].as_ref().map(|p| (d, p))
         })
     }
 }
@@ -249,25 +214,7 @@ impl<K: Copy + Eq + Hash + fmt::Display> PerformanceModel<K> {
                 tc += n as f64 * vm.op_cost(dimension, op, s);
             }
         }
-        tc + self.contention_component(kind, dimension, histogram)
-    }
-
-    /// The contention term of [`histogram_cost`](Self::histogram_cost):
-    /// `total_ops · curve(r)` with `r` the histogram's contention ratio.
-    /// Zero for variants without contention curves — exposed separately so
-    /// selection explanations can report how much of a candidate's cost is
-    /// contention-driven.
-    pub fn contention_component(
-        &self,
-        kind: K,
-        dimension: CostDimension,
-        histogram: &cs_profile::ProfileHistogram,
-    ) -> f64 {
-        let Some(vm) = self.variants.get(&kind) else {
-            return 0.0;
-        };
-        histogram.total_ops() as f64
-            * vm.contention_cost(dimension, histogram.contention_ratio())
+        tc
     }
 
     /// The calibrated variant with the lowest summed cost along `dimension`,
@@ -416,41 +363,6 @@ mod tests {
         let agg = pm.histogram_cost(ListKind::Array, CostDimension::Time, &hist);
         assert!(agg >= exact);
         assert!((agg - 20.0 * 128.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn contention_term_prices_the_ratio_per_op() {
-        use cs_collections::ListKind;
-        use cs_profile::ProfileHistogram;
-        let mut vm = VariantCostModel::new();
-        // 100 ns penalty per op at full contention, linear in the ratio.
-        vm.set_contention_cost(
-            CostDimension::Time,
-            Polynomial::from_coeffs(vec![0.0, 100.0]),
-        );
-        assert!(vm.has_contention_costs());
-        // Per-profile: 10 ops, 5 contended → r = 0.5 → 10 · 50 = 500.
-        let p = profile(10, 100).with_contended(5);
-        assert!((vm.total_cost(CostDimension::Time, &p) - 500.0).abs() < 1e-9);
-        // Ratio is clamped even if counters disagree transiently.
-        assert_eq!(vm.contention_cost(CostDimension::Time, 7.0), 100.0);
-
-        let mut pm = PerformanceModel::new();
-        pm.insert_variant(ListKind::Array, vm);
-        let hist = ProfileHistogram::from_profiles(&[p]);
-        let term = pm.contention_component(ListKind::Array, CostDimension::Time, &hist);
-        assert!((term - 500.0).abs() < 1e-9);
-        assert!(
-            (pm.histogram_cost(ListKind::Array, CostDimension::Time, &hist) - 500.0).abs() < 1e-9
-        );
-    }
-
-    #[test]
-    fn variants_without_contention_curves_pay_nothing() {
-        let vm = VariantCostModel::new();
-        assert!(!vm.has_contention_costs());
-        let p = profile(10, 100).with_contended(10);
-        assert_eq!(vm.total_cost(CostDimension::Time, &p), 0.0);
     }
 
     #[test]

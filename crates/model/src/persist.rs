@@ -10,13 +10,7 @@
 //! op <variant> <dimension> <opkind> poly <scale> <c0> <c1> …
 //! op <variant> <dimension> <opkind> pw <threshold> <scale> <c…> | <scale> <c…>
 //! instance <variant> <dimension> poly <scale> <c0> <c1> …
-//! contention <variant> <dimension> poly <scale> <c0> <c1> …
 //! ```
-//!
-//! `contention` curves are evaluated at the observed contention ratio
-//! (`[0, 1]`) rather than at a collection size; the tag is understood by
-//! the v1 parser, and files without it load unchanged (older snapshots
-//! simply carry no contention term).
 
 use std::fmt::{self, Display, Write as _};
 use std::hash::Hash;
@@ -78,11 +72,6 @@ pub fn to_text<K: Copy + Eq + Hash + Display>(model: &PerformanceModel<K>) -> St
         }
         for (dim, curve) in vm.iter_instance_costs() {
             let mut line = format!("instance {kind} {dim} ");
-            write_curve(&mut line, curve);
-            lines.push(line);
-        }
-        for (dim, curve) in vm.iter_contention_costs() {
-            let mut line = format!("contention {kind} {dim} ");
             write_curve(&mut line, curve);
             lines.push(line);
         }
@@ -229,13 +218,8 @@ where
             continue;
         }
         let tokens: Vec<&str> = line.split_whitespace().collect();
-        enum Record {
-            Op(OpKind),
-            Instance,
-            Contention,
-        }
         let tag = tokens[0];
-        let (kind_s, dim_s, record, curve_tokens) = match tag {
+        let (kind_s, dim_s, op, curve_tokens) = match tag {
             "op" => {
                 if tokens.len() < 5 {
                     return Err(ParseModelError::new(line_no, "truncated op record"));
@@ -243,7 +227,7 @@ where
                 (
                     tokens[1],
                     tokens[2],
-                    Record::Op(parse_op_kind(tokens[3], line_no)?),
+                    Some(parse_op_kind(tokens[3], line_no)?),
                     &tokens[4..],
                 )
             }
@@ -251,13 +235,7 @@ where
                 if tokens.len() < 4 {
                     return Err(ParseModelError::new(line_no, "truncated instance record"));
                 }
-                (tokens[1], tokens[2], Record::Instance, &tokens[3..])
-            }
-            "contention" => {
-                if tokens.len() < 4 {
-                    return Err(ParseModelError::new(line_no, "truncated contention record"));
-                }
-                (tokens[1], tokens[2], Record::Contention, &tokens[3..])
+                (tokens[1], tokens[2], None, &tokens[3..])
             }
             other => {
                 return Err(ParseModelError::new(
@@ -274,10 +252,9 @@ where
             .map_err(|e| ParseModelError::new(line_no, format!("{e}")))?;
         let curve = parse_curve(curve_tokens, line_no)?;
         let vm = pending.entry(kind).or_default();
-        match record {
-            Record::Op(op) => vm.set_op_cost(dim, op, curve),
-            Record::Instance => vm.set_instance_cost(dim, curve),
-            Record::Contention => vm.set_contention_cost(dim, curve),
+        match op {
+            Some(op) => vm.set_op_cost(dim, op, curve),
+            None => vm.set_instance_cost(dim, curve),
         }
     }
     for (kind, vm) in pending {
@@ -366,27 +343,6 @@ mod tests {
         let v = m.variant(ListKind::Adaptive).unwrap();
         assert_eq!(v.op_cost(CostDimension::Time, OpKind::Contains, 10.0), 1.0);
         assert_eq!(v.op_cost(CostDimension::Time, OpKind::Contains, 100.0), 9.0);
-    }
-
-    #[test]
-    fn contention_lines_round_trip() {
-        let text = "contention array time poly 1 0.0 120.0\n";
-        let m: PerformanceModel<ListKind> = from_text(text).unwrap();
-        let v = m.variant(ListKind::Array).unwrap();
-        assert!(v.has_contention_costs());
-        assert!((v.contention_cost(CostDimension::Time, 0.5) - 60.0).abs() < 1e-12);
-        // And the writer emits the same tag back.
-        let again = to_text(&m);
-        assert!(again.contains("contention array time poly"), "{again}");
-        let m2: PerformanceModel<ListKind> = from_text(&again).unwrap();
-        let v2 = m2.variant(ListKind::Array).unwrap();
-        assert!((v2.contention_cost(CostDimension::Time, 0.5) - 60.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn truncated_contention_record_is_an_error() {
-        assert!(from_text::<ListKind>("contention array time\n").is_err());
-        assert!(from_text::<ListKind>("contention array time poly NaN 1.0\n").is_err());
     }
 
     #[test]

@@ -71,8 +71,8 @@ impl LocalWindowBuffer {
     }
 
     /// Notes that the most recent operation observed contention (had to
-    /// wait for a shard lock, or lost a CAS / helped a migration on the
-    /// lock-free tier).
+    /// wait for a shard lock). The count rides the drained profile into
+    /// the runtime's per-site contention counter.
     #[inline]
     pub fn note_contended(&mut self) {
         self.contended += 1;

@@ -52,7 +52,6 @@ pub struct ProfileHistogram {
     instances: u64,
     totals: OpCounters,
     total_nanos: u64,
-    contended: u64,
     alloc_count: u64,
     alloc_bytes: u64,
 }
@@ -65,7 +64,6 @@ impl ProfileHistogram {
             instances: 0,
             totals: OpCounters::new(),
             total_nanos: 0,
-            contended: 0,
             alloc_count: 0,
             alloc_bytes: 0,
         }
@@ -108,7 +106,6 @@ impl ProfileHistogram {
         self.instances += 1;
         self.totals.merge(profile.counters());
         self.total_nanos = self.total_nanos.saturating_add(profile.elapsed_nanos());
-        self.contended = self.contended.saturating_add(profile.contended());
         self.alloc_count = self.alloc_count.saturating_add(profile.alloc_count());
         self.alloc_bytes = self.alloc_bytes.saturating_add(profile.alloc_bytes());
     }
@@ -137,23 +134,6 @@ impl ProfileHistogram {
     /// 0 when the profiles carried no timing.
     pub fn total_nanos(&self) -> u64 {
         self.total_nanos
-    }
-
-    /// Total contended operations over all aggregated instances.
-    pub fn contended(&self) -> u64 {
-        self.contended
-    }
-
-    /// Fraction of all aggregated operations that observed contention,
-    /// clamped to `[0, 1]`; `0.0` for an empty histogram. This is the `r`
-    /// evaluated by the contention term of the cost model.
-    pub fn contention_ratio(&self) -> f64 {
-        let total = self.total_ops();
-        if total == 0 {
-            0.0
-        } else {
-            self.contended.min(total) as f64 / total as f64
-        }
     }
 
     /// Total allocation events attributed over all aggregated instances.
@@ -222,7 +202,6 @@ impl ProfileHistogram {
         self.instances = scale(self.instances);
         self.totals = self.totals.scaled(factor);
         self.total_nanos = scale(self.total_nanos);
-        self.contended = scale(self.contended);
         self.alloc_count = scale(self.alloc_count);
         self.alloc_bytes = scale(self.alloc_bytes);
     }
@@ -235,7 +214,6 @@ impl ProfileHistogram {
         self.instances = 0;
         self.totals = OpCounters::new();
         self.total_nanos = 0;
-        self.contended = 0;
         self.alloc_count = 0;
         self.alloc_bytes = 0;
     }
@@ -377,22 +355,6 @@ mod tests {
         assert_eq!(h.total_nanos(), 500);
         h.clear();
         assert_eq!(h.total_nanos(), 0);
-    }
-
-    #[test]
-    fn contended_accumulates_decays_and_ratios() {
-        let mut h = ProfileHistogram::new();
-        let mut c = OpCounters::new();
-        c.add(OpKind::Populate, 10);
-        h.add(&WorkloadProfile::new(c, 10).with_contended(4));
-        h.add(&WorkloadProfile::new(c, 10).with_contended(2));
-        assert_eq!(h.contended(), 6);
-        assert_eq!(h.contention_ratio(), 6.0 / 20.0);
-        h.decay(0.5);
-        assert_eq!(h.contended(), 3);
-        h.clear();
-        assert_eq!(h.contended(), 0);
-        assert_eq!(h.contention_ratio(), 0.0);
     }
 
     #[test]

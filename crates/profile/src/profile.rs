@@ -53,10 +53,9 @@ impl WorkloadProfile {
         }
     }
 
-    /// Sets the number of operations that observed contention (lock wait
-    /// on the striped tier, CAS retry / migration help on the lock-free
-    /// tier) and returns `self` — builder style, so existing call sites
-    /// keep their two-/three-argument constructors.
+    /// Sets the number of operations that observed contention (found their
+    /// shard lock held) and returns `self` — builder style, so existing
+    /// call sites keep their two-/three-argument constructors.
     pub fn with_contended(mut self, contended: u64) -> Self {
         self.contended = contended;
         self
@@ -97,23 +96,14 @@ impl WorkloadProfile {
     }
 
     /// Operations that observed contention. Always ≤ [`total_ops`]
-    /// (each op reports the flag at most once).
+    /// (each op reports the flag at most once). A plain observable, summed
+    /// into the runtime's per-site contention counter; no cost model
+    /// prices it.
     ///
     /// [`total_ops`]: WorkloadProfile::total_ops
     #[inline]
     pub fn contended(&self) -> u64 {
         self.contended
-    }
-
-    /// Fraction of operations that observed contention, in `[0, 1]`;
-    /// `0.0` when the profile is empty.
-    pub fn contention_ratio(&self) -> f64 {
-        let total = self.total_ops();
-        if total == 0 {
-            0.0
-        } else {
-            (self.contended.min(total)) as f64 / total as f64
-        }
     }
 
     /// Measured wall time (nanoseconds) spent in critical operations over
@@ -201,15 +191,12 @@ mod tests {
     }
 
     #[test]
-    fn contended_merges_and_ratios() {
+    fn contended_merges() {
         let mut a = profile(10, 10, 5).with_contended(4);
         let b = profile(20, 20, 5).with_contended(6);
-        assert_eq!(a.contention_ratio(), 0.2);
         a.merge(&b);
         assert_eq!(a.contended(), 10);
-        assert_eq!(a.contention_ratio(), 10.0 / 60.0);
-        // Empty profile: ratio is defined as zero.
-        assert_eq!(WorkloadProfile::default().contention_ratio(), 0.0);
+        assert_eq!(WorkloadProfile::default().contended(), 0);
     }
 
     #[test]

@@ -1,134 +1,32 @@
 //! The concurrent adaptive map handle.
 //!
 //! A [`ConcurrentMap`] is the runtime's `Send + Sync` counterpart of
-//! [`SwitchMap`](cs_core::SwitchMap), and the home of the *concurrency
-//! strategy tier*: the same map can run **lock-striped** (shards of
-//! [`AnyMap`] variants behind mutexes, the design proven by
-//! [`cs_collections::ShardedHashMap`]) or **lock-free**
-//! ([`cs_lockfree::LockFreeMap`], open addressing with epoch reclamation).
-//! A dedicated [`ConcKind`] engine context prices both strategies over the
-//! site's flushed profiles — `contended` counters included — and the map
-//! migrates between them when observed contention crosses the model's
-//! break-even ratio.
+//! [`SwitchMap`](cs_core::SwitchMap): shards of [`AnyMap`] variants behind
+//! mutexes, the lock-striping design proven by
+//! [`cs_collections::ShardedHashMap`]. Striping is the map's only locking
+//! discipline.
 //!
-//! Within the striped strategy, the analyzer still switches the per-shard
-//! [`MapKind`] variant exactly as it does for single-owner handles —
-//! verification, rollback, and quarantine included — and shards migrate to
-//! the new kind lazily, on their next access, under their own lock.
-//!
-//! ## Strategy migration protocol
-//!
-//! The current strategy lives in a `mode` byte (`STRIPED`, `LOCKFREE`, or
-//! `MIGRATING`); a single migration mutex serializes transitions.
-//!
-//! * **striped → lock-free**: set `MIGRATING`, then drain every shard into
-//!   the lock-free table under that shard's own lock. An op that took its
-//!   shard lock before the mode flip completes normally and is drained
-//!   with the shard; an op that takes the lock afterwards re-reads the
-//!   mode *under the lock*, sees `MIGRATING`, and backs off to wait — so
-//!   no write can land in an already-drained shard.
-//! * **lock-free → striped**: set `MIGRATING`, then
-//!   [`cs_lockfree::epoch::wait_grace_period`]. Lock-free ops pin an epoch
-//!   guard *before* checking the mode, so once the grace period has
-//!   elapsed every op that could have seen `LOCKFREE` has retired and
-//!   nothing new will touch the table. The entries are then drained back
-//!   into the shards and the mode set to `STRIPED`.
-//!
-//! Waiters block on the migration mutex (never while holding a shard lock
-//! or an epoch pin), so the whole transition is deadlock-free, and the
-//! wait is charged to the ops that triggered it — exactly the switch cost
-//! post-switch verification should see.
+//! The analyzer switches the per-shard [`MapKind`] variant exactly as it
+//! does for single-owner handles — verification, rollback, and quarantine
+//! included — and shards migrate to the new kind lazily, on their next
+//! access, under their own lock.
 
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
-use cs_collections::{hash_one, AnyMap, ConcKind, MapKind, MapOps};
+use cs_collections::{hash_one, AnyMap, MapKind, MapOps};
 use cs_core::ContextCore;
-use cs_lockfree::{epoch, LockFreeMap};
 use cs_profile::OpKind;
 use parking_lot::Mutex;
 
 use crate::site::SiteShared;
 use crate::tlb;
 
-/// `mode` values: which strategy ops should take right now.
-const MODE_STRIPED: u8 = 0;
-const MODE_LOCKFREE: u8 = 1;
-const MODE_MIGRATING: u8 = 2;
-
 pub(crate) struct MapInner<K: Eq + Hash + Clone, V: Clone> {
     pub(crate) shared: Arc<SiteShared>,
     pub(crate) core: Arc<ContextCore<MapKind>>,
-    /// The strategy-tier context: decides lock-striped vs lock-free.
-    strategy: Arc<ContextCore<ConcKind>>,
     shards: Box<[Mutex<AnyMap<K, V>>]>,
     mask: u64,
-    /// Which strategy is live (`MODE_*`). Written only under `migration`.
-    mode: AtomicU8,
-    /// The lock-free representation; empty while the map runs striped.
-    lockfree: LockFreeMap<K, V>,
-    /// Serializes strategy migrations; waiters block here (and only here).
-    migration: Mutex<()>,
-    /// Completed strategy migrations (either direction).
-    strategy_migrations: AtomicU64,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> MapInner<K, V> {
-    /// Blocks until any in-flight strategy migration finishes.
-    fn wait_migration(&self) {
-        drop(self.migration.lock());
-    }
-
-    /// Moves the map to whatever strategy its context currently selects.
-    /// Serialized on the migration mutex; re-checks after acquiring it, so
-    /// racing callers see a single transition.
-    fn migrate(&self) {
-        let _guard = self.migration.lock();
-        let want = match self.strategy.current_kind() {
-            ConcKind::LockStriped => MODE_STRIPED,
-            ConcKind::LockFree => MODE_LOCKFREE,
-        };
-        let mode = self.mode.load(Ordering::SeqCst);
-        if mode == want {
-            return;
-        }
-        debug_assert_ne!(mode, MODE_MIGRATING, "mode is only MIGRATING under the mutex");
-        self.mode.store(MODE_MIGRATING, Ordering::SeqCst);
-        match want {
-            MODE_LOCKFREE => {
-                // Shard by shard, under each shard's own lock: in-flight
-                // striped ops finish first, late ones re-check the mode
-                // under the lock and divert.
-                for shard in self.shards.iter() {
-                    let mut guard = shard.lock();
-                    guard.for_each_entry(&mut |k, v| {
-                        self.lockfree.insert(k.clone(), v.clone());
-                    });
-                    guard.clear();
-                }
-            }
-            _ => {
-                // No lock stops a lock-free op; the grace period does.
-                // Every op pins before reading the mode, so after one full
-                // grace period nothing can still be touching the table.
-                epoch::wait_grace_period();
-                let kind = self.core.current_kind();
-                self.lockfree.for_each(|k, v| {
-                    let h = hash_one(k);
-                    let mut guard = self.shards[((h >> 48) & self.mask) as usize].lock();
-                    if guard.kind() != kind {
-                        migrate_shard(&mut guard, kind);
-                    }
-                    guard.map_insert(k.clone(), v.clone());
-                });
-                self.lockfree.clear();
-                self.lockfree.collect_garbage();
-            }
-        }
-        self.strategy_migrations.fetch_add(1, Ordering::Relaxed);
-        self.mode.store(want, Ordering::SeqCst);
-    }
 }
 
 /// A thread-safe adaptive map bound to one runtime site.
@@ -137,9 +35,9 @@ impl<K: Eq + Hash + Clone, V: Clone> MapInner<K, V> {
 /// methods take `&self` and may be called from any number of threads.
 ///
 /// Operation recording goes through the calling thread's local buffer
-/// (the `tlb` module); ops that hit contention — a held shard lock, a lost
-/// CAS, migration help — are flagged there, and the flushed profiles carry
-/// the count into the strategy tier's cost model.
+/// (the `tlb` module); ops that find their shard lock held are flagged
+/// there, and the flushed profiles carry the count into
+/// [`SiteStats::contended`](crate::SiteStats::contended).
 ///
 /// # Examples
 ///
@@ -184,7 +82,6 @@ impl<K: Eq + Hash + Clone, V: Clone> std::fmt::Debug for ConcurrentMap<K, V> {
             .field("site", &self.inner.shared.name())
             .field("shards", &self.inner.shards.len())
             .field("kind", &self.inner.core.current_kind())
-            .field("strategy", &self.inner.strategy.current_kind())
             .finish()
     }
 }
@@ -202,93 +99,38 @@ impl<K: Eq + Hash + Clone, V: Clone> ConcurrentMap<K, V> {
     pub(crate) fn new(
         shared: Arc<SiteShared>,
         core: Arc<ContextCore<MapKind>>,
-        strategy: Arc<ContextCore<ConcKind>>,
         shards: usize,
     ) -> Self {
         let n = shards.next_power_of_two();
         let kind = core.current_kind();
-        let mode = match strategy.current_kind() {
-            ConcKind::LockStriped => MODE_STRIPED,
-            ConcKind::LockFree => MODE_LOCKFREE,
-        };
         ConcurrentMap {
             inner: Arc::new(MapInner {
                 shared,
                 core,
-                strategy,
                 shards: (0..n).map(|_| Mutex::new(AnyMap::new(kind))).collect(),
                 mask: (n - 1) as u64,
-                mode: AtomicU8::new(mode),
-                lockfree: LockFreeMap::new(),
-                migration: Mutex::new(()),
-                strategy_migrations: AtomicU64::new(0),
             }),
         }
     }
 
-    /// One critical op, dispatched over the live strategy: pick the route
-    /// the mode byte names, re-validate it at a safe point (under the shard
-    /// lock / inside an epoch pin), run the matching closure, and record
-    /// the op — with its contention flag — thread-locally.
-    ///
-    /// `striped` runs under a shard lock and may be retried if a strategy
-    /// migration slips in between the mode read and the lock; `lockfree`
-    /// runs inside an epoch pin and returns `(result, contended)`.
+    /// One critical op: lock the key's shard (noting whether the lock was
+    /// contended), migrate the shard to the current kind if it lags, run
+    /// `f`, and record the op thread-locally.
     #[inline]
-    fn op<R>(
-        &self,
-        op: OpKind,
-        hash: u64,
-        mut striped: impl FnMut(&mut AnyMap<K, V>) -> R,
-        mut lockfree: impl FnMut(&LockFreeMap<K, V>) -> (R, bool),
-    ) -> R {
+    fn op<R>(&self, op: OpKind, hash: u64, f: impl FnOnce(&mut AnyMap<K, V>) -> R) -> R {
         let inner = &self.inner;
-        tlb::site_op_tracked(&inner.shared, op, || loop {
-            match inner.mode.load(Ordering::SeqCst) {
-                MODE_STRIPED => {
-                    if inner.strategy.current_kind() == ConcKind::LockFree {
-                        inner.migrate();
-                        continue;
-                    }
-                    let shard = &inner.shards[((hash >> 48) & inner.mask) as usize];
-                    let (mut guard, contended) = match shard.try_lock() {
-                        Some(g) => (g, false),
-                        None => (shard.lock(), true),
-                    };
-                    // Re-check under the lock: a migration that started
-                    // after the mode read above may already have drained
-                    // this shard.
-                    if inner.mode.load(Ordering::SeqCst) != MODE_STRIPED {
-                        drop(guard);
-                        continue;
-                    }
-                    let want = inner.core.current_kind();
-                    if guard.kind() != want {
-                        migrate_shard(&mut guard, want);
-                    }
-                    let out = striped(&mut guard);
-                    return (out, guard.len(), contended);
-                }
-                MODE_LOCKFREE => {
-                    if inner.strategy.current_kind() == ConcKind::LockStriped {
-                        inner.migrate();
-                        continue;
-                    }
-                    // Pin *before* re-reading the mode: the migration's
-                    // grace period can then only elapse once this op is
-                    // done (or has seen MIGRATING and backed off).
-                    let pin = epoch::pin();
-                    if inner.mode.load(Ordering::SeqCst) != MODE_LOCKFREE {
-                        drop(pin);
-                        continue;
-                    }
-                    let (out, contended) = lockfree(&inner.lockfree);
-                    let len = inner.lockfree.len();
-                    drop(pin);
-                    return (out, len, contended);
-                }
-                _ => inner.wait_migration(),
+        let shard = &inner.shards[((hash >> 48) & inner.mask) as usize];
+        tlb::site_op_tracked(&inner.shared, op, || {
+            let (mut guard, contended) = match shard.try_lock() {
+                Some(g) => (g, false),
+                None => (shard.lock(), true),
+            };
+            let want = inner.core.current_kind();
+            if guard.kind() != want {
+                migrate_shard(&mut guard, want);
             }
+            let out = f(&mut guard);
+            (out, guard.len(), contended)
         })
     }
 
@@ -296,176 +138,74 @@ impl<K: Eq + Hash + Clone, V: Clone> ConcurrentMap<K, V> {
     /// value (critical op: *populate*).
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         let h = hash_one(&key);
-        self.op(
-            OpKind::Populate,
-            h,
-            |m| m.map_insert(key.clone(), value.clone()),
-            |lf| {
-                let t = lf.insert_tracked(key.clone(), value.clone());
-                (t.value, t.contended)
-            },
-        )
+        self.op(OpKind::Populate, h, |m| m.map_insert(key, value))
     }
 
     /// Returns a clone of the value for `key` (critical op: *contains*).
     pub fn get(&self, key: &K) -> Option<V> {
-        self.op(
-            OpKind::Contains,
-            hash_one(key),
-            |m| m.map_get(key).cloned(),
-            |lf| (lf.get(key), false),
-        )
+        self.op(OpKind::Contains, hash_one(key), |m| m.map_get(key).cloned())
     }
 
-    /// Applies `f` to the value for `key` — the clone-free lookup
-    /// (critical op: *contains*). Under the striped strategy `f` runs under
-    /// the shard lock; under the lock-free strategy it runs inside an epoch
-    /// pin.
+    /// Applies `f` to the value for `key` under the shard lock — the
+    /// clone-free lookup (critical op: *contains*).
     pub fn read<R>(&self, key: &K, f: impl FnOnce(&V) -> R) -> Option<R> {
-        // Both dispatch closures need the one-shot `f`; a Cell lets them
-        // share it by immutable borrow (exactly one branch ever runs).
-        let f = std::cell::Cell::new(Some(f));
-        self.op(
-            OpKind::Contains,
-            hash_one(key),
-            |m| m.map_get(key).map(f.take().expect("op runs once")),
-            |lf| (lf.read(key, f.take().expect("op runs once")), false),
-        )
+        self.op(OpKind::Contains, hash_one(key), |m| m.map_get(key).map(f))
     }
 
     /// Returns `true` if `key` has an entry (critical op: *contains*).
     pub fn contains_key(&self, key: &K) -> bool {
-        self.op(
-            OpKind::Contains,
-            hash_one(key),
-            |m| m.contains_key(key),
-            |lf| (lf.contains_key(key), false),
-        )
+        self.op(OpKind::Contains, hash_one(key), |m| m.contains_key(key))
     }
 
     /// Removes the entry for `key`, returning its value (critical op:
     /// *middle*).
     pub fn remove(&self, key: &K) -> Option<V> {
-        self.op(
-            OpKind::Middle,
-            hash_one(key),
-            |m| m.map_remove(key),
-            |lf| {
-                let t = lf.remove_tracked(key);
-                (t.value, t.contended)
-            },
-        )
+        self.op(OpKind::Middle, hash_one(key), |m| m.map_remove(key))
     }
 
     /// Updates the value for `key` in place (inserting `default()` first if
     /// absent), returning a clone of the updated value (critical op:
-    /// *populate*). Under the striped strategy the whole update runs under
-    /// the shard lock; under the lock-free strategy it is an atomic upsert
-    /// (retried on interference, which counts as contention).
-    pub fn update(&self, key: K, default: impl Fn() -> V, f: impl Fn(&mut V)) -> V {
+    /// *populate*). The whole update runs under the shard lock.
+    pub fn update(&self, key: K, default: impl FnOnce() -> V, f: impl FnOnce(&mut V)) -> V {
         let h = hash_one(&key);
-        let mut updated: Option<V> = None;
-        self.op(
-            OpKind::Populate,
-            h,
-            |m| {
-                if !m.contains_key(&key) {
-                    m.map_insert(key.clone(), default());
-                }
-                // AnyMap has no get_mut (single-owner handles never needed
-                // it); read-modify-write under the shard lock is equivalent.
-                let v = m.map_get(&key).expect("present or just inserted");
-                let mut v = v.clone();
-                f(&mut v);
-                m.map_insert(key.clone(), v.clone());
-                v
-            },
-            |lf| {
-                let t = lf.upsert_tracked(key.clone(), |old| {
-                    let mut v = match old {
-                        Some(v) => v.clone(),
-                        None => default(),
-                    };
-                    f(&mut v);
-                    updated = Some(v.clone());
-                    v
-                });
-                (updated.take().expect("upsert computes once"), t.contended)
-            },
-        )
+        self.op(OpKind::Populate, h, |m| {
+            // AnyMap has no get_mut (single-owner handles never needed it);
+            // read-modify-write under the shard lock is equivalent.
+            let mut v = match m.map_get(&key) {
+                Some(v) => v.clone(),
+                None => default(),
+            };
+            f(&mut v);
+            m.map_insert(key, v.clone());
+            v
+        })
     }
 
-    /// Visits every entry (critical op: *iterate*). Under the striped
-    /// strategy shards are visited one at a time, each locked only while it
-    /// is walked; under the lock-free strategy the traversal is a wait-free
-    /// snapshot walk of the open-addressing table.
+    /// Visits every entry (critical op: *iterate*). Shards are visited one
+    /// at a time, each locked only while it is walked.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
         let inner = &self.inner;
-        loop {
-            match inner.mode.load(Ordering::SeqCst) {
-                MODE_STRIPED => {
-                    let mut diverted = false;
-                    for shard in inner.shards.iter() {
-                        // Iteration is recorded once per shard so the
-                        // profile sees the traversal weight proportional to
-                        // the data actually walked.
-                        tlb::site_op_tracked(&inner.shared, OpKind::Iterate, || {
-                            let (mut guard, contended) = match shard.try_lock() {
-                                Some(g) => (g, false),
-                                None => (shard.lock(), true),
-                            };
-                            if inner.mode.load(Ordering::SeqCst) != MODE_STRIPED {
-                                diverted = true;
-                                return ((), guard.len(), contended);
-                            }
-                            let want = inner.core.current_kind();
-                            if guard.kind() != want {
-                                migrate_shard(&mut guard, want);
-                            }
-                            guard.for_each_entry(&mut |k, v| f(k, v));
-                            ((), guard.len(), contended)
-                        });
-                        if diverted {
-                            break;
-                        }
-                    }
-                    if diverted {
-                        inner.wait_migration();
-                        continue;
-                    }
-                    return;
+        for shard in inner.shards.iter() {
+            // Iteration is recorded once per shard so the profile sees the
+            // traversal weight proportional to the data actually walked.
+            tlb::site_op_tracked(&inner.shared, OpKind::Iterate, || {
+                let (mut guard, contended) = match shard.try_lock() {
+                    Some(g) => (g, false),
+                    None => (shard.lock(), true),
+                };
+                let want = inner.core.current_kind();
+                if guard.kind() != want {
+                    migrate_shard(&mut guard, want);
                 }
-                MODE_LOCKFREE => {
-                    let mut done = false;
-                    tlb::site_op_tracked(&inner.shared, OpKind::Iterate, || {
-                        let pin = epoch::pin();
-                        if inner.mode.load(Ordering::SeqCst) == MODE_LOCKFREE {
-                            inner.lockfree.for_each(&mut f);
-                            done = true;
-                        }
-                        let len = inner.lockfree.len();
-                        drop(pin);
-                        ((), len, false)
-                    });
-                    if done {
-                        return;
-                    }
-                }
-                _ => inner.wait_migration(),
-            }
+                guard.for_each_entry(&mut |k, v| f(k, v));
+                ((), guard.len(), contended)
+            });
         }
     }
 
     /// Total entries (a point-in-time sum; not recorded as a critical op).
     pub fn len(&self) -> usize {
-        let inner = &self.inner;
-        loop {
-            match inner.mode.load(Ordering::SeqCst) {
-                MODE_STRIPED => return inner.shards.iter().map(|s| s.lock().len()).sum(),
-                MODE_LOCKFREE => return inner.lockfree.len(),
-                _ => inner.wait_migration(),
-            }
-        }
+        self.inner.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// Returns `true` if the map holds no entries.
@@ -475,62 +215,26 @@ impl<K: Eq + Hash + Clone, V: Clone> ConcurrentMap<K, V> {
 
     /// Removes every entry (not recorded as a critical op).
     pub fn clear(&self) {
-        let inner = &self.inner;
-        loop {
-            match inner.mode.load(Ordering::SeqCst) {
-                MODE_STRIPED => {
-                    for shard in inner.shards.iter() {
-                        let mut guard = shard.lock();
-                        if inner.mode.load(Ordering::SeqCst) != MODE_STRIPED {
-                            break;
-                        }
-                        guard.clear();
-                    }
-                    return;
-                }
-                MODE_LOCKFREE => {
-                    let pin = epoch::pin();
-                    if inner.mode.load(Ordering::SeqCst) == MODE_LOCKFREE {
-                        inner.lockfree.clear();
-                        drop(pin);
-                        return;
-                    }
-                    drop(pin);
-                }
-                _ => inner.wait_migration(),
-            }
+        for shard in self.inner.shards.iter() {
+            shard.lock().clear();
         }
     }
 
-    /// Number of lock-striped shards (the striped strategy's fan-out; the
-    /// lock-free strategy uses a single shared table).
+    /// Number of lock-striped shards.
     pub fn shard_count(&self) -> usize {
         self.inner.shards.len()
     }
 
-    /// The variant the site currently instantiates within the striped
-    /// strategy (shards migrate to it lazily on their next access).
+    /// The variant the site currently instantiates (shards migrate to it
+    /// lazily on their next access).
     pub fn current_kind(&self) -> MapKind {
         self.inner.core.current_kind()
     }
 
-    /// The concurrency strategy the site's strategy context currently
-    /// selects. The map itself converges to it on the next op (strategy
-    /// migrations are lazy, like shard migrations).
-    pub fn current_strategy(&self) -> ConcKind {
-        self.inner.strategy.current_kind()
-    }
-
-    /// The strategy context's site id — [`Switch::explain`](cs_core::Switch::explain)
-    /// with this id returns the audit trail of the latest strategy
-    /// decision, contention term included.
-    pub fn strategy_id(&self) -> u64 {
-        self.inner.strategy.id()
-    }
-
-    /// Completed strategy migrations (either direction) on this map.
+    /// Always `0`: the map has a single locking discipline, so it never
+    /// migrates between strategies. Kept only because the benchmark reads it.
     pub fn strategy_migrations(&self) -> u64 {
-        self.inner.strategy_migrations.load(Ordering::Relaxed)
+        0
     }
 
     /// The site's id within its engine.

@@ -4,7 +4,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cs_collections::{ConcKind, MapKind, SetKind, ShardedHashMap};
+use cs_collections::{MapKind, SetKind, ShardedHashMap};
 use cs_core::Switch;
 
 use crate::map::ConcurrentMap;
@@ -133,12 +133,6 @@ impl Runtime {
     /// Creates a named concurrent map site starting at `default`. The site
     /// registers with the engine (so the analyzer sees it) and with the
     /// runtime's registry (so [`Runtime::site_stats`] can find it).
-    ///
-    /// Every concurrent map also gets a *strategy context* — a second
-    /// engine context over [`ConcKind`] that decides lock-striped vs
-    /// lock-free from the same flushed profiles (contention counters
-    /// included). It starts at [`ConcKind::LockStriped`], the strategy
-    /// every map ran before the tier existed.
     pub fn named_concurrent_map<K, V>(
         &self,
         default: MapKind,
@@ -153,18 +147,14 @@ impl Runtime {
             .engine
             .named_map_context::<K, V>(default, name.clone());
         let core = Arc::clone(ctx.core());
-        let strategy = self
-            .engine
-            .named_conc_context(ConcKind::LockStriped, format!("{name}#strategy"));
-        let shared = Arc::new(SiteShared::with_strategy(
+        let shared = Arc::new(SiteShared::new(
             ctx.id(),
             name,
             CoreRef::Map(Arc::clone(&core)),
-            Some(Arc::clone(&strategy)),
             self.config.policy(),
         ));
         self.register(Arc::clone(&shared));
-        ConcurrentMap::new(shared, core, strategy, self.config.shards)
+        ConcurrentMap::new(shared, core, self.config.shards)
     }
 
     /// Creates an anonymous concurrent set site starting at `default`.

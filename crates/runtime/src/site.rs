@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cs_collections::{ConcKind, ListKind, MapKind, SetKind};
+use cs_collections::{ListKind, MapKind, SetKind};
 use cs_core::{ContextCore, ContextStats};
 use cs_profile::{OpKind, WorkloadProfile};
 
@@ -100,11 +100,6 @@ pub struct SiteShared {
     id: u64,
     name: String,
     core: CoreRef,
-    /// The concurrency-strategy context, when this site runs the strategy
-    /// tier (concurrent maps). Every flushed profile is fed to it *as well
-    /// as* to the data-variant core: the same workload drives both the
-    /// which-representation and the which-locking-discipline decisions.
-    strategy: Option<Arc<ContextCore<ConcKind>>>,
     policy: FlushPolicy,
     op_totals: [AtomicU64; 4],
     nanos_total: AtomicU64,
@@ -117,21 +112,10 @@ pub struct SiteShared {
 
 impl SiteShared {
     pub(crate) fn new(id: u64, name: String, core: CoreRef, policy: FlushPolicy) -> Self {
-        SiteShared::with_strategy(id, name, core, None, policy)
-    }
-
-    pub(crate) fn with_strategy(
-        id: u64,
-        name: String,
-        core: CoreRef,
-        strategy: Option<Arc<ContextCore<ConcKind>>>,
-        policy: FlushPolicy,
-    ) -> Self {
         SiteShared {
             id,
             name,
             core,
-            strategy,
             policy,
             op_totals: [
                 AtomicU64::new(0),
@@ -209,9 +193,6 @@ impl SiteShared {
         }
         self.max_size.fetch_max(profile.max_size(), Ordering::Relaxed);
         self.flushes.fetch_add(1, Ordering::Relaxed);
-        if let Some(strategy) = &self.strategy {
-            strategy.ingest_profile(profile.clone());
-        }
         self.core.ingest(profile);
     }
 
@@ -233,10 +214,6 @@ impl SiteShared {
             id: self.id,
             name: self.name.clone(),
             current_kind: self.core.current_kind(),
-            current_strategy: self
-                .strategy
-                .as_ref()
-                .map(|s| s.current_kind().to_string()),
             ops,
             total_ops: ops.iter().sum(),
             sampled_nanos: self.nanos_total.load(Ordering::Relaxed),
@@ -263,9 +240,6 @@ pub struct SiteStats {
     pub name: String,
     /// Variant the site currently instantiates (shards migrate lazily).
     pub current_kind: String,
-    /// The concurrency strategy the site currently runs
-    /// (`"lockstriped"`/`"lockfree"`), when it has a strategy tier.
-    pub current_strategy: Option<String>,
     /// Exact per-op totals, indexed by [`OpKind::index`].
     pub ops: [u64; 4],
     /// Sum of [`SiteStats::ops`].

@@ -22,14 +22,11 @@ pub fn site_stats_to_json(stats: &SiteStats) -> Json {
     for op in OpKind::ALL {
         ops = ops.field(op.to_string(), stats.ops[op.index()]);
     }
-    let mut row = Json::object()
+    Json::object()
         .field("id", stats.id)
         .field("site", stats.name.as_str())
-        .field("current_kind", stats.current_kind.as_str());
-    if let Some(strategy) = &stats.current_strategy {
-        row = row.field("current_strategy", strategy.as_str());
-    }
-    row.field("ops", ops)
+        .field("current_kind", stats.current_kind.as_str())
+        .field("ops", ops)
         .field("total_ops", stats.total_ops)
         .field("sampled_nanos", stats.sampled_nanos)
         .field("max_size", stats.max_size)
@@ -45,8 +42,7 @@ pub fn site_stats_to_json(stats: &SiteStats) -> Json {
 }
 
 /// Contended ops as a fraction of total flushed ops; `0.0` before the first
-/// flush. This is the observable the strategy tier's cost model prices, so
-/// dashboards can plot it straight against the modeled break-even ratio.
+/// flush. A plain observable: no cost model prices it.
 fn contention_ratio(stats: &SiteStats) -> f64 {
     if stats.total_ops == 0 {
         0.0
@@ -146,8 +142,8 @@ impl Runtime {
             registry
                 .float_gauge(
                     "cs_runtime_site_contention_ratio",
-                    "Contended ops / total flushed ops per site (the strategy \
-                     tier's contention observable).",
+                    "Contended ops / total flushed ops per site (shard-lock \
+                     try_lock misses).",
                     &[("site", site)],
                 )
                 .set(contention_ratio(stats));
@@ -226,7 +222,6 @@ mod tests {
         assert!(row.contains("\"populate\":1"));
         assert!(row.contains("\"flushes\":1"));
         assert!(row.contains("\"current_kind\":\"chained\""));
-        assert!(row.contains("\"current_strategy\":\"lockstriped\""));
         assert!(row.contains("\"contended\":0"));
         assert!(row.contains("\"contention_ratio\":0"));
         assert!(row.contains("\"alloc_count\":0"));

@@ -120,11 +120,11 @@ pub(crate) fn site_op<R>(
 }
 
 /// Like [`site_op`], for ops that also observe whether they were
-/// *contended* (lost a CAS, found a lock held, helped a migration).
-/// `body` returns `(result, post_op_size, contended)`; the contended flag
-/// is counted in the thread-local buffer, flows into the flushed
-/// [`WorkloadProfile`](cs_profile::WorkloadProfile), and from there feeds
-/// the strategy tier's contention cost term.
+/// *contended* (found their shard lock held). `body` returns
+/// `(result, post_op_size, contended)`; the contended flag is counted in
+/// the thread-local buffer and flows into the flushed
+/// [`WorkloadProfile`](cs_profile::WorkloadProfile) and the site's
+/// [`SiteStats::contended`](crate::SiteStats::contended) counter.
 #[inline]
 pub(crate) fn site_op_tracked<R>(
     site: &Arc<SiteShared>,

@@ -18,7 +18,6 @@
 //! |---------------------|--------------------|---------------------------------------------|
 //! | `rollback`          | `on_event`         | a [`RollbackEvent`](cs_core::RollbackEvent) |
 //! | `quarantine`        | `on_event`         | a [`QuarantineEvent`](cs_core::QuarantineEvent) |
-//! | `contention_switch` | `on_event`         | a switched [`SelectionExplanation`](cs_core::SelectionExplanation) with `contention_driven` set — the strategy tier changed locking discipline because of observed contention |
 //! | `alloc_switch`      | `on_event`         | a switched [`SelectionExplanation`](cs_core::SelectionExplanation) with `alloc_driven` set — the allocation dimension decided the switch |
 //! | `state_quarantine`  | `on_event`         | a [`WarmStartEvent`](cs_core::WarmStartEvent) with corrupt records quarantined |
 //! | `warm_start_reject` | `on_event`         | a [`WarmStartSiteEvent`](cs_core::WarmStartSiteEvent) whose record was rejected |
@@ -308,14 +307,6 @@ impl EngineEventSink for FlightRecorder {
         let trigger = match event {
             EngineEvent::Rollback(_) => "rollback",
             EngineEvent::Quarantine(_) => "quarantine",
-            // A switch the contention term decided: the incident preserves
-            // the full explanation (ratio, contention costs per candidate)
-            // that justified changing the locking discipline.
-            EngineEvent::Selection(s)
-                if s.outcome == cs_core::SelectionOutcome::Switched && s.contention_driven =>
-            {
-                "contention_switch"
-            }
             // A switch the allocation dimension decided: the incident
             // preserves the alloc/energy cost columns and the measured
             // bytes-per-op that justified trading time for churn.
@@ -549,67 +540,6 @@ mod tests {
     }
 
     #[test]
-    fn contention_driven_switch_records_an_incident_with_the_explanation() {
-        let path = tmp("contention");
-        let rec = recorder(
-            &path,
-            FlightRecorderConfig {
-                include_telemetry: false,
-                ..FlightRecorderConfig::default()
-            },
-        );
-        let explanation = cs_core::SelectionExplanation {
-            context_id: 3,
-            context_name: "hot-cache#strategy".into(),
-            abstraction: cs_collections::Abstraction::Map,
-            rule: "R_time".into(),
-            round: 11,
-            current: "lockstriped".into(),
-            current_primary_cost: 65_000.0,
-            current_contention_cost: 45_000.0,
-            contention_ratio: 0.5,
-            contention_driven: true,
-            current_alloc_cost: 0.0,
-            current_energy_cost: 0.0,
-            alloc_bytes_per_op: 0.0,
-            alloc_driven: false,
-            candidates: vec![],
-            winner: Some("lockfree".into()),
-            winning_margin: 0.37,
-            outcome: cs_core::SelectionOutcome::Switched,
-        };
-        // A contention-free switch is routine adaptation, not an incident.
-        rec.on_event(&EngineEvent::Selection(cs_core::SelectionExplanation {
-            contention_driven: false,
-            ..explanation.clone()
-        }));
-        // An audited pass that keeps the variant is not one either.
-        rec.on_event(&EngineEvent::Selection(cs_core::SelectionExplanation {
-            outcome: cs_core::SelectionOutcome::NoCandidate,
-            winner: None,
-            ..explanation.clone()
-        }));
-        assert_eq!(rec.incidents_recorded(), 0);
-        rec.on_event(&EngineEvent::Selection(explanation));
-        rec.sink().flush().unwrap();
-        assert_eq!(rec.incidents_recorded(), 1);
-        let content = std::fs::read_to_string(&path).unwrap();
-        let doc = Json::parse(content.lines().next().unwrap()).expect("valid incident");
-        assert_eq!(
-            doc.get("trigger").and_then(Json::as_str),
-            Some("contention_switch")
-        );
-        let event = doc.get("event").expect("event attached");
-        assert_eq!(
-            event.get("contention_driven"),
-            Some(&Json::Bool(true)),
-            "the incident must preserve the contention inputs: {event:?}"
-        );
-        assert_eq!(event.get("contention_ratio"), Some(&Json::from(0.5)));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn alloc_driven_switch_records_an_alloc_switch_incident() {
         let path = tmp("allocswitch");
         let rec = recorder(
@@ -627,9 +557,6 @@ mod tests {
             round: 7,
             current: "linked".into(),
             current_primary_cost: 40_000.0,
-            current_contention_cost: 0.0,
-            contention_ratio: 0.0,
-            contention_driven: false,
             current_alloc_cost: 40_000.0,
             current_energy_cost: 52_000.0,
             alloc_bytes_per_op: 41.5,

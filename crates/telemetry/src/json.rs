@@ -549,7 +549,6 @@ fn candidate_to_json(c: &CandidateEstimate) -> Json {
         .field("primary_cost", c.primary_cost)
         .field("primary_ratio", c.primary_ratio)
         // NaN (excluded candidates are never costed) renders as null.
-        .field("contention_cost", c.contention_cost)
         .field("alloc_cost", c.alloc_cost)
         .field("energy_cost", c.energy_cost)
         .field("satisfied", c.satisfied)
@@ -567,9 +566,6 @@ pub fn explanation_to_json(e: &SelectionExplanation) -> Json {
         .field("round", e.round)
         .field("current", e.current.as_str())
         .field("current_primary_cost", e.current_primary_cost)
-        .field("current_contention_cost", e.current_contention_cost)
-        .field("contention_ratio", e.contention_ratio)
-        .field("contention_driven", e.contention_driven)
         .field("current_alloc_cost", e.current_alloc_cost)
         .field("current_energy_cost", e.current_energy_cost)
         .field("alloc_bytes_per_op", e.alloc_bytes_per_op)

@@ -27,9 +27,6 @@ fn main() {
                 list: builder::build_list_model(&cfg),
                 set: builder::build_set_model(&cfg),
                 map: builder::build_map_model(&cfg),
-                // The concurrency-strategy model is analytic, not
-                // calibrated: keep the shipped default.
-                ..Models::default()
             };
             println!("calibration took {:?}", started.elapsed());
             models.save_to_dir(&dir).expect("persist models");

@@ -56,7 +56,6 @@ pub use cs_analyzer as analyzer;
 pub use cs_collections as collections;
 pub use cs_core as core;
 pub use cs_heap as heap;
-pub use cs_lockfree as lockfree;
 pub use cs_model as model;
 pub use cs_obs as obs;
 pub use cs_profile as profile;
@@ -69,10 +68,9 @@ pub use cs_workloads as workloads;
 /// Commonly used items, re-exported in one place.
 pub mod prelude {
     pub use cs_collections::{
-        AnyList, AnyMap, AnySet, ConcKind, ListKind, ListOps, MapKind, MapOps, SetKind, SetOps,
+        AnyList, AnyMap, AnySet, ListKind, ListOps, MapKind, MapOps, SetKind, SetOps,
     };
     pub use cs_heap::{AllocGuard, CountingAlloc, HeapAccount};
-    pub use cs_lockfree::LockFreeMap;
     pub use cs_core::{
         EngineEvent, GuardrailConfig, ListContext, MapContext, SelectionRule, SetContext,
         SnapshotPolicy, StatePersister, Switch, SwitchList, SwitchMap, SwitchSet, WarmStartReport,

@@ -28,6 +28,7 @@ fn lookup_heavy_list_site_converges_to_hash_array() {
     let engine = Switch::builder()
         .rule(SelectionRule::r_time())
         .window(fast_window())
+        .guardrails(GuardrailConfig::disabled())
         .build();
     let ctx = engine.list_context::<i64>(ListKind::Array);
     for _ in 0..60 {
@@ -48,6 +49,7 @@ fn small_set_site_under_alloc_rule_converges_to_array() {
     let engine = Switch::builder()
         .rule(SelectionRule::r_alloc())
         .window(fast_window())
+        .guardrails(GuardrailConfig::disabled())
         .build();
     let ctx = engine.set_context::<i64>(SetKind::Chained);
     for _ in 0..60 {
@@ -68,6 +70,7 @@ fn impossible_rule_performs_full_monitoring_but_never_switches() {
     let engine = Switch::builder()
         .rule(SelectionRule::impossible())
         .window(fast_window())
+        .guardrails(GuardrailConfig::disabled())
         .build();
     let ctx = engine.map_context::<i64, i64>(MapKind::Chained);
     for _ in 0..60 {
@@ -90,6 +93,7 @@ fn phase_change_reconverges_with_history_decay() {
     let engine = Switch::builder()
         .rule(SelectionRule::r_time())
         .window(fast_window())
+        .guardrails(GuardrailConfig::disabled())
         .build();
     let ctx = engine.list_context::<i64>(ListKind::Array);
 
@@ -141,12 +145,11 @@ fn calibrated_models_drive_the_engine() {
         list: builder::build_list_model(&cfg),
         set: builder::build_set_model(&cfg),
         map: builder::build_map_model(&cfg),
-        // The concurrency-strategy model is analytic; keep the default.
-        ..Models::default()
     };
     let engine = Switch::builder()
         .rule(SelectionRule::r_time())
         .window(fast_window())
+        .guardrails(GuardrailConfig::disabled())
         .models(models)
         .build();
     let ctx = engine.list_context::<i64>(ListKind::Linked);
@@ -173,6 +176,7 @@ fn persisted_models_round_trip_through_the_engine() {
     let engine = Switch::builder()
         .rule(SelectionRule::r_time())
         .window(fast_window())
+        .guardrails(GuardrailConfig::disabled())
         .models(Models {
             set: restored,
             ..Models::default()
@@ -197,6 +201,7 @@ fn concurrent_sites_adapt_under_contention() {
     let engine = Switch::builder()
         .rule(SelectionRule::r_time())
         .window(fast_window())
+        .guardrails(GuardrailConfig::disabled())
         .background()
         .build();
     let lookup_site = engine.list_context::<i64>(ListKind::Array);
@@ -225,11 +230,7 @@ fn concurrent_sites_adapt_under_contention() {
         t.join().unwrap();
     }
     // Converge: keep a trickle of the same workload flowing while
-    // analyzing. Scheduler noise on a loaded box can make a verification
-    // window measure a genuine switch as a regression and roll it back
-    // with a several-round quarantine — rounds only advance with fresh
-    // profiles, so an op-free analyze loop would freeze that state
-    // forever instead of letting the guardrail re-converge.
+    // analyzing — rounds only advance with fresh profiles.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while std::time::Instant::now() < deadline
         && (lookup_site.current_kind() != ListKind::HashArray
@@ -271,6 +272,7 @@ fn energy_rule_selects_along_the_synthetic_dimension() {
     let engine = Switch::builder()
         .rule(SelectionRule::r_energy())
         .window(fast_window())
+        .guardrails(GuardrailConfig::disabled())
         .build();
     let ctx = engine.set_context::<i64>(SetKind::Chained);
     for _ in 0..60 {
@@ -295,6 +297,7 @@ fn footprint_rule_prefers_compact_layouts() {
     let engine = Switch::builder()
         .rule(SelectionRule::r_footprint())
         .window(fast_window())
+        .guardrails(GuardrailConfig::disabled())
         .build();
     let ctx = engine.map_context::<i64, i64>(MapKind::Chained);
     for _ in 0..60 {
