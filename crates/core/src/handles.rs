@@ -48,22 +48,31 @@ impl Monitor {
     }
 }
 
-/// Runs `$body`; when the instance is monitored, additionally measures the
-/// wall time and attributed allocation churn spent in it and records
-/// `(op, size, nanos, alloc)`. The size expression is evaluated *after* the
-/// body so call sites can report post-operation length. Unmonitored
-/// instances execute the body alone — no clock read, no guard, preserving
-/// the near-zero unmonitored overhead. The alloc guard closes before the
-/// recorder runs, so monitoring bookkeeping never pollutes the attribution
-/// window (guards are exclusion-exact, but keeping the window tight keeps
-/// the numbers honest about the *collection's* churn).
+/// One monitored op in `CLOCK_MASK + 1` reads the wall clock.
+const CLOCK_MASK: u64 = (1 << cs_profile::CLOCK_SAMPLE_SHIFT) - 1;
+
+/// Runs `$body`; when the instance is monitored, additionally records
+/// `(op, size, nanos, alloc)`. The op count, the size and the attributed
+/// allocation churn are exact: every monitored op opens an alloc guard and
+/// is recorded. The wall clock is sampled: one op in `CLOCK_MASK + 1` (per
+/// thread, see [`cs_profile::clock_sampled`]) is timed and its nanos scaled
+/// by `CLOCK_MASK + 1`, the other ops record zero nanos. The size
+/// expression is evaluated *after* the body so call sites can report
+/// post-operation length. Unmonitored instances execute the body alone — no
+/// clock read, no guard, preserving the near-zero unmonitored overhead. The
+/// alloc guard closes before the recorder runs, so monitoring bookkeeping
+/// never pollutes the attribution window (guards are exclusion-exact, but
+/// keeping the window tight keeps the numbers honest about the
+/// *collection's* churn).
 macro_rules! timed {
     ($self:ident, $op:expr, $len:expr, $body:expr) => {{
         if $self.monitor.is_some() {
             let __guard = cs_heap::AllocGuard::begin();
-            let __start = std::time::Instant::now();
+            let __start = cs_profile::clock_sampled(CLOCK_MASK).then(std::time::Instant::now);
             let __out = $body;
-            let __nanos = __start.elapsed().as_nanos() as u64;
+            let __nanos = __start.map_or(0, |s| {
+                (s.elapsed().as_nanos() as u64).saturating_mul(CLOCK_MASK + 1)
+            });
             let __alloc = __guard.finish();
             let __len = $len;
             if let Some(m) = $self.monitor.as_mut() {
@@ -581,6 +590,35 @@ mod tests {
             p.elapsed_nanos() > 0,
             "2000 monitored ops should accumulate measurable wall time"
         );
+    }
+
+    #[test]
+    fn one_op_in_eight_reads_the_clock_and_is_scaled() {
+        // A fresh thread's sampling tick starts at zero: its ops 1..=7 read
+        // no clock, op 8 does and stands for all eight.
+        std::thread::spawn(|| {
+            let (mut list, sink) = monitored_list();
+            let nanos = |l: &SwitchList<i64>| l.monitor.as_ref().unwrap().recorder.elapsed_nanos();
+            for v in 0..7 {
+                list.push(v);
+            }
+            assert_eq!(nanos(&list), 0, "unsampled ops record no wall time");
+            list.for_each(|v| {
+                for i in 0..1_000 {
+                    std::hint::black_box(i * v);
+                }
+            });
+            let sampled = nanos(&list);
+            assert!(sampled > 0, "the eighth op is clocked");
+            assert_eq!(sampled % (CLOCK_MASK + 1), 0, "and scaled by the rate");
+            drop(list);
+            let p = &sink.drain()[0];
+            assert_eq!(p.count(OpKind::Populate), 7, "every op is still counted");
+            assert_eq!(p.count(OpKind::Iterate), 1);
+            assert_eq!(p.max_size(), 7);
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

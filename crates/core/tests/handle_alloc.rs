@@ -59,6 +59,49 @@ fn monitored_handle_churn_reaches_the_explanation() {
 }
 
 #[test]
+fn attribution_stays_exact_while_the_clock_is_sampled() {
+    // Only one monitored op in eight reads the wall clock; every op still
+    // opens an alloc guard. The site's history must therefore hold exactly
+    // the thread's allocation traffic over the ops, and exactly their count.
+    let engine = Switch::builder().window(small_window()).build();
+    let ctx = engine.list_context::<u64>(ListKind::Linked);
+    let mut lists: Vec<_> = (0..10).map(|_| ctx.create_list()).collect();
+    assert!(lists.iter().all(|l| l.is_monitored()));
+
+    let before = cs_heap::thread_account();
+    for (i, list) in lists.iter_mut().enumerate() {
+        for v in 0..(37 * (i as u64 + 1)) {
+            list.push(v);
+        }
+        list.insert(3, 7);
+        list.contains(&5);
+    }
+    let ops = cs_heap::thread_account().delta_since(&before);
+    assert!(ops.alloc_count > 0, "linked-list pushes allocate");
+
+    drop(lists);
+    ctx.core()
+        .analyze(default_models::list_model(), &SelectionRule::r_time());
+    assert_eq!(
+        ctx.core().history_alloc(),
+        (ops.alloc_count, ops.alloc_bytes),
+        "every allocating op must be attributed, not a sample of them"
+    );
+    let explanation = ctx
+        .core()
+        .explain()
+        .expect("a ready round scores candidates");
+    // Every push, plus one middle and one contains per list: the op count
+    // behind the per-op rate is exact too.
+    let pushes: u64 = (1..=10).map(|i| 37 * i).sum();
+    assert_eq!(
+        explanation.alloc_bytes_per_op,
+        ops.alloc_bytes as f64 / (pushes + 20) as f64
+    );
+    assert_eq!(ctx.core().stats().history_instances, 10);
+}
+
+#[test]
 fn unmonitored_handles_never_open_a_guard_window() {
     let engine = Switch::builder().window(small_window()).build();
     let ctx = engine.set_context::<u64>(SetKind::Chained);

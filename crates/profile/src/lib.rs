@@ -41,6 +41,7 @@ mod buffer;
 mod histogram;
 mod op;
 mod profile;
+mod sample;
 mod sink;
 mod window;
 
@@ -48,5 +49,6 @@ pub use buffer::LocalWindowBuffer;
 pub use histogram::{BucketAgg, ProfileHistogram};
 pub use op::{OpCounters, OpKind, OpRecorder};
 pub use profile::WorkloadProfile;
+pub use sample::{clock_sampled, CLOCK_SAMPLE_SHIFT};
 pub use sink::ProfileSink;
 pub use window::{WindowConfig, WindowState};

@@ -27,7 +27,9 @@ pub struct RuntimeConfig {
     /// probes the clock (every 64 ops). Bounds staleness on quiet threads.
     pub flush_interval: Duration,
     /// Timing sample rate as a power of two: 1 op in `1 << sample_shift` is
-    /// wall-clocked and scaled up. `0` times every op.
+    /// wall-clocked and scaled up. `0` times every op. Defaults to
+    /// [`cs_profile::CLOCK_SAMPLE_SHIFT`], the rate monitored core handles
+    /// use.
     pub sample_shift: u32,
 }
 
@@ -37,7 +39,7 @@ impl Default for RuntimeConfig {
             shards: 16,
             flush_ops: 1024,
             flush_interval: Duration::from_millis(10),
-            sample_shift: 3,
+            sample_shift: cs_profile::CLOCK_SAMPLE_SHIFT,
         }
     }
 }

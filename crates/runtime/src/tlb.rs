@@ -19,9 +19,11 @@
 //!   read only after joining worker threads (join provides the edge) or as
 //!   monotonic monitoring values where momentary staleness is fine.
 //! * Timing is sampled: one op in `sample_mask + 1` is wall-clocked and its
-//!   nanos scaled up, so the common op pays no `Instant::now()` call.
+//!   nanos scaled up, so the common op pays no `Instant::now()` call. The
+//!   sampling tick ([`cs_profile::clock_sampled`]) is the one monitored core
+//!   handles use, one per thread.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -92,8 +94,6 @@ impl Drop for LocalBuffers {
 }
 
 thread_local! {
-    /// Per-thread op tick, used only for the timing-sample decision.
-    static TICK: Cell<u64> = const { Cell::new(0) };
     static TLB: RefCell<LocalBuffers> = RefCell::new(LocalBuffers::default());
 }
 
@@ -132,12 +132,7 @@ pub(crate) fn site_op_tracked<R>(
     body: impl FnOnce() -> (R, usize, bool),
 ) -> R {
     let policy = site.policy();
-    let tick = TICK.with(|t| {
-        let v = t.get().wrapping_add(1);
-        t.set(v);
-        v
-    });
-    let timed = tick & policy.sample_mask == 0;
+    let timed = cs_profile::clock_sampled(policy.sample_mask);
     let (result, size, contended, nanos, alloc) = if timed {
         // The sampled op is measured on both axes at once: wall time and
         // heap churn. The attribution guard nests correctly, so a user
