@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use cs_collections::{AnyList, AnyMap, AnySet, ListKind, MapKind, SetKind};
 use cs_model::{CostDimension, PerformanceModel};
-use cs_profile::{ProfileHistogram, ProfileSink, WindowConfig, WindowState};
+use cs_profile::{ClockSampler, ProfileHistogram, ProfileSink, WindowConfig, WindowState};
 use parking_lot::Mutex;
 
 use crate::event::{
@@ -41,6 +41,16 @@ pub struct ContextStats {
     pub monitored_in_round: usize,
 }
 
+/// Clocked ops a monitoring window aims to carry: enough for post-switch
+/// verification to compare two windows' cost per op, few enough that the
+/// clock is a small share of monitored op time.
+const CLOCKED_OPS_PER_WINDOW: u64 = 256;
+
+/// Clock period of the monitors handed out before the first analysed
+/// window, when the site's op volume is still unknown, and the most a
+/// window that verifies a switch may use.
+const FIRST_WINDOW_CLOCK_PERIOD: u64 = 8;
+
 /// The kind-generic part of an allocation context: everything the analyzer
 /// needs, independent of the element type of the collections the site
 /// creates.
@@ -51,6 +61,10 @@ pub struct ContextCore<K: Kind> {
     current: AtomicUsize,
     default_kind: K,
     window: WindowState,
+    /// Clock period `P` of the monitors this context hands out, sized by
+    /// the last analysed window so that each window clocks about
+    /// [`CLOCKED_OPS_PER_WINDOW`] ops.
+    clock_period: AtomicU64,
     sink: ProfileSink,
     config: WindowConfig,
     history: Mutex<ProfileHistogram>,
@@ -92,6 +106,7 @@ impl<K: Kind> ContextCore<K> {
             current: AtomicUsize::new(default_kind.index()),
             default_kind,
             window: WindowState::new(),
+            clock_period: AtomicU64::new(FIRST_WINDOW_CLOCK_PERIOD),
             sink: ProfileSink::bounded(config.window_size.max(1) * 4),
             config,
             history: Mutex::new(ProfileHistogram::new()),
@@ -187,15 +202,19 @@ impl<K: Kind> ContextCore<K> {
     }
 
     /// Claims a monitoring slot for a new instance, returning the monitor
-    /// payload if this instance should be sampled. Frozen contexts sample
-    /// nothing.
+    /// payload if this instance should be sampled. The monitor's clock
+    /// clocks one op in the context's current period, its phase seeded by
+    /// the slot index. Frozen contexts sample nothing.
     pub(crate) fn claim_monitor(&self) -> Option<Monitor> {
         if self.is_frozen() {
             return None;
         }
-        self.window
-            .try_claim_slot(self.config.window_size)
-            .then(|| Monitor::new(self.sink.clone()))
+        let slot = self.window.try_claim_slot(self.config.window_size)?;
+        let period = self.clock_period.load(Ordering::Relaxed);
+        Some(Monitor::new(
+            self.sink.clone(),
+            ClockSampler::new(period, slot as u64),
+        ))
     }
 
     /// Ingests an externally accumulated [`WorkloadProfile`](cs_profile::WorkloadProfile) as one finished
@@ -291,6 +310,10 @@ impl<K: Kind> ContextCore<K> {
             window_nanos = window_nanos.saturating_add(profile.elapsed_nanos());
             history.add(profile);
         }
+        self.clock_period.store(
+            (window_ops / CLOCKED_OPS_PER_WINDOW).max(1),
+            Ordering::Relaxed,
+        );
 
         let round = self.rounds.load(Ordering::Relaxed);
         let mut guard = self.guard.lock();
@@ -415,6 +438,10 @@ impl<K: Kind> ContextCore<K> {
             baseline_cpo,
         });
         guard.last_transition_round = Some(round);
+        // The next window's cost per op decides the rollback: clock it
+        // densely, not on the budget's ~256 ops.
+        self.clock_period
+            .fetch_min(FIRST_WINDOW_CLOCK_PERIOD, Ordering::Relaxed);
         self.current.store(sel.kind.index(), Ordering::Release);
         self.switches.fetch_add(1, Ordering::Relaxed);
         Some(TransitionEvent::new(
@@ -427,12 +454,14 @@ impl<K: Kind> ContextCore<K> {
         ))
     }
 
-    /// Clears accumulated history, guardrail state, and restores the
-    /// default variant.
+    /// Clears accumulated history, guardrail state and the clock budget,
+    /// and restores the default variant.
     pub fn reset(&self) {
         self.history.lock().clear();
         self.sink.drain();
         self.window.reset();
+        self.clock_period
+            .store(FIRST_WINDOW_CLOCK_PERIOD, Ordering::Relaxed);
         self.guard.lock().clear();
         *self.last_explanation.lock() = None;
         self.current
@@ -738,7 +767,10 @@ mod tests {
     /// contains-ops each, spreading `total_nanos` across them.
     fn feed_window(core: &ContextCore<ListKind>, n: usize, ops: u64, nanos_per_profile: u64) {
         for _ in 0..n {
-            assert!(core.window.try_claim_slot(core.config.window_size));
+            assert!(core
+                .window
+                .try_claim_slot(core.config.window_size)
+                .is_some());
             let mut c = OpCounters::new();
             c.add(OpKind::Contains, ops);
             core.sink
@@ -985,6 +1017,66 @@ mod tests {
 
         core.reset();
         assert!(core.explain().is_none(), "reset clears the audit trail");
+    }
+
+    #[test]
+    fn each_analysed_window_sets_the_next_monitors_clock_period() {
+        let core = list_core();
+        let period = |core: &ContextCore<ListKind>| {
+            let m = core.claim_monitor().expect("window has a free slot");
+            core.window.reset();
+            m.clock_period()
+        };
+        assert_eq!(period(&core), FIRST_WINDOW_CLOCK_PERIOD);
+        let rule = SelectionRule::impossible();
+        // 10 profiles × 5,000 ops: W = 50,000, so P = 50,000 / 256 = 195.
+        feed_window(&core, 10, 5_000, 1_000);
+        core.analyze(default_models::list_model(), &rule);
+        assert_eq!(period(&core), 50_000 / CLOCKED_OPS_PER_WINDOW);
+        // A window smaller than the budget clocks every op.
+        feed_window(&core, 10, 10, 1_000);
+        core.analyze(default_models::list_model(), &rule);
+        assert_eq!(period(&core), 1);
+        // A round that is not ready leaves the period alone.
+        core.analyze(default_models::list_model(), &rule);
+        assert_eq!(period(&core), 1);
+        core.reset();
+        assert_eq!(period(&core), FIRST_WINDOW_CLOCK_PERIOD);
+    }
+
+    #[test]
+    fn a_committed_switch_clocks_the_verifying_window_densely() {
+        let core = list_core();
+        let model = inverted_list_model();
+        let rule = SelectionRule::r_time();
+        let cfg = GuardrailConfig::default();
+        let budget = TransitionBudget::new(None);
+        let mut events = Vec::new();
+        let period = |core: &ContextCore<ListKind>| {
+            let m = core.claim_monitor().expect("window has a free slot");
+            core.window.reset();
+            m.clock_period()
+        };
+        // W = 50,000 would give P = 195, but the window after the switch is
+        // the one verification reads.
+        feed_window(&core, 10, 5_000, 50_000);
+        assert!(core
+            .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+            .is_some());
+        assert_eq!(period(&core), FIRST_WINDOW_CLOCK_PERIOD);
+        // The verifying window (as cheap per op, so no rollback) hands the
+        // period back to the budget.
+        feed_window(&core, 10, 5_000, 50_000);
+        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
+        assert_eq!(core.stats().rollbacks, 0);
+        assert_eq!(period(&core), 50_000 / CLOCKED_OPS_PER_WINDOW);
+        // A window already clocking more densely keeps its period.
+        core.reset();
+        feed_window(&core, 10, 100, 1_000);
+        assert!(core
+            .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+            .is_some());
+        assert_eq!(period(&core), 3);
     }
 
     #[test]

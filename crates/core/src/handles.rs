@@ -9,33 +9,47 @@
 //! end-of-life detection (§4.3), but exact and overhead-free.
 
 use std::hash::Hash;
+use std::time::Instant;
 
 use cs_collections::{AnyList, AnyMap, AnySet, HeapSize, ListOps, MapOps, SetOps};
-use cs_profile::{OpKind, OpRecorder, ProfileSink};
+use cs_heap::{AllocDelta, AllocGuard};
+use cs_profile::{ClockSampler, OpKind, OpRecorder, ProfileSink};
 
 /// Monitoring payload carried by sampled instances.
 #[derive(Debug)]
 pub(crate) struct Monitor {
     recorder: OpRecorder,
+    clock: ClockSampler,
     sink: ProfileSink,
 }
 
 impl Monitor {
-    pub(crate) fn new(sink: ProfileSink) -> Self {
+    pub(crate) fn new(sink: ProfileSink, clock: ClockSampler) -> Self {
         Monitor {
             recorder: OpRecorder::new(),
+            clock,
             sink,
         }
     }
 
+    #[cfg(test)]
+    pub(crate) fn clock_period(&self) -> u64 {
+        self.clock.period()
+    }
+
+    /// The fast path's whole bookkeeping: the op's count and size.
     #[inline]
-    fn record(&mut self, op: OpKind, size: usize, nanos: u64, alloc: cs_heap::AllocDelta) {
+    fn count(&mut self, op: OpKind, size: usize) {
+        self.recorder.record(op);
+        self.recorder.observe_size(size);
+    }
+
+    fn record(&mut self, op: OpKind, size: usize, nanos: u64, alloc: AllocDelta) {
         // Spans the monitoring bookkeeping only — the op body already ran.
         // Single-owner handles don't know their context id; the span is
         // site-anonymous (site 0), unlike the runtime's per-site op spans.
         let _span = cs_trace::op_span(0);
-        self.recorder.record(op);
-        self.recorder.observe_size(size);
+        self.count(op, size);
         self.recorder.add_nanos(nanos);
         if alloc.count > 0 {
             self.recorder.add_alloc(alloc.count, alloc.bytes);
@@ -43,44 +57,56 @@ impl Monitor {
     }
 
     fn finish(self) {
-        let Monitor { recorder, sink } = self;
+        let Monitor { recorder, sink, .. } = self;
         sink.push(recorder.finish());
     }
 }
 
-/// One monitored op in `CLOCK_MASK + 1` reads the wall clock.
-const CLOCK_MASK: u64 = (1 << cs_profile::CLOCK_SAMPLE_SHIFT) - 1;
+/// Runs an op body on the instrumented path: inside an alloc guard, and
+/// between two clock reads when `scale` is set. Returns the body's output,
+/// its wall time scaled by `scale` (0 when unclocked) and the churn it
+/// allocated. Kept out of line so the fast path in `timed!` stays small.
+#[inline(never)]
+fn instrumented<R>(scale: Option<u64>, body: impl FnOnce() -> R) -> (R, u64, AllocDelta) {
+    let guard = AllocGuard::begin();
+    let start = scale.map(|scale| (scale, Instant::now()));
+    let out = body();
+    let nanos = start.map_or(0, |(scale, s)| {
+        (s.elapsed().as_nanos() as u64).saturating_mul(scale)
+    });
+    (out, nanos, guard.finish())
+}
 
-/// Runs `$body`; when the instance is monitored, additionally records
-/// `(op, size, nanos, alloc)`. The op count, the size and the attributed
-/// allocation churn are exact: every monitored op opens an alloc guard and
-/// is recorded. The wall clock is sampled: one op in `CLOCK_MASK + 1` (per
-/// thread, see [`cs_profile::clock_sampled`]) is timed and its nanos scaled
-/// by `CLOCK_MASK + 1`, the other ops record zero nanos. The size
-/// expression is evaluated *after* the body so call sites can report
-/// post-operation length. Unmonitored instances execute the body alone — no
-/// clock read, no guard, preserving the near-zero unmonitored overhead. The
-/// alloc guard closes before the recorder runs, so monitoring bookkeeping
-/// never pollutes the attribution window (guards are exclusion-exact, but
-/// keeping the window tight keeps the numbers honest about the
-/// *collection's* churn).
+/// Runs `$body`; when the instance is monitored, additionally records the
+/// op. Every monitored op advances the recorder's [`ClockSampler`] and
+/// records its count and its size, evaluated *after* the body so call sites
+/// can report post-operation length. An op takes the fast path — body,
+/// count, size, nothing more — when the sampler does not clock it, heap
+/// counting is off and tracing is off: one branch over the three flags.
+/// Otherwise it takes the `instrumented` path: an alloc guard, the op
+/// span, and, on the clocked op, two clock reads whose nanos are scaled by
+/// the sampler's period. Counts and sizes are therefore exact on every op,
+/// and allocation attribution is exact whenever counting is on. The alloc
+/// guard closes before the recorder runs, so monitoring bookkeeping never
+/// pollutes the attribution window. Unmonitored instances execute the body
+/// alone.
 macro_rules! timed {
     ($self:ident, $op:expr, $len:expr, $body:expr) => {{
-        if $self.monitor.is_some() {
-            let __guard = cs_heap::AllocGuard::begin();
-            let __start = cs_profile::clock_sampled(CLOCK_MASK).then(std::time::Instant::now);
-            let __out = $body;
-            let __nanos = __start.map_or(0, |s| {
-                (s.elapsed().as_nanos() as u64).saturating_mul(CLOCK_MASK + 1)
-            });
-            let __alloc = __guard.finish();
-            let __len = $len;
-            if let Some(m) = $self.monitor.as_mut() {
-                m.record($op, __len, __nanos, __alloc);
+        match $self.monitor.as_mut() {
+            None => $body,
+            Some(m) => {
+                let clocked = m.clock.tick();
+                if clocked | cs_heap::counting_active() | cs_trace::enabled() {
+                    let scale = clocked.then_some(m.clock.period());
+                    let (out, nanos, alloc) = instrumented(scale, || $body);
+                    m.record($op, $len, nanos, alloc);
+                    out
+                } else {
+                    let out = $body;
+                    m.count($op, $len);
+                    out
+                }
             }
-            __out
-        } else {
-            $body
         }
     }};
 }
@@ -478,7 +504,7 @@ mod tests {
         let sink = ProfileSink::new();
         let list = SwitchList::new(
             AnyList::new(ListKind::Array),
-            Some(Monitor::new(sink.clone())),
+            Some(Monitor::new(sink.clone(), ClockSampler::new(8, 0))),
         );
         (list, sink)
     }
@@ -536,7 +562,7 @@ mod tests {
         {
             let mut set: SwitchSet<i64> = SwitchSet::new(
                 AnySet::new(SetKind::Chained),
-                Some(Monitor::new(sink.clone())),
+                Some(Monitor::new(sink.clone(), ClockSampler::new(8, 0))),
             );
             for v in 0..6 {
                 set.insert(v);
@@ -560,7 +586,7 @@ mod tests {
         {
             let mut map: SwitchMap<i64, i64> = SwitchMap::new(
                 AnyMap::new(MapKind::Array),
-                Some(Monitor::new(sink.clone())),
+                Some(Monitor::new(sink.clone(), ClockSampler::new(8, 0))),
             );
             for k in 0..4 {
                 map.insert(k, k);
@@ -593,29 +619,55 @@ mod tests {
     }
 
     #[test]
-    fn one_op_in_eight_reads_the_clock_and_is_scaled() {
-        // A fresh thread's sampling tick starts at zero: its ops 1..=7 read
-        // no clock, op 8 does and stands for all eight.
-        std::thread::spawn(|| {
-            let (mut list, sink) = monitored_list();
-            let nanos = |l: &SwitchList<i64>| l.monitor.as_ref().unwrap().recorder.elapsed_nanos();
-            for v in 0..7 {
-                list.push(v);
+    fn only_clocked_ops_read_the_clock_and_they_are_scaled() {
+        // A copy of the handle's sampler predicts which ops it clocks: the
+        // others record no wall time, the clocked ones record a multiple
+        // of the period, and every op is counted either way.
+        let (mut list, sink) = monitored_list();
+        let nanos = |l: &SwitchList<i64>| l.monitor.as_ref().unwrap().recorder.elapsed_nanos();
+        let mut oracle = list.monitor.as_ref().unwrap().clock;
+        let period = oracle.period();
+        let mut clocked_ops = 0;
+        for v in 0..64 {
+            let before = nanos(&list);
+            let clocked = oracle.tick();
+            list.push(v);
+            let added = nanos(&list) - before;
+            if clocked {
+                clocked_ops += 1;
+                assert_eq!(added % period, 0, "a clocked op is scaled by the period");
+            } else {
+                assert_eq!(added, 0, "an unclocked op records no wall time");
             }
-            assert_eq!(nanos(&list), 0, "unsampled ops record no wall time");
-            list.for_each(|v| {
-                for i in 0..1_000 {
-                    std::hint::black_box(i * v);
-                }
-            });
-            let sampled = nanos(&list);
-            assert!(sampled > 0, "the eighth op is clocked");
-            assert_eq!(sampled % (CLOCK_MASK + 1), 0, "and scaled by the rate");
-            drop(list);
-            let p = &sink.drain()[0];
-            assert_eq!(p.count(OpKind::Populate), 7, "every op is still counted");
-            assert_eq!(p.count(OpKind::Iterate), 1);
-            assert_eq!(p.max_size(), 7);
+        }
+        assert_eq!(
+            clocked_ops,
+            64 / period,
+            "one op in every period is clocked"
+        );
+        assert!(nanos(&list) > 0, "the clocked ops measured wall time");
+        drop(list);
+        let p = &sink.drain()[0];
+        assert_eq!(p.count(OpKind::Populate), 64, "every op is still counted");
+        assert_eq!(p.max_size(), 64);
+    }
+
+    #[test]
+    fn alternating_handles_on_one_thread_are_both_clocked() {
+        // Each recorder samples its own op stream. A per-thread tick would
+        // hand every clocked op to one of two strictly alternating handles.
+        std::thread::spawn(|| {
+            let engine = crate::Switch::builder().build();
+            let ctx = engine.list_context::<i64>(ListKind::Array);
+            let (mut a, mut b) = (ctx.create_list(), ctx.create_list());
+            assert!(a.is_monitored() && b.is_monitored());
+            for v in 0..64 {
+                a.push(v);
+                b.push(v);
+            }
+            let nanos = |l: &SwitchList<i64>| l.monitor.as_ref().unwrap().recorder.elapsed_nanos();
+            assert!(nanos(&a) > 0, "first handle clocked");
+            assert!(nanos(&b) > 0, "second handle clocked");
         })
         .join()
         .unwrap();

@@ -16,7 +16,7 @@
 //! I/O-free by the analyzer's `no-blocking-io-in-sampler-path` lint.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -37,6 +37,9 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// Per-connection socket timeout: a stalled scraper may cost one worker
 /// this long, never a wedge.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long the accept thread waits on a shed client's request and, after
+/// the 503, on its close.
+const SHED_DRAIN: Duration = Duration::from_millis(100);
 
 /// A running server: its bound address plus everything `shutdown` joins.
 #[derive(Debug)]
@@ -129,11 +132,16 @@ fn accept_loop(
             Ok(()) => {}
             Err(TrySendError::Full(mut stream)) => {
                 // Bounded hand-off: shed load at the door instead of
-                // queueing. Drain the (tiny) request first — closing a
-                // socket with unread data makes the kernel RST it and the
-                // client would see a reset instead of the 503.
+                // queueing. Closing a socket with unread data makes the
+                // kernel RST it, and the client would see a reset instead
+                // of the 503: read the (tiny) request, answer, half-close,
+                // then drain until the client closes its side. The request
+                // read and the whole drain are each capped at 100 ms (each
+                // drain read waits only for what is left of it), so a shed
+                // client holds the accept loop for at most 200 ms of reads
+                // plus the write timeout.
                 core.metrics.http_rejected.inc();
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+                let _ = stream.set_read_timeout(Some(SHED_DRAIN));
                 let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
                 let mut sink = [0u8; 1024];
                 let _ = stream.read(&mut sink);
@@ -144,6 +152,18 @@ fn accept_loop(
                     "scrape backlog full\n",
                 )
                 .as_bytes());
+                let _ = stream.shutdown(Shutdown::Write);
+                let deadline = Instant::now() + SHED_DRAIN;
+                loop {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    // A zero read timeout is rejected, so stop before it.
+                    if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+                        break;
+                    }
+                    if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+                        break;
+                    }
+                }
             }
             Err(TrySendError::Disconnected(_)) => break,
         }

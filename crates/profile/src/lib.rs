@@ -49,6 +49,6 @@ pub use buffer::LocalWindowBuffer;
 pub use histogram::{BucketAgg, ProfileHistogram};
 pub use op::{OpCounters, OpKind, OpRecorder};
 pub use profile::WorkloadProfile;
-pub use sample::{clock_sampled, CLOCK_SAMPLE_SHIFT};
+pub use sample::ClockSampler;
 pub use sink::ProfileSink;
 pub use window::{WindowConfig, WindowState};

@@ -181,7 +181,7 @@ impl OpRecorder {
     /// Adds wall time spent inside critical operations. The selection
     /// guardrails use the accumulated nanos to verify that a switch
     /// realized the improvement the cost model predicted. Callers that
-    /// sample the clock ([`clock_sampled`](crate::clock_sampled)) pass the
+    /// sample the clock ([`ClockSampler`](crate::ClockSampler)) pass the
     /// sampled op's nanos already scaled to the ops it stands for.
     #[inline]
     pub fn add_nanos(&mut self, nanos: u64) {

@@ -75,9 +75,9 @@ impl WindowConfig {
 /// use cs_profile::WindowState;
 ///
 /// let w = WindowState::new();
-/// assert!(w.try_claim_slot(2)); // window of 2: first instance monitored
-/// assert!(w.try_claim_slot(2));
-/// assert!(!w.try_claim_slot(2)); // window exhausted
+/// assert_eq!(w.try_claim_slot(2), Some(0)); // window of 2: first instance monitored
+/// assert_eq!(w.try_claim_slot(2), Some(1));
+/// assert_eq!(w.try_claim_slot(2), None); // window exhausted
 /// assert_eq!(w.started(), 2);
 /// w.reset();
 /// assert_eq!(w.started(), 0);
@@ -94,8 +94,9 @@ impl WindowState {
     }
 
     /// Attempts to claim a monitoring slot in a window of `window_size`.
-    /// Returns `true` if the new instance should be monitored.
-    pub fn try_claim_slot(&self, window_size: usize) -> bool {
+    /// Returns the slot's index in the round (`0..window_size`) if the new
+    /// instance should be monitored, `None` once the window is full.
+    pub fn try_claim_slot(&self, window_size: usize) -> Option<usize> {
         self.started
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
                 if n < window_size {
@@ -104,7 +105,7 @@ impl WindowState {
                     None
                 }
             })
-            .is_ok()
+            .ok()
     }
 
     /// Number of instances monitored in the current round.
@@ -165,8 +166,12 @@ mod tests {
     #[test]
     fn claim_slots_up_to_window() {
         let w = WindowState::new();
-        let claimed = (0..10).filter(|_| w.try_claim_slot(7)).count();
-        assert_eq!(claimed, 7);
+        let claimed: Vec<usize> = (0..10).filter_map(|_| w.try_claim_slot(7)).collect();
+        assert_eq!(
+            claimed,
+            (0..7).collect::<Vec<_>>(),
+            "slots are handed out in order"
+        );
         assert_eq!(w.started(), 7);
     }
 
@@ -176,7 +181,7 @@ mod tests {
         let total: usize = (0..8)
             .map(|_| {
                 let w = w.clone();
-                std::thread::spawn(move || (0..100).filter(|_| w.try_claim_slot(50)).count())
+                std::thread::spawn(move || (0..100).filter_map(|_| w.try_claim_slot(50)).count())
             })
             .collect::<Vec<_>>()
             .into_iter()
@@ -188,9 +193,9 @@ mod tests {
     #[test]
     fn reset_opens_a_new_round() {
         let w = WindowState::new();
-        assert!(w.try_claim_slot(1));
-        assert!(!w.try_claim_slot(1));
+        assert_eq!(w.try_claim_slot(1), Some(0));
+        assert_eq!(w.try_claim_slot(1), None);
         w.reset();
-        assert!(w.try_claim_slot(1));
+        assert_eq!(w.try_claim_slot(1), Some(0));
     }
 }

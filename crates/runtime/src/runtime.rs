@@ -26,10 +26,9 @@ pub struct RuntimeConfig {
     /// Time trigger: a buffer older than this flushes on the next op that
     /// probes the clock (every 64 ops). Bounds staleness on quiet threads.
     pub flush_interval: Duration,
-    /// Timing sample rate as a power of two: 1 op in `1 << sample_shift` is
-    /// wall-clocked and scaled up. `0` times every op. Defaults to
-    /// [`cs_profile::CLOCK_SAMPLE_SHIFT`], the rate monitored core handles
-    /// use.
+    /// Timing sample rate as a power of two: each thread wall-clocks 1 of
+    /// its ops on a site in `1 << sample_shift` and scales it up. `0`
+    /// times every op. Defaults to 3 (one op in 8).
     pub sample_shift: u32,
 }
 
@@ -39,7 +38,7 @@ impl Default for RuntimeConfig {
             shards: 16,
             flush_ops: 1024,
             flush_interval: Duration::from_millis(10),
-            sample_shift: cs_profile::CLOCK_SAMPLE_SHIFT,
+            sample_shift: 3,
         }
     }
 }
@@ -49,7 +48,7 @@ impl RuntimeConfig {
         FlushPolicy {
             flush_ops: self.flush_ops.max(1),
             flush_nanos: u64::try_from(self.flush_interval.as_nanos()).unwrap_or(u64::MAX),
-            sample_mask: (1u64 << self.sample_shift.min(63)) - 1,
+            sample_period: 1u64 << self.sample_shift.min(63),
         }
     }
 }

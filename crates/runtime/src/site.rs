@@ -24,10 +24,10 @@ pub(crate) struct FlushPolicy {
     /// (checked every [`FlushPolicy::CLOCK_CHECK_MASK`]+1 ops, so an idle
     /// buffer can exceed it until the next op or an explicit flush).
     pub flush_nanos: u64,
-    /// Timing-sample mask: an op is wall-clocked when
-    /// `tick & sample_mask == 0`, and the measured nanos are scaled by
-    /// `sample_mask + 1` at record time. `0` times every op.
-    pub sample_mask: u64,
+    /// Timing-sample period: each thread's buffer for the site wall-clocks
+    /// one op in `sample_period` and scales the measured nanos by it at
+    /// record time. `1` times every op.
+    pub sample_period: u64,
 }
 
 impl FlushPolicy {
@@ -266,7 +266,7 @@ pub struct SiteStats {
 
 impl SiteStats {
     /// Mean attributed allocation bytes per critical op; `0.0` before any
-    /// ops flushed. Sampled estimate under `sample_mask > 0`.
+    /// ops flushed. Sampled estimate under `sample_period > 1`.
     pub fn alloc_bytes_per_op(&self) -> f64 {
         if self.total_ops == 0 {
             0.0

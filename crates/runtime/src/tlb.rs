@@ -18,22 +18,24 @@
 //!   happens-before edge to the analyzer; the relaxed totals are *counters*,
 //!   read only after joining worker threads (join provides the edge) or as
 //!   monotonic monitoring values where momentary staleness is fine.
-//! * Timing is sampled: one op in `sample_mask + 1` is wall-clocked and its
-//!   nanos scaled up, so the common op pays no `Instant::now()` call. The
-//!   sampling tick ([`cs_profile::clock_sampled`]) is the one monitored core
-//!   handles use, one per thread.
+//! * Timing is sampled: each (thread, site) buffer owns a
+//!   [`ClockSampler`] that wall-clocks one of its ops in `sample_period`
+//!   and scales the nanos up, so the common op pays no `Instant::now()`
+//!   call, and sites whose ops interleave on one thread are each clocked
+//!   at the full rate.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 use std::time::Instant;
 
-use cs_profile::{LocalWindowBuffer, OpKind};
+use cs_profile::{ClockSampler, LocalWindowBuffer, OpKind};
 
 use crate::site::{FlushPolicy, SiteShared};
 
 struct LocalEntry {
     site: Arc<SiteShared>,
     buf: LocalWindowBuffer,
+    clock: ClockSampler,
     last_flush: Instant,
 }
 
@@ -63,18 +65,22 @@ struct LocalBuffers {
 }
 
 impl LocalBuffers {
-    fn entry(&mut self, site: &Arc<SiteShared>) -> &mut LocalEntry {
+    /// Index of `site`'s entry, created on the thread's first op there.
+    /// Entries are only ever appended, so an index stays valid while an op
+    /// body touches other sites.
+    fn index(&mut self, site: &Arc<SiteShared>) -> usize {
         // Keyed by Arc identity, not site id: ids are only unique within one
         // engine, and a process may run several runtimes.
         if let Some(i) = self.entries.iter().position(|e| Arc::ptr_eq(&e.site, site)) {
-            return &mut self.entries[i];
+            return i;
         }
         self.entries.push(LocalEntry {
             site: Arc::clone(site),
             buf: LocalWindowBuffer::new(),
+            clock: ClockSampler::new(site.policy().sample_period, site.id()),
             last_flush: Instant::now(),
         });
-        self.entries.last_mut().expect("just pushed")
+        self.entries.len() - 1
     }
 
     fn flush_all(&mut self) {
@@ -132,7 +138,11 @@ pub(crate) fn site_op_tracked<R>(
     body: impl FnOnce() -> (R, usize, bool),
 ) -> R {
     let policy = site.policy();
-    let timed = cs_profile::clock_sampled(policy.sample_mask);
+    let (index, timed) = TLB.with(|tlb| {
+        let mut tlb = tlb.borrow_mut();
+        let index = tlb.index(site);
+        (index, tlb.entries[index].clock.tick())
+    });
     let (result, size, contended, nanos, alloc) = if timed {
         // The sampled op is measured on both axes at once: wall time and
         // heap churn. The attribution guard nests correctly, so a user
@@ -153,15 +163,14 @@ pub(crate) fn site_op_tracked<R>(
     // `TraceMode::Sampled`, so the common op adds one atomic load.
     let _record_span = cs_trace::op_span(site.id());
     TLB.with(|tlb| {
-        let mut tlb = tlb.borrow_mut();
-        let entry = tlb.entry(site);
+        let entry = &mut tlb.borrow_mut().entries[index];
         entry.buf.record(op, size);
         if contended {
             entry.buf.note_contended();
         }
         if timed {
             // Scale the sampled measurements back up to the full op stream.
-            let scale = policy.sample_mask + 1;
+            let scale = entry.clock.period();
             entry.buf.add_nanos(nanos.saturating_mul(scale));
             if alloc.count > 0 {
                 entry.buf.add_alloc(
@@ -209,7 +218,7 @@ mod tests {
             FlushPolicy {
                 flush_ops,
                 flush_nanos: u64::MAX,
-                sample_mask: 0,
+                sample_period: 1,
             },
         ))
     }
@@ -263,6 +272,30 @@ mod tests {
     }
 
     #[test]
+    fn interleaved_sites_on_one_thread_are_each_clocked() {
+        // Default rate, one op in 8 per (thread, site) buffer. A single
+        // per-thread tick would give every clocked op to one of two sites
+        // whose ops strictly alternate.
+        let runtime = crate::Runtime::new(Switch::builder().build());
+        let a = runtime.named_concurrent_map::<u64, u64>(MapKind::Chained, "tlb-a");
+        let b = runtime.named_concurrent_map::<u64, u64>(MapKind::Chained, "tlb-b");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for k in 0..64 {
+                    a.insert(k, k);
+                    b.insert(k, k);
+                }
+                flush_current_thread();
+            });
+        });
+        for map in [a.id(), b.id()] {
+            let stats = runtime.site_stats(map).expect("registered site");
+            assert_eq!(stats.total_ops, 64);
+            assert!(stats.sampled_nanos > 0, "site {map} was clocked");
+        }
+    }
+
+    #[test]
     fn sampled_timing_accumulates_scaled_nanos() {
         let site = test_site(4);
         for _ in 0..64 {
@@ -274,7 +307,7 @@ mod tests {
         flush_current_thread();
         assert!(
             site.stats().sampled_nanos > 0,
-            "mask 0 times every op, so nanos must accumulate"
+            "period 1 times every op, so nanos must accumulate"
         );
     }
 }
