@@ -34,16 +34,18 @@
 //!    claims *proportionality*, not wattage — this check keeps that claim
 //!    honest.
 //!
-//! The artifact header stamps the process heap account and peak RSS, like
-//! the runtime sidecar, so BENCH files are comparable on
-//! memory across PRs.
+//! The harness stamp heads the artifact; with the counting allocator
+//! installed, its `process` block carries the real heap account, so BENCH
+//! files are comparable on memory across PRs.
 //!
-//! Output paths: `--out PATH` (or `CS_BENCH_OUT`; the flag wins), default
-//! `BENCH_alloc.json`. `--quick` (or `CS_BENCH_QUICK=1`) selects the tiny
-//! CI budget; the gates are identical in both modes.
+//! `--out PATH` selects the results file, default `BENCH_alloc.json`.
+//! `--quick` selects the tiny CI budget; the gates are identical in both
+//! modes.
 
+use std::process::ExitCode;
 use std::time::Instant;
 
+use cs_bench::{run_sweep, Sweep};
 use cs_collections::ListKind;
 use cs_core::{SelectionOutcome, SelectionRule, Switch};
 use cs_heap::{AllocDelta, AllocGuard, HeapAccount};
@@ -67,38 +69,6 @@ const EXACTNESS_THREADS: usize = 4;
 const HONESTY_MODEL_UNITS_PER_OP: f64 = 3.0;
 /// Bytes each honesty-workload op allocates (one boxed payload).
 const HONESTY_ALLOC_BYTES_PER_OP: usize = 64;
-
-struct Args {
-    out: String,
-    quick: bool,
-}
-
-fn parse_args() -> Args {
-    let mut out = None;
-    let mut quick = std::env::var("CS_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg == "--out" {
-            out = Some(args.next().unwrap_or_else(|| {
-                eprintln!("--out needs a path argument");
-                std::process::exit(2);
-            }));
-        } else if let Some(path) = arg.strip_prefix("--out=") {
-            out = Some(path.to_owned());
-        } else {
-            eprintln!("unknown argument {arg:?} (supported: --quick, --out PATH)");
-            std::process::exit(2);
-        }
-    }
-    Args {
-        out: out
-            .or_else(|| std::env::var("CS_BENCH_OUT").ok())
-            .unwrap_or_else(|| "BENCH_alloc.json".into()),
-        quick,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Part 1: attribution exactness under 4 threads.
@@ -142,7 +112,7 @@ fn exactness_worker(thread: usize, iterations: u64) -> ExactnessRow {
     }
 }
 
-fn run_exactness(iterations: u64, failures: &mut Vec<String>) -> Vec<ExactnessRow> {
+fn run_exactness(iterations: u64, sweep: &mut Sweep) -> Vec<ExactnessRow> {
     let rows: Vec<ExactnessRow> = (0..EXACTNESS_THREADS)
         .map(|t| std::thread::spawn(move || exactness_worker(t, iterations)))
         .collect::<Vec<_>>()
@@ -150,8 +120,8 @@ fn run_exactness(iterations: u64, failures: &mut Vec<String>) -> Vec<ExactnessRo
         .map(|h| h.join().expect("exactness worker panicked"))
         .collect();
     for row in &rows {
-        if !row.exact {
-            failures.push(format!(
+        sweep.check(row.exact, || {
+            format!(
                 "attribution exactness violated on thread {}: attributed \
                  {}/{}B vs ledger {}/{}B",
                 row.thread,
@@ -159,8 +129,8 @@ fn run_exactness(iterations: u64, failures: &mut Vec<String>) -> Vec<ExactnessRo
                 row.attributed.bytes,
                 row.ledger.alloc_count,
                 row.ledger.alloc_bytes,
-            ));
-        }
+            )
+        });
     }
     rows
 }
@@ -198,8 +168,8 @@ struct SwitchResult {
     drop_factor: f64,
 }
 
-fn run_switch_demo(quick: bool, failures: &mut Vec<String>) -> SwitchResult {
-    let pushes = if quick { 512 } else { 4_096 };
+fn run_switch_demo(sweep: &mut Sweep) -> SwitchResult {
+    let pushes = if sweep.quick() { 512 } else { 4_096 };
     let engine = Switch::builder()
         .window(WindowConfig {
             window_size: 10,
@@ -217,20 +187,18 @@ fn run_switch_demo(quick: bool, failures: &mut Vec<String>) -> SwitchResult {
         .core()
         .explain()
         .expect("a ready churn round scores candidates");
-    if pre.outcome != SelectionOutcome::Switched {
-        failures.push(format!(
+    sweep.check(pre.outcome == SelectionOutcome::Switched, || {
+        format!(
             "expected an alloc-rate switch away from Linked, got {:?}",
             pre.outcome
-        ));
-    }
-    if !pre.alloc_driven {
-        failures.push(format!(
-            "the R_alloc_rate switch must report alloc_driven, got {pre:?}"
-        ));
-    }
-    if ctx.current_kind() == ListKind::Linked {
-        failures.push("context still on Linked after the switch round".into());
-    }
+        )
+    });
+    sweep.check(pre.alloc_driven, || {
+        format!("the R_alloc_rate switch must report alloc_driven, got {pre:?}")
+    });
+    sweep.check(ctx.current_kind() != ListKind::Linked, || {
+        "context still on Linked after the switch round".into()
+    });
 
     // Same workload on the new variant; the decayed history converges to
     // the post-switch measured rate over a few rounds.
@@ -247,16 +215,16 @@ fn run_switch_demo(quick: bool, failures: &mut Vec<String>) -> SwitchResult {
     } else {
         0.0
     };
-    if pre.alloc_bytes_per_op <= 0.0 {
-        failures.push("pre-switch workload attributed no allocation".into());
-    }
-    if drop_factor < SWITCH_DROP_FLOOR {
-        failures.push(format!(
+    sweep.check(pre.alloc_bytes_per_op > 0.0, || {
+        "pre-switch workload attributed no allocation".into()
+    });
+    sweep.check(drop_factor >= SWITCH_DROP_FLOOR, || {
+        format!(
             "post-switch alloc_bytes_per_op dropped only {drop_factor:.2}x \
              ({:.2} -> {:.2} B/op), need >= {SWITCH_DROP_FLOOR}x",
             pre.alloc_bytes_per_op, post.alloc_bytes_per_op,
-        ));
-    }
+        )
+    });
     SwitchResult {
         pre,
         post,
@@ -277,7 +245,7 @@ struct EnergyResult {
     in_band: bool,
 }
 
-fn run_energy_honesty(iterations: u64, failures: &mut Vec<String>) -> EnergyResult {
+fn run_energy_honesty(iterations: u64, sweep: &mut Sweep) -> EnergyResult {
     let weights = cs_model::calibrated_weights();
     // An allocation-heavy op: one boxed 64-byte payload appended to a
     // pre-grown Vec, so the attributed churn is exactly the boxes and the
@@ -302,15 +270,14 @@ fn run_energy_honesty(iterations: u64, failures: &mut Vec<String>) -> EnergyResu
     let predicted_energy_ns_per_op =
         weights.energy(HONESTY_MODEL_UNITS_PER_OP, attributed_bytes_per_op);
     let ratio = predicted_energy_ns_per_op / measured_ns_per_op.max(1e-9);
-    let in_band = (ENERGY_BAND.0..=ENERGY_BAND.1).contains(&ratio);
-    if !in_band {
-        failures.push(format!(
+    let in_band = sweep.check((ENERGY_BAND.0..=ENERGY_BAND.1).contains(&ratio), || {
+        format!(
             "energy proxy dishonest: predicted {predicted_energy_ns_per_op:.2} \
              ns-equivalents/op vs measured {measured_ns_per_op:.2} ns/op \
              (ratio {ratio:.3}, band [{}, {}])",
             ENERGY_BAND.0, ENERGY_BAND.1,
-        ));
-    }
+        )
+    });
     EnergyResult {
         measured_ns_per_op,
         attributed_bytes_per_op,
@@ -322,34 +289,24 @@ fn run_energy_honesty(iterations: u64, failures: &mut Vec<String>) -> EnergyResu
 
 // ---------------------------------------------------------------------------
 
-fn heap_account_json(a: &HeapAccount) -> Json {
-    Json::object()
-        .field("alloc_count", a.alloc_count)
-        .field("alloc_bytes", a.alloc_bytes)
-        .field("dealloc_count", a.dealloc_count)
-        .field("dealloc_bytes", a.dealloc_bytes)
-        .field("realloc_count", a.realloc_count)
-        .field("realloc_bytes", a.realloc_bytes)
-        .field("live_bytes", a.live_bytes())
+fn main() -> ExitCode {
+    run_sweep("alloc_sweep", std::env::args().skip(1), sweep)
 }
 
-fn main() {
-    let args = parse_args();
-    let (exact_iters, energy_iters) = if args.quick {
+fn sweep(sweep: &mut Sweep) -> Json {
+    let (exact_iters, energy_iters) = if sweep.quick() {
         (20_000u64, 64 * 1024u64)
     } else {
         (200_000u64, 256 * 1024u64)
     };
-    let process_start = cs_heap::process_account();
-    let mut failures: Vec<String> = Vec::new();
 
     println!(
         "# alloc sweep: {EXACTNESS_THREADS}-thread exactness x{exact_iters}, \
          R_alloc_rate switch demo, energy honesty (quick={})",
-        args.quick
+        sweep.quick()
     );
 
-    let exactness = run_exactness(exact_iters, &mut failures);
+    let exactness = run_exactness(exact_iters, sweep);
     for row in &exactness {
         println!(
             "exactness thread {}: attributed {} events / {} B, ledger {} / {} B -> {}",
@@ -362,7 +319,7 @@ fn main() {
         );
     }
 
-    let switched = run_switch_demo(args.quick, &mut failures);
+    let switched = run_switch_demo(sweep);
     println!(
         "switch: {} -> {} under {}, alloc_driven={}, {:.2} -> {:.2} B/op ({:.1}x drop)",
         switched.pre.current,
@@ -374,7 +331,7 @@ fn main() {
         switched.drop_factor,
     );
 
-    let energy = run_energy_honesty(energy_iters, &mut failures);
+    let energy = run_energy_honesty(energy_iters, sweep);
     println!(
         "energy: predicted {:.2} ns-eq/op vs measured {:.2} ns/op (ratio {:.3}, in_band={})",
         energy.predicted_energy_ns_per_op,
@@ -384,23 +341,7 @@ fn main() {
     );
 
     let weights = cs_model::calibrated_weights();
-    let process_end = cs_heap::process_account();
-    let doc = Json::object()
-        .field("bench", "alloc_sweep")
-        .field("git", git_describe())
-        .field("hw_threads", cpus())
-        .field("quick", args.quick)
-        .field(
-            "process",
-            Json::object()
-                .field("peak_rss_bytes", cs_heap::peak_rss_bytes())
-                .field("counting_active", cs_heap::counting_active())
-                .field("account", heap_account_json(&process_end))
-                .field(
-                    "account_delta",
-                    heap_account_json(&process_end.delta_since(&process_start)),
-                ),
-        )
+    Json::object()
         .field(
             "weights",
             Json::object()
@@ -458,37 +399,4 @@ fn main() {
                 .field("band_high", ENERGY_BAND.1)
                 .field("in_band", energy.in_band),
         )
-        .field(
-            "failures",
-            Json::Array(failures.iter().map(|f| Json::from(f.as_str())).collect()),
-        );
-    std::fs::write(&args.out, doc.render_pretty()).expect("write results file");
-    println!("# wrote {}", args.out);
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("GATE FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Source revision for the artifact header; `"unknown"` outside a git
-/// checkout rather than a failure — the stamp is provenance, not a gate.
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
 }

@@ -9,7 +9,9 @@
 //! candidate variant over the aggregated metrics of `window` monitored
 //! instances — exactly the quantity the paper reports as < 285 ns. The
 //! histogram aggregation keeps the pass O(#size-buckets), so the curve is
-//! expected to be flat-ish in the window size, as in the paper.
+//! expected to be flat-ish in the window size, as in the paper. One more
+//! row prices the other half of the monitoring cost: folding one finished
+//! instance's profile into the histogram.
 
 use std::time::Instant;
 
@@ -47,6 +49,24 @@ fn main() {
     }
     println!();
     println!("# paper reference: < 285 ns across the same range");
+
+    println!();
+    println!("# per-instance cost of folding one finished profile into the histogram");
+    let mut counters = OpCounters::new();
+    counters.add(OpKind::Contains, 10);
+    let profile = WorkloadProfile::new(counters, 333);
+    let mut hist = ProfileHistogram::new();
+    for _ in 0..1_000 {
+        hist.add(std::hint::black_box(&profile));
+    }
+    let reps = 1_000_000;
+    let start = Instant::now();
+    for _ in 0..reps {
+        hist.add(std::hint::black_box(&profile));
+    }
+    let ns = start.elapsed().as_nanos() as f64 / reps as f64;
+    std::hint::black_box(&hist);
+    println!("histogram_fold_ns\t{ns:.1}");
 
     println!();
     println!("# window-size ablation (DESIGN.md §4.3): decision stability");

@@ -21,20 +21,26 @@
 //! analyze passes unchanged. Ops-to-steady is the cumulative collection op
 //! count at the pass where that streak completes; the floor is therefore
 //! `STEADY_PASSES` rounds of ops for any run, and the cold run pays extra
-//! rounds for every monitoring window and switch it needs. The benchmark
-//! asserts the warm run never converges later than the cold run and that
-//! every snapshot site was applied (hit ratio 1.0).
+//! rounds for every monitoring window and switch it needs.
+//!
+//! The sweep is a gate: it exits nonzero unless both runs converge, the
+//! cold run switches, warm start applies every snapshot site with none
+//! quarantined, the warm run resumes the cold run's learned variants, and
+//! the warm run converges in no more ops than the cold one.
 //!
 //! Writes `BENCH_fleet.json` (schema in EXPERIMENTS.md): the fleet
 //! manifest, snapshot write stats, per-round convergence traces for both
-//! runs, the warm-start report, and the cold/warm ops-to-steady comparison.
+//! runs, the warm-start report, and the cold/warm ops-to-steady comparison
+//! — also when a check fails, so the failing run's traces survive.
 //!
-//! `--quick` (or `CS_BENCH_QUICK=1`) shrinks instances and the round cap to
-//! a CI budget; `--out PATH` (or `CS_BENCH_OUT`) selects the results file.
+//! `--quick` shrinks instances and the round cap to a CI budget; `--out
+//! PATH` selects the results file, default `BENCH_fleet.json`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
+use cs_bench::{run_sweep, Sweep};
 use cs_collections::{ListKind, MapKind, SetKind};
 use cs_core::{Switch, WarmStartReport};
 use cs_telemetry::Json;
@@ -95,36 +101,6 @@ const FLEET: &[FleetSite] = &[
         workload: "push + iterate (control: default already optimal)",
     },
 ];
-
-struct Args {
-    quick: bool,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut quick = std::env::var("CS_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let mut out = None;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg == "--out" {
-            out = Some(argv.next().unwrap_or_else(|| {
-                eprintln!("--out needs a path argument");
-                std::process::exit(2);
-            }));
-        } else if let Some(path) = arg.strip_prefix("--out=") {
-            out = Some(path.to_owned());
-        } else {
-            eprintln!("unknown argument {arg:?} (supported: --quick, --out PATH)");
-            std::process::exit(2);
-        }
-    }
-    let out = out
-        .or_else(|| std::env::var("CS_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_fleet.json".into());
-    Args { quick, out }
-}
 
 /// One analyze pass of the convergence trace.
 struct RoundRow {
@@ -337,9 +313,12 @@ fn warm_report_to_json(report: &WarmStartReport) -> Json {
         .field("hit_ratio", report.hit_ratio())
 }
 
-fn main() {
-    let args = parse_args();
-    let (instances, max_rounds) = if args.quick { (16, 24) } else { (48, 40) };
+fn main() -> ExitCode {
+    run_sweep("fleet_sweep", std::env::args().skip(1), sweep)
+}
+
+fn sweep(sweep: &mut Sweep) -> Json {
+    let (instances, max_rounds) = if sweep.quick() { (16, 24) } else { (48, 40) };
     let snapshot_path: PathBuf = std::env::temp_dir().join("cs_fleet_sweep.state.css");
 
     println!(
@@ -350,14 +329,12 @@ fn main() {
     // --- Cold run: learn the fleet from scratch, then snapshot it. -------
     let cold_engine = Switch::builder().build();
     let cold = run_to_steady("cold", &cold_engine, instances, max_rounds);
-    assert!(
-        cold.converged,
-        "cold run failed to reach steady state within {max_rounds} rounds"
-    );
-    assert!(
-        cold.total_switches > 0,
-        "cold run never switched — the fleet workload no longer exercises adaptation"
-    );
+    sweep.check(cold.converged, || {
+        format!("cold run failed to reach steady state within {max_rounds} rounds")
+    });
+    sweep.check(cold.total_switches > 0, || {
+        "cold run never switched — the fleet workload no longer exercises adaptation".into()
+    });
     let write = cold_engine
         .save_state(&snapshot_path)
         .expect("write fleet snapshot");
@@ -377,26 +354,34 @@ fn main() {
 
     // The warm engine registers the exact fleet the snapshot describes:
     // every site must be claimed and applied, nothing stale or unknown.
-    assert_eq!(
-        report.applied,
-        FLEET.len() as u64,
-        "warm start applied {}/{} sites: {report:?}",
-        report.applied,
-        FLEET.len()
-    );
-    assert_eq!(report.records_quarantined, 0, "clean snapshot was quarantined");
-    assert_eq!(
-        warm.starting_kinds, cold.final_kinds,
-        "warm engine did not resume at the cold run's learned variants"
-    );
-    assert!(
-        warm.converged && warm.ops_to_steady <= cold.ops_to_steady,
-        "warm start converged no faster than cold: warm {} ops vs cold {} ops",
-        warm.ops_to_steady,
-        cold.ops_to_steady
-    );
+    sweep.check(report.applied == FLEET.len() as u64, || {
+        format!(
+            "warm start applied {}/{} sites: {report:?}",
+            report.applied,
+            FLEET.len()
+        )
+    });
+    sweep.check(report.records_quarantined == 0, || {
+        format!(
+            "clean snapshot had {} records quarantined",
+            report.records_quarantined
+        )
+    });
+    sweep.check(warm.starting_kinds == cold.final_kinds, || {
+        format!(
+            "warm engine did not resume at the cold run's learned variants: \
+             started at {:?}, cold ended at {:?}",
+            warm.starting_kinds, cold.final_kinds
+        )
+    });
+    sweep.check(warm.converged && warm.ops_to_steady <= cold.ops_to_steady, || {
+        format!(
+            "warm start converged no faster than cold: warm {} ops vs cold {} ops",
+            warm.ops_to_steady, cold.ops_to_steady
+        )
+    });
 
-    let ops_saved = cold.ops_to_steady - warm.ops_to_steady;
+    let ops_saved = cold.ops_to_steady.saturating_sub(warm.ops_to_steady);
     let ratio = warm.ops_to_steady as f64 / cold.ops_to_steady as f64;
     println!(
         "# cold: {} ops / {} rounds / {} switches; warm: {} ops / {} rounds / {} switches",
@@ -408,10 +393,9 @@ fn main() {
         warm.total_switches
     );
     println!("# warm start saves {ops_saved} ops to steady state ({ratio:.2}x of cold)");
+    let _ = std::fs::remove_file(&snapshot_path);
 
-    let doc = Json::object()
-        .field("bench", "fleet_sweep")
-        .field("quick", args.quick)
+    Json::object()
         .field("steady_passes", STEADY_PASSES)
         .field("max_rounds", max_rounds)
         .field("instances_per_round", instances)
@@ -455,9 +439,5 @@ fn main() {
                     "rounds_saved",
                     cold.rounds_to_steady.saturating_sub(warm.rounds_to_steady),
                 ),
-        );
-    std::fs::write(&args.out, doc.render_pretty()).expect("write results file");
-    println!("# wrote {}", args.out);
-
-    let _ = std::fs::remove_file(&snapshot_path);
+        )
 }

@@ -12,7 +12,7 @@
 //! 1. **Overhead budget** — the plane's self-accounted busy time
 //!    (`cs_obs_sampler_busy_nanos_total` + `cs_obs_handler_busy_nanos_total`)
 //!    divided by the workload's aggregate thread-time must stay at or
-//!    under [`DEFAULT_OVERHEAD_BUDGET`] (override: `CS_OBS_BUDGET`). This
+//!    under [`OVERHEAD_BUDGET`]. This
 //!    is the paper's own bar: adaptation machinery — and now its
 //!    observability — must be cheap enough to leave on in production.
 //! 2. **Scrape integrity** — every mid-load `/metrics` page passes the
@@ -25,20 +25,22 @@
 //!    latencies in the artifact describe a server that was actually
 //!    serving, not one request measured thrice.
 //!
-//! The artifact header stamps the process heap account and peak RSS, like
-//! the other sidecars, so BENCH files are comparable on memory across PRs.
+//! The harness stamp heads the artifact; with the counting allocator
+//! installed, its `process` block carries the real heap account, so BENCH
+//! files are comparable on memory across PRs.
 //!
-//! Output paths: `--out PATH` (or `CS_BENCH_OUT`; the flag wins), default
-//! `BENCH_obs.json`. `--quick` (or `CS_BENCH_QUICK=1`) selects the tiny
-//! CI budget; the gates are identical in both modes.
+//! `--out PATH` selects the results file, default `BENCH_obs.json`.
+//! `--quick` selects the tiny CI budget; the gates are identical in both
+//! modes.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use cs_bench::{run_sweep, Sweep};
 use cs_collections::MapKind;
 use cs_core::Switch;
-use cs_heap::HeapAccount;
 use cs_obs::ObsBuilder;
 use cs_runtime::Runtime;
 use cs_telemetry::{validate_prometheus_text, Json};
@@ -48,7 +50,7 @@ use cs_workloads::{run_concurrent_load, ConcurrentLoad};
 static ALLOC: cs_heap::CountingAlloc = cs_heap::CountingAlloc;
 
 /// Plane busy-time over aggregate workload thread-time, the shipping gate.
-const DEFAULT_OVERHEAD_BUDGET: f64 = 0.05;
+const OVERHEAD_BUDGET: f64 = 0.05;
 /// Worker threads of the observed workload.
 const WORKLOAD_THREADS: usize = 4;
 /// The sampler period while under load.
@@ -63,45 +65,6 @@ const QUICK_SCRAPE_PAUSE: Duration = Duration::from_millis(5);
 /// The liveness gate: fewer completed scrapes than this means the server
 /// was not really exercised and the latency percentiles are noise.
 const MIN_SCRAPES: u64 = 20;
-
-struct Args {
-    out: String,
-    quick: bool,
-}
-
-fn parse_args() -> Args {
-    let mut out = None;
-    let mut quick = std::env::var("CS_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg == "--out" {
-            out = Some(args.next().unwrap_or_else(|| {
-                eprintln!("--out needs a path argument");
-                std::process::exit(2);
-            }));
-        } else if let Some(path) = arg.strip_prefix("--out=") {
-            out = Some(path.to_owned());
-        } else {
-            eprintln!("unknown argument {arg:?} (supported: --quick, --out PATH)");
-            std::process::exit(2);
-        }
-    }
-    Args {
-        out: out
-            .or_else(|| std::env::var("CS_BENCH_OUT").ok())
-            .unwrap_or_else(|| "BENCH_obs.json".into()),
-        quick,
-    }
-}
-
-fn overhead_budget() -> f64 {
-    std::env::var("CS_OBS_BUDGET")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(DEFAULT_OVERHEAD_BUDGET)
-}
 
 /// A raw-TCP `GET`: returns (status, body).
 fn get(addr: std::net::SocketAddr, path: &str) -> std::io::Result<(u16, String)> {
@@ -148,29 +111,18 @@ struct ScrapeStats {
     last_page_bytes: usize,
 }
 
-fn heap_account_json(a: &HeapAccount) -> Json {
-    Json::object()
-        .field("alloc_count", a.alloc_count)
-        .field("alloc_bytes", a.alloc_bytes)
-        .field("dealloc_count", a.dealloc_count)
-        .field("dealloc_bytes", a.dealloc_bytes)
-        .field("realloc_count", a.realloc_count)
-        .field("realloc_bytes", a.realloc_bytes)
-        .field("live_bytes", a.live_bytes())
+fn main() -> ExitCode {
+    run_sweep("obs_sweep", std::env::args().skip(1), sweep)
 }
 
-fn main() {
-    let args = parse_args();
-    let budget = overhead_budget();
-    let ops_per_thread: u64 = if args.quick { 400_000 } else { 1_500_000 };
-    let scrape_pause = if args.quick { QUICK_SCRAPE_PAUSE } else { SCRAPE_PAUSE };
-    let process_start = cs_heap::process_account();
-    let mut failures: Vec<String> = Vec::new();
+fn sweep(sweep: &mut Sweep) -> Json {
+    let ops_per_thread: u64 = if sweep.quick() { 400_000 } else { 1_500_000 };
+    let scrape_pause = if sweep.quick() { QUICK_SCRAPE_PAUSE } else { SCRAPE_PAUSE };
 
     println!(
         "# obs sweep: {WORKLOAD_THREADS}-thread load x{ops_per_thread} ops/thread, \
-         live scrape client, budget {budget} (quick={})",
-        args.quick
+         live scrape client, budget {OVERHEAD_BUDGET} (quick={})",
+        sweep.quick()
     );
 
     // -- Wire the observed runtime and its plane ---------------------------
@@ -212,16 +164,15 @@ fn main() {
                         invalid_pages += 1;
                     }
                     let total = scraped_ops_total(&body);
-                    if total < last_total {
-                        failures
-                            .push(format!("ops total went backwards: {last_total} -> {total}"));
-                    }
+                    sweep.check(total >= last_total, || {
+                        format!("ops total went backwards: {last_total} -> {total}")
+                    });
                     last_total = total;
                     last_page_bytes = body.len();
                 }
             }
             Err(e) => {
-                failures.push(format!("scrape transport error mid-load: {e}"));
+                sweep.check(false, || format!("scrape transport error mid-load: {e}"));
                 break;
             }
         }
@@ -246,19 +197,18 @@ fn main() {
     rt.flush_thread();
     rt.analyze_now();
     let (status, body) = get(addr, "/metrics").expect("final scrape");
-    if status != 200 {
-        failures.push(format!("final scrape answered {status}"));
-    }
-    if let Err(errors) = validate_prometheus_text(&body) {
-        failures.push(format!("final page failed validation: {errors:?}"));
-    }
+    sweep.check(status == 200, || format!("final scrape answered {status}"));
+    let final_page = validate_prometheus_text(&body);
+    sweep.check(final_page.is_ok(), || {
+        format!("final page failed validation: {final_page:?}")
+    });
     let final_total = scraped_ops_total(&body);
-    if final_total != report.total_ops {
-        failures.push(format!(
+    sweep.check(final_total == report.total_ops, || {
+        format!(
             "scraped ops {} != workload's exact accounting {}",
             final_total, report.total_ops
-        ));
-    }
+        )
+    });
 
     latencies_ns.sort_unstable();
     let scrape = ScrapeStats {
@@ -270,33 +220,33 @@ fn main() {
         max_ns: latencies_ns.last().copied().unwrap_or(0),
         last_page_bytes,
     };
-    if scrape.scrapes < MIN_SCRAPES {
-        failures.push(format!(
+    sweep.check(scrape.scrapes >= MIN_SCRAPES, || {
+        format!(
             "only {} scrapes completed (liveness floor {MIN_SCRAPES})",
             scrape.scrapes
-        ));
-    }
-    if scrape.bad_status > 0 {
-        failures.push(format!("{} scrapes answered non-200", scrape.bad_status));
-    }
-    if scrape.invalid_pages > 0 {
-        failures.push(format!(
+        )
+    });
+    sweep.check(scrape.bad_status == 0, || {
+        format!("{} scrapes answered non-200", scrape.bad_status)
+    });
+    sweep.check(scrape.invalid_pages == 0, || {
+        format!(
             "{} mid-load pages failed exposition validation",
             scrape.invalid_pages
-        ));
-    }
+        )
+    });
 
     // -- The overhead gate: plane busy-time over workload thread-time ------
     let workload_thread_ns = report.elapsed.as_nanos() as u64 * WORKLOAD_THREADS as u64;
     let overhead_ratio =
         (sampler_busy_ns + handler_busy_ns) as f64 / workload_thread_ns.max(1) as f64;
-    if overhead_ratio > budget {
-        failures.push(format!(
-            "plane overhead {overhead_ratio:.4} exceeds budget {budget} \
+    sweep.check(overhead_ratio <= OVERHEAD_BUDGET, || {
+        format!(
+            "plane overhead {overhead_ratio:.4} exceeds budget {OVERHEAD_BUDGET} \
              (sampler {sampler_busy_ns} ns + handlers {handler_busy_ns} ns \
              over {workload_thread_ns} thread-ns)"
-        ));
-    }
+        )
+    });
 
     println!(
         "load: {} ops in {:.2?} ({:.0} ops/s), {} sampler ticks",
@@ -317,25 +267,11 @@ fn main() {
         report.elapsed,
         WORKLOAD_THREADS,
         overhead_ratio,
-        budget,
+        OVERHEAD_BUDGET,
     );
 
     obs.shutdown();
-    let process_end = cs_heap::process_account();
-    let doc = Json::object()
-        .field("bench", "obs_sweep")
-        .field("git", git_describe())
-        .field("hw_threads", cpus())
-        .field("quick", args.quick)
-        .field(
-            "process",
-            Json::object()
-                .field("peak_rss_bytes", cs_heap::peak_rss_bytes())
-                .field(
-                    "account_delta",
-                    heap_account_json(&process_end.delta_since(&process_start)),
-                ),
-        )
+    Json::object()
         .field(
             "workload",
             Json::object()
@@ -367,39 +303,6 @@ fn main() {
                 .field("handler_busy_ns", handler_busy_ns)
                 .field("workload_thread_ns", workload_thread_ns)
                 .field("ratio", overhead_ratio)
-                .field("budget", budget),
+                .field("budget", OVERHEAD_BUDGET),
         )
-        .field(
-            "failures",
-            Json::Array(failures.iter().map(|f| Json::from(f.as_str())).collect()),
-        );
-    std::fs::write(&args.out, doc.render_pretty()).expect("write results file");
-    println!("# wrote {}", args.out);
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("GATE FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Source revision for the artifact header; `"unknown"` outside a git
-/// checkout rather than a failure — the stamp is provenance, not a gate.
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
 }

@@ -4,90 +4,37 @@
 //! cargo run --release -p cs-bench --bin overhead_sweep -- [--quick] [--out PATH]
 //! ```
 //!
-//! Runs the same closed-loop concurrent Zipf workload (the `runtime_sweep`
-//! workload shape) three times, once per [`TraceMode`], and writes
-//! `BENCH_overhead.json` (schema in EXPERIMENTS.md): per-mode throughput
-//! plus the tracer's own self-overhead account — calibrated tracer nanos,
-//! scaled framework (pipeline) nanos, wall-credited application nanos, and
-//! the `tracer / (tracer + app)` ratio that backs the
-//! `cs_trace_overhead_ratio` gauge (the pipeline share is reported
-//! separately as `pipeline_ratio`).
+//! Runs the harness's shared concurrent-map run ([`run_concurrent_map`],
+//! the `runtime_sweep` workload shape) three times, once per [`TraceMode`],
+//! at 4 threads × 200k ops over 16,384 keys (`--quick`: 2 threads × 30k
+//! ops over 1,024 keys), and writes `BENCH_overhead.json` (schema in
+//! EXPERIMENTS.md): per-mode throughput plus the tracer's own self-overhead
+//! account — calibrated tracer nanos, scaled framework (pipeline) nanos,
+//! wall-credited application nanos, and the `tracer / (tracer + app)` ratio
+//! that backs the `cs_trace_overhead_ratio` gauge (the pipeline share is
+//! reported separately as `pipeline_ratio`).
 //!
 //! This is the measured version of the paper's "negligible overhead" claim
 //! (§5.4), applied to the tracer itself, and it is a *gate*, not just a
 //! report: the process exits nonzero if the sampled-mode overhead ratio is
-//! at or above the budget (5% by default), which is how CI's
-//! `overhead-check` job fails.
+//! at or above [`BUDGET`], which is how CI's `overhead-check` job fails.
+//! Every row is also gated on zero lost ops and a valid exposition.
 //!
-//! Flags and environment:
-//!
-//! | Knob | Default | Meaning |
-//! |---|---|---|
-//! | `--quick` / `CS_BENCH_QUICK=1` | off | tiny CI budget (2 threads, 30k ops/thread) |
-//! | `--out PATH` / `CS_BENCH_OUT` | `BENCH_overhead.json` | results file |
-//! | `CS_BENCH_THREADS` | `4` (first value used) | worker thread count |
-//! | `CS_BENCH_OPS` | `200000` | ops per thread |
-//! | `CS_BENCH_KEYS` | `16384` | Zipf key-space size |
-//! | `CS_OVERHEAD_BUDGET` | `0.05` | sampled-mode overhead-ratio gate |
+//! `--out PATH` selects the results file, default `BENCH_overhead.json`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::process::ExitCode;
 
-use cs_collections::MapKind;
-use cs_core::Switch;
-use cs_runtime::{Runtime, RuntimeConfig};
-use cs_telemetry::{
-    export_trace, validate_prometheus_text, Json, MetricsRegistry, MetricsSink,
-};
+use cs_bench::{run_concurrent_map, run_sweep, Sweep, MAP_READ_FRACTION, MAP_ZIPF_EXPONENT};
+use cs_telemetry::{export_trace, Json};
 use cs_trace::TraceMode;
-use cs_workloads::{run_concurrent_load, ConcurrentLoad, LoadReport};
+use cs_workloads::LoadReport;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-struct Args {
-    out: String,
-    quick: bool,
-}
-
-fn parse_args() -> Args {
-    let mut out = None;
-    let mut quick = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--quick" {
-            quick = true;
-        } else if arg == "--out" {
-            out = Some(args.next().unwrap_or_else(|| {
-                eprintln!("--out needs a path argument");
-                std::process::exit(2);
-            }));
-        } else if let Some(path) = arg.strip_prefix("--out=") {
-            out = Some(path.to_owned());
-        } else {
-            eprintln!("unknown argument {arg:?} (supported: --quick, --out PATH)");
-            std::process::exit(2);
-        }
-    }
-    Args {
-        out: out
-            .or_else(|| std::env::var("CS_BENCH_OUT").ok())
-            .unwrap_or_else(|| "BENCH_overhead.json".into()),
-        quick: quick || std::env::var("CS_BENCH_QUICK").is_ok_and(|v| v == "1"),
-    }
-}
+/// The sampled-mode overhead ratio must stay below this.
+const BUDGET: f64 = 0.05;
+/// Worker threads, ops per thread and Zipf key-space size.
+const FULL: (usize, u64, usize) = (4, 200_000, 16_384);
+/// The tiny CI budget.
+const QUICK: (usize, u64, usize) = (2, 30_000, 1_024);
 
 fn mode_name(mode: TraceMode) -> &'static str {
     match mode {
@@ -106,72 +53,36 @@ struct ModeRow {
     threads_registered: usize,
 }
 
-fn run_mode(mode: TraceMode, threads: usize, ops_per_thread: u64, keys: u64) -> ModeRow {
+fn measure_mode(
+    sweep: &mut Sweep,
+    mode: TraceMode,
+    (threads, ops, keys): (usize, u64, usize),
+) -> ModeRow {
     // Fresh accounting per mode: rings and aggregates start at zero, and
     // the mode is installed before any worker thread spins up.
     cs_trace::reset();
     cs_trace::set_mode(mode);
-
-    let registry = MetricsRegistry::new();
-    let rt = Runtime::with_config(
-        Switch::builder()
-            .event_sink(Arc::new(MetricsSink::new(registry.clone())))
-            .build(),
-        RuntimeConfig {
-            shards: 64,
-            flush_ops: 1024,
-            ..RuntimeConfig::default()
-        },
-    );
-    let map = rt.named_concurrent_map::<u64, u64>(MapKind::Chained, "overhead");
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let analyzer = {
-        let rt = rt.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                rt.analyze_now();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        })
-    };
-
-    let report = run_concurrent_load(
-        &map,
-        ConcurrentLoad {
-            threads,
-            keys: keys as usize,
-            zipf_exponent: 0.99,
-            read_fraction: 0.9,
-            ops_per_thread,
-            phase_flip_every: None,
-            latency_sample_mask: 127,
-            seed: 42,
-        },
-    );
-    stop.store(true, Ordering::Relaxed);
-    analyzer.join().expect("analyzer thread panicked");
-
-    let stats = map.stats();
-    assert_eq!(
-        stats.ops, report.per_op_totals,
-        "site totals diverged from generator tallies in {} mode",
-        mode_name(mode)
-    );
-
-    let snap = cs_trace::snapshot();
     // The tracer's telemetry mirror must render a valid exposition in
     // every mode, including the all-zero off mode.
-    export_trace(&registry, &snap);
-    if let Err(errors) = validate_prometheus_text(&registry.snapshot().to_prometheus_text()) {
-        panic!("invalid Prometheus exposition in {} mode: {errors:?}", mode_name(mode));
-    }
+    let run = run_concurrent_map(
+        sweep,
+        "overhead",
+        &format!("{} mode", mode_name(mode)),
+        threads,
+        ops,
+        keys,
+        |_, registry| {
+            let snap = cs_trace::snapshot();
+            export_trace(registry, &snap);
+            snap
+        },
+    );
     cs_trace::set_mode(TraceMode::Off);
 
+    let snap = run.exported;
     ModeRow {
         mode,
-        report,
+        report: run.report,
         overhead: snap.overhead(),
         spans_recorded: snap.total_recorded(),
         spans_overwritten: snap.total_overwritten(),
@@ -212,22 +123,13 @@ fn json_row(row: &ModeRow, baseline_throughput: f64) -> Json {
         .field("phase_span_counts", phases)
 }
 
-fn main() {
-    let args = parse_args();
-    let budget = env_f64("CS_OVERHEAD_BUDGET", 0.05);
-    let (threads, ops_per_thread, keys) = if args.quick {
-        (
-            env_u64("CS_BENCH_THREADS", 2) as usize,
-            env_u64("CS_BENCH_OPS", 30_000),
-            env_u64("CS_BENCH_KEYS", 1_024),
-        )
-    } else {
-        (
-            env_u64("CS_BENCH_THREADS", 4) as usize,
-            env_u64("CS_BENCH_OPS", 200_000),
-            env_u64("CS_BENCH_KEYS", 16_384),
-        )
-    };
+fn main() -> ExitCode {
+    run_sweep("overhead_sweep", std::env::args().skip(1), sweep)
+}
+
+fn sweep(sweep: &mut Sweep) -> Json {
+    let size = if sweep.quick() { QUICK } else { FULL };
+    let (threads, ops_per_thread, keys) = size;
 
     println!(
         "# tracing overhead sweep: Zipf(0.99) 90% reads, {threads} threads, {ops_per_thread} ops/thread, {keys} keys"
@@ -238,7 +140,7 @@ fn main() {
     let rows: Vec<ModeRow> = modes
         .iter()
         .map(|&mode| {
-            let row = run_mode(mode, threads, ops_per_thread, keys);
+            let row = measure_mode(sweep, mode, size);
             println!(
                 "{}\t{:.3}\t{:.5}\t{:.1}\t{}",
                 mode_name(row.mode),
@@ -260,52 +162,38 @@ fn main() {
         .find(|r| r.mode == TraceMode::Sampled)
         .map(|r| r.overhead.ratio())
         .unwrap_or(0.0);
-    let pass = sampled_ratio < budget;
+    let pass = sweep.check(sampled_ratio < BUDGET, || {
+        format!(
+            "overhead gate: sampled tracing claims {:.2}% of accounted time (budget {:.2}%)",
+            sampled_ratio * 100.0,
+            BUDGET * 100.0
+        )
+    });
+    println!(
+        "# sampled overhead ratio {sampled_ratio:.5} vs budget {BUDGET} -> {}",
+        if pass { "PASS" } else { "FAIL" }
+    );
 
-    let doc = Json::object()
-        .field("bench", "overhead_sweep")
+    Json::object()
         .field(
             "workload",
             Json::object()
                 .field("threads", threads)
-                .field("zipf_exponent", 0.99)
-                .field("read_fraction", 0.9)
+                .field("zipf_exponent", MAP_ZIPF_EXPONENT)
+                .field("read_fraction", MAP_READ_FRACTION)
                 .field("ops_per_thread", ops_per_thread)
                 .field("keys", keys),
         )
-        .field("hw_threads", cpus())
-        .field("quick", args.quick)
         .field("op_sample_mask", cs_trace::op_sample_mask())
         .field(
             "gate",
             Json::object()
-                .field("budget", budget)
+                .field("budget", BUDGET)
                 .field("sampled_overhead_ratio", sampled_ratio)
                 .field("pass", pass),
         )
         .field(
             "rows",
             Json::Array(rows.iter().map(|r| json_row(r, baseline)).collect()),
-        );
-    std::fs::write(&args.out, doc.render_pretty()).expect("write results file");
-    println!("# wrote {}", args.out);
-
-    println!(
-        "# sampled overhead ratio {sampled_ratio:.5} vs budget {budget} -> {}",
-        if pass { "PASS" } else { "FAIL" }
-    );
-    if !pass {
-        eprintln!(
-            "overhead gate failed: sampled tracing claims {:.2}% of accounted time (budget {:.2}%)",
-            sampled_ratio * 100.0,
-            budget * 100.0
-        );
-        std::process::exit(1);
-    }
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+        )
 }

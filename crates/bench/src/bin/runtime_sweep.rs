@@ -1,327 +1,136 @@
 //! Thread-sweep benchmark of the concurrent selection runtime.
 //!
 //! ```text
-//! cargo run --release -p cs-bench --bin runtime_sweep -- [--out PATH]
+//! cargo run --release -p cs-bench --bin runtime_sweep -- [--quick] [--out PATH]
 //! ```
 //!
 //! Sweeps a closed-loop Zipf read-heavy workload (`cs_workloads::concurrent`)
-//! over 1 → N threads on one [`ConcurrentMap`](cs_runtime::ConcurrentMap)
-//! site, with the engine's
-//! analyzer running concurrently, and writes `BENCH_runtime.json` (schema in
+//! over 1, 2, 4 and 8 threads (`--quick`: 1 and 2) on one
+//! [`ConcurrentMap`](cs_runtime::ConcurrentMap) site, with the engine's
+//! analyzer running concurrently, through the harness's shared
+//! [`run_concurrent_map`]. Writes `BENCH_runtime.json` (schema in
 //! EXPERIMENTS.md): per-thread-count throughput, p50/p99 op latency, and the
-//! runtime's flush/contention/transition counters. Every run cross-checks
-//! the zero-lost-ops invariant (generator tallies == site totals) before its
-//! row is emitted.
+//! runtime's flush/contention/transition counters. Every row is gated on
+//! the zero-lost-ops invariant (generator tallies == site totals).
 //!
-//! Each run is fully instrumented with `cs-telemetry`: a
-//! [`MetricsSink`] subscribes to the engine, [`Runtime::export_metrics`]
+//! Each run is fully instrumented with `cs-telemetry`: a `MetricsSink`
+//! subscribes to the engine, [`Runtime::export_metrics`]
 //! mirrors the runtime counters on completion, and the per-run snapshots
 //! are written alongside the results as `<out stem>.telemetry.json`,
-//! headed by the workload parameters, the source revision
-//! (`git describe`), and the process memory observables (peak RSS plus the
-//! counting allocator's totals — this binary installs
-//! [`cs_heap::CountingAlloc`]) so the artifact is interpretable on its
-//! own and comparable on memory across PRs. The
-//! Prometheus rendering of every snapshot is checked with
-//! [`validate_prometheus_text`] — the benchmark doubles as an end-to-end
-//! telemetry test.
+//! headed by the harness stamp (this binary installs
+//! [`cs_heap::CountingAlloc`], so its `process` block carries real heap
+//! totals) and the workload parameters, so the artifact is interpretable
+//! on its own and comparable on memory across PRs. The Prometheus
+//! rendering of every snapshot is gated by the exposition validator — the
+//! benchmark doubles as an end-to-end telemetry test.
 //!
-//! Output paths: `--out PATH` (or the `CS_BENCH_OUT` environment variable;
-//! the flag wins) selects the results file, default `BENCH_runtime.json`.
-//!
-//! Environment knobs:
-//!
-//! | Variable | Default | Meaning |
-//! |---|---|---|
-//! | `CS_BENCH_THREADS` | `1,2,4,8` | Comma-separated thread counts |
-//! | `CS_BENCH_OPS` | `400000` | Ops per thread |
-//! | `CS_BENCH_KEYS` | `16384` | Zipf key-space size |
-//! | `CS_BENCH_QUICK` | unset | `1`: tiny CI budget (2k ops, 1,2 threads) |
+//! `--out PATH` selects the results file, default `BENCH_runtime.json`.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::process::ExitCode;
 
-use cs_collections::MapKind;
-use cs_core::Switch;
-use cs_runtime::{site_stats_to_json, Runtime, RuntimeConfig, SiteStats};
-use cs_telemetry::{
-    validate_prometheus_text, Json, MetricsRegistry, MetricsSink, TelemetrySnapshot,
-};
-use cs_workloads::{run_concurrent_load, ConcurrentLoad, LoadReport};
+use cs_bench::{run_concurrent_map, run_sweep, Sweep, MAP_READ_FRACTION, MAP_ZIPF_EXPONENT};
+use cs_runtime::{site_stats_to_json, Runtime};
+use cs_telemetry::Json;
 
 /// Opt-in heap observability: lets the telemetry sidecar stamp real
 /// process allocation totals (zeros would be stamped without this).
 #[global_allocator]
 static ALLOC: cs_heap::CountingAlloc = cs_heap::CountingAlloc;
 
-/// Process memory observables for the artifact headers: kernel-truth peak
-/// RSS plus the counting allocator's totals, so BENCH files are comparable
-/// on memory across PRs.
-fn process_memory_json() -> Json {
-    let account = cs_heap::process_account();
-    Json::object()
-        .field("peak_rss_bytes", cs_heap::peak_rss_bytes())
-        .field("counting_active", cs_heap::counting_active())
-        .field("alloc_count_total", account.alloc_count)
-        .field("alloc_bytes_total", account.alloc_bytes)
-        .field("dealloc_bytes_total", account.dealloc_bytes)
-        .field("live_bytes", account.live_bytes())
+/// Thread counts, ops per thread and Zipf key-space size.
+const FULL: (&[usize], u64, usize) = (&[1, 2, 4, 8], 400_000, 16_384);
+/// The tiny CI budget.
+const QUICK: (&[usize], u64, usize) = (&[1, 2], 2_000, 1_024);
+
+fn main() -> ExitCode {
+    run_sweep("runtime_sweep", std::env::args().skip(1), sweep)
 }
 
-fn env_usize(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+fn sweep(sweep: &mut Sweep) -> Json {
+    let (threads, ops_per_thread, keys) = if sweep.quick() { QUICK } else { FULL };
 
-fn env_threads(default: &[usize]) -> Vec<usize> {
-    match std::env::var("CS_BENCH_THREADS") {
-        Ok(v) => v
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&t| t > 0)
-            .collect(),
-        Err(_) => default.to_vec(),
-    }
-}
-
-/// `--out PATH` wins over `CS_BENCH_OUT`; default `BENCH_runtime.json`.
-fn out_path() -> String {
-    let mut out = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--out" {
-            out = Some(args.next().unwrap_or_else(|| {
-                eprintln!("--out needs a path argument");
-                std::process::exit(2);
-            }));
-        } else if let Some(path) = arg.strip_prefix("--out=") {
-            out = Some(path.to_owned());
-        } else {
-            eprintln!("unknown argument {arg:?} (only --out PATH is supported)");
-            std::process::exit(2);
-        }
-    }
-    out.or_else(|| std::env::var("CS_BENCH_OUT").ok())
-        .unwrap_or_else(|| "BENCH_runtime.json".into())
-}
-
-struct Row {
-    threads: usize,
-    report: LoadReport,
-    stats: SiteStats,
-    telemetry: TelemetrySnapshot,
-}
-
-fn run_one(threads: usize, ops_per_thread: u64, keys: u64) -> Row {
-    // A fresh runtime per thread count: each row measures the same site
-    // lifecycle (empty map, cold shards) at a different concurrency.
-    let registry = MetricsRegistry::new();
-    let rt = Runtime::with_config(
-        Switch::builder()
-            .event_sink(Arc::new(MetricsSink::new(registry.clone())))
-            .build(),
-        RuntimeConfig {
-            shards: 64,
-            flush_ops: 1024,
-            ..RuntimeConfig::default()
-        },
+    println!(
+        "# runtime thread sweep: Zipf(0.99) 90% reads, {ops_per_thread} ops/thread, {keys} keys"
     );
-    let map = rt.named_concurrent_map::<u64, u64>(MapKind::Chained, "sweep");
-
-    // The analyzer runs for the whole measurement, as it would in a
-    // service: selection rounds and (possible) shard migrations are part of
-    // the measured steady state, not excluded from it.
-    let stop = Arc::new(AtomicBool::new(false));
-    let analyzer = {
-        let rt = rt.clone();
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                rt.analyze_now();
-                std::thread::sleep(Duration::from_millis(5));
-            }
-        })
-    };
-
-    let report = run_concurrent_load(
-        &map,
-        ConcurrentLoad {
-            threads,
-            keys: keys as usize,
-            zipf_exponent: 0.99,
-            read_fraction: 0.9,
-            ops_per_thread,
-            phase_flip_every: None,
-            latency_sample_mask: 127,
-            seed: 42,
-        },
-    );
-    stop.store(true, Ordering::Relaxed);
-    analyzer.join().expect("analyzer thread panicked");
-
-    let stats = map.stats();
-    // Zero lost ops: a bench row is only worth reporting if the runtime's
-    // accounting is exact under this thread count.
-    assert_eq!(
-        stats.ops, report.per_op_totals,
-        "site totals diverged from generator tallies at {threads} threads"
-    );
-
-    rt.export_metrics(&registry);
-    let telemetry = registry.snapshot();
-    if let Err(errors) = validate_prometheus_text(&telemetry.to_prometheus_text()) {
-        panic!("invalid Prometheus exposition at {threads} threads: {errors:?}");
-    }
-    Row {
-        threads,
-        report,
-        stats,
-        telemetry,
-    }
-}
-
-fn json_row(row: &Row) -> Json {
-    let r = &row.report;
-    Json::object()
-        .field("threads", row.threads)
-        .field("total_ops", r.total_ops)
-        .field("elapsed_secs", r.elapsed.as_secs_f64())
-        .field("throughput_ops_per_sec", r.throughput_ops_per_sec)
-        .field("p50_ns", r.p50_ns())
-        .field("p99_ns", r.p99_ns())
-        .field("max_ns", r.max_ns())
-        .field("latency_samples", r.latencies_ns.len())
-        .field("site", site_stats_to_json(&row.stats))
-}
-
-fn main() {
-    let out = out_path();
-    let quick = std::env::var("CS_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let (threads, ops_per_thread, keys) = if quick {
-        (env_threads(&[1, 2]), env_usize("CS_BENCH_OPS", 2_000), 1_024)
-    } else {
-        (
-            env_threads(&[1, 2, 4, 8]),
-            env_usize("CS_BENCH_OPS", 400_000),
-            env_usize("CS_BENCH_KEYS", 16_384),
-        )
-    };
-
-    println!("# runtime thread sweep: Zipf(0.99) 90% reads, {ops_per_thread} ops/thread, {keys} keys");
     println!("threads\tMops/s\tp50_ns\tp99_ns\tflushes\tcontended\trounds\tswitches");
 
-    let rows: Vec<Row> = threads
-        .iter()
-        .map(|&t| {
-            let row = run_one(t, ops_per_thread, keys);
-            println!(
-                "{}\t{:.3}\t{}\t{}\t{}\t{}\t{}\t{}",
-                row.threads,
-                row.report.throughput_ops_per_sec / 1e6,
-                row.report.p50_ns(),
-                row.report.p99_ns(),
-                row.stats.flushes,
-                row.stats.contended,
-                row.stats.rounds,
-                row.stats.switches,
-            );
-            row
-        })
-        .collect();
-
-    let base = rows
-        .first()
-        .map(|r| r.report.throughput_ops_per_sec)
-        .unwrap_or(0.0);
-    let peak = rows
-        .iter()
-        .map(|r| r.report.throughput_ops_per_sec)
-        .fold(0.0f64, f64::max);
+    let mut rows = Vec::new();
+    let mut snapshots = Vec::new();
+    let mut base = 0.0;
+    let mut peak = 0.0f64;
+    for &t in threads {
+        // A fresh runtime per thread count: each row measures the same site
+        // lifecycle (empty map, cold shards) at a different concurrency.
+        let run = run_concurrent_map(
+            sweep,
+            "sweep",
+            &format!("{t} threads"),
+            t,
+            ops_per_thread,
+            keys,
+            Runtime::export_metrics,
+        );
+        let r = &run.report;
+        println!(
+            "{t}\t{:.3}\t{}\t{}\t{}\t{}\t{}\t{}",
+            r.throughput_ops_per_sec / 1e6,
+            r.p50_ns(),
+            r.p99_ns(),
+            run.stats.flushes,
+            run.stats.contended,
+            run.stats.rounds,
+            run.stats.switches,
+        );
+        if rows.is_empty() {
+            base = r.throughput_ops_per_sec;
+        }
+        peak = peak.max(r.throughput_ops_per_sec);
+        rows.push(
+            Json::object()
+                .field("threads", t)
+                .field("total_ops", r.total_ops)
+                .field("elapsed_secs", r.elapsed.as_secs_f64())
+                .field("throughput_ops_per_sec", r.throughput_ops_per_sec)
+                .field("p50_ns", r.p50_ns())
+                .field("p99_ns", r.p99_ns())
+                .field("max_ns", r.max_ns())
+                .field("latency_samples", r.latencies_ns.len())
+                .field("site", site_stats_to_json(&run.stats)),
+        );
+        snapshots.push(
+            Json::object()
+                .field("threads", t)
+                .field("telemetry", run.telemetry.to_json()),
+        );
+    }
     let scaling = if base > 0.0 { peak / base } else { 0.0 };
     println!();
-    println!("# peak/1-thread throughput scaling: {scaling:.2}x over {} hw threads", cpus());
+    println!("# peak/1-thread throughput scaling: {scaling:.2}x");
 
-    let doc = Json::object()
-        .field("bench", "runtime_sweep")
-        .field(
-            "workload",
-            Json::object()
-                .field("zipf_exponent", 0.99)
-                .field("read_fraction", 0.9)
-                .field("ops_per_thread", ops_per_thread)
-                .field("keys", keys),
-        )
-        .field("hw_threads", cpus())
-        .field("quick", quick)
+    let workload = Json::object()
+        .field("zipf_exponent", MAP_ZIPF_EXPONENT)
+        .field("read_fraction", MAP_READ_FRACTION)
+        .field("ops_per_thread", ops_per_thread)
+        .field("keys", keys);
+    // The snapshot sidecar repeats the workload, with its thread list, so
+    // a snapshot file found on its own (a CI artifact, say) is
+    // interpretable without the results file it was generated next to.
+    sweep.sidecar(
+        "telemetry",
+        Json::object()
+            .field(
+                "workload",
+                Json::object()
+                    .field("threads", threads.to_vec())
+                    .field("zipf_exponent", MAP_ZIPF_EXPONENT)
+                    .field("read_fraction", MAP_READ_FRACTION)
+                    .field("ops_per_thread", ops_per_thread)
+                    .field("keys", keys),
+            )
+            .field("snapshots", Json::Array(snapshots)),
+    );
+    Json::object()
+        .field("workload", workload)
         .field("scaling_peak_over_single", scaling)
-        .field("rows", Json::Array(rows.iter().map(json_row).collect()));
-    std::fs::write(&out, doc.render_pretty()).expect("write results file");
-    println!("# wrote {out}");
-
-    // The per-run telemetry snapshots ride alongside the results file:
-    // `X.json` -> `X.telemetry.json`. The header stamps the workload
-    // parameters and the source revision — a snapshot file found on its
-    // own (a CI artifact, say) must be interpretable without the results
-    // file it was generated next to.
-    let telemetry_path = match out.strip_suffix(".json") {
-        Some(stem) => format!("{stem}.telemetry.json"),
-        None => format!("{out}.telemetry.json"),
-    };
-    let telemetry_doc = Json::object()
-        .field("bench", "runtime_sweep")
-        .field("git", git_describe())
-        .field("process", process_memory_json())
-        .field(
-            "workload",
-            Json::object()
-                .field(
-                    "threads",
-                    Json::Array(threads.iter().map(|&t| Json::from(t)).collect()),
-                )
-                .field("zipf_exponent", 0.99)
-                .field("read_fraction", 0.9)
-                .field("ops_per_thread", ops_per_thread)
-                .field("keys", keys),
-        )
-        .field("hw_threads", cpus())
-        .field("quick", quick)
-        .field(
-            "snapshots",
-            Json::Array(
-                rows.iter()
-                    .map(|row| {
-                        Json::object()
-                            .field("threads", row.threads)
-                            .field("telemetry", row.telemetry.to_json())
-                    })
-                    .collect(),
-            ),
-        );
-    std::fs::write(&telemetry_path, telemetry_doc.render_pretty())
-        .expect("write telemetry snapshot file");
-    println!("# wrote {telemetry_path} (Prometheus rendering validated per run)");
-}
-
-fn cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Source revision for the snapshot header; `"unknown"` outside a git
-/// checkout (a source tarball, a bare CI cache) rather than a failure —
-/// the stamp is provenance, not a gate.
-fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty", "--tags"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
+        .field("rows", Json::Array(rows))
 }

@@ -47,7 +47,7 @@ use std::time::Duration;
 use cs_core::{EngineEvent, EngineEventSink, WeakSwitch};
 use parking_lot::Mutex;
 
-use crate::json::{event_to_json, explanation_to_json, Json};
+use crate::json::{event_to_json, explanation_to_json, heap_account_to_json, Json};
 use crate::metrics::MetricsRegistry;
 use crate::sinks::JsonlSink;
 
@@ -266,7 +266,7 @@ impl FlightRecorder {
                     .field("pipeline_ratio", overhead.pipeline_ratio()),
             )
             .field("spans", Json::Array(spans))
-            .field("heap", heap_to_json(&cs_heap::process_account()))
+            .field("heap", heap_account_to_json(&cs_heap::process_account()))
             .field(
                 "telemetry",
                 match (&self.registry, self.config.include_telemetry) {
@@ -288,18 +288,6 @@ impl FlightRecorder {
             self.incidents.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
-
-/// The process heap account frozen into each incident record.
-fn heap_to_json(a: &cs_heap::HeapAccount) -> Json {
-    Json::object()
-        .field("alloc_count", a.alloc_count)
-        .field("alloc_bytes", a.alloc_bytes)
-        .field("dealloc_count", a.dealloc_count)
-        .field("dealloc_bytes", a.dealloc_bytes)
-        .field("realloc_count", a.realloc_count)
-        .field("realloc_bytes", a.realloc_bytes)
-        .field("live_bytes", a.live_bytes())
 }
 
 impl EngineEventSink for FlightRecorder {

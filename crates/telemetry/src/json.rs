@@ -579,6 +579,20 @@ pub fn explanation_to_json(e: &SelectionExplanation) -> Json {
         .field("outcome", e.outcome.to_string())
 }
 
+/// Serializes a [`HeapAccount`](cs_heap::HeapAccount) — a process or thread
+/// allocation ledger — with its derived `live_bytes`, for flight-recorder
+/// incidents and the bench artifacts' `process` stamp.
+pub fn heap_account_to_json(a: &cs_heap::HeapAccount) -> Json {
+    Json::object()
+        .field("alloc_count", a.alloc_count)
+        .field("alloc_bytes", a.alloc_bytes)
+        .field("dealloc_count", a.dealloc_count)
+        .field("dealloc_bytes", a.dealloc_bytes)
+        .field("realloc_count", a.realloc_count)
+        .field("realloc_bytes", a.realloc_bytes)
+        .field("live_bytes", a.live_bytes())
+}
+
 /// Serializes an [`EngineHealth`](cs_core::EngineHealth) — the liveness
 /// summary behind `cs-obs`'s `/health` endpoint — field for field.
 pub fn health_to_json(h: &cs_core::EngineHealth) -> Json {

@@ -74,8 +74,8 @@ pub use export::{
 };
 pub use flight::{FlightRecorder, FlightRecorderConfig};
 pub use json::{
-    event_to_json, explanation_to_json, health_to_json, manifest_entry_to_json, Json,
-    JsonParseError,
+    event_to_json, explanation_to_json, health_to_json, heap_account_to_json,
+    manifest_entry_to_json, Json, JsonParseError,
 };
 pub use metrics::{
     Counter, FamilySnapshot, FloatGauge, Gauge, Histogram, HistogramSnapshot, MetricKind,
