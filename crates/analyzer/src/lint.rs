@@ -1002,7 +1002,7 @@ fn process_account() -> HeapAccount {
         // The same item names elsewhere (every collection has an `alloc` or
         // `add`, every guard a `begin`/`finish`) are not on this path.
         let src = "fn begin() { let v = vec![1, 2]; let g = STATE.lock(); }";
-        assert!(lint_file("crates/runtime/src/tlb.rs", src).is_empty());
+        assert!(lint_file("crates/runtime/src/shard.rs", src).is_empty());
         assert!(lint_file("crates/core/src/handles.rs", src).is_empty());
     }
 

@@ -194,7 +194,7 @@ fn sweep(sweep: &mut Sweep) -> Json {
     let sampler_ticks = snap.counter_total("cs_obs_sampler_ticks_total").unwrap_or(0);
 
     // -- Final accounting: flush, one more scrape, exact totals ------------
-    rt.flush_thread();
+    rt.flush();
     rt.analyze_now();
     let (status, body) = get(addr, "/metrics").expect("final scrape");
     sweep.check(status == 200, || format!("final scrape answered {status}"));

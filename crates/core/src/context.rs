@@ -201,6 +201,16 @@ impl<K: Kind> ContextCore<K> {
         self.history.lock().alloc_bytes_per_op()
     }
 
+    /// The clock period `P` for the site's monitored op streams: clock one
+    /// op in `P` and scale its nanos by `P`. It is `max(1, W / 256)` for
+    /// the `W` ops of the last analysed window, 8 before the first window,
+    /// and at most 8 in the window that verifies a switch. Monitored
+    /// handles read it when they are created; `cs-runtime` shards read it
+    /// when they are built, after each flush and at each migration.
+    pub fn clock_period(&self) -> u64 {
+        self.clock_period.load(Ordering::Relaxed)
+    }
+
     /// Claims a monitoring slot for a new instance, returning the monitor
     /// payload if this instance should be sampled. The monitor's clock
     /// clocks one op in the context's current period, its phase seeded by
@@ -210,10 +220,9 @@ impl<K: Kind> ContextCore<K> {
             return None;
         }
         let slot = self.window.try_claim_slot(self.config.window_size)?;
-        let period = self.clock_period.load(Ordering::Relaxed);
         Some(Monitor::new(
             self.sink.clone(),
-            ClockSampler::new(period, slot as u64),
+            ClockSampler::new(self.clock_period(), slot as u64),
         ))
     }
 
@@ -222,8 +231,8 @@ impl<K: Kind> ContextCore<K> {
     ///
     /// This is the feedback channel for *long-lived concurrent* collections
     /// (the `cs-runtime` crate): instead of one profile per short-lived
-    /// handle, worker threads flush their thread-local window buffers here
-    /// on epoch boundaries. Each flush claims a monitoring slot (best
+    /// handle, each shard of a concurrent handle flushes its window buffer
+    /// here on epoch boundaries. Each flush claims a monitoring slot (best
     /// effort — a full window still accepts the profile, it just does not
     /// grow the round's `started` count) and lands in the sink, so
     /// [`ContextCore::analyze_guarded`] sees epochs exactly as it sees
@@ -443,7 +452,20 @@ impl<K: Kind> ContextCore<K> {
         self.clock_period
             .fetch_min(FIRST_WINDOW_CLOCK_PERIOD, Ordering::Relaxed);
         self.current.store(sel.kind.index(), Ordering::Release);
+        // Profiles pushed while this pass ran (a concurrent handle's shard
+        // flushing between the drain above and the store) were recorded on
+        // the variant just replaced: they join the history, not the window
+        // that verifies the switch. The guard goes before the history lock:
+        // history is always locked first.
+        let late = self.sink.drain();
         self.switches.fetch_add(1, Ordering::Relaxed);
+        drop(guard);
+        if !late.is_empty() {
+            let mut history = self.history.lock();
+            for profile in &late {
+                history.add(profile);
+            }
+        }
         Some(TransitionEvent::new(
             self.id,
             self.name.clone(),
@@ -765,7 +787,7 @@ mod tests {
 
     /// Claims `n` monitoring slots and pushes `n` profiles of `ops`
     /// contains-ops each, spreading `total_nanos` across them.
-    fn feed_window(core: &ContextCore<ListKind>, n: usize, ops: u64, nanos_per_profile: u64) {
+    fn feed_window<K: Kind>(core: &ContextCore<K>, n: usize, ops: u64, nanos_per_profile: u64) {
         for _ in 0..n {
             assert!(core
                 .window
@@ -1022,9 +1044,11 @@ mod tests {
     #[test]
     fn each_analysed_window_sets_the_next_monitors_clock_period() {
         let core = list_core();
+        // The monitor handed out and the public accessor agree.
         let period = |core: &ContextCore<ListKind>| {
             let m = core.claim_monitor().expect("window has a free slot");
             core.window.reset();
+            assert_eq!(m.clock_period(), core.clock_period());
             m.clock_period()
         };
         assert_eq!(period(&core), FIRST_WINDOW_CLOCK_PERIOD);
@@ -1077,6 +1101,68 @@ mod tests {
             .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
             .is_some());
         assert_eq!(period(&core), 3);
+    }
+
+    /// A kind family whose `Display` pushes one profile into an armed sink:
+    /// a selection pass formats candidate kinds between its drain and its
+    /// store of the new kind, so this stands in for a concurrent shard
+    /// flushing in the middle of the pass.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    enum RacyKind {
+        Slow,
+        Fast,
+        Adaptive,
+    }
+
+    thread_local! {
+        static MID_PASS_PUSH: std::cell::RefCell<Option<ProfileSink>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    impl std::fmt::Display for RacyKind {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            if let Some(sink) = MID_PASS_PUSH.with(|armed| armed.borrow_mut().take()) {
+                let mut c = OpCounters::new();
+                c.add(OpKind::Contains, 7);
+                sink.push(WorkloadProfile::new(c, 5));
+            }
+            write!(f, "{self:?}")
+        }
+    }
+
+    impl Kind for RacyKind {
+        const ABSTRACTION: cs_collections::Abstraction = cs_collections::Abstraction::List;
+        fn all() -> &'static [Self] {
+            &[RacyKind::Slow, RacyKind::Fast, RacyKind::Adaptive]
+        }
+        fn adaptive_kind() -> Self {
+            RacyKind::Adaptive
+        }
+        fn adaptive_threshold() -> usize {
+            1_000
+        }
+    }
+
+    #[test]
+    fn profiles_pushed_during_a_switching_pass_join_the_history_not_the_verify_window() {
+        let core = ContextCore::new(1, "racy".into(), RacyKind::Slow, test_config());
+        let mut model = PerformanceModel::new();
+        for (kind, cost) in [(RacyKind::Slow, 100.0), (RacyKind::Fast, 10.0)] {
+            let mut vm = VariantCostModel::new();
+            for op in OpKind::ALL {
+                vm.set_op_cost(Dim::Time, op, Polynomial::constant(cost));
+            }
+            model.insert_variant(kind, vm);
+        }
+        feed_window(&core, 10, 100, 1_000);
+        MID_PASS_PUSH.with(|armed| *armed.borrow_mut() = Some(core.sink.clone()));
+        assert!(core.analyze(&model, &SelectionRule::r_time()).is_some());
+        assert_eq!(core.current_kind(), RacyKind::Fast);
+        assert!(MID_PASS_PUSH.with(|armed| armed.borrow().is_none()), "pushed mid-pass");
+        // The mid-pass profile ran on the replaced variant: the window that
+        // verifies the switch starts empty, and the history holds it.
+        assert_eq!(core.sink.len(), 0);
+        assert_eq!(core.stats().history_instances, 11);
     }
 
     #[test]

@@ -611,12 +611,12 @@ mod tests {
         for i in 0..100u64 {
             map.insert(i, i);
         }
-        rt.flush_thread();
+        rt.flush();
         obs.tick();
         for i in 0..50u64 {
             map.get(&i);
         }
-        rt.flush_thread();
+        rt.flush();
         obs.tick();
 
         assert_eq!(obs.window_len(), 2);

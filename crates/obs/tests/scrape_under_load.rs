@@ -86,7 +86,7 @@ fn scrapes_stay_valid_and_monotone_under_concurrent_load() {
     let report = loader.join().expect("workload thread");
 
     // Final accounting: flush everything, scrape once more, compare exact.
-    rt.flush_thread();
+    rt.flush();
     rt.analyze_now();
     let (status, body) = get(addr, "/metrics");
     assert_eq!(status, 200);

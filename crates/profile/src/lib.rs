@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod buffer;
 mod histogram;
 mod op;
 mod profile;
@@ -45,7 +44,6 @@ mod sample;
 mod sink;
 mod window;
 
-pub use buffer::LocalWindowBuffer;
 pub use histogram::{BucketAgg, ProfileHistogram};
 pub use op::{OpCounters, OpKind, OpRecorder};
 pub use profile::WorkloadProfile;

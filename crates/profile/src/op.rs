@@ -132,11 +132,13 @@ impl OpCounters {
     }
 }
 
-/// Per-instance recorder carried by a monitored collection handle.
+/// Per-instance recorder carried by a monitored collection handle, and by
+/// each shard of a `cs-runtime` concurrent handle, behind the shard's lock.
 ///
-/// Single-owner by design: a monitored handle is not shared, so plain fields
-/// beat atomics — this is where the framework's "very low overhead" claim is
-/// won or lost (paper Fig. 7).
+/// Single-owner by design: a monitored handle is not shared, and a shard's
+/// recorder is only touched under its lock, so plain fields beat atomics —
+/// this is where the framework's "very low overhead" claim is won or lost
+/// (paper Fig. 7).
 ///
 /// # Examples
 ///
@@ -154,6 +156,7 @@ pub struct OpRecorder {
     counters: OpCounters,
     max_size: usize,
     elapsed_nanos: u64,
+    contended: u64,
     alloc_count: u64,
     alloc_bytes: u64,
 }
@@ -186,6 +189,14 @@ impl OpRecorder {
     #[inline]
     pub fn add_nanos(&mut self, nanos: u64) {
         self.elapsed_nanos = self.elapsed_nanos.saturating_add(nanos);
+    }
+
+    /// Notes that the most recent op waited for a lock (a concurrent
+    /// handle's contended shard); the count rides the profile into the
+    /// runtime's per-site contention counter.
+    #[inline]
+    pub fn note_contended(&mut self) {
+        self.contended += 1;
     }
 
     /// Current counters.
@@ -225,6 +236,7 @@ impl OpRecorder {
     /// Consumes the recorder into an immutable [`WorkloadProfile`](crate::WorkloadProfile).
     pub fn finish(self) -> crate::WorkloadProfile {
         crate::WorkloadProfile::with_nanos(self.counters, self.max_size, self.elapsed_nanos)
+            .with_contended(self.contended)
             .with_alloc(self.alloc_count, self.alloc_bytes)
     }
 }
@@ -292,9 +304,13 @@ mod tests {
         r.record(OpKind::Contains);
         r.record(OpKind::Contains);
         r.observe_size(4);
+        r.add_nanos(250);
+        r.note_contended();
         let p = r.finish();
         assert_eq!(p.count(OpKind::Contains), 2);
         assert_eq!(p.max_size(), 4);
+        assert_eq!(p.elapsed_nanos(), 250);
+        assert_eq!(p.contended(), 1);
     }
 
     #[test]

@@ -85,7 +85,7 @@ impl ProfileSink {
     /// flushes alike — so the profile handoff itself is spanned as a
     /// [`Flush`](cs_trace::Phase::Flush). Application time is *not*
     /// credited here: the concurrent runtime credits wall intervals at its
-    /// thread-local flush boundaries (`cs_trace::credit_app_ops`), and
+    /// shard flush boundaries (`cs_trace::credit_app_ops`), and
     /// crediting the profile's sampled in-op nanos too would double-count
     /// the same work through a much smaller denominator.
     pub fn push(&self, profile: WorkloadProfile) {

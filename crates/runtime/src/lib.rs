@@ -8,19 +8,22 @@
 //!    lock-striped [`ShardedHashMap`](cs_collections::ShardedHashMap) keyed
 //!    by site id, so registering sites and reading their stats never funnels
 //!    through one lock.
-//! 2. **Thread-local profile buffers** — every op on a concurrent handle is
-//!    recorded into the calling thread's private buffer and folded into the
-//!    site's shared profile only on *epoch boundaries* (a count or time
-//!    trigger). The hot path performs **zero shared-memory writes** for
-//!    monitoring; see [`flush_current_thread`] and the `tlb` module docs
-//!    for the memory-ordering contract.
+//! 2. **Shard-local profile buffers** — every op on a concurrent handle is
+//!    recorded in the shard it locks, next to the collection and behind the
+//!    same mutex, and folded into the site's shared profile only on *epoch
+//!    boundaries*: a count or time trigger, an explicit [`Runtime::flush`]
+//!    or handle `flush`, or the drop of a handle's last clone. Recording
+//!    touches no thread-local state and no cache line the op does not
+//!    already own; see the `shard` module docs for the epoch protocol.
 //! 3. **Concurrent monitored handles** — [`ConcurrentMap`] /
 //!    [`ConcurrentSet`] are `Send + Sync` lock-striped collections whose
 //!    shards each hold the engine-selected variant and migrate to a new
 //!    variant lazily, under their own lock, when the analyzer switches the
 //!    site. Guarded adaptation — post-switch verification, rollback,
 //!    quarantine, degraded mode — applies unchanged, because each flushed
-//!    buffer reaches the engine as one finished monitored instance.
+//!    buffer reaches the engine as one finished monitored instance, and a
+//!    migrating shard keeps the ops it buffered on the old variant out of
+//!    the window that verifies the switch.
 //!
 //! ```
 //! use cs_collections::MapKind;
@@ -45,6 +48,7 @@
 //!     w.join().unwrap();
 //! }
 //!
+//! runtime.flush(); // publish what the shards still buffer
 //! runtime.analyze_now(); // guarded adaptation over the flushed profiles
 //! let stats = runtime.site_stats(map.id()).unwrap();
 //! assert_eq!(stats.total_ops, 8_000);
@@ -53,16 +57,15 @@
 mod map;
 mod runtime;
 mod set;
+mod shard;
 mod site;
 mod telemetry;
-mod tlb;
 
 pub use map::ConcurrentMap;
 pub use runtime::{Runtime, RuntimeConfig};
 pub use set::ConcurrentSet;
 pub use site::{SiteShared, SiteStats};
 pub use telemetry::site_stats_to_json;
-pub use tlb::flush_current_thread;
 
 // Concurrency is this crate's contract: every public handle must stay
 // shareable across threads. Compile-time proof, kept next to the exports.
@@ -142,9 +145,21 @@ mod tests {
         assert!(set.is_empty());
     }
 
+    /// A runtime whose handles have one shard, so flush counts are exact.
+    fn one_shard_runtime(flush_ops: u64) -> Runtime {
+        Runtime::with_config(
+            Switch::builder().build(),
+            RuntimeConfig {
+                shards: 1,
+                flush_ops,
+                ..RuntimeConfig::default()
+            },
+        )
+    }
+
     #[test]
     fn flushed_ops_reach_site_stats_and_engine() {
-        let rt = runtime();
+        let rt = one_shard_runtime(RuntimeConfig::default().flush_ops);
         let map = rt.named_concurrent_map::<u64, u64>(MapKind::Chained, "stats");
         for i in 0..50 {
             map.insert(i, i);
@@ -154,24 +169,19 @@ mod tests {
         }
         // Nothing shared yet (default flush_ops is 1024).
         assert_eq!(rt.site_stats(map.id()).unwrap().total_ops, 0);
-        rt.flush_thread();
+        rt.flush();
         let stats = rt.site_stats(map.id()).unwrap();
         assert_eq!(stats.ops[OpKind::Populate.index()], 50);
         assert_eq!(stats.ops[OpKind::Contains.index()], 100);
         assert_eq!(stats.total_ops, 150);
         assert_eq!(stats.flushes, 1);
         assert_eq!(stats.name, "stats");
+        assert_eq!(rt.engine().health().profiles_ingested, 1);
     }
 
     #[test]
     fn count_trigger_flushes_without_explicit_call() {
-        let rt = Runtime::with_config(
-            Switch::builder().build(),
-            RuntimeConfig {
-                flush_ops: 64,
-                ..RuntimeConfig::default()
-            },
-        );
+        let rt = one_shard_runtime(64);
         let map = rt.concurrent_map::<u64, u64>(MapKind::Chained);
         for i in 0..640 {
             map.insert(i, i);
@@ -194,7 +204,6 @@ mod tests {
                     for i in 0..OPS {
                         map.insert(t * OPS + i, i);
                     }
-                    // Thread exit flushes the residue via the TLS destructor.
                 })
             })
             .collect();
@@ -202,30 +211,40 @@ mod tests {
             w.join().unwrap();
         }
         assert_eq!(map.len(), (THREADS * OPS) as usize);
+        // Triggers flush a shard at multiples of 64 ops, and 10,000 is
+        // none: some shard still buffers a residue after the threads exit.
+        assert!(map.stats().total_ops < THREADS * OPS);
+        rt.flush();
         let stats = map.stats();
         assert_eq!(stats.total_ops, THREADS * OPS);
         assert_eq!(stats.ops[OpKind::Populate.index()], THREADS * OPS);
     }
 
     #[test]
-    fn shards_migrate_lazily_after_switch_preserving_contents() {
+    fn runtime_flush_publishes_every_live_site_and_drops_publish_the_rest() {
         let rt = runtime();
         let map = rt.concurrent_map::<u64, u64>(MapKind::Chained);
-        for i in 0..200 {
-            map.insert(i, i + 1);
-        }
-        // Force the site's kind over the engine core directly, as a guarded
-        // switch would; shards must follow on their next access.
-        let before = map.current_kind();
-        assert_eq!(before, MapKind::Chained);
-        // Feed enough profiles for rounds to run, then check data survives
-        // whatever kind the analyzer chose (possibly unchanged).
-        rt.flush_thread();
-        rt.analyze_now();
-        for i in 0..200 {
-            assert_eq!(map.get(&i), Some(i + 1), "entry {i} lost across rounds");
-        }
-        assert_eq!(map.len(), 200);
+        let set = rt.concurrent_set::<u64>(SetKind::Chained);
+        let dropped = rt.concurrent_set::<u64>(SetKind::Chained);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for i in 0..300 {
+                    map.insert(i, i);
+                    set.insert(i);
+                    dropped.insert(i);
+                }
+            });
+        });
+        let dropped_id = dropped.id();
+        assert_eq!(rt.sites().iter().map(|s| s.total_ops).sum::<u64>(), 0);
+        // The last clone's drop publishes its residue; the registry keeps
+        // the site's stats but no longer reaches its shards.
+        drop(dropped);
+        assert_eq!(rt.site_stats(dropped_id).unwrap().total_ops, 300);
+        rt.flush();
+        assert_eq!(map.stats().total_ops, 300);
+        assert_eq!(set.stats().total_ops, 300);
+        assert_eq!(rt.site_stats(dropped_id).unwrap().total_ops, 300);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The runtime front door: engine + sharded site registry + handle factory.
 
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use cs_collections::{MapKind, SetKind, ShardedHashMap};
@@ -9,27 +9,24 @@ use cs_core::Switch;
 
 use crate::map::ConcurrentMap;
 use crate::set::ConcurrentSet;
-use crate::site::{CoreRef, FlushPolicy, SiteShared, SiteStats};
-use crate::tlb;
+use crate::shard::{Publish, Shards, Variant};
+use crate::site::{CoreRef, SiteShared, SiteStats};
 
 /// Tuning knobs for a [`Runtime`] — shard fan-out for the handles it
-/// creates, and the flush policy stamped onto every site.
+/// creates, and when their shards flush.
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
     /// Lock-striped shards per concurrent handle (rounded up to a power of
     /// two). More shards, less contention, more per-handle memory.
     pub shards: usize,
-    /// Count trigger: a thread-local buffer flushes once it holds this many
+    /// Count trigger: a shard's buffer flushes once it holds this many
     /// ops. One flush is one "finished monitored instance" to the engine,
     /// so this is the runtime's analogue of the monitoring window size.
     pub flush_ops: u64,
-    /// Time trigger: a buffer older than this flushes on the next op that
-    /// probes the clock (every 64 ops). Bounds staleness on quiet threads.
+    /// Time trigger: a shard's buffer older than this flushes on the next
+    /// op that probes the clock (every 64 ops of the shard). Bounds
+    /// staleness on quiet shards.
     pub flush_interval: Duration,
-    /// Timing sample rate as a power of two: each thread wall-clocks 1 of
-    /// its ops on a site in `1 << sample_shift` and scales it up. `0`
-    /// times every op. Defaults to 3 (one op in 8).
-    pub sample_shift: u32,
 }
 
 impl Default for RuntimeConfig {
@@ -38,27 +35,24 @@ impl Default for RuntimeConfig {
             shards: 16,
             flush_ops: 1024,
             flush_interval: Duration::from_millis(10),
-            sample_shift: 3,
         }
     }
 }
 
-impl RuntimeConfig {
-    fn policy(&self) -> FlushPolicy {
-        FlushPolicy {
-            flush_ops: self.flush_ops.max(1),
-            flush_nanos: u64::try_from(self.flush_interval.as_nanos()).unwrap_or(u64::MAX),
-            sample_period: 1u64 << self.sample_shift.min(63),
-        }
-    }
+/// One registry row: the site's shared counters, and its handle's shards
+/// for [`Runtime::flush`], held weakly so the registry never keeps a
+/// dropped handle's shards alive.
+struct Site {
+    shared: Arc<SiteShared>,
+    shards: Weak<dyn Publish>,
 }
 
 /// The concurrent selection runtime: wraps a [`Switch`] engine with a
 /// sharded site registry and hands out `Send + Sync` monitored collections.
 ///
 /// The engine's guarded adaptation (verification, rollback, quarantine,
-/// degraded mode) applies to runtime sites unchanged: every thread-local
-/// buffer flush feeds the site's engine context as one finished monitored
+/// degraded mode) applies to runtime sites unchanged: every shard buffer
+/// flush feeds the site's engine context as one finished monitored
 /// instance, and [`Runtime::analyze_now`] (or the engine's background
 /// analyzer) drives switches.
 ///
@@ -72,7 +66,7 @@ impl RuntimeConfig {
 /// map.insert(7, "alpha".to_string());
 /// assert_eq!(map.get(&7).as_deref(), Some("alpha"));
 ///
-/// runtime.flush_thread(); // publish this thread's buffered ops
+/// runtime.flush(); // publish the ops buffered in every shard
 /// let stats = runtime.site_stats(map.id()).unwrap();
 /// assert_eq!(stats.total_ops, 2);
 /// ```
@@ -80,7 +74,7 @@ impl RuntimeConfig {
 pub struct Runtime {
     engine: Switch,
     config: RuntimeConfig,
-    registry: Arc<ShardedHashMap<u64, Arc<SiteShared>>>,
+    registry: Arc<ShardedHashMap<u64, Site>>,
 }
 
 impl std::fmt::Debug for Runtime {
@@ -118,30 +112,37 @@ impl Runtime {
         self.config
     }
 
-    fn register(&self, site: Arc<SiteShared>) {
-        self.registry.insert(site.id(), site);
+    /// Registers a site with the shards that record into it.
+    fn register<C: Variant + Send + 'static>(
+        &self,
+        shared: Arc<SiteShared>,
+        shards: &Arc<Shards<C>>,
+    ) {
+        let shards = Arc::downgrade(shards) as Weak<dyn Publish>;
+        self.registry.insert(shared.id(), Site { shared, shards });
     }
 
     /// Creates an anonymous concurrent map site starting at `default`.
     pub fn concurrent_map<K, V>(&self, default: MapKind) -> ConcurrentMap<K, V>
     where
-        K: Eq + Hash + Clone,
-        V: Clone,
+        K: Eq + Hash + Clone + Send + 'static,
+        V: Clone + Send + 'static,
     {
         self.named_concurrent_map(default, format!("cmap-{}", self.registry.len()))
     }
 
     /// Creates a named concurrent map site starting at `default`. The site
     /// registers with the engine (so the analyzer sees it) and with the
-    /// runtime's registry (so [`Runtime::site_stats`] can find it).
+    /// runtime's registry (so [`Runtime::site_stats`] and
+    /// [`Runtime::flush`] can find it).
     pub fn named_concurrent_map<K, V>(
         &self,
         default: MapKind,
         name: impl Into<String>,
     ) -> ConcurrentMap<K, V>
     where
-        K: Eq + Hash + Clone,
-        V: Clone,
+        K: Eq + Hash + Clone + Send + 'static,
+        V: Clone + Send + 'static,
     {
         let name = name.into();
         let ctx = self
@@ -152,16 +153,16 @@ impl Runtime {
             ctx.id(),
             name,
             CoreRef::Map(Arc::clone(&core)),
-            self.config.policy(),
         ));
-        self.register(Arc::clone(&shared));
-        ConcurrentMap::new(shared, core, self.config.shards)
+        let map = ConcurrentMap::new(Arc::clone(&shared), core, &self.config);
+        self.register(shared, &map.inner);
+        map
     }
 
     /// Creates an anonymous concurrent set site starting at `default`.
     pub fn concurrent_set<T>(&self, default: SetKind) -> ConcurrentSet<T>
     where
-        T: Eq + Hash + Clone,
+        T: Eq + Hash + Clone + Send + 'static,
     {
         self.named_concurrent_set(default, format!("cset-{}", self.registry.len()))
     }
@@ -173,7 +174,7 @@ impl Runtime {
         name: impl Into<String>,
     ) -> ConcurrentSet<T>
     where
-        T: Eq + Hash + Clone,
+        T: Eq + Hash + Clone + Send + 'static,
     {
         let name = name.into();
         let ctx = self.engine.named_set_context::<T>(default, name.clone());
@@ -182,25 +183,32 @@ impl Runtime {
             ctx.id(),
             name,
             CoreRef::Set(Arc::clone(&core)),
-            self.config.policy(),
         ));
-        self.register(Arc::clone(&shared));
-        ConcurrentSet::new(shared, core, self.config.shards)
+        let set = ConcurrentSet::new(Arc::clone(&shared), core, &self.config);
+        self.register(shared, &set.inner);
+        set
     }
 
     /// Runs one guarded analysis round over every engine context, runtime
-    /// sites included. Flush first (per thread) if the round should see the
-    /// latest ops.
+    /// sites included. [`Runtime::flush`] first if the round should see
+    /// the latest ops.
     pub fn analyze_now(&self) {
         self.engine.analyze_now();
     }
 
-    /// Flushes the *calling* thread's buffered ops into their sites. Each
-    /// worker thread flushes its own buffers (or lets its thread-exit
-    /// destructor do it); there is no cross-thread flush by design — that
-    /// would reintroduce the shared hot path the buffers exist to avoid.
-    pub fn flush_thread(&self) {
-        tlb::flush_current_thread();
+    /// Publishes the ops buffered in every shard of every live site,
+    /// whichever threads ran them: a synchronous checkpoint before an
+    /// assertion, a scrape or a deliberate [`Runtime::analyze_now`].
+    /// Shards also publish on their own epoch boundaries and when a
+    /// handle's last clone drops.
+    pub fn flush(&self) {
+        // Collect first: no site is flushed while a registry lock is held.
+        let mut live = Vec::with_capacity(self.registry.len());
+        self.registry
+            .for_each(|_, site| live.extend(site.shards.upgrade()));
+        for shards in live {
+            shards.flush();
+        }
     }
 
     /// Atomically persists the engine's learned selection state (runtime
@@ -232,13 +240,14 @@ impl Runtime {
     /// Snapshot of one site's counters, by site id. Reads the registry
     /// entry in place ([`ShardedHashMap::read`]) — no clone on this path.
     pub fn site_stats(&self, id: u64) -> Option<SiteStats> {
-        self.registry.read(&id, |site| site.stats())
+        self.registry.read(&id, |site| site.shared.stats())
     }
 
     /// Snapshots of every runtime site, sorted by site id.
     pub fn sites(&self) -> Vec<SiteStats> {
         let mut out = Vec::with_capacity(self.registry.len());
-        self.registry.for_each(|_, site| out.push(site.stats()));
+        self.registry
+            .for_each(|_, site| out.push(site.shared.stats()));
         out.sort_by_key(|s| s.id);
         out
     }
@@ -254,7 +263,7 @@ impl Runtime {
     pub fn site_manifest(&self) -> Vec<cs_core::SiteManifestEntry> {
         let mut out = Vec::with_capacity(self.registry.len());
         self.registry
-            .for_each(|_, site| out.push(site.manifest_entry()));
+            .for_each(|_, site| out.push(site.shared.manifest_entry()));
         out.sort_by_key(|e| e.id);
         out
     }

@@ -1,7 +1,7 @@
 //! The concurrent adaptive set handle — [`ConcurrentMap`](crate::ConcurrentMap)'s
-//! sibling over [`AnySet`]/[`SetKind`]. See the map module for the design
-//! notes (lock striping, lazy shard migration, thread-local op recording);
-//! everything here is the same protocol with set ops.
+//! sibling over [`AnySet`]/[`SetKind`]. Both run on the `shard` module:
+//! lock striping, lazy shard migration, and op recording in the shard each
+//! op locks. Only the set ops are defined here.
 
 use std::hash::Hash;
 use std::sync::Arc;
@@ -11,15 +11,9 @@ use cs_core::ContextCore;
 use cs_profile::OpKind;
 use parking_lot::Mutex;
 
+use crate::shard::{Shard, Shards};
 use crate::site::SiteShared;
-use crate::tlb;
-
-pub(crate) struct SetInner<T: Eq + Hash + Clone> {
-    pub(crate) shared: Arc<SiteShared>,
-    pub(crate) core: Arc<ContextCore<SetKind>>,
-    shards: Box<[Mutex<AnySet<T>>]>,
-    mask: u64,
-}
+use crate::RuntimeConfig;
 
 /// A thread-safe adaptive set bound to one runtime site.
 ///
@@ -27,7 +21,7 @@ pub(crate) struct SetInner<T: Eq + Hash + Clone> {
 /// engine switches the site's variant under guarded adaptation exactly as
 /// for single-owner handles; shards migrate lazily under their own lock.
 pub struct ConcurrentSet<T: Eq + Hash + Clone> {
-    inner: Arc<SetInner<T>>,
+    pub(crate) inner: Arc<Shards<AnySet<T>>>,
 }
 
 impl<T: Eq + Hash + Clone> Clone for ConcurrentSet<T> {
@@ -41,94 +35,55 @@ impl<T: Eq + Hash + Clone> Clone for ConcurrentSet<T> {
 impl<T: Eq + Hash + Clone> std::fmt::Debug for ConcurrentSet<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConcurrentSet")
-            .field("site", &self.inner.shared.name())
+            .field("site", &self.inner.site.name())
             .field("shards", &self.inner.shards.len())
             .field("kind", &self.inner.core.current_kind())
             .finish()
     }
 }
 
-fn migrate_shard<T: Eq + Hash + Clone>(shard: &mut AnySet<T>, want: SetKind) {
-    let old = std::mem::replace(shard, AnySet::new(SetKind::Array));
-    *shard = old.switched_to(want);
-}
-
 impl<T: Eq + Hash + Clone> ConcurrentSet<T> {
     pub(crate) fn new(
-        shared: Arc<SiteShared>,
+        site: Arc<SiteShared>,
         core: Arc<ContextCore<SetKind>>,
-        shards: usize,
+        config: &RuntimeConfig,
     ) -> Self {
-        let n = shards.next_power_of_two();
-        let kind = core.current_kind();
-        ConcurrentSet {
-            inner: Arc::new(SetInner {
-                shared,
-                core,
-                shards: (0..n).map(|_| Mutex::new(AnySet::new(kind))).collect(),
-                mask: (n - 1) as u64,
-            }),
-        }
-    }
-
-    #[inline]
-    fn op<R>(&self, op: OpKind, hash: u64, f: impl FnOnce(&mut AnySet<T>) -> R) -> R {
-        let inner = &self.inner;
-        let shard = &inner.shards[((hash >> 48) & inner.mask) as usize];
-        tlb::site_op_tracked(&inner.shared, op, || {
-            let (mut guard, contended) = match shard.try_lock() {
-                Some(g) => (g, false),
-                None => (shard.lock(), true),
-            };
-            let want = inner.core.current_kind();
-            if guard.kind() != want {
-                migrate_shard(&mut guard, want);
-            }
-            let out = f(&mut guard);
-            (out, guard.len(), contended)
-        })
+        let inner = Arc::new(Shards::new(site, core, config, |kind, clock, now| {
+            Mutex::new(Shard::new(AnySet::new(kind), clock, now))
+        }));
+        ConcurrentSet { inner }
     }
 
     /// Inserts `value`, returning `true` if it was not already present
     /// (critical op: *populate*).
     pub fn insert(&self, value: T) -> bool {
         let h = hash_one(&value);
-        self.op(OpKind::Populate, h, |s| s.insert(value))
+        self.inner.op(OpKind::Populate, h, |s| s.insert(value))
     }
 
     /// Returns `true` if `value` is in the set (critical op: *contains*).
     pub fn contains(&self, value: &T) -> bool {
-        self.op(OpKind::Contains, hash_one(value), |s| s.contains(value))
+        self.inner
+            .op(OpKind::Contains, hash_one(value), |s| s.contains(value))
     }
 
     /// Removes `value`, returning `true` if it was present (critical op:
     /// *middle*).
     pub fn remove(&self, value: &T) -> bool {
-        self.op(OpKind::Middle, hash_one(value), |s| s.set_remove(value))
+        self.inner
+            .op(OpKind::Middle, hash_one(value), |s| s.set_remove(value))
     }
 
     /// Visits every value, shard by shard (critical op: *iterate*; each
     /// shard is locked only while it is visited).
     pub fn for_each(&self, mut f: impl FnMut(&T)) {
-        for shard in self.inner.shards.iter() {
-            tlb::site_op_tracked(&self.inner.shared, OpKind::Iterate, || {
-                let (mut guard, contended) = match shard.try_lock() {
-                    Some(g) => (g, false),
-                    None => (shard.lock(), true),
-                };
-                let want = self.inner.core.current_kind();
-                if guard.kind() != want {
-                    migrate_shard(&mut guard, want);
-                }
-                guard.for_each_value(&mut |v| f(v));
-                ((), guard.len(), contended)
-            });
-        }
+        self.inner
+            .for_each(|shard| shard.for_each_value(&mut |v| f(v)));
     }
 
     /// Total values over all shards (not recorded as a critical op).
     pub fn len(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.lock().len()).sum()
+        self.inner.len()
     }
 
     /// Returns `true` if no shard holds values.
@@ -138,9 +93,7 @@ impl<T: Eq + Hash + Clone> ConcurrentSet<T> {
 
     /// Removes every value (not recorded as a critical op).
     pub fn clear(&self) {
-        for shard in self.inner.shards.iter() {
-            shard.lock().clear();
-        }
+        self.inner.clear();
     }
 
     /// Number of lock-striped shards.
@@ -155,21 +108,22 @@ impl<T: Eq + Hash + Clone> ConcurrentSet<T> {
 
     /// The site's id within its engine.
     pub fn id(&self) -> u64 {
-        self.inner.shared.id()
+        self.inner.site.id()
     }
 
     /// The site's allocation-site label.
     pub fn name(&self) -> &str {
-        self.inner.shared.name()
+        self.inner.site.name()
     }
 
     /// A snapshot of the site's counters.
     pub fn stats(&self) -> crate::SiteStats {
-        self.inner.shared.stats()
+        self.inner.site.stats()
     }
 
-    /// Flushes the *calling thread's* buffered ops for every site.
+    /// Publishes the ops buffered in every shard of this set, whichever
+    /// threads ran them.
     pub fn flush(&self) {
-        tlb::flush_current_thread();
+        self.inner.flush();
     }
 }

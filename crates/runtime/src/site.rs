@@ -1,49 +1,23 @@
 //! Shared per-site state: exact op totals, flush/contention counters, and
 //! the kind-generic engine core the flush path feeds.
 //!
-//! A [`SiteShared`] is the *only* state an op on a concurrent handle ever
-//! shares with other threads — and it is touched exclusively on the flush
-//! path (epoch boundaries), never per op. The hot path lives in
-//! [`tlb`](crate::tlb); this module is where flushed buffers land.
+//! A [`SiteShared`] is the only state an op on a concurrent handle shares
+//! beyond the shard it locks, and it is touched only on epoch boundaries
+//! and migration cuts, never per op. The hot path lives in the `shard`
+//! module; this module is where drained shard buffers land.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cs_collections::{ListKind, MapKind, SetKind};
+use cs_collections::{MapKind, SetKind};
 use cs_core::{ContextCore, ContextStats};
 use cs_profile::{OpKind, WorkloadProfile};
-
-/// Flush policy stamped onto every site at creation (from
-/// [`RuntimeConfig`](crate::RuntimeConfig)): when a thread-local buffer
-/// spills into the shared profile, and how timing is sampled.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FlushPolicy {
-    /// Count trigger: flush once this many ops are buffered locally.
-    pub flush_ops: u64,
-    /// Time trigger: flush once the buffer is older than this many nanos
-    /// (checked every [`FlushPolicy::CLOCK_CHECK_MASK`]+1 ops, so an idle
-    /// buffer can exceed it until the next op or an explicit flush).
-    pub flush_nanos: u64,
-    /// Timing-sample period: each thread's buffer for the site wall-clocks
-    /// one op in `sample_period` and scales the measured nanos by it at
-    /// record time. `1` times every op.
-    pub sample_period: u64,
-}
-
-impl FlushPolicy {
-    /// The time trigger is only probed every 64 ops — one `Instant::now()`
-    /// per 64 ops instead of one per op.
-    pub(crate) const CLOCK_CHECK_MASK: u64 = 63;
-}
 
 /// The kind-generic engine context behind a site, type-erased over the
 /// element types (a [`ContextCore`] is generic over the *kind* only, which
 /// is what makes a non-generic registry possible).
 #[derive(Debug)]
 pub(crate) enum CoreRef {
-    /// A list site.
-    #[allow(dead_code)] // registered for symmetry; no concurrent list handle yet
-    List(Arc<ContextCore<ListKind>>),
     /// A set site.
     Set(Arc<ContextCore<SetKind>>),
     /// A map site.
@@ -53,7 +27,6 @@ pub(crate) enum CoreRef {
 impl CoreRef {
     fn ingest(&self, profile: WorkloadProfile) -> bool {
         match self {
-            CoreRef::List(c) => c.ingest_profile(profile),
             CoreRef::Set(c) => c.ingest_profile(profile),
             CoreRef::Map(c) => c.ingest_profile(profile),
         }
@@ -61,7 +34,6 @@ impl CoreRef {
 
     fn stats(&self) -> ContextStats {
         match self {
-            CoreRef::List(c) => c.stats(),
             CoreRef::Set(c) => c.stats(),
             CoreRef::Map(c) => c.stats(),
         }
@@ -69,7 +41,6 @@ impl CoreRef {
 
     fn current_kind(&self) -> String {
         match self {
-            CoreRef::List(c) => c.current_kind().to_string(),
             CoreRef::Set(c) => c.current_kind().to_string(),
             CoreRef::Map(c) => c.current_kind().to_string(),
         }
@@ -77,7 +48,6 @@ impl CoreRef {
 
     fn default_kind(&self) -> String {
         match self {
-            CoreRef::List(c) => c.default_kind().to_string(),
             CoreRef::Set(c) => c.default_kind().to_string(),
             CoreRef::Map(c) => c.default_kind().to_string(),
         }
@@ -85,7 +55,6 @@ impl CoreRef {
 
     fn abstraction(&self) -> cs_collections::Abstraction {
         match self {
-            CoreRef::List(_) => cs_collections::Abstraction::List,
             CoreRef::Set(_) => cs_collections::Abstraction::Set,
             CoreRef::Map(_) => cs_collections::Abstraction::Map,
         }
@@ -93,14 +62,13 @@ impl CoreRef {
 }
 
 /// Shared state of one runtime site: exact cumulative op totals (updated in
-/// batch at flush time), flush and shard-contention counters, and the engine
-/// core that receives flushed profiles.
+/// batch when a shard publishes its buffer), flush and shard-contention
+/// counters, and the engine core that receives flushed profiles.
 #[derive(Debug)]
 pub struct SiteShared {
     id: u64,
     name: String,
     core: CoreRef,
-    policy: FlushPolicy,
     op_totals: [AtomicU64; 4],
     nanos_total: AtomicU64,
     max_size: AtomicUsize,
@@ -111,12 +79,11 @@ pub struct SiteShared {
 }
 
 impl SiteShared {
-    pub(crate) fn new(id: u64, name: String, core: CoreRef, policy: FlushPolicy) -> Self {
+    pub(crate) fn new(id: u64, name: String, core: CoreRef) -> Self {
         SiteShared {
             id,
             name,
             core,
-            policy,
             op_totals: [
                 AtomicU64::new(0),
                 AtomicU64::new(0),
@@ -142,10 +109,6 @@ impl SiteShared {
         &self.name
     }
 
-    pub(crate) fn policy(&self) -> FlushPolicy {
-        self.policy
-    }
-
     /// This site's row in [`Runtime::site_manifest`](crate::Runtime::site_manifest).
     pub fn manifest_entry(&self) -> cs_core::SiteManifestEntry {
         let total_ops: u64 = (0..4)
@@ -166,11 +129,11 @@ impl SiteShared {
         }
     }
 
-    /// Folds one flushed thread-local buffer into the shared state: exact
-    /// totals first (atomics, never lost even when the engine is frozen),
-    /// then the profile into the engine core's sink, where the analyzer
-    /// treats it as one finished monitored instance.
-    pub(crate) fn ingest(&self, profile: WorkloadProfile) {
+    /// Adds a drained shard buffer to the exact totals — op counts, nanos,
+    /// contention, allocation, max size — without handing it to the
+    /// engine: the migration cut, which keeps ops that ran on the old
+    /// variant out of the window that verifies a switch.
+    pub(crate) fn publish_totals(&self, profile: &WorkloadProfile) {
         for op in OpKind::ALL {
             let n = profile.count(op);
             if n > 0 {
@@ -192,11 +155,19 @@ impl SiteShared {
                 .fetch_add(profile.alloc_bytes(), Ordering::Relaxed);
         }
         self.max_size.fetch_max(profile.max_size(), Ordering::Relaxed);
+    }
+
+    /// Folds one flushed shard buffer into the shared state: exact totals
+    /// first (atomics, never lost even when the engine is frozen), then the
+    /// profile into the engine core's sink, where the analyzer treats it as
+    /// one finished monitored instance.
+    pub(crate) fn ingest(&self, profile: WorkloadProfile) {
+        self.publish_totals(&profile);
         self.flushes.fetch_add(1, Ordering::Relaxed);
         self.core.ingest(profile);
     }
 
-    /// Exact cumulative count for `op` over every flushed buffer.
+    /// Exact cumulative count for `op` over every published buffer.
     pub fn op_total(&self, op: OpKind) -> u64 {
         self.op_totals[op.index()].load(Ordering::Relaxed)
     }
@@ -244,17 +215,20 @@ pub struct SiteStats {
     pub ops: [u64; 4],
     /// Sum of [`SiteStats::ops`].
     pub total_ops: u64,
-    /// Sampled-and-scaled wall time attributed to critical ops.
+    /// Sampled-and-scaled wall time attributed to critical ops (the op
+    /// body and any migration, not the wait for the shard lock).
     pub sampled_nanos: u64,
     /// Largest post-op shard size observed.
     pub max_size: usize,
-    /// Thread-local buffer flushes into this site.
+    /// Shard buffer flushes into this site (migration cuts not included).
     pub flushes: u64,
     /// Contended shard-lock acquisitions.
     pub contended: u64,
-    /// Sampled-and-scaled allocation events attributed to critical ops.
+    /// Allocation events attributed to critical ops (exact while a
+    /// counting allocator is active, else 0).
     pub alloc_count: u64,
-    /// Sampled-and-scaled allocation bytes attributed to critical ops.
+    /// Allocation bytes attributed to critical ops (exact while a counting
+    /// allocator is active, else 0).
     pub alloc_bytes: u64,
     /// Engine analysis rounds completed for this site.
     pub rounds: u64,
@@ -266,7 +240,7 @@ pub struct SiteStats {
 
 impl SiteStats {
     /// Mean attributed allocation bytes per critical op; `0.0` before any
-    /// ops flushed. Sampled estimate under `sample_period > 1`.
+    /// ops flushed.
     pub fn alloc_bytes_per_op(&self) -> f64 {
         if self.total_ops == 0 {
             0.0

@@ -169,13 +169,20 @@ mod tests {
 
     #[test]
     fn export_mirrors_site_counters_and_validates() {
-        let rt = Runtime::new(Switch::builder().build());
+        // One shard, so one flush publishes everything buffered.
+        let rt = Runtime::with_config(
+            Switch::builder().build(),
+            crate::RuntimeConfig {
+                shards: 1,
+                ..crate::RuntimeConfig::default()
+            },
+        );
         let map = rt.named_concurrent_map::<u64, u64>(MapKind::Chained, "tele-map");
         for i in 0..50 {
             map.insert(i, i);
             map.get(&i);
         }
-        rt.flush_thread();
+        rt.flush();
 
         let registry = MetricsRegistry::new();
         rt.export_metrics(&registry);
@@ -200,7 +207,7 @@ mod tests {
         for i in 0..10 {
             map.insert(100 + i, i);
         }
-        rt.flush_thread();
+        rt.flush();
         rt.export_metrics(&registry);
         assert_eq!(
             registry
@@ -215,7 +222,7 @@ mod tests {
         let rt = Runtime::new(Switch::builder().build());
         let map = rt.named_concurrent_map::<u64, u64>(MapKind::Chained, "row");
         map.insert(1, 1);
-        rt.flush_thread();
+        rt.flush();
         let stats = rt.site_stats(map.id()).unwrap();
         let row = site_stats_to_json(&stats).render();
         assert!(row.contains("\"site\":\"row\""));
@@ -235,7 +242,7 @@ mod tests {
         for i in 0..10 {
             map.insert(i, i);
         }
-        rt.flush_thread();
+        rt.flush();
         let registry = MetricsRegistry::new();
         rt.export_metrics(&registry);
         let snap = registry.snapshot();
@@ -260,7 +267,7 @@ mod tests {
         for i in 0..10 {
             map.insert(i, i);
         }
-        rt.flush_thread();
+        rt.flush();
         let registry = MetricsRegistry::new();
         rt.export_metrics(&registry);
         let snap = registry.snapshot();

@@ -10,43 +10,23 @@
 //! The harness asserts the two invariants the runtime promises:
 //!
 //! * **Zero lost ops** — the sum of per-thread op counts equals the site's
-//!   exact flushed totals, per op kind, despite buffers flushing on count
-//!   triggers, explicit flushes, and thread-exit destructors interleaved
-//!   with switches and rollbacks.
+//!   exact flushed totals, per op kind, despite shard buffers flushing on
+//!   count triggers, explicit flushes, and migration cuts interleaved with
+//!   switches and rollbacks.
 //! * **Event-log consistency** — context switch/rollback counters match the
 //!   engine's transition and event logs, the restored variant is live, data
 //!   survives every migration, and the engine never degrades.
+
+mod common;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 use cs_collections::MapKind;
-use cs_core::{EngineEvent, GuardrailConfig, Kind, Models, SelectionRule, Switch};
-use cs_model::{CostDimension, PerformanceModel, Polynomial, VariantCostModel};
+use cs_core::{EngineEvent, GuardrailConfig, Models, SelectionRule, Switch};
 use cs_profile::{OpKind, WindowConfig};
 use cs_runtime::{ConcurrentMap, Runtime, RuntimeConfig};
-
-/// A map model with a flat per-op time cost for every variant: the chained
-/// default is claimed to cost 100 ns/op and the array variant 1 ns/op (a
-/// predicted 100x win reality will contradict on a populated map); every
-/// other variant is priced out so the engine can only try the bad one.
-fn inverted_map_model() -> PerformanceModel<MapKind> {
-    let mut model = PerformanceModel::new();
-    for &kind in MapKind::all() {
-        let cost = match kind {
-            MapKind::Array => 1.0,
-            MapKind::Chained => 100.0,
-            _ => 10_000.0,
-        };
-        let mut variant = VariantCostModel::new();
-        for op in OpKind::ALL {
-            variant.set_op_cost(CostDimension::Time, op, Polynomial::constant(cost));
-        }
-        model.insert_variant(kind, variant);
-    }
-    model
-}
 
 const THREADS: usize = 4;
 const KEYS_PER_THREAD: u64 = 1_024;
@@ -92,9 +72,9 @@ fn worker(map: ConcurrentMap<u64, u64>, base: u64) -> Tally {
             }
         }
     }
-    // Let the thread-exit destructor flush the residual buffer for half the
-    // workers, and flush explicitly for the rest — both paths must account
-    // every op.
+    // Half the workers publish the shards' residue themselves; the rest
+    // leave it to the main thread's `Runtime::flush` — both paths must
+    // account every op.
     if base.is_multiple_of(2) {
         map.flush();
     }
@@ -106,7 +86,7 @@ fn guarded_adaptation_survives_concurrent_mutation_with_zero_lost_ops() {
     let engine = Switch::builder()
         .rule(SelectionRule::r_time())
         .models(Models {
-            map: inverted_map_model(),
+            map: common::inverted_model(MapKind::Array, MapKind::Chained),
             ..Default::default()
         })
         // Once verification refutes the array candidate, keep it out for
@@ -128,7 +108,6 @@ fn guarded_adaptation_survives_concurrent_mutation_with_zero_lost_ops() {
         RuntimeConfig {
             shards: 4, // ~1k entries per shard: array scans are unmissably slow
             flush_ops: 512,
-            sample_shift: 0, // time every op: verification sees real wall time
             ..RuntimeConfig::default()
         },
     );
@@ -171,13 +150,13 @@ fn guarded_adaptation_survives_concurrent_mutation_with_zero_lost_ops() {
             map.get(&i);
             main_tally.bump(OpKind::Contains);
         }
-        rt.flush_thread();
+        rt.flush();
         rt.analyze_now();
     }
     stop.store(true, Ordering::Relaxed);
     let analyzer_rounds = analyzer.join().unwrap();
     assert!(analyzer_rounds > 0);
-    rt.flush_thread();
+    rt.flush();
 
     let stats = map.stats();
 
@@ -290,7 +269,7 @@ fn eight_threads_exact_accounting_under_background_analysis() {
 
     stop.store(true, Ordering::Relaxed);
     analyzer.join().unwrap();
-    rt.flush_thread();
+    rt.flush();
 
     let stats = map.stats();
     assert_eq!(stats.total_ops, totals.iter().sum::<u64>());
@@ -310,7 +289,7 @@ fn shared_key_updates_survive_a_forced_switch() {
     let engine = Switch::builder()
         .rule(SelectionRule::r_time())
         .models(Models {
-            map: inverted_map_model(),
+            map: common::inverted_model(MapKind::Array, MapKind::Chained),
             ..Default::default()
         })
         // The outcome under test is the switch itself; verification would

@@ -17,13 +17,14 @@
 //!   per-thread tallies (zero lost ops, now visible through metrics);
 //! * the Prometheus rendering passes the CI validator.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use cs_collections::MapKind;
-use cs_core::{EngineEvent, GuardrailConfig, Kind, Models, SelectionRule, Switch};
-use cs_model::{CostDimension, PerformanceModel, Polynomial, VariantCostModel};
+use cs_core::{EngineEvent, GuardrailConfig, Models, SelectionRule, Switch};
 use cs_profile::{OpKind, WindowConfig};
 use cs_runtime::{ConcurrentMap, Runtime, RuntimeConfig};
 use cs_telemetry::{
@@ -34,23 +35,6 @@ const THREADS: usize = 4;
 const KEYS_PER_THREAD: u64 = 1_024;
 const ROUNDS_PER_THREAD: u64 = 40;
 const SITE: &str = "stress/telemetry";
-
-fn inverted_map_model() -> PerformanceModel<MapKind> {
-    let mut model = PerformanceModel::new();
-    for &kind in MapKind::all() {
-        let cost = match kind {
-            MapKind::Array => 1.0,
-            MapKind::Chained => 100.0,
-            _ => 10_000.0,
-        };
-        let mut variant = VariantCostModel::new();
-        for op in OpKind::ALL {
-            variant.set_op_cost(CostDimension::Time, op, Polynomial::constant(cost));
-        }
-        model.insert_variant(kind, variant);
-    }
-    model
-}
 
 #[derive(Default)]
 struct Tally {
@@ -122,7 +106,7 @@ fn snapshot_counters_exactly_match_event_log_and_per_op_accounting() {
     let engine = Switch::builder()
         .rule(SelectionRule::r_time())
         .models(Models {
-            map: inverted_map_model(),
+            map: common::inverted_model(MapKind::Array, MapKind::Chained),
             ..Default::default()
         })
         .guardrails(GuardrailConfig::default().quarantine_base(1_000_000))
@@ -140,7 +124,6 @@ fn snapshot_counters_exactly_match_event_log_and_per_op_accounting() {
         RuntimeConfig {
             shards: 4,
             flush_ops: 512,
-            sample_shift: 0,
             ..RuntimeConfig::default()
         },
     );
@@ -178,12 +161,12 @@ fn snapshot_counters_exactly_match_event_log_and_per_op_accounting() {
             map.get(&i);
             main_tally.bump(OpKind::Contains);
         }
-        rt.flush_thread();
+        rt.flush();
         rt.analyze_now();
     }
     stop.store(true, Ordering::Relaxed);
     analyzer.join().unwrap();
-    rt.flush_thread();
+    rt.flush();
     tallies.push(main_tally);
 
     let stats = map.stats();

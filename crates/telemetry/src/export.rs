@@ -367,14 +367,14 @@ pub fn export_trace(registry: &MetricsRegistry, snap: &TraceSnapshot) {
     registry
         .counter(
             "cs_trace_app_nanos_total",
-            "Application wall time credited at thread-local flush boundaries, in nanoseconds.",
+            "Application wall time credited at runtime flush boundaries, in nanoseconds.",
             &[],
         )
         .set_total(overhead.app_nanos);
     registry
         .counter(
             "cs_trace_app_ops_total",
-            "Application collection ops credited at thread-local flush boundaries.",
+            "Application collection ops credited at runtime flush boundaries.",
             &[],
         )
         .set_total(overhead.app_ops);

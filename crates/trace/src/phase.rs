@@ -10,7 +10,7 @@ use std::fmt;
 ///
 /// | Pipeline stage | Phases |
 /// |---|---|
-/// | op record / thread-local buffer flush | [`OpRecord`](Phase::OpRecord), [`Flush`](Phase::Flush) |
+/// | op record / buffer flush | [`OpRecord`](Phase::OpRecord), [`Flush`](Phase::Flush) |
 /// | profile ingest + model evaluation | [`Ingest`](Phase::Ingest), [`ModelEval`](Phase::ModelEval) |
 /// | selection-rule decision | [`Decision`](Phase::Decision) |
 /// | switch execution + migration | [`SwitchExec`](Phase::SwitchExec) |
@@ -18,12 +18,12 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum Phase {
-    /// Monitoring bookkeeping around one application op: the thread-local
-    /// buffer record plus the epoch-boundary checks (`cs-runtime::site_op`,
-    /// the single-owner `timed!` path in cs-core).
+    /// Monitoring bookkeeping around one application op: the record plus
+    /// the epoch-boundary checks (a `cs-runtime` shard under its lock, the
+    /// single-owner `timed!` path in cs-core).
     OpRecord = 0,
-    /// Folding a thread-local buffer into the site's shared profile, or a
-    /// monitored handle handing its finished profile to the sink.
+    /// Folding a runtime shard's buffer into the site's shared profile, or
+    /// a monitored handle handing its finished profile to the sink.
     Flush = 1,
     /// The engine core accepting one profile into the monitoring window.
     Ingest = 2,

@@ -143,7 +143,7 @@ fn worker(map: ConcurrentMap<u64, u64>, cfg: ConcurrentLoad, thread: u64) -> Wor
             latencies.push(start.elapsed().as_nanos() as u64);
         }
     }
-    // Publish the residual buffer before the join: the caller's
+    // Publish the shards' residue before the join: the caller's
     // cross-check against site totals must see every op.
     map.flush();
     WorkerResult {
@@ -156,7 +156,7 @@ fn worker(map: ConcurrentMap<u64, u64>, cfg: ConcurrentLoad, thread: u64) -> Wor
 /// Runs the closed-loop load against `map` and reports what was measured.
 ///
 /// Spawns `cfg.threads` workers, waits for all of them, and merges their
-/// tallies. Every worker flushes its thread-local buffers before exiting,
+/// tallies. Every worker flushes the map's shard buffers before exiting,
 /// so the site's flushed totals match [`LoadReport::per_op_totals`] exactly
 /// once this returns.
 pub fn run_concurrent_load(map: &ConcurrentMap<u64, u64>, cfg: ConcurrentLoad) -> LoadReport {

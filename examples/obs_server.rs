@@ -84,7 +84,7 @@ fn batch(
             map.insert(key, i);
         }
     }
-    rt.flush_thread();
+    rt.flush();
     obs.tick();
 }
 

@@ -102,7 +102,7 @@ fn main() {
         map.insert(i % 512, i);
         map.get(&(i % 512));
     }
-    runtime.flush_thread();
+    runtime.flush();
     runtime.analyze_now();
 
     // -- Render the dashboard ----------------------------------------------

@@ -7,8 +7,8 @@
 //! * [`profile`] — workload profiling primitives ([`cs_profile`]).
 //! * [`model`] — performance models and the model builder ([`cs_model`]).
 //! * [`core`] — the adaptive selection framework ([`cs_core`]).
-//! * [`runtime`] — the sharded, thread-local-buffered concurrent selection
-//!   runtime ([`cs_runtime`]).
+//! * [`runtime`] — the sharded concurrent selection runtime, recording
+//!   each op in the shard it locks ([`cs_runtime`]).
 //! * [`telemetry`] — metrics registry, event sinks, decision audit stream,
 //!   and Prometheus/JSON exposition ([`cs_telemetry`]).
 //! * [`workloads`] — workload generators and synthetic applications

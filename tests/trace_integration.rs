@@ -14,10 +14,10 @@ use collection_switch::prelude::*;
 use collection_switch::trace;
 use trace::{Phase, SpanRecord, TraceMode};
 
-/// Ops per worker per batch. A multiple of `FLUSH_OPS` so every buffer
-/// flushes inside the worker's lifetime and the thread-exit destructor
-/// has no residue — which makes the tracer's credited `app_ops` agree
-/// *exactly* with the sites' op totals.
+/// Shard buffers flush every `FLUSH_OPS` ops of a shard; whatever they
+/// still hold after a batch is published by `Runtime::flush` before the
+/// next analysis, so every op is credited to the tracer exactly once and
+/// its `app_ops` agree *exactly* with the sites' op totals.
 const FLUSH_OPS: u64 = 256;
 const BATCH_OPS: u64 = FLUSH_OPS * 25;
 const WORKERS: u64 = 4;
@@ -71,11 +71,9 @@ fn spans_agree_with_engine_accounting_under_concurrent_stress() {
         RuntimeConfig {
             shards: 8,
             flush_ops: FLUSH_OPS,
-            // Count-triggered flushes only: a timer flush mid-batch would
-            // leave a non-multiple residue in the buffers and break the
-            // exact app-op agreement below.
+            // Count-triggered and explicit flushes only: no decision may
+            // hinge on wall time.
             flush_interval: Duration::from_secs(3600),
-            ..RuntimeConfig::default()
         },
     );
     let map = rt.named_concurrent_map::<u64, u64>(MapKind::Chained, "trace-stress");
@@ -103,6 +101,7 @@ fn spans_agree_with_engine_accounting_under_concurrent_stress() {
         for w in workers {
             w.join().unwrap();
         }
+        rt.flush();
         rt.analyze_now();
         batches += 1;
     }
@@ -121,7 +120,7 @@ fn spans_agree_with_engine_accounting_under_concurrent_stress() {
 
     // -- Exact agreement with the engine's books --------------------------
     // One OpRecord span per op in full mode; one Ingest per accepted
-    // flush; the Flush phase fires twice per flush (thread-local handoff
+    // flush; the Flush phase fires twice per flush (shard epoch handoff
     // + profile-sink push); one SwitchExec per logged transition.
     let total_ops = WORKERS * BATCH_OPS * batches;
     assert_eq!(stats.total_ops, total_ops, "runtime lost ops");
@@ -141,7 +140,7 @@ fn spans_agree_with_engine_accounting_under_concurrent_stress() {
 
     // -- Self-overhead account -------------------------------------------
     // Wall-interval crediting at flush boundaries sees every op exactly
-    // once (buffers drain completely inside each worker's lifetime).
+    // once (each batch's residue is flushed before the next batch).
     let overhead = snap.overhead();
     assert_eq!(overhead.app_ops, total_ops);
     assert!(overhead.app_nanos > 0);
