@@ -1,5 +1,6 @@
 //! The phase-shift detector: EWMA bands over each site's op-mix and
-//! allocation rate, fired as `phase_shift` incidents.
+//! allocation rate, and over the process's allocation per frame, fired as
+//! `phase_shift` incidents.
 //!
 //! The paper's core premise is that workloads have *phases* — the
 //! collection that wins during a load phase loses during a lookup phase —
@@ -13,12 +14,25 @@
 //!
 //! Mechanics, per site and per dimension: an EWMA of the value and an EWMA
 //! of its absolute deviation. A frame whose value lands further than
-//! `max(band_k × deviation, floor)` from the mean fires once
-//! (edge-latched); while breached the band keeps absorbing observations,
-//! so it re-converges onto the new regime and re-arms — a second genuine
-//! shift can fire again, but a sustained new normal cannot ring forever.
-//! Frames with fewer than `min_frame_ops` new ops are accumulated rather
-//! than scored, so idle sites neither fire nor decay their bands.
+//! `max(6 × deviation, floor)` from the mean fires once (edge-latched);
+//! while breached the band keeps absorbing observations, so it
+//! re-converges onto the new regime and re-arms — a second genuine shift
+//! can fire again, but a sustained new normal cannot ring forever. A band
+//! arms after 8 scored frames. Frames with fewer than 64 new ops are
+//! accumulated rather than scored, so idle sites neither fire nor decay
+//! their bands.
+//!
+//! The process is one more subject: the pseudo-site `process` (id
+//! `u64::MAX`; engines mint site ids from 0), banded on one dimension,
+//! `alloc_bytes_per_frame` — the bytes the process allocated since the
+//! previous frame, read from the `cs-heap` ledger. It uses the same band
+//! with a 1 MiB floor and is scored on every frame after the first, since
+//! it has no ops to accumulate. The band is two-sided, so a sharp drop in
+//! allocation fires as well as a burst. Without the counting allocator the
+//! ledger reads 0 and the band never fires. This band is the stack's only
+//! allocation-spike detector.
+//!
+//! The tuning is fixed: the constants below are the only settings.
 //!
 //! This module is on the sampler path and is covered by the analyzer's
 //! `no-blocking-io-in-sampler-path` lint: no filesystem or socket tokens
@@ -28,8 +42,8 @@ use std::collections::HashMap;
 
 use crate::window::{trend_point, SiteSample};
 
-/// The banded dimensions, in reporting order: the four op-mix fractions
-/// (`OpKind::index()` order) then the allocation rate.
+/// The banded dimensions of a site, in reporting order: the four op-mix
+/// fractions (`OpKind::index()` order) then the allocation rate.
 pub const DRIFT_DIMENSIONS: [&str; 5] = [
     "populate_fraction",
     "contains_fraction",
@@ -38,49 +52,41 @@ pub const DRIFT_DIMENSIONS: [&str; 5] = [
     "alloc_bytes_per_op",
 ];
 
-/// Tuning for the [`DriftDetector`].
-#[derive(Debug, Clone)]
-pub struct DriftConfig {
-    /// Scored frames a site must accumulate before its bands arm. Below
-    /// this the detector only learns.
-    pub warmup_frames: u32,
-    /// Band half-width as a multiple of the EWMA mean absolute deviation.
-    pub band_k: f64,
-    /// Minimum new ops for a frame to be scored; smaller deltas accumulate
-    /// into the next frame instead.
-    pub min_frame_ops: u64,
-    /// Absolute band floor for the op-mix fractions, so a near-constant
-    /// mix (deviation ~0) does not fire on measurement jitter.
-    pub min_band: f64,
-    /// Absolute band floor for `alloc_bytes_per_op`, in bytes.
-    pub alloc_min_band: f64,
-    /// EWMA smoothing factor in `(0, 1]`; higher adapts faster.
-    pub alpha: f64,
-}
+/// Scored frames a band must absorb before it arms. Below this the
+/// detector only learns.
+const WARMUP_FRAMES: u32 = 8;
+/// Band half-width as a multiple of the EWMA mean absolute deviation.
+const BAND_K: f64 = 6.0;
+/// Minimum new ops for a site frame to be scored; smaller deltas
+/// accumulate into the next frame instead.
+const MIN_FRAME_OPS: u64 = 64;
+/// EWMA smoothing factor; higher adapts faster.
+const ALPHA: f64 = 0.2;
+/// Band floor for the op-mix fractions, so a near-constant mix
+/// (deviation ~0) does not fire on measurement jitter.
+const MIX_MIN_BAND: f64 = 0.10;
+/// Band floor for `alloc_bytes_per_op`, in bytes.
+const ALLOC_MIN_BAND: f64 = 32.0;
+/// Band floor for the process's `alloc_bytes_per_frame`: 1 MiB, so an
+/// idle process's wobble stays quiet.
+const PROCESS_MIN_BAND: f64 = (1u64 << 20) as f64;
 
-impl Default for DriftConfig {
-    fn default() -> DriftConfig {
-        DriftConfig {
-            warmup_frames: 8,
-            band_k: 6.0,
-            min_frame_ops: 64,
-            min_band: 0.10,
-            alloc_min_band: 32.0,
-            alpha: 0.2,
-        }
-    }
-}
+/// The process pseudo-site's id, label and one dimension.
+const PROCESS_SITE_ID: u64 = u64::MAX;
+const PROCESS_SITE: &str = "process";
+const PROCESS_DIMENSION: &str = "alloc_bytes_per_frame";
 
 /// One fired drift: site, dimension, and the evidence (observed value vs
 /// the band it escaped). This is the `detail` payload of the
 /// `phase_shift` flight-recorder incident.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriftEvent {
-    /// Engine-assigned site id.
+    /// Engine-assigned site id; `u64::MAX` for the `process` pseudo-site.
     pub site_id: u64,
-    /// Site label.
+    /// Site label; `"process"` for the process pseudo-site.
     pub site: String,
-    /// Which dimension broke band (one of [`DRIFT_DIMENSIONS`]).
+    /// Which dimension broke band: one of [`DRIFT_DIMENSIONS`] for a site,
+    /// `alloc_bytes_per_frame` for the process.
     pub dimension: &'static str,
     /// The value that escaped.
     pub observed: f64,
@@ -88,7 +94,7 @@ pub struct DriftEvent {
     pub mean: f64,
     /// The band half-width at firing time.
     pub band: f64,
-    /// Ops in the scored frame.
+    /// Ops in the scored frame (0 for the process, which has no ops).
     pub ops_in_frame: u64,
 }
 
@@ -104,12 +110,12 @@ struct Band {
 impl Band {
     /// Scores one observation; returns `Some((mean, half_width))` exactly
     /// when the value *newly* crosses out of band.
-    fn observe(&mut self, x: f64, cfg: &DriftConfig, floor: f64) -> Option<(f64, f64)> {
+    fn observe(&mut self, x: f64, floor: f64) -> Option<(f64, f64)> {
         if self.scored == 0 {
             self.mean = x;
         }
-        let fired = if self.scored >= cfg.warmup_frames {
-            let half = (cfg.band_k * self.dev).max(floor);
+        let fired = if self.scored >= WARMUP_FRAMES {
+            let half = (BAND_K * self.dev).max(floor);
             let out = (x - self.mean).abs() > half;
             let newly = out && !self.breached;
             self.breached = out;
@@ -120,8 +126,8 @@ impl Band {
         // Absorb after scoring, so the band fired against is the one the
         // value actually escaped; absorbing while breached re-converges
         // the band onto the new regime and re-arms the latch.
-        self.dev = (1.0 - cfg.alpha) * self.dev + cfg.alpha * (x - self.mean).abs();
-        self.mean = (1.0 - cfg.alpha) * self.mean + cfg.alpha * x;
+        self.dev = (1.0 - ALPHA) * self.dev + ALPHA * (x - self.mean).abs();
+        self.mean = (1.0 - ALPHA) * self.mean + ALPHA * x;
         self.scored += 1;
         fired
     }
@@ -136,22 +142,22 @@ struct SiteState {
     name: String,
 }
 
-/// Per-site, per-dimension drift detection over cumulative site samples.
-#[derive(Debug)]
+/// Per-site, per-dimension drift detection over cumulative site samples,
+/// plus the `process` pseudo-site's allocation band.
+#[derive(Debug, Default)]
 pub struct DriftDetector {
-    cfg: DriftConfig,
     sites: HashMap<u64, SiteState>,
+    /// The previous frame's process ledger reading (`None` before the
+    /// first frame).
+    process_basis: Option<u64>,
+    process_band: Band,
     fired_total: u64,
 }
 
 impl DriftDetector {
-    /// Creates a detector with the given tuning.
-    pub fn new(cfg: DriftConfig) -> DriftDetector {
-        DriftDetector {
-            cfg,
-            sites: HashMap::new(),
-            fired_total: 0,
-        }
+    /// Creates a detector with no history.
+    pub fn new() -> DriftDetector {
+        DriftDetector::default()
     }
 
     /// Drift events fired over this detector's lifetime.
@@ -159,9 +165,10 @@ impl DriftDetector {
         self.fired_total
     }
 
-    /// Scores one sampler tick's worth of cumulative site samples and
-    /// returns every newly fired drift.
-    pub fn observe(&mut self, samples: &[SiteSample]) -> Vec<DriftEvent> {
+    /// Scores one sampler tick: the cumulative site samples, and the
+    /// process's cumulative allocated bytes (the `cs-heap` ledger's
+    /// `alloc_bytes`). Returns every newly fired drift.
+    pub fn observe(&mut self, samples: &[SiteSample], process_alloc_bytes: u64) -> Vec<DriftEvent> {
         let mut events = Vec::new();
         for sample in samples {
             let state = self.sites.entry(sample.id).or_default();
@@ -171,7 +178,7 @@ impl DriftDetector {
                 continue;
             };
             let point = trend_point(0, basis, sample);
-            if point.ops_in_frame < self.cfg.min_frame_ops {
+            if point.ops_in_frame < MIN_FRAME_OPS {
                 continue;
             }
             let values = [
@@ -183,11 +190,11 @@ impl DriftDetector {
             ];
             for (dim, (band, value)) in state.bands.iter_mut().zip(values).enumerate() {
                 let floor = if dim < 4 {
-                    self.cfg.min_band
+                    MIX_MIN_BAND
                 } else {
-                    self.cfg.alloc_min_band
+                    ALLOC_MIN_BAND
                 };
-                if let Some((mean, half)) = band.observe(value, &self.cfg, floor) {
+                if let Some((mean, half)) = band.observe(value, floor) {
                     events.push(DriftEvent {
                         site_id: sample.id,
                         site: state.name.clone(),
@@ -200,6 +207,20 @@ impl DriftDetector {
                 }
             }
             state.basis = Some(sample.clone());
+        }
+        if let Some(prev) = self.process_basis.replace(process_alloc_bytes) {
+            let value = process_alloc_bytes.saturating_sub(prev) as f64;
+            if let Some((mean, half)) = self.process_band.observe(value, PROCESS_MIN_BAND) {
+                events.push(DriftEvent {
+                    site_id: PROCESS_SITE_ID,
+                    site: PROCESS_SITE.to_owned(),
+                    dimension: PROCESS_DIMENSION,
+                    observed: value,
+                    mean,
+                    band: half,
+                    ops_in_frame: 0,
+                });
+            }
         }
         self.fired_total += events.len() as u64;
         events
@@ -220,34 +241,30 @@ mod tests {
         }
     }
 
-    fn cfg() -> DriftConfig {
-        DriftConfig {
-            warmup_frames: 4,
-            min_frame_ops: 10,
-            ..DriftConfig::default()
-        }
-    }
+    /// The basis frame plus the warm-up: the first frame a band can fire on
+    /// comes right after these.
+    const ARMING_FRAMES: u32 = WARMUP_FRAMES + 1;
 
     /// Feeds `n` frames of a steady 90/10 populate/contains mix.
     fn warm_up(d: &mut DriftDetector, n: u32, start: &mut [u64; 4]) {
         for _ in 0..n {
             start[0] += 90;
             start[1] += 10;
-            let fired = d.observe(&[sample(1, *start, 0)]);
+            let fired = d.observe(&[sample(1, *start, 0)], 0);
             assert!(fired.is_empty(), "steady mix must not fire: {fired:?}");
         }
     }
 
     #[test]
     fn op_mix_flip_fires_once_and_relatches() {
-        let mut d = DriftDetector::new(cfg());
+        let mut d = DriftDetector::new();
         let mut ops = [0u64; 4];
-        warm_up(&mut d, 8, &mut ops);
+        warm_up(&mut d, ARMING_FRAMES, &mut ops);
 
         // Phase flip: the same site goes read-heavy.
         ops[0] += 10;
         ops[1] += 90;
-        let fired = d.observe(&[sample(1, ops, 0)]);
+        let fired = d.observe(&[sample(1, ops, 0)], 0);
         let dims: Vec<&str> = fired.iter().map(|e| e.dimension).collect();
         assert!(
             dims.contains(&"populate_fraction") && dims.contains(&"contains_fraction"),
@@ -259,44 +276,47 @@ mod tests {
         // Sustained new regime: latched, no re-fire while out of band.
         ops[0] += 10;
         ops[1] += 90;
-        assert!(d.observe(&[sample(1, ops, 0)]).is_empty(), "latched");
+        assert!(d.observe(&[sample(1, ops, 0)], 0).is_empty(), "latched");
         assert_eq!(d.fired_total(), dims.len() as u64);
     }
 
     #[test]
     fn detector_rearms_after_reconverging_then_fires_on_next_shift() {
-        let mut d = DriftDetector::new(cfg());
+        let mut d = DriftDetector::new();
         let mut ops = [0u64; 4];
-        warm_up(&mut d, 8, &mut ops);
+        warm_up(&mut d, ARMING_FRAMES, &mut ops);
         ops[0] += 10;
         ops[1] += 90;
-        assert!(!d.observe(&[sample(1, ops, 0)]).is_empty(), "first shift");
+        assert!(
+            !d.observe(&[sample(1, ops, 0)], 0).is_empty(),
+            "first shift"
+        );
         // Hold the new regime long enough for the EWMA to re-centre.
         for _ in 0..30 {
             ops[0] += 10;
             ops[1] += 90;
-            d.observe(&[sample(1, ops, 0)]);
+            d.observe(&[sample(1, ops, 0)], 0);
         }
         // Shift back: must fire again (the latch re-armed in between).
         ops[0] += 90;
         ops[1] += 10;
-        let fired = d.observe(&[sample(1, ops, 0)]);
+        let fired = d.observe(&[sample(1, ops, 0)], 0);
         assert!(!fired.is_empty(), "re-armed detector fires on the way back");
     }
 
     #[test]
     fn alloc_rate_spike_fires_the_alloc_dimension() {
-        let mut d = DriftDetector::new(cfg());
+        let mut d = DriftDetector::new();
         let mut ops = [0u64; 4];
         let mut bytes = 0u64;
-        for _ in 0..8 {
+        for _ in 0..ARMING_FRAMES {
             ops[0] += 100;
             bytes += 800; // steady 8 B/op
-            assert!(d.observe(&[sample(1, ops, bytes)]).is_empty());
+            assert!(d.observe(&[sample(1, ops, bytes)], 0).is_empty());
         }
         ops[0] += 100;
         bytes += 80_000; // 800 B/op
-        let fired = d.observe(&[sample(1, ops, bytes)]);
+        let fired = d.observe(&[sample(1, ops, bytes)], 0);
         assert_eq!(fired.len(), 1, "{fired:?}");
         assert_eq!(fired[0].dimension, "alloc_bytes_per_op");
         assert!((fired[0].observed - 800.0).abs() < 1e-9);
@@ -304,36 +324,101 @@ mod tests {
 
     #[test]
     fn sub_threshold_frames_accumulate_instead_of_scoring() {
-        let mut d = DriftDetector::new(cfg());
+        let mut d = DriftDetector::new();
         let mut ops = [0u64; 4];
-        warm_up(&mut d, 8, &mut ops);
-        // Nine tiny flipped frames: each below min_frame_ops, none scored…
-        for _ in 0..9 {
+        warm_up(&mut d, ARMING_FRAMES, &mut ops);
+        // One-op flipped frames: each below MIN_FRAME_OPS, none scored…
+        for _ in 0..MIN_FRAME_OPS - 1 {
             ops[1] += 1;
-            assert!(d.observe(&[sample(1, ops, 0)]).is_empty());
+            assert!(d.observe(&[sample(1, ops, 0)], 0).is_empty());
         }
-        // …until the accumulated delta crosses the threshold and the
-        // flipped mix (10 contains, 0 populate) is scored at once.
+        // …until the accumulated delta reaches the threshold and the
+        // flipped mix (all contains, no populate) is scored at once.
         ops[1] += 1;
-        let fired = d.observe(&[sample(1, ops, 0)]);
+        let fired = d.observe(&[sample(1, ops, 0)], 0);
         assert!(!fired.is_empty(), "accumulated flip scored: {fired:?}");
     }
 
     #[test]
     fn sites_are_banded_independently() {
-        let mut d = DriftDetector::new(cfg());
+        let mut d = DriftDetector::new();
         let mut a = [0u64; 4];
         let mut b = [0u64; 4];
-        for _ in 0..8 {
+        for _ in 0..ARMING_FRAMES {
             a[0] += 100;
             b[1] += 100;
-            assert!(d.observe(&[sample(1, a, 0), sample(2, b, 0)]).is_empty());
+            assert!(d.observe(&[sample(1, a, 0), sample(2, b, 0)], 0).is_empty());
         }
         // Only site 2 flips.
         a[0] += 100;
         b[0] += 100;
-        let fired = d.observe(&[sample(1, a, 0), sample(2, b, 0)]);
+        let fired = d.observe(&[sample(1, a, 0), sample(2, b, 0)], 0);
         assert!(!fired.is_empty());
         assert!(fired.iter().all(|e| e.site_id == 2), "{fired:?}");
+    }
+
+    /// Feeds `frames` ledger readings, each `delta(i)` bytes past the last,
+    /// and returns every event fired.
+    fn feed_process(
+        d: &mut DriftDetector,
+        ledger: &mut u64,
+        frames: u64,
+        delta: impl Fn(u64) -> u64,
+    ) -> Vec<DriftEvent> {
+        let mut fired = Vec::new();
+        for i in 0..frames {
+            *ledger += delta(i);
+            fired.extend(d.observe(&[], *ledger));
+        }
+        fired
+    }
+
+    #[test]
+    fn process_burst_calm_burst_fires_twice() {
+        const MIB: u64 = 1 << 20;
+        // Calm frames carry ~27 kB with a little jitter.
+        let calm = |i: u64| 26_500 + (i * 337) % 1_000;
+        let mut d = DriftDetector::new();
+        let mut ledger = 0;
+        let mut fired = feed_process(&mut d, &mut ledger, u64::from(ARMING_FRAMES), calm);
+        assert!(fired.is_empty(), "calm frames fired: {fired:?}");
+        fired.extend(feed_process(&mut d, &mut ledger, 1, |_| 8 * MIB));
+        assert_eq!(fired.len(), 1, "the burst fires: {fired:?}");
+        fired.extend(feed_process(&mut d, &mut ledger, 1, calm));
+        assert_eq!(fired.len(), 1, "one calm frame releases without firing");
+        fired.extend(feed_process(&mut d, &mut ledger, 1, |_| 32 * MIB));
+        fired.extend(feed_process(&mut d, &mut ledger, 4, calm));
+        assert_eq!(fired.len(), 2, "{fired:?}");
+        for event in &fired {
+            assert_eq!(event.site, "process");
+            assert_eq!(event.site_id, u64::MAX);
+            assert_eq!(event.dimension, "alloc_bytes_per_frame");
+            assert_eq!(event.ops_in_frame, 0);
+            assert!(event.observed > event.mean + event.band, "{event:?}");
+        }
+        assert_eq!(fired[0].observed, (8 * MIB) as f64);
+        assert_eq!(
+            fired[0].band, PROCESS_MIN_BAND,
+            "a calm history bands at the floor"
+        );
+        assert_eq!(fired[1].observed, (32 * MIB) as f64);
+        assert_eq!(d.fired_total(), 2);
+    }
+
+    #[test]
+    fn process_band_never_fires_on_a_zero_ledger() {
+        // Without the counting allocator every ledger reading is zero.
+        let mut d = DriftDetector::new();
+        assert!(feed_process(&mut d, &mut 0, 64, |_| 0).is_empty());
+        assert_eq!(d.fired_total(), 0);
+    }
+
+    #[test]
+    fn process_wobble_below_the_floor_never_fires() {
+        // Deltas anywhere in [0, 1 MiB) stay within the floor of any mean
+        // they can produce, however much they swing.
+        let wobble = |i: u64| (i * 2_654_435_761) % (1 << 20);
+        let mut d = DriftDetector::new();
+        assert!(feed_process(&mut d, &mut 0, 200, wobble).is_empty());
     }
 }

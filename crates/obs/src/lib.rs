@@ -24,10 +24,16 @@
 //!   [`site_trend`](ObsHandle::site_trend) per site without a metrics
 //!   backend in sight.
 //! * **A drift detector** ([`DriftDetector`]): EWMA bands over each
-//!   site's op-mix fractions and allocation rate; a site breaking band
-//!   fires a `phase_shift` incident into the flight recorder and a
-//!   `cs_obs_phase_shifts_total` counter — the operational mirror of the
-//!   paper's phase-change premise.
+//!   site's op-mix fractions and allocation rate, and over the bytes the
+//!   process allocates per frame (the `process` pseudo-site, read from the
+//!   `cs-heap` ledger); a subject breaking band fires a `phase_shift`
+//!   incident into the flight recorder and a `cs_obs_phase_shifts_total`
+//!   counter — the operational mirror of the paper's phase-change premise,
+//!   and the stack's one statistical detector.
+//!
+//! The window holds 64 frames and the detector's tuning is fixed; the
+//! builder sets only deployment and wiring (address, workers, backlog,
+//! sampler interval, registry, flight recorder).
 //!
 //! ## Quickstart
 //!
@@ -51,7 +57,7 @@ mod http;
 mod sampler;
 mod window;
 
-pub use drift::{DriftConfig, DriftDetector, DriftEvent, DRIFT_DIMENSIONS};
+pub use drift::{DriftDetector, DriftEvent, DRIFT_DIMENSIONS};
 pub use window::{Frame, SiteSample, TrendPoint, Window};
 
 use std::net::SocketAddr;
@@ -67,8 +73,9 @@ use cs_telemetry::{
 use parking_lot::Mutex;
 
 /// What the plane observes: a bare engine or a full runtime. The runtime
-/// variant adds per-site counters (and therefore site trends and drift);
-/// the engine variant still serves every endpoint.
+/// variant adds per-site counters (and therefore site trends and site
+/// drift); the engine variant still serves every endpoint and bands the
+/// process.
 #[derive(Debug, Clone)]
 pub(crate) enum Source {
     Engine(Switch),
@@ -226,17 +233,18 @@ pub(crate) struct ObsCore {
     pub(crate) started: Instant,
 }
 
+/// Frames the time-series ring holds.
+const WINDOW_FRAMES: usize = 64;
+
 /// Configures and launches an observation plane. Defaults: 2 HTTP
-/// workers, a 16-connection backlog, a 250 ms sampler, a 64-frame window,
-/// [`DriftConfig::default`], and a fresh registry.
+/// workers, a 16-connection backlog, a 250 ms sampler and a fresh
+/// registry. The window (64 frames) and the drift detector are fixed.
 #[derive(Debug)]
 pub struct ObsBuilder {
     addr: Option<String>,
     workers: usize,
     backlog: usize,
     sampler_interval: Option<Duration>,
-    window_frames: usize,
-    drift: DriftConfig,
     registry: Option<MetricsRegistry>,
     flight: Option<Arc<FlightRecorder>>,
 }
@@ -248,8 +256,6 @@ impl Default for ObsBuilder {
             workers: 2,
             backlog: 16,
             sampler_interval: Some(Duration::from_millis(250)),
-            window_frames: 64,
-            drift: DriftConfig::default(),
             registry: None,
             flight: None,
         }
@@ -296,18 +302,6 @@ impl ObsBuilder {
         self
     }
 
-    /// Frames held by the time-series ring (minimum 2).
-    pub fn window_frames(mut self, frames: usize) -> ObsBuilder {
-        self.window_frames = frames;
-        self
-    }
-
-    /// Drift-detector tuning.
-    pub fn drift(mut self, config: DriftConfig) -> ObsBuilder {
-        self.drift = config;
-        self
-    }
-
     /// Export into (and serve) an existing registry instead of a fresh
     /// one — so the scrape page includes families other subsystems
     /// already maintain there.
@@ -329,7 +323,8 @@ impl ObsBuilder {
     }
 
     /// Launches the plane over a bare engine (no per-site runtime
-    /// counters, so no site trends or drift — every endpoint still works).
+    /// counters, so no site trends or site drift — the process band and
+    /// every endpoint still work).
     pub fn spawn_engine(self, engine: &Switch) -> std::io::Result<ObsHandle> {
         self.spawn(Source::Engine(engine.clone()))
     }
@@ -341,8 +336,8 @@ impl ObsBuilder {
             registry,
             source,
             flight: self.flight,
-            window: Mutex::new(Window::new(self.window_frames)),
-            drift: Mutex::new(DriftDetector::new(self.drift)),
+            window: Mutex::new(Window::new(WINDOW_FRAMES)),
+            drift: Mutex::new(DriftDetector::new()),
             metrics,
             started: Instant::now(),
         });
@@ -603,7 +598,6 @@ mod tests {
         let map = rt.named_concurrent_map::<u64, u64>(MapKind::Chained, "obs-map");
         let obs = ObsBuilder::new()
             .manual_sampler()
-            .window_frames(8)
             .spawn_runtime(&rt)
             .expect("headless spawn");
         assert!(obs.local_addr().is_none());

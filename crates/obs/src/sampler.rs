@@ -4,9 +4,10 @@
 //!
 //! Every tick does exactly four in-memory things: mirror the source's
 //! counters into the registry, freeze a [`Frame`](crate::window::Frame)
-//! into the window ring, score the per-site samples against the drift
-//! bands, and update the sampler's own self-metrics (ticks, busy nanos,
-//! overhead ratio). The process-level gauges that read procfs are
+//! into the window ring, score the per-site samples and the process's
+//! `cs-heap` allocation ledger against the drift bands, and update the
+//! sampler's own self-metrics (ticks, busy nanos, overhead ratio). The
+//! process-level gauges that read procfs are
 //! deliberately *not* refreshed here — they belong to the scrape path
 //! (`GET /metrics`), where an operator is already paying for a syscall
 //! round-trip. The analyzer's `no-blocking-io-in-sampler-path` lint pins
@@ -36,6 +37,7 @@ pub(crate) fn tick(core: &ObsCore) -> Vec<DriftEvent> {
     let t_ns = core.started.elapsed().as_nanos() as u64;
     let counters = flatten_counters(core);
     let sites = core.source.site_samples();
+    let process_alloc_bytes = cs_heap::process_account().alloc_bytes;
 
     let events = {
         let mut window = core.window.lock();
@@ -46,7 +48,7 @@ pub(crate) fn tick(core: &ObsCore) -> Vec<DriftEvent> {
         });
         core.metrics.window_frames.set(window.len() as i64);
         drop(window);
-        core.drift.lock().observe(&sites)
+        core.drift.lock().observe(&sites, process_alloc_bytes)
     };
 
     for event in &events {
@@ -54,7 +56,8 @@ pub(crate) fn tick(core: &ObsCore) -> Vec<DriftEvent> {
             .counter(
                 "cs_obs_phase_shifts_total",
                 "Drift-detector firings: a site's op-mix or allocation \
-                 rate broke out of its EWMA band.",
+                 rate, or the process's bytes allocated per frame, broke \
+                 out of its EWMA band.",
                 &[("site", &event.site), ("dimension", event.dimension)],
             )
             .inc();

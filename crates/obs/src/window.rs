@@ -28,7 +28,8 @@ pub struct SiteSample {
     pub ops: [u64; 4],
     /// Sum of `ops`.
     pub total_ops: u64,
-    /// Attributed allocation bytes (sampled-and-scaled).
+    /// Attributed allocation bytes: exact while a counting allocator is
+    /// active (every op runs under an alloc guard), 0 without one.
     pub alloc_bytes: u64,
 }
 

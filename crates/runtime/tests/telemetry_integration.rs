@@ -6,9 +6,8 @@
 //! `stress_concurrent.rs` — N writer threads on one [`ConcurrentMap`] while
 //! an inverted model provokes a switch that verification rolls back and
 //! quarantines — but here the engine carries the full telemetry pipeline:
-//! a [`MetricsSink`] counts events as they are recorded, a [`VecSink`]
-//! captures the stream, and [`Runtime::export_metrics`] mirrors the site
-//! counters at the end. Every cross-check is an equality, not a bound:
+//! a [`MetricsSink`] counts events as they are recorded and
+//! [`Runtime::export_metrics`] mirrors the site counters at the end. Every cross-check is an equality, not a bound:
 //!
 //! * `cs_events_total{event=…}` == per-kind counts in `Switch::event_log()`;
 //! * `cs_site_{transitions,rollbacks,quarantines}_total` == `SiteStats`
@@ -27,9 +26,7 @@ use cs_collections::MapKind;
 use cs_core::{EngineEvent, GuardrailConfig, Models, SelectionRule, Switch};
 use cs_profile::{OpKind, WindowConfig};
 use cs_runtime::{ConcurrentMap, Runtime, RuntimeConfig};
-use cs_telemetry::{
-    validate_prometheus_text, MetricsRegistry, MetricsSink, TelemetrySnapshot, VecSink,
-};
+use cs_telemetry::{validate_prometheus_text, MetricsRegistry, MetricsSink, TelemetrySnapshot};
 
 const THREADS: usize = 4;
 const KEYS_PER_THREAD: u64 = 1_024;
@@ -102,7 +99,6 @@ fn kind_count(events: &[EngineEvent], kind: &str) -> u64 {
 #[test]
 fn snapshot_counters_exactly_match_event_log_and_per_op_accounting() {
     let registry = MetricsRegistry::new();
-    let vec_sink = Arc::new(VecSink::default());
     let engine = Switch::builder()
         .rule(SelectionRule::r_time())
         .models(Models {
@@ -117,7 +113,6 @@ fn snapshot_counters_exactly_match_event_log_and_per_op_accounting() {
             ..WindowConfig::default()
         })
         .event_sink(Arc::new(MetricsSink::new(registry.clone())))
-        .event_sink(vec_sink.clone())
         .build();
     let rt = Runtime::with_config(
         engine,
@@ -205,7 +200,6 @@ fn snapshot_counters_exactly_match_event_log_and_per_op_accounting() {
         Some(engine.events_recorded()),
         "summed event counters == lifetime recorded total"
     );
-    assert_eq!(vec_sink.len() as u64, engine.events_recorded());
 
     // --- Per-site adaptation counters == SiteStats == event log. ---------
     let site = &[("site", SITE)];

@@ -6,13 +6,20 @@
 //! was the pipeline doing just before" — the span-level context that makes
 //! an anomaly diagnosable after the fact. [`FlightRecorder`] closes that
 //! gap: it subscribes to the engine's event stream and, when a trigger
-//! fires, dumps the last `N` trace spans, the site's current
+//! fires, dumps the last 128 trace spans, the site's current
 //! [`SelectionExplanation`](cs_core::SelectionExplanation), the
-//! self-overhead account, and (optionally) a full metrics snapshot as one
-//! JSONL *incident record* into a [`JsonlSink`] — interleaved with the
-//! ordinary event audit trail, under the same line cap.
+//! self-overhead account, and a full metrics snapshot as one JSONL
+//! *incident record* into a [`JsonlSink`] — interleaved with the ordinary
+//! event audit trail, under the same line cap.
+//!
+//! The recorder records; it runs no statistics of its own. Every trigger
+//! is an engine event, a threshold crossing, or a firing of `cs-obs`'s
+//! band detector, the one statistical detector in the stack.
 //!
 //! ## Trigger matrix
+//!
+//! This table is the one copy of the matrix; DESIGN.md and EXPERIMENTS.md
+//! point here.
 //!
 //! | Trigger             | Detected in        | Condition                                   |
 //! |---------------------|--------------------|---------------------------------------------|
@@ -21,18 +28,19 @@
 //! | `alloc_switch`      | `on_event`         | a switched [`SelectionExplanation`](cs_core::SelectionExplanation) with `alloc_driven` set — the allocation dimension decided the switch |
 //! | `state_quarantine`  | `on_event`         | a [`WarmStartEvent`](cs_core::WarmStartEvent) with corrupt records quarantined |
 //! | `warm_start_reject` | `on_event`         | a [`WarmStartSiteEvent`](cs_core::WarmStartSiteEvent) whose record was rejected |
-//! | `overhead_budget`   | `on_analysis_pass` | overhead ratio crosses above the budget     |
+//! | `overhead_budget`   | `on_analysis_pass` | the tracer's overhead ratio crosses above 0.05, once application time has been credited |
 //! | `sink_disconnect`   | `on_analysis_pass` | the engine's sink-disconnect total grew     |
-//! | `alloc_spike`       | `on_analysis_pass` | process allocation bytes this pass exceed [`FlightRecorderConfig::alloc_spike_ratio`] × the trailing per-pass average (and the absolute floor) |
-//! | `phase_shift`       | external ([`FlightRecorder::record_external`]) | `cs-obs`'s EWMA drift detector saw a site's op-mix or alloc-rate trend break band |
+//! | `phase_shift`       | external ([`FlightRecorder::record_external`]) | `cs-obs`'s EWMA band detector saw a site's op-mix or alloc-rate trend break band |
+//! | `phase_shift`, `detail.site == "process"` | external | the same detector's `process` pseudo-site: the bytes the process allocated since the previous sampler frame broke band (a burst or a sharp drop); needs a running obs plane and the counting allocator |
 //!
 //! The polled triggers are edge-detected (they fire on the crossing, not
-//! on every pass spent above the threshold), and total incidents are
-//! capped by [`FlightRecorderConfig::max_incidents`] so a flapping site
-//! cannot fill the sink's line budget with incident dumps. Every incident
-//! additionally freezes the process-wide `cs-heap` account under a
-//! `"heap"` field — zeros in binaries that never installed the counting
-//! allocator.
+//! on every pass spent above the threshold), and at most 32 incidents are
+//! ever written, so a flapping site cannot fill the sink's line budget
+//! with incident dumps. The slot is reserved before the record is built,
+//! so triggers racing in from the analyzer thread and the obs sampler
+//! cannot overshoot the cap. Every incident additionally freezes the
+//! process-wide `cs-heap` account under a `"heap"` field — zeros in
+//! binaries that never installed the counting allocator.
 //!
 //! `on_event` itself stays allocation- and lock-free on the non-triggering
 //! path — it is on the engine's synchronous dispatch path — and hands off
@@ -40,6 +48,7 @@
 //! trigger actually fires. The `no-alloc-in-span-path` analyzer lint keeps
 //! it that way.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,50 +60,16 @@ use crate::json::{event_to_json, explanation_to_json, heap_account_to_json, Json
 use crate::metrics::MetricsRegistry;
 use crate::sinks::JsonlSink;
 
-/// Tuning for a [`FlightRecorder`].
-#[derive(Debug, Clone)]
-pub struct FlightRecorderConfig {
-    /// How many of the most recent spans to freeze into each incident.
-    pub span_window: usize,
-    /// Overhead-ratio budget; crossing above it fires an
-    /// `overhead_budget` incident. The ISSUE-level SLO for sampled
-    /// tracing is 5%.
-    pub overhead_budget: f64,
-    /// Hard cap on incidents ever recorded (the flight recorder must not
-    /// exhaust the sink's line budget).
-    pub max_incidents: u64,
-    /// Attach a full metrics snapshot to each incident. Costly per
-    /// incident; invaluable in post-mortems.
-    pub include_telemetry: bool,
-    /// An `alloc_spike` fires when the bytes allocated since the previous
-    /// analysis pass exceed this multiple of the trailing per-pass average
-    /// (EWMA, 7/8 decay). Detection needs a warm baseline: the first two
-    /// passes only measure.
-    pub alloc_spike_ratio: f64,
-    /// Absolute floor for `alloc_spike`: a pass must allocate at least
-    /// this many bytes to fire, so an idle process's tiny wobbles (ratio
-    /// against a near-zero baseline) stay quiet.
-    pub alloc_spike_min_bytes: u64,
-    /// How many of the most recent incident records to keep in memory for
-    /// live queries ([`FlightRecorder::recent_incidents`], served by
-    /// `cs-obs` as `/incidents`). Bounded by construction: the ring
-    /// allocates its full capacity up front and evicts oldest-first.
-    pub ring_capacity: usize,
-}
-
-impl Default for FlightRecorderConfig {
-    fn default() -> Self {
-        FlightRecorderConfig {
-            span_window: 128,
-            overhead_budget: 0.05,
-            max_incidents: 32,
-            include_telemetry: true,
-            alloc_spike_ratio: 8.0,
-            alloc_spike_min_bytes: 1 << 20,
-            ring_capacity: 64,
-        }
-    }
-}
+/// How many of the most recent spans each incident freezes.
+const SPAN_WINDOW: usize = 128;
+/// Overhead-ratio budget; crossing above it fires `overhead_budget`. The
+/// SLO for sampled tracing is 5%.
+const OVERHEAD_BUDGET: f64 = 0.05;
+/// Incidents ever written, so the recorder cannot exhaust the sink's line
+/// budget.
+const MAX_INCIDENTS: u64 = 32;
+/// Incident records kept in memory for live queries (`/incidents`).
+const RING_CAPACITY: usize = 64;
 
 /// An [`EngineEventSink`] that writes incident records on anomalies. See
 /// the module-level documentation for the trigger matrix and record
@@ -108,15 +83,11 @@ impl Default for FlightRecorderConfig {
 /// ```
 /// use std::sync::Arc;
 /// use cs_core::Switch;
-/// use cs_telemetry::{FlightRecorder, FlightRecorderConfig, JsonlSink, MetricsRegistry};
+/// use cs_telemetry::{FlightRecorder, JsonlSink, MetricsRegistry};
 ///
 /// let path = std::env::temp_dir().join(format!("cs-fr-doc-{}.jsonl", std::process::id()));
 /// let sink = Arc::new(JsonlSink::create(&path, 10_000).unwrap());
-/// let recorder = Arc::new(FlightRecorder::new(
-///     Arc::clone(&sink),
-///     MetricsRegistry::new(),
-///     FlightRecorderConfig::default(),
-/// ));
+/// let recorder = Arc::new(FlightRecorder::new(Arc::clone(&sink), MetricsRegistry::new()));
 /// let engine = Switch::builder().event_sink(recorder.clone()).build();
 /// recorder.attach(&engine);
 /// assert_eq!(recorder.incidents_recorded(), 0);
@@ -125,53 +96,33 @@ impl Default for FlightRecorderConfig {
 #[derive(Debug)]
 pub struct FlightRecorder {
     sink: Arc<JsonlSink>,
-    registry: Option<MetricsRegistry>,
-    config: FlightRecorderConfig,
+    registry: MetricsRegistry,
     engine: Mutex<WeakSwitch>,
     incidents: AtomicU64,
     seq: AtomicU64,
     // Edge-detection state for the polled triggers.
     last_disconnects: AtomicU64,
     over_budget: AtomicU64, // 0 = below budget, 1 = above (latched)
-    // Allocation-spike state: last process alloc_bytes reading, the EWMA
-    // of per-pass deltas, how many passes have been observed, and the
-    // spike latch.
-    last_alloc_bytes: AtomicU64,
-    alloc_trailing: AtomicU64,
-    alloc_passes: AtomicU64,
-    alloc_spiking: AtomicU64, // 0 = normal, 1 = spiking (latched)
     // The most recent rendered incident lines, oldest first — the live
-    // complement to the JSONL sink, bounded at ring_capacity (allocated up
+    // complement to the JSONL sink, bounded at RING_CAPACITY (allocated up
     // front; eviction is pop_front).
-    ring: Mutex<std::collections::VecDeque<String>>,
+    ring: Mutex<VecDeque<String>>,
 }
 
 impl FlightRecorder {
     /// Creates a recorder writing incidents to `sink`. Pass the registry
-    /// the engine's metrics feed into so incidents can carry a metrics
-    /// snapshot ([`FlightRecorderConfig::include_telemetry`]).
-    pub fn new(
-        sink: Arc<JsonlSink>,
-        registry: MetricsRegistry,
-        config: FlightRecorderConfig,
-    ) -> FlightRecorder {
-        let ring = Mutex::new(std::collections::VecDeque::with_capacity(
-            config.ring_capacity,
-        ));
+    /// the engine's metrics feed into: every incident carries its
+    /// snapshot.
+    pub fn new(sink: Arc<JsonlSink>, registry: MetricsRegistry) -> FlightRecorder {
         FlightRecorder {
             sink,
-            registry: Some(registry),
-            config,
+            registry,
             engine: Mutex::new(WeakSwitch::dangling()),
             incidents: AtomicU64::new(0),
             seq: AtomicU64::new(0),
             last_disconnects: AtomicU64::new(0),
             over_budget: AtomicU64::new(0),
-            last_alloc_bytes: AtomicU64::new(0),
-            alloc_trailing: AtomicU64::new(0),
-            alloc_passes: AtomicU64::new(0),
-            alloc_spiking: AtomicU64::new(0),
-            ring,
+            ring: Mutex::new(VecDeque::with_capacity(RING_CAPACITY)),
         }
     }
 
@@ -181,7 +132,8 @@ impl FlightRecorder {
         *self.engine.lock() = engine.downgrade();
     }
 
-    /// Incidents written so far.
+    /// Incidents written so far. An incident still being written holds
+    /// its slot, so the count is exact once no trigger is in flight.
     pub fn incidents_recorded(&self) -> u64 {
         self.incidents.load(Ordering::Relaxed)
     }
@@ -192,9 +144,9 @@ impl FlightRecorder {
     }
 
     /// The most recent incident records as rendered JSON lines, oldest
-    /// first — at most [`FlightRecorderConfig::ring_capacity`] of them.
-    /// This is what `cs-obs` serves as `/incidents`: the live in-memory
-    /// complement to the JSONL sink on disk.
+    /// first — at most 64 of them. This is what `cs-obs` serves as
+    /// `/incidents`: the live in-memory complement to the JSONL sink on
+    /// disk.
     pub fn recent_incidents(&self) -> Vec<String> {
         self.ring.lock().iter().cloned().collect()
     }
@@ -203,8 +155,7 @@ impl FlightRecorder {
     /// recorder cannot see from engine events alone. The `cs-obs` drift
     /// detector uses this for `phase_shift` incidents, attaching its
     /// evidence (site, dimension, observed value, EWMA band) as `detail`.
-    /// Subject to the same [`FlightRecorderConfig::max_incidents`] cap as
-    /// every internal trigger.
+    /// Subject to the same incident cap as every internal trigger.
     pub fn record_external(&self, trigger: &str, detail: Json) {
         self.record_incident_with_detail(trigger, None, Some(detail));
     }
@@ -221,7 +172,14 @@ impl FlightRecorder {
         event: Option<&EngineEvent>,
         detail: Option<Json>,
     ) {
-        if self.incidents.load(Ordering::Relaxed) >= self.config.max_incidents {
+        // Reserve the slot before any work: a separate check and count let
+        // concurrent triggers all pass the check and overshoot the cap.
+        let reserved = self
+            .incidents
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < MAX_INCIDENTS).then_some(n + 1)
+            });
+        if reserved.is_err() {
             return;
         }
         let snap = cs_trace::snapshot();
@@ -235,7 +193,7 @@ impl FlightRecorder {
             })
             .and_then(|site| self.engine.lock().upgrade()?.explain(site));
         let spans: Vec<Json> = snap
-            .last_spans(self.config.span_window)
+            .last_spans(SPAN_WINDOW)
             .iter()
             .map(|s| {
                 Json::object()
@@ -267,25 +225,21 @@ impl FlightRecorder {
             )
             .field("spans", Json::Array(spans))
             .field("heap", heap_account_to_json(&cs_heap::process_account()))
-            .field(
-                "telemetry",
-                match (&self.registry, self.config.include_telemetry) {
-                    (Some(r), true) => r.snapshot().to_json(),
-                    _ => Json::Null,
-                },
-            );
+            .field("telemetry", self.registry.snapshot().to_json());
         // The live ring keeps the incident even if the sink's disk write
         // fails — an operator scraping /incidents should not go blind
         // because the JSONL file did.
-        if self.config.ring_capacity > 0 {
+        {
             let mut ring = self.ring.lock();
-            if ring.len() == self.config.ring_capacity {
+            if ring.len() == RING_CAPACITY {
                 ring.pop_front();
             }
             ring.push_back(doc.render());
         }
-        if self.sink.write_json(&doc) {
-            self.incidents.fetch_add(1, Ordering::Relaxed);
+        if !self.sink.write_json(&doc) {
+            // No line landed: give the slot back, so the count keeps
+            // matching the incident lines in the sink.
+            self.incidents.fetch_sub(1, Ordering::Relaxed);
         }
     }
 }
@@ -326,8 +280,7 @@ impl EngineEventSink for FlightRecorder {
         // before the first flush the denominator is empty and any recorded
         // span would push the ratio to 1.0, which is startup noise, not an
         // anomaly.
-        let is_over =
-            overhead.app_nanos > 0 && overhead.ratio() > self.config.overhead_budget;
+        let is_over = overhead.app_nanos > 0 && overhead.ratio() > OVERHEAD_BUDGET;
         self.over_budget
             .store(u64::from(is_over), Ordering::Relaxed);
         if is_over && !was_over {
@@ -338,31 +291,6 @@ impl EngineEventSink for FlightRecorder {
             let before = self.last_disconnects.swap(disconnects, Ordering::Relaxed);
             if disconnects > before {
                 self.record_incident("sink_disconnect", None);
-            }
-        }
-        // Allocation-spike detection against the process-wide counting
-        // ledger. Pass 0 establishes the byte baseline, pass 1 seeds the
-        // trailing average with the first measured delta; judgment starts
-        // at pass 2. The trailing EWMA folds the spike in *after* judging
-        // it, so one burst cannot lift its own baseline — and the latch
-        // releases only once a pass comes back under the ratio.
-        let alloc_now = cs_heap::process_account().alloc_bytes;
-        let prev = self.last_alloc_bytes.swap(alloc_now, Ordering::Relaxed);
-        let passes = self.alloc_passes.fetch_add(1, Ordering::Relaxed);
-        let delta = alloc_now.saturating_sub(prev);
-        match passes {
-            0 => {}
-            1 => self.alloc_trailing.store(delta, Ordering::Relaxed),
-            _ => {
-                let trailing = self.alloc_trailing.load(Ordering::Relaxed);
-                let spiking = delta >= self.config.alloc_spike_min_bytes
-                    && delta as f64 > self.config.alloc_spike_ratio * (trailing as f64).max(1.0);
-                let was = self.alloc_spiking.swap(u64::from(spiking), Ordering::Relaxed) == 1;
-                if spiking && !was {
-                    self.record_incident("alloc_spike", None);
-                }
-                let next = ((trailing as u128 * 7 + delta as u128) / 8) as u64;
-                self.alloc_trailing.store(next, Ordering::Relaxed);
             }
         }
     }
@@ -380,21 +308,44 @@ mod tests {
         std::env::temp_dir().join(format!("cs-flight-{tag}-{}.jsonl", std::process::id()))
     }
 
-    fn recorder(path: &std::path::Path, config: FlightRecorderConfig) -> Arc<FlightRecorder> {
+    fn recorder(path: &std::path::Path) -> Arc<FlightRecorder> {
         let sink = Arc::new(JsonlSink::create(path, 1_000).unwrap());
-        Arc::new(FlightRecorder::new(sink, MetricsRegistry::new(), config))
+        Arc::new(FlightRecorder::new(sink, MetricsRegistry::new()))
+    }
+
+    /// The `trigger` of every incident line in the sink's file, in order.
+    fn triggers(rec: &FlightRecorder, path: &std::path::Path) -> Vec<String> {
+        rec.sink().flush().unwrap();
+        std::fs::read_to_string(path)
+            .unwrap()
+            .lines()
+            .map(|l| {
+                Json::parse(l)
+                    .expect("incident parses")
+                    .get("trigger")
+                    .and_then(Json::as_str)
+                    .expect("trigger field")
+                    .to_owned()
+            })
+            .collect()
+    }
+
+    fn quarantine() -> EngineEvent {
+        EngineEvent::Quarantine(cs_core::QuarantineEvent {
+            context_id: 1,
+            context_name: "q".into(),
+            abstraction: cs_collections::Abstraction::List,
+            candidate: "array".into(),
+            until_round: 9,
+            strikes: 1,
+            round: 2,
+        })
     }
 
     #[test]
     fn rollback_event_produces_parseable_incident() {
         let path = tmp("rollback");
-        let rec = recorder(
-            &path,
-            FlightRecorderConfig {
-                include_telemetry: true,
-                ..FlightRecorderConfig::default()
-            },
-        );
+        let rec = recorder(&path);
         rec.on_event(&EngineEvent::Rollback(cs_core::RollbackEvent {
             context_id: 9,
             context_name: "orders".into(),
@@ -420,6 +371,8 @@ mod tests {
         );
         assert!(doc.get("overhead").is_some());
         assert!(doc.get("spans").and_then(Json::as_array).is_some());
+        // The telemetry snapshot is always attached.
+        assert!(doc.get("telemetry").is_some_and(|t| *t != Json::Null));
         // No engine attached: explanation degrades to null, nothing panics.
         assert_eq!(doc.get("explanation"), Some(&Json::Null));
         // Every incident freezes the heap account; this binary never
@@ -433,44 +386,55 @@ mod tests {
     #[test]
     fn incident_cap_holds_and_non_triggers_are_ignored() {
         let path = tmp("cap");
-        let rec = recorder(
-            &path,
-            FlightRecorderConfig {
-                max_incidents: 2,
-                include_telemetry: false,
-                ..FlightRecorderConfig::default()
-            },
-        );
+        let rec = recorder(&path);
         rec.on_event(&EngineEvent::ModelFallback(cs_core::ModelFallbackEvent {
             file: "x".into(),
             reason: "y".into(),
         }));
         assert_eq!(rec.incidents_recorded(), 0, "fallback is not a trigger");
-        for _ in 0..5 {
-            rec.on_event(&EngineEvent::Quarantine(cs_core::QuarantineEvent {
-                context_id: 1,
-                context_name: "q".into(),
-                abstraction: cs_collections::Abstraction::List,
-                candidate: "array".into(),
-                until_round: 9,
-                strikes: 1,
-                round: 2,
-            }));
+        for _ in 0..MAX_INCIDENTS + 3 {
+            rec.on_event(&quarantine());
         }
-        assert_eq!(rec.incidents_recorded(), 2, "capped at max_incidents");
+        assert_eq!(
+            rec.incidents_recorded(),
+            MAX_INCIDENTS,
+            "capped at MAX_INCIDENTS"
+        );
+        assert_eq!(triggers(&rec, &path).len() as u64, MAX_INCIDENTS);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn incident_cap_holds_under_concurrent_triggers() {
+        const THREADS: usize = 8;
+        const PER_THREAD: usize = 8;
+        let path = tmp("race");
+        let rec = recorder(&path);
+        let barrier = Arc::new(std::sync::Barrier::new(THREADS));
+        let threads: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let rec = Arc::clone(&rec);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for _ in 0..PER_THREAD {
+                        rec.record_external("phase_shift", Json::object());
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(rec.incidents_recorded(), MAX_INCIDENTS);
+        assert_eq!(triggers(&rec, &path).len() as u64, MAX_INCIDENTS);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn warm_start_triggers_fire_only_on_anomalies() {
         let path = tmp("warm");
-        let rec = recorder(
-            &path,
-            FlightRecorderConfig {
-                include_telemetry: false,
-                ..FlightRecorderConfig::default()
-            },
-        );
+        let rec = recorder(&path);
         // A clean warm start is not an incident.
         rec.on_event(&EngineEvent::WarmStart(cs_core::WarmStartEvent {
             source: "state.css".into(),
@@ -509,34 +473,18 @@ mod tests {
             outcome: cs_core::WarmStartSiteOutcome::StaleFingerprint,
             detail: "default drifted".into(),
         }));
-        rec.sink().flush().unwrap();
         assert_eq!(rec.incidents_recorded(), 2);
-        let content = std::fs::read_to_string(&path).unwrap();
-        let triggers: Vec<String> = content
-            .lines()
-            .map(|l| {
-                Json::parse(l)
-                    .expect("incident parses")
-                    .get("trigger")
-                    .and_then(Json::as_str)
-                    .expect("trigger field")
-                    .to_owned()
-            })
-            .collect();
-        assert_eq!(triggers, ["state_quarantine", "warm_start_reject"]);
+        assert_eq!(
+            triggers(&rec, &path),
+            ["state_quarantine", "warm_start_reject"]
+        );
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn alloc_driven_switch_records_an_alloc_switch_incident() {
         let path = tmp("allocswitch");
-        let rec = recorder(
-            &path,
-            FlightRecorderConfig {
-                include_telemetry: false,
-                ..FlightRecorderConfig::default()
-            },
-        );
+        let rec = recorder(&path);
         let explanation = cs_core::SelectionExplanation {
             context_id: 5,
             context_name: "event-log#buffer".into(),
@@ -574,36 +522,9 @@ mod tests {
     }
 
     #[test]
-    fn alloc_spike_stays_quiet_without_a_counting_allocator() {
-        // This binary has no counting allocator: every per-pass delta reads
-        // zero, so no amount of polling may fire an alloc_spike (the real
-        // firing path is exercised by the alloc_spike example binary).
-        let path = tmp("allocspike");
-        let rec = recorder(
-            &path,
-            FlightRecorderConfig {
-                include_telemetry: false,
-                alloc_spike_min_bytes: 0,
-                ..FlightRecorderConfig::default()
-            },
-        );
-        for _ in 0..6 {
-            rec.on_analysis_pass(Duration::from_micros(1));
-        }
-        assert_eq!(rec.incidents_recorded(), 0);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn external_phase_shift_incident_carries_detail_and_lands_in_the_ring() {
         let path = tmp("phase");
-        let rec = recorder(
-            &path,
-            FlightRecorderConfig {
-                include_telemetry: false,
-                ..FlightRecorderConfig::default()
-            },
-        );
+        let rec = recorder(&path);
         rec.record_external(
             "phase_shift",
             Json::object()
@@ -629,21 +550,25 @@ mod tests {
 
     #[test]
     fn incident_ring_is_bounded_and_evicts_oldest_first() {
+        // A sink whose one-line cap is already spent: no incident line
+        // lands, so no incident slot stays taken and the ring (which keeps
+        // incidents the sink drops) can be driven past its capacity.
         let path = tmp("ring");
-        let rec = recorder(
-            &path,
-            FlightRecorderConfig {
-                include_telemetry: false,
-                max_incidents: 100,
-                ring_capacity: 3,
-                ..FlightRecorderConfig::default()
-            },
-        );
-        for i in 0..5u64 {
+        let sink = Arc::new(JsonlSink::create(&path, 1).unwrap());
+        assert!(sink.write_json(&Json::object()));
+        let rec = FlightRecorder::new(sink, MetricsRegistry::new());
+        let extra = 3;
+        for i in 0..(RING_CAPACITY + extra) as u64 {
             rec.record_external("phase_shift", Json::object().field("n", i));
         }
+        assert_eq!(rec.incidents_recorded(), 0, "the capped sink took no line");
+        assert_eq!(rec.sink().lines_skipped(), (RING_CAPACITY + extra) as u64);
         let ring = rec.recent_incidents();
-        assert_eq!(ring.len(), 3, "ring holds only the newest 3");
+        assert_eq!(
+            ring.len(),
+            RING_CAPACITY,
+            "ring holds only the newest entries"
+        );
         let ns: Vec<u64> = ring
             .iter()
             .map(|l| {
@@ -655,33 +580,47 @@ mod tests {
                     .unwrap()
             })
             .collect();
-        assert_eq!(ns, [2, 3, 4], "oldest evicted first");
-        // The external path honours the incident cap too.
-        let capped = recorder(
-            &tmp("ringcap"),
-            FlightRecorderConfig {
-                include_telemetry: false,
-                max_incidents: 1,
-                ..FlightRecorderConfig::default()
-            },
-        );
-        capped.record_external("phase_shift", Json::object());
-        capped.record_external("phase_shift", Json::object());
-        assert_eq!(capped.incidents_recorded(), 1);
+        let newest: Vec<u64> = (extra as u64..(RING_CAPACITY + extra) as u64).collect();
+        assert_eq!(ns, newest, "oldest evicted first");
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(tmp("ringcap")).ok();
+    }
+
+    /// A sink that panics on every analysis pass, so the engine disconnects it.
+    struct PanicsOnPass;
+
+    impl EngineEventSink for PanicsOnPass {
+        fn on_event(&self, _event: &EngineEvent) {}
+
+        fn on_analysis_pass(&self, _duration: Duration) {
+            panic!("deliberate sink failure");
+        }
+
+        fn name(&self) -> &str {
+            "panics-on-pass"
+        }
     }
 
     #[test]
-    fn disconnect_poll_is_edge_detected() {
-        let path = tmp("edge");
-        let rec = recorder(&path, FlightRecorderConfig::default());
-        let engine = cs_core::Switch::builder().build();
+    fn sink_disconnect_fires_once_on_the_pass_after_a_sink_panics() {
+        let path = tmp("disconnect");
+        let rec = recorder(&path);
+        let engine = cs_core::Switch::builder()
+            .event_sink(Arc::new(PanicsOnPass))
+            .event_sink(rec.clone())
+            .build();
         rec.attach(&engine);
-        // No disconnects yet: polling fires nothing.
-        rec.on_analysis_pass(Duration::from_micros(1));
-        rec.on_analysis_pass(Duration::from_micros(1));
-        assert_eq!(rec.incidents_recorded(), 0);
+        // Pass 1: the sink panics ahead of the recorder, and the engine
+        // counts the disconnect only once every sink has been called.
+        engine.analyze_now();
+        assert_eq!(engine.sink_disconnects(), 1);
+        assert!(triggers(&rec, &path).is_empty());
+        // Pass 2: the recorder sees the total grow.
+        engine.analyze_now();
+        assert_eq!(triggers(&rec, &path), ["sink_disconnect"]);
+        // Pass 3: edge-detected, so no second incident.
+        engine.analyze_now();
+        assert_eq!(triggers(&rec, &path), ["sink_disconnect"]);
+        assert_eq!(rec.incidents_recorded(), 1);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -13,12 +13,17 @@
 //!   histograms behind `Arc` handles; the registry lock is touched only at
 //!   registration and snapshot time, so instrumented hot paths stay a
 //!   single atomic RMW.
-//! * [`MetricsSink`] / [`JsonlSink`] / [`VecSink`] — implementations of
+//! * [`MetricsSink`] / [`JsonlSink`] — implementations of
 //!   [`cs_core::EngineEventSink`] receiving every engine event at record
 //!   time: one folds events into metrics, one streams the decision audit
 //!   trail (including per-candidate cost estimates from
-//!   [`cs_core::SelectionExplanation`]) as bounded JSONL, one buffers for
-//!   tests.
+//!   [`cs_core::SelectionExplanation`]) as bounded JSONL. The engine's own
+//!   bounded log ([`cs_core::Switch::event_log`]) is the in-memory copy.
+//! * [`FlightRecorder`] — an event sink that freezes spans, the site's
+//!   explanation, the overhead account and the heap account into an
+//!   incident record when a trigger fires (rollback, quarantine, overhead
+//!   budget, or a `phase_shift` handed over by `cs-obs`'s band detector).
+//!   Its tuning is fixed; the trigger matrix is in its module docs.
 //! * [`TelemetrySnapshot`] — a frozen registry copy that renders to
 //!   Prometheus text ([`TelemetrySnapshot::to_prometheus_text`]) or JSON
 //!   ([`TelemetrySnapshot::to_json`]); [`validate_prometheus_text`] checks
@@ -72,7 +77,7 @@ pub use export::{
     export_engine, export_engine_health, export_heap, export_persister, export_process,
     export_state, export_trace, export_warm_start,
 };
-pub use flight::{FlightRecorder, FlightRecorderConfig};
+pub use flight::FlightRecorder;
 pub use json::{
     event_to_json, explanation_to_json, health_to_json, heap_account_to_json,
     manifest_entry_to_json, Json, JsonParseError,
@@ -82,7 +87,7 @@ pub use metrics::{
     MetricsRegistry, SeriesSnapshot, TelemetrySnapshot, ValueSnapshot,
 };
 pub use prometheus::validate_prometheus_text;
-pub use sinks::{JsonlSink, MetricsSink, VecSink, PASS_DURATION_BUCKETS};
+pub use sinks::{JsonlSink, MetricsSink, PASS_DURATION_BUCKETS};
 
 // The sinks cross the engine's dispatch boundary from arbitrary threads;
 // losing `Send + Sync` on any of them must fail the build here.
@@ -91,6 +96,5 @@ const _: () = {
     assert_send_sync::<MetricsRegistry>();
     assert_send_sync::<MetricsSink>();
     assert_send_sync::<JsonlSink>();
-    assert_send_sync::<VecSink>();
     assert_send_sync::<FlightRecorder>();
 };

@@ -1,5 +1,5 @@
-//! Ready-made [`EngineEventSink`] implementations: metrics aggregation,
-//! a bounded JSONL audit stream, and an in-memory sink for tests.
+//! Ready-made [`EngineEventSink`] implementations: metrics aggregation
+//! and a bounded JSONL audit stream.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write as _};
@@ -243,10 +243,10 @@ impl JsonlSink {
         self.inner.lock().writer.flush()
     }
 
-    /// Writes an arbitrary pre-rendered [`Json`](crate::Json) document as
-    /// one line of the stream, under the same line cap and error
-    /// accounting as engine events. This is how non-event records (flight
-    /// recorder incidents) interleave with the audit trail.
+    /// Writes one [`Json`](crate::Json) document as one line of the
+    /// stream, under the line cap and the error accounting. Engine events
+    /// and non-event records (flight recorder incidents) both take this
+    /// path, which is how incidents interleave with the audit trail.
     ///
     /// Returns `true` if the line was written (not capped, no I/O error).
     pub fn write_json(&self, doc: &crate::Json) -> bool {
@@ -278,86 +278,11 @@ impl Drop for JsonlSink {
 
 impl EngineEventSink for JsonlSink {
     fn on_event(&self, event: &EngineEvent) {
-        let mut inner = self.inner.lock();
-        if inner.written >= self.max_lines {
-            self.skipped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut line = event_to_json(event).render();
-        line.push('\n');
-        match inner.writer.write_all(line.as_bytes()) {
-            Ok(()) => inner.written += 1,
-            Err(_) => {
-                self.io_errors.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.write_json(&event_to_json(event));
     }
 
     fn name(&self) -> &str {
         "jsonl"
-    }
-}
-
-/// An in-memory sink that records everything it receives, for tests and
-/// ad-hoc inspection.
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-/// use cs_core::Switch;
-/// use cs_telemetry::VecSink;
-///
-/// let sink = Arc::new(VecSink::default());
-/// let engine = Switch::builder().event_sink(sink.clone()).build();
-/// engine.analyze_now();
-/// assert_eq!(sink.pass_durations().len(), 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct VecSink {
-    events: Mutex<Vec<EngineEvent>>,
-    passes: Mutex<Vec<Duration>>,
-}
-
-impl VecSink {
-    /// A copy of every event received, in delivery order.
-    pub fn events(&self) -> Vec<EngineEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Number of events received.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether no events were received.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every analysis-pass duration received.
-    pub fn pass_durations(&self) -> Vec<Duration> {
-        self.passes.lock().clone()
-    }
-
-    /// Clears recorded events and pass durations.
-    pub fn clear(&self) {
-        self.events.lock().clear();
-        self.passes.lock().clear();
-    }
-}
-
-impl EngineEventSink for VecSink {
-    fn on_event(&self, event: &EngineEvent) {
-        self.events.lock().push(event.clone());
-    }
-
-    fn on_analysis_pass(&self, duration: Duration) {
-        self.passes.lock().push(duration);
-    }
-
-    fn name(&self) -> &str {
-        "vec"
     }
 }
 
@@ -421,17 +346,5 @@ mod tests {
             assert!(line.ends_with('}'));
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn vec_sink_records_in_order() {
-        let sink = VecSink::default();
-        sink.on_event(&transition("A"));
-        sink.on_event(&transition("B"));
-        sink.on_analysis_pass(Duration::from_nanos(5));
-        assert_eq!(sink.len(), 2);
-        assert_eq!(sink.pass_durations(), vec![Duration::from_nanos(5)]);
-        sink.clear();
-        assert!(sink.is_empty());
     }
 }

@@ -27,7 +27,7 @@ use std::sync::Arc;
 use collection_switch::core::Models;
 use collection_switch::model::{PerformanceModel, Polynomial, VariantCostModel};
 use collection_switch::profile::OpKind;
-use collection_switch::telemetry::{FlightRecorder, FlightRecorderConfig, Json};
+use collection_switch::telemetry::{FlightRecorder, Json};
 use collection_switch::trace;
 use collection_switch::prelude::*;
 
@@ -62,11 +62,7 @@ fn main() {
     let jsonl = Arc::new(
         JsonlSink::create(&stream_path, 10_000).unwrap_or_else(|e| fail(&e.to_string())),
     );
-    let recorder = Arc::new(FlightRecorder::new(
-        Arc::clone(&jsonl),
-        registry.clone(),
-        FlightRecorderConfig::default(),
-    ));
+    let recorder = Arc::new(FlightRecorder::new(Arc::clone(&jsonl), registry.clone()));
 
     // An inverted list model: the engine will switch to the "cheap" linked
     // list, measure a regression, and roll back — the trigger under test.

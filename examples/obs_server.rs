@@ -30,11 +30,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
-use collection_switch::obs::{DriftConfig, ObsBuilder, ObsHandle};
+use collection_switch::obs::{ObsBuilder, ObsHandle};
 use collection_switch::runtime::ConcurrentMap;
-use collection_switch::telemetry::{
-    validate_prometheus_text, FlightRecorder, FlightRecorderConfig, Json,
-};
+use collection_switch::telemetry::{validate_prometheus_text, FlightRecorder, Json};
 use collection_switch::prelude::*;
 
 fn fail(msg: &str) -> ! {
@@ -96,11 +94,7 @@ fn main() {
         JsonlSink::create(&stream_path, 10_000)
             .unwrap_or_else(|e| fail(&format!("create jsonl sink: {e}"))),
     );
-    let recorder = Arc::new(FlightRecorder::new(
-        Arc::clone(&jsonl),
-        registry.clone(),
-        FlightRecorderConfig::default(),
-    ));
+    let recorder = Arc::new(FlightRecorder::new(Arc::clone(&jsonl), registry.clone()));
     let engine = Switch::builder()
         .event_sink(Arc::new(MetricsSink::new(registry.clone())))
         .event_sink(recorder.clone())
@@ -114,10 +108,6 @@ fn main() {
         .manual_sampler()
         .registry(registry.clone())
         .flight(Arc::clone(&recorder))
-        .drift(DriftConfig {
-            warmup_frames: 6,
-            ..DriftConfig::default()
-        })
         .spawn_runtime(&rt)
         .unwrap_or_else(|e| fail(&format!("bind obs server: {e}")));
     let addr = obs.local_addr().unwrap_or_else(|| fail("no local addr"));

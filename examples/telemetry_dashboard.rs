@@ -5,10 +5,10 @@
 //! ```
 //!
 //! Builds an engine with the full observability pipeline attached — a
-//! metrics sink, a bounded JSONL audit stream, and an in-memory sink —
-//! drives both a single-owner allocation context and a concurrent runtime
-//! site through adaptation (including a rollback provoked by an inverted
-//! model), then renders a dashboard:
+//! metrics sink and a bounded JSONL audit stream — drives both a
+//! single-owner allocation context and a concurrent runtime site through
+//! adaptation (including a rollback provoked by an inverted model), then
+//! renders a dashboard:
 //!
 //! * the engine health summary ([`Switch::health`]),
 //! * the per-site decision audit ([`Switch::explain`]) with every
@@ -65,7 +65,6 @@ fn main() {
     let jsonl = Arc::new(
         JsonlSink::create(&audit_path, 10_000).unwrap_or_else(|e| fail(&e.to_string())),
     );
-    let vec_sink = Arc::new(VecSink::default());
 
     // An inverted list model provokes a switch that verification will roll
     // back — so the dashboard below shows the full decision lifecycle, not
@@ -83,7 +82,6 @@ fn main() {
         .models(models)
         .event_sink(Arc::new(MetricsSink::new(registry.clone())))
         .event_sink(jsonl.clone())
-        .event_sink(vec_sink.clone())
         .build();
     let runtime = Runtime::new(engine.clone());
 
@@ -145,13 +143,6 @@ fn main() {
 
     // -- Cross-check: sinks, metrics, and the engine log must agree --------
     let log = engine.event_log();
-    if vec_sink.len() != log.len() {
-        fail(&format!(
-            "VecSink saw {} events, engine log holds {}",
-            vec_sink.len(),
-            log.len()
-        ));
-    }
     let events_total = snapshot
         .counter_total("cs_events_total")
         .unwrap_or_else(|| fail("cs_events_total missing"));

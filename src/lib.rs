@@ -80,7 +80,6 @@ pub mod prelude {
     pub use cs_runtime::{ConcurrentMap, ConcurrentSet, Runtime, RuntimeConfig};
     pub use cs_telemetry::{
         validate_prometheus_text, JsonlSink, MetricsRegistry, MetricsSink, TelemetrySnapshot,
-        VecSink,
     };
     pub use cs_trace::{Phase, TraceMode, TraceSnapshot};
 }
