@@ -47,7 +47,7 @@ use std::time::Instant;
 
 use cs_bench::{run_sweep, Sweep};
 use cs_collections::ListKind;
-use cs_core::{SelectionOutcome, SelectionRule, Switch};
+use cs_core::{AnyContext, SelectionOutcome, SelectionRule, Switch};
 use cs_heap::{AllocDelta, AllocGuard, HeapAccount};
 use cs_model::default_models;
 use cs_profile::WindowConfig;

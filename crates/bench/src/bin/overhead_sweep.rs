@@ -184,7 +184,7 @@ fn sweep(sweep: &mut Sweep) -> Json {
                 .field("ops_per_thread", ops_per_thread)
                 .field("keys", keys),
         )
-        .field("op_sample_mask", cs_trace::op_sample_mask())
+        .field("op_sample_mask", cs_trace::OP_SAMPLE_MASK)
         .field(
             "gate",
             Json::object()

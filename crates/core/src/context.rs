@@ -6,23 +6,27 @@
 //! into, and the accumulated workload history the selection algorithm runs
 //! over.
 
+use std::fmt;
 use std::hash::Hash;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cs_collections::{AnyList, AnyMap, AnySet, ListKind, MapKind, SetKind};
+use cs_collections::{Abstraction, AnyList, AnyMap, AnySet, ListKind, MapKind, SetKind};
 use cs_model::{CostDimension, PerformanceModel};
-use cs_profile::{ClockSampler, ProfileHistogram, ProfileSink, WindowConfig, WindowState};
+use cs_profile::{
+    ClockSampler, ProfileHistogram, ProfileSink, WindowConfig, WindowState, WorkloadProfile,
+};
 use parking_lot::Mutex;
 
+use crate::engine::Models;
 use crate::event::{
     EngineEvent, QuarantineEvent, RollbackEvent, SelectionExplanation, SelectionOutcome,
     TransitionEvent,
 };
 use crate::guard::{GuardState, GuardrailConfig, PendingVerification, TransitionBudget};
 use crate::handles::{Monitor, SwitchList, SwitchMap, SwitchSet};
-use crate::kind_ext::Kind;
+use crate::kind_ext::{Kind, ModelFamily};
 use crate::rules::SelectionRule;
 use crate::select::select_variant_explained;
 
@@ -119,16 +123,6 @@ impl<K: Kind> ContextCore<K> {
         }
     }
 
-    /// The context's unique id within its engine.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The context's name (allocation-site label).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The variant the site currently instantiates.
     pub fn current_kind(&self) -> K {
         K::from_index(self.current.load(Ordering::Acquire))
@@ -163,44 +157,6 @@ impl<K: Kind> ContextCore<K> {
         self.frozen.load(Ordering::Acquire)
     }
 
-    /// The decision audit trail of the most recent analysis pass that
-    /// scored candidates at this site (rounds skipped for cooldown, an
-    /// empty workload, or a just-performed rollback leave the previous
-    /// explanation in place). `None` until the first scored pass.
-    pub fn explain(&self) -> Option<SelectionExplanation> {
-        self.last_explanation.lock().clone()
-    }
-
-    /// Profiles delivered into this context's sink so far (monitored
-    /// instances that finished, plus ingested epoch flushes), including
-    /// profiles the bounded sink has since evicted.
-    pub fn profiles_pushed(&self) -> u64 {
-        self.sink.pushed()
-    }
-
-    /// Profiles evicted unseen because the context's bounded sink
-    /// overflowed between analysis passes.
-    pub fn profiles_dropped(&self) -> u64 {
-        self.sink.dropped()
-    }
-
-    /// Attributed allocation churn `(events, bytes)` currently held in the
-    /// site's decayed workload history — the observable behind the
-    /// alloc-rate dimension, exported into snapshot profile summaries.
-    pub fn history_alloc(&self) -> (u64, u64) {
-        let history = self.history.lock();
-        (history.alloc_count(), history.alloc_bytes())
-    }
-
-    /// Mean attributed allocation bytes per aggregated operation in the
-    /// site's workload history; `0.0` before any monitored instance landed.
-    /// Exported on [`SiteManifestEntry`](crate::SiteManifestEntry) rows so
-    /// the static analyzer's drift check can compare its predicted
-    /// allocation class against the measured one.
-    pub fn history_alloc_per_op(&self) -> f64 {
-        self.history.lock().alloc_bytes_per_op()
-    }
-
     /// The clock period `P` for the site's monitored op streams: clock one
     /// op in `P` and scale its nanos by `P`. It is `max(1, W / 256)` for
     /// the `W` ops of the last analysed window, 8 before the first window,
@@ -224,32 +180,6 @@ impl<K: Kind> ContextCore<K> {
             self.sink.clone(),
             ClockSampler::new(self.clock_period(), slot as u64),
         ))
-    }
-
-    /// Ingests an externally accumulated [`WorkloadProfile`](cs_profile::WorkloadProfile) as one finished
-    /// monitored "instance" of this site.
-    ///
-    /// This is the feedback channel for *long-lived concurrent* collections
-    /// (the `cs-runtime` crate): instead of one profile per short-lived
-    /// handle, each shard of a concurrent handle flushes its window buffer
-    /// here on epoch boundaries. Each flush claims a monitoring slot (best
-    /// effort — a full window still accepts the profile, it just does not
-    /// grow the round's `started` count) and lands in the sink, so
-    /// [`ContextCore::analyze_guarded`] sees epochs exactly as it sees
-    /// finished instances: same round-readiness rule, same verification
-    /// arithmetic, same rollback and quarantine semantics.
-    ///
-    /// Returns `false` (dropping the profile) when the context is frozen.
-    pub fn ingest_profile(&self, profile: cs_profile::WorkloadProfile) -> bool {
-        if self.is_frozen() {
-            return false;
-        }
-        // One ingest span per accepted profile: the span count agrees
-        // exactly with the site's flush count on the concurrent path.
-        let _span = cs_trace::span(cs_trace::Phase::Ingest, self.id);
-        self.window.try_claim_slot(self.config.window_size);
-        self.sink.push(profile);
-        true
     }
 
     /// Runs one analysis pass (paper §3.1): if the monitoring round is ready
@@ -491,20 +421,168 @@ impl<K: Kind> ContextCore<K> {
     }
 }
 
+/// An allocation context of any kind family, with the family erased:
+/// everything the engine's registry and `cs-runtime`'s sites need from a
+/// [`ContextCore`] without naming its kind. Implemented for
+/// `ContextCore<ListKind>`, `ContextCore<SetKind>` and
+/// `ContextCore<MapKind>`, the families the engine holds a model for.
+pub trait AnyContext: Send + Sync + fmt::Debug {
+    /// The context's unique id within its engine.
+    fn id(&self) -> u64;
+
+    /// The context's name (allocation-site label).
+    fn name(&self) -> &str;
+
+    /// The abstraction of the site's kind family.
+    fn abstraction(&self) -> Abstraction;
+
+    /// The name of the variant the site currently instantiates.
+    fn current_kind_name(&self) -> String;
+
+    /// The name of the variant the developer originally declared.
+    fn default_kind_name(&self) -> String;
+
+    /// Activity counters ([`ContextCore::stats`]).
+    fn stats(&self) -> ContextStats;
+
+    /// The decision audit trail of the most recent analysis pass that
+    /// scored candidates at this site (rounds skipped for cooldown, an
+    /// empty workload, or a just-performed rollback leave the previous
+    /// explanation in place). `None` until the first scored pass.
+    fn explain(&self) -> Option<SelectionExplanation>;
+
+    /// Profiles delivered into this context's sink so far (monitored
+    /// instances that finished, plus ingested epoch flushes), including
+    /// profiles the bounded sink has since evicted.
+    fn profiles_pushed(&self) -> u64;
+
+    /// Profiles evicted unseen because the context's bounded sink
+    /// overflowed between analysis passes.
+    fn profiles_dropped(&self) -> u64;
+
+    /// Attributed allocation churn `(events, bytes)` currently held in the
+    /// site's decayed workload history — the observable behind the
+    /// alloc-rate dimension, exported into snapshot profile summaries.
+    fn history_alloc(&self) -> (u64, u64);
+
+    /// Mean attributed allocation bytes per aggregated operation in the
+    /// site's workload history; `0.0` before any monitored instance landed.
+    /// Exported on [`SiteManifestEntry`](crate::SiteManifestEntry) rows so
+    /// the static analyzer's drift check can compare its predicted
+    /// allocation class against the measured one.
+    fn history_alloc_per_op(&self) -> f64;
+
+    /// Ingests an externally accumulated [`WorkloadProfile`] as one
+    /// finished monitored "instance" of this site.
+    ///
+    /// This is the feedback channel for *long-lived concurrent* collections
+    /// (the `cs-runtime` crate): instead of one profile per short-lived
+    /// handle, each shard of a concurrent handle flushes its window buffer
+    /// here on epoch boundaries. Each flush claims a monitoring slot (best
+    /// effort — a full window still accepts the profile, it just does not
+    /// grow the round's `started` count) and lands in the sink, so
+    /// [`ContextCore::analyze_guarded`] sees epochs exactly as it sees
+    /// finished instances: same round-readiness rule, same verification
+    /// arithmetic, same rollback and quarantine semantics.
+    ///
+    /// Returns `false` (dropping the profile) when the context is frozen.
+    fn ingest_profile(&self, profile: WorkloadProfile) -> bool;
+
+    /// Runs [`ContextCore::analyze_guarded`] against the family's model in
+    /// `models`.
+    fn analyze_pass(
+        &self,
+        models: &Models,
+        rule: &SelectionRule,
+        guard_cfg: &GuardrailConfig,
+        budget: &TransitionBudget,
+        events: &mut Vec<EngineEvent>,
+    ) -> Option<TransitionEvent>;
+}
+
+impl<K: ModelFamily> AnyContext for ContextCore<K> {
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn abstraction(&self) -> Abstraction {
+        K::ABSTRACTION
+    }
+
+    fn current_kind_name(&self) -> String {
+        self.current_kind().to_string()
+    }
+
+    fn default_kind_name(&self) -> String {
+        self.default_kind.to_string()
+    }
+
+    fn stats(&self) -> ContextStats {
+        ContextCore::stats(self)
+    }
+
+    fn explain(&self) -> Option<SelectionExplanation> {
+        self.last_explanation.lock().clone()
+    }
+
+    fn profiles_pushed(&self) -> u64 {
+        self.sink.pushed()
+    }
+
+    fn profiles_dropped(&self) -> u64 {
+        self.sink.dropped()
+    }
+
+    fn history_alloc(&self) -> (u64, u64) {
+        let history = self.history.lock();
+        (history.alloc_count(), history.alloc_bytes())
+    }
+
+    fn history_alloc_per_op(&self) -> f64 {
+        self.history.lock().alloc_bytes_per_op()
+    }
+
+    fn ingest_profile(&self, profile: WorkloadProfile) -> bool {
+        if self.is_frozen() {
+            return false;
+        }
+        // One ingest span per accepted profile: the span count agrees
+        // exactly with the site's flush count on the concurrent path.
+        let _span = cs_trace::span(cs_trace::Phase::Ingest, self.id);
+        self.window.try_claim_slot(self.config.window_size);
+        self.sink.push(profile);
+        true
+    }
+
+    fn analyze_pass(
+        &self,
+        models: &Models,
+        rule: &SelectionRule,
+        guard_cfg: &GuardrailConfig,
+        budget: &TransitionBudget,
+        events: &mut Vec<EngineEvent>,
+    ) -> Option<TransitionEvent> {
+        self.analyze_guarded(K::model(models), rule, guard_cfg, budget, events)
+    }
+}
+
 macro_rules! typed_context {
     (
         $(#[$doc:meta])*
-        $name:ident, $kind:ty, $create:ident, $handle:ident, $any:ident
-        $(, <$($gen:ident),*>)?
+        $name:ident<$($gen:ident: $bound:ident $(+ $more:ident)*),+>, $kind:ty
     ) => {
         $(#[$doc])*
         #[derive(Debug)]
-        pub struct $name<$($($gen: Eq + Hash + Clone),*)?> {
+        pub struct $name<$($gen: $bound $(+ $more)*),+> {
             core: Arc<ContextCore<$kind>>,
-            _marker: PhantomData<fn() -> ($($($gen,)*)?)>,
+            _marker: PhantomData<fn() -> ($($gen,)+)>,
         }
 
-        impl<$($($gen: Eq + Hash + Clone),*)?> Clone for $name<$($($gen),*)?> {
+        impl<$($gen: $bound $(+ $more)*),+> Clone for $name<$($gen),+> {
             fn clone(&self) -> Self {
                 Self {
                     core: Arc::clone(&self.core),
@@ -513,7 +591,7 @@ macro_rules! typed_context {
             }
         }
 
-        impl<$($($gen: Eq + Hash + Clone),*)?> $name<$($($gen),*)?> {
+        impl<$($gen: $bound $(+ $more)*),+> $name<$($gen),+> {
             pub(crate) fn from_core(core: Arc<ContextCore<$kind>>) -> Self {
                 Self {
                     core,
@@ -528,12 +606,12 @@ macro_rules! typed_context {
 
             /// The context's unique id within its engine.
             pub fn id(&self) -> u64 {
-                self.core.id()
+                self.core.id
             }
 
             /// The context's name (allocation-site label).
             pub fn name(&self) -> &str {
-                self.core.name()
+                &self.core.name
             }
 
             /// Activity counters.
@@ -554,7 +632,7 @@ typed_context!(
     ///
     /// Created by [`Switch::list_context`](crate::Switch::list_context);
     /// cheap to clone (shared core).
-    ListContext, ListKind, create_list, SwitchList, AnyList, <T>
+    ListContext<T: Eq + Hash + Clone>, ListKind
 );
 
 impl<T: Eq + Hash + Clone> ListContext<T> {
@@ -572,7 +650,7 @@ typed_context!(
     /// An adaptive allocation context for set sites.
     ///
     /// Created by [`Switch::set_context`](crate::Switch::set_context).
-    SetContext, SetKind, create_set, SwitchSet, AnySet, <T>
+    SetContext<T: Eq + Hash + Clone>, SetKind
 );
 
 impl<T: Eq + Hash + Clone> SetContext<T> {
@@ -585,64 +663,21 @@ impl<T: Eq + Hash + Clone> SetContext<T> {
     }
 }
 
-/// An adaptive allocation context for map sites.
-///
-/// Created by [`Switch::map_context`](crate::Switch::map_context); cheap to
-/// clone (shared core).
-#[derive(Debug)]
-pub struct MapContext<K: Eq + Hash + Clone, V: Clone> {
-    core: Arc<ContextCore<MapKind>>,
-    _marker: PhantomData<fn() -> (K, V)>,
-}
-
-impl<K: Eq + Hash + Clone, V: Clone> Clone for MapContext<K, V> {
-    fn clone(&self) -> Self {
-        MapContext {
-            core: Arc::clone(&self.core),
-            _marker: PhantomData,
-        }
-    }
-}
+typed_context!(
+    /// An adaptive allocation context for map sites.
+    ///
+    /// Created by [`Switch::map_context`](crate::Switch::map_context); cheap
+    /// to clone (shared core).
+    MapContext<K: Eq + Hash + Clone, V: Clone>, MapKind
+);
 
 impl<K: Eq + Hash + Clone, V: Clone> MapContext<K, V> {
-    pub(crate) fn from_core(core: Arc<ContextCore<MapKind>>) -> Self {
-        MapContext {
-            core,
-            _marker: PhantomData,
-        }
-    }
-
     /// Instantiates a map of the site's current variant.
     pub fn create_map(&self) -> SwitchMap<K, V> {
         SwitchMap::new(
             AnyMap::new(self.core.current_kind()),
             self.core.claim_monitor(),
         )
-    }
-
-    /// The variant future instantiations will use.
-    pub fn current_kind(&self) -> MapKind {
-        self.core.current_kind()
-    }
-
-    /// The context's unique id within its engine.
-    pub fn id(&self) -> u64 {
-        self.core.id()
-    }
-
-    /// The context's name (allocation-site label).
-    pub fn name(&self) -> &str {
-        self.core.name()
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> ContextStats {
-        self.core.stats()
-    }
-
-    /// The kind-generic core (for advanced integration).
-    pub fn core(&self) -> &Arc<ContextCore<MapKind>> {
-        &self.core
     }
 }
 

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -14,13 +14,13 @@ use cs_model::{default_models, PerformanceModel};
 use cs_profile::WindowConfig;
 use parking_lot::Mutex;
 
-use crate::context::{ContextCore, ListContext, MapContext, SetContext};
+use crate::context::{AnyContext, ContextCore, ListContext, MapContext, SetContext};
 use crate::event::{
     AnalyzerPanicEvent, DegradedEvent, EngineEvent, EventLog, ModelFallbackEvent,
     SelectionExplanation, TransitionEvent, WarmStartEvent, WarmStartSiteEvent, WarmStartSiteOutcome,
 };
 use crate::guard::{GuardrailConfig, TransitionBudget};
-use crate::kind_ext::Kind;
+use crate::kind_ext::ModelFamily;
 use crate::rules::SelectionRule;
 use crate::state::{SnapshotPolicy, StatePersister, WarmStartReport, WarmState};
 use crate::subscriber::{EngineEventSink, SinkRegistry};
@@ -52,25 +52,24 @@ impl Default for Models {
 }
 
 impl Models {
-    /// File names used by [`Models::save_to_dir`] / [`Models::load_from_dir`]
-    /// (and by the `model_builder` calibration binary).
-    pub const FILE_NAMES: [&'static str; 3] = ["lists.model", "sets.model", "maps.model"];
-
-    /// Writes the three models to `dir` in the `cs-model` text format,
-    /// creating the directory if needed. Each file is written atomically
-    /// via [`cs_model::persist::save_to_path`], so a crash mid-save never
+    /// Writes the three models to `dir` in the `cs-model` text format
+    /// (`lists.model`, `sets.model`, `maps.model`), creating the directory
+    /// if needed. Each file is written atomically via
+    /// [`cs_model::persist::save_to_path`], so a crash mid-save never
     /// leaves a half-written model for the next boot to trip over.
     ///
     /// # Errors
     ///
     /// Returns any I/O error from creating the directory or writing a file.
-    pub fn save_to_dir(&self, dir: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+    pub fn save_to_dir(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
+        fn save<K: ModelFamily>(models: &Models, dir: &Path) -> std::io::Result<()> {
+            cs_model::persist::save_to_path(K::model(models), dir.join(model_file::<K>()))
+        }
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
-        cs_model::persist::save_to_path(&self.list, dir.join("lists.model"))?;
-        cs_model::persist::save_to_path(&self.set, dir.join("sets.model"))?;
-        cs_model::persist::save_to_path(&self.map, dir.join("maps.model"))?;
-        Ok(())
+        save::<ListKind>(self, dir)?;
+        save::<SetKind>(self, dir)?;
+        save::<MapKind>(self, dir)
     }
 
     /// Loads the three models from `dir` (the inverse of
@@ -82,13 +81,9 @@ impl Models {
     /// Returns an [`std::io::Error`] if a file is missing/unreadable or
     /// fails to parse (parse failures are reported as
     /// [`std::io::ErrorKind::InvalidData`]).
-    pub fn load_from_dir(dir: impl AsRef<std::path::Path>) -> std::io::Result<Models> {
-        let dir = dir.as_ref();
-        fn parse<K>(path: std::path::PathBuf) -> std::io::Result<PerformanceModel<K>>
-        where
-            K: Copy + Eq + Hash + std::fmt::Display + std::str::FromStr,
-            <K as std::str::FromStr>::Err: std::fmt::Display,
-        {
+    pub fn load_from_dir(dir: impl AsRef<Path>) -> std::io::Result<Models> {
+        fn load<K: ModelFamily>(dir: &Path) -> std::io::Result<PerformanceModel<K>> {
+            let path = dir.join(model_file::<K>());
             let text = std::fs::read_to_string(&path)?;
             cs_model::persist::from_text(&text).map_err(|e| {
                 std::io::Error::new(
@@ -97,10 +92,11 @@ impl Models {
                 )
             })
         }
+        let dir = dir.as_ref();
         Ok(Models {
-            list: parse(dir.join("lists.model"))?,
-            set: parse(dir.join("sets.model"))?,
-            map: parse(dir.join("maps.model"))?,
+            list: load(dir)?,
+            set: load(dir)?,
+            map: load(dir)?,
         })
     }
 
@@ -113,57 +109,40 @@ impl Models {
     /// engine's event log. This is the robust path for production hosts: a
     /// corrupt calibration directory degrades selection quality, it must
     /// not abort startup.
-    pub fn load_from_dir_lenient(
-        dir: impl AsRef<std::path::Path>,
-    ) -> (Models, Vec<ModelFallbackEvent>) {
-        let dir = dir.as_ref();
-        let mut fallbacks = Vec::new();
-        fn load_one<K>(
-            path: std::path::PathBuf,
-            file: &str,
-            fallback: &PerformanceModel<K>,
-            fallbacks: &mut Vec<ModelFallbackEvent>,
-        ) -> PerformanceModel<K>
-        where
-            K: Copy + Eq + Hash + std::fmt::Display + std::str::FromStr,
-            <K as std::str::FromStr>::Err: std::fmt::Display,
-        {
-            let parsed = std::fs::read_to_string(&path)
+    pub fn load_from_dir_lenient(dir: impl AsRef<Path>) -> (Models, Vec<ModelFallbackEvent>) {
+        fn load<K: ModelFamily>(dir: &Path, models: &mut Models) -> Option<ModelFallbackEvent> {
+            let file = model_file::<K>();
+            let installed = std::fs::read_to_string(dir.join(&file))
                 .map_err(|e| e.to_string())
-                .and_then(|text| cs_model::persist::from_text(&text).map_err(|e| e.to_string()));
-            match parsed {
-                Ok(model) => model,
-                Err(reason) => {
-                    fallbacks.push(ModelFallbackEvent {
-                        file: file.to_owned(),
-                        reason,
-                    });
-                    fallback.clone()
-                }
-            }
+                .and_then(|text| install_model::<K>(models, &text));
+            installed
+                .err()
+                .map(|reason| ModelFallbackEvent { file, reason })
         }
-        let models = Models {
-            list: load_one(
-                dir.join("lists.model"),
-                "lists.model",
-                default_models::list_model(),
-                &mut fallbacks,
-            ),
-            set: load_one(
-                dir.join("sets.model"),
-                "sets.model",
-                default_models::set_model(),
-                &mut fallbacks,
-            ),
-            map: load_one(
-                dir.join("maps.model"),
-                "maps.model",
-                default_models::map_model(),
-                &mut fallbacks,
-            ),
-        };
-        (models, fallbacks)
+        let dir = dir.as_ref();
+        let mut models = Models::default();
+        let fallbacks = [
+            load::<ListKind>(dir, &mut models),
+            load::<SetKind>(dir, &mut models),
+            load::<MapKind>(dir, &mut models),
+        ];
+        (models, fallbacks.into_iter().flatten().collect())
     }
+}
+
+/// The name of `K`'s model file in a model directory.
+fn model_file<K: ModelFamily>() -> String {
+    format!("{}.model", K::FAMILY)
+}
+
+/// Installs the model encoded in `text` as `K`'s model if it passes
+/// `cs-model` validation; otherwise keeps the existing model and returns
+/// the reason. Snapshot bytes are CRC-checked, but the *semantic*
+/// validation (monotone coefficients, known variants) belongs to the model
+/// parser — persisted state never bypasses it.
+fn install_model<K: ModelFamily>(models: &mut Models, text: &str) -> Result<(), String> {
+    *K::model_mut(models) = cs_model::persist::from_text(text).map_err(|e| e.to_string())?;
+    Ok(())
 }
 
 /// Engine configuration.
@@ -187,13 +166,6 @@ impl Default for SwitchConfig {
     }
 }
 
-#[derive(Debug, Default)]
-struct Registry {
-    lists: Vec<Arc<ContextCore<ListKind>>>,
-    sets: Vec<Arc<ContextCore<SetKind>>>,
-    maps: Vec<Arc<ContextCore<MapKind>>>,
-}
-
 /// Test-only hook invoked (with the pass number) at the start of every
 /// analysis pass. Drives the deterministic fault-injection harness.
 #[derive(Clone)]
@@ -209,7 +181,8 @@ impl fmt::Debug for FailpointHook {
 struct Shared {
     config: SwitchConfig,
     models: Models,
-    registry: Mutex<Registry>,
+    /// Every registered context, in registration order.
+    registry: Mutex<Vec<Arc<dyn AnyContext>>>,
     log: Mutex<EventLog>,
     budget: TransitionBudget,
     next_context_id: AtomicU64,
@@ -550,23 +523,17 @@ impl SwitchBuilder {
             let models_in_snapshot = snapshot.models.len();
             if !models_explicit {
                 for blob in &snapshot.models {
-                    let file = format!("{source}#{}", blob.family);
-                    match blob.family.as_str() {
-                        "lists" => {
-                            merge_model_blob(&blob.text, &mut models.list, file, &mut startup_events)
-                        }
-                        "sets" => {
-                            merge_model_blob(&blob.text, &mut models.set, file, &mut startup_events)
-                        }
-                        "maps" => {
-                            merge_model_blob(&blob.text, &mut models.map, file, &mut startup_events)
-                        }
-                        other => startup_events.push(EngineEvent::ModelFallback(
-                            ModelFallbackEvent {
-                                file,
-                                reason: format!("unknown model family '{other}'"),
-                            },
-                        )),
+                    let installed = match blob.family.as_str() {
+                        ListKind::FAMILY => install_model::<ListKind>(&mut models, &blob.text),
+                        SetKind::FAMILY => install_model::<SetKind>(&mut models, &blob.text),
+                        MapKind::FAMILY => install_model::<MapKind>(&mut models, &blob.text),
+                        other => Err(format!("unknown model family '{other}'")),
+                    };
+                    if let Err(reason) = installed {
+                        startup_events.push(EngineEvent::ModelFallback(ModelFallbackEvent {
+                            file: format!("{source}#{}", blob.family),
+                            reason,
+                        }));
                     }
                 }
             }
@@ -619,7 +586,7 @@ impl SwitchBuilder {
         let shared = Arc::new(Shared {
             config: self.config,
             models,
-            registry: Mutex::new(Registry::default()),
+            registry: Mutex::new(Vec::new()),
             log: Mutex::new(log),
             budget,
             next_context_id: AtomicU64::new(0),
@@ -674,47 +641,6 @@ impl SwitchBuilder {
     }
 }
 
-/// Installs a snapshot model blob into `slot` if it passes `cs-model`
-/// validation; otherwise keeps the existing model and records a fallback
-/// event. Snapshot bytes are CRC-checked, but the *semantic* validation
-/// (monotone coefficients, known variants) belongs to the model parser —
-/// persisted state never bypasses it.
-fn merge_model_blob<K>(
-    text: &str,
-    slot: &mut PerformanceModel<K>,
-    file: String,
-    events: &mut Vec<EngineEvent>,
-) where
-    K: Copy + Eq + Hash + fmt::Display + std::str::FromStr,
-    <K as std::str::FromStr>::Err: fmt::Display,
-{
-    match cs_model::persist::from_text(text) {
-        Ok(model) => *slot = model,
-        Err(e) => events.push(EngineEvent::ModelFallback(ModelFallbackEvent {
-            file,
-            reason: e.to_string(),
-        })),
-    }
-}
-
-fn analyze_core<K: Kind>(
-    core: &ContextCore<K>,
-    model: &PerformanceModel<K>,
-    shared: &Shared,
-    events: &mut Vec<EngineEvent>,
-) {
-    let transition = core.analyze_guarded(
-        model,
-        &shared.config.rule,
-        &shared.config.guardrails,
-        &shared.budget,
-        events,
-    );
-    if let Some(event) = transition {
-        events.push(EngineEvent::Transition(event));
-    }
-}
-
 /// Extracts a human-readable message from a panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -748,14 +674,15 @@ fn analyze_shared(shared: &Shared) -> bool {
         }
         let mut events = Vec::new();
         let registry = shared.registry.lock();
-        for core in &registry.lists {
-            analyze_core(core, &shared.models.list, shared, &mut events);
-        }
-        for core in &registry.sets {
-            analyze_core(core, &shared.models.set, shared, &mut events);
-        }
-        for core in &registry.maps {
-            analyze_core(core, &shared.models.map, shared, &mut events);
+        for core in registry.iter() {
+            let transition = core.analyze_pass(
+                &shared.models,
+                &shared.config.rule,
+                &shared.config.guardrails,
+                &shared.budget,
+                &mut events,
+            );
+            events.extend(transition.map(EngineEvent::Transition));
         }
         drop(registry);
         shared.record_and_dispatch(events);
@@ -815,10 +742,6 @@ impl Switch {
         &self.shared.config.guardrails
     }
 
-    fn next_id(&self) -> u64 {
-        self.shared.next_context_id.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Applies a pending warm-start record to a freshly registered site, if
     /// the imported snapshot carried one for its `(abstraction, name)`.
     ///
@@ -828,7 +751,7 @@ impl Switch {
     /// variant must exist in this build. A record that fails either check
     /// degrades *this* site to a cold start; other sites are unaffected.
     /// Every outcome is recorded as an [`EngineEvent::WarmStartSite`].
-    fn apply_warm_start<K: Kind>(&self, core: &ContextCore<K>) {
+    fn apply_warm_start<K: ModelFamily>(&self, core: &ContextCore<K>) {
         let Some(warm) = &self.shared.warm else {
             return;
         };
@@ -889,10 +812,32 @@ impl Switch {
             })]);
     }
 
+    /// Builds a context for a site of family `K`, registers it, and applies
+    /// its warm-start record. The id is minted here, once; an anonymous
+    /// site is named after it (`list-site-{id}`), so its name matches its
+    /// `/explain/<id>` route and its [`Switch::site_manifest`] row.
+    fn register<K: ModelFamily>(&self, default: K, name: Option<String>) -> Arc<ContextCore<K>> {
+        let id = self.shared.next_context_id.fetch_add(1, Ordering::Relaxed);
+        let name = match name {
+            Some(name) => name,
+            None => format!("{}-site-{id}", K::ABSTRACTION),
+        };
+        let core = Arc::new(ContextCore::with_freeze(
+            id,
+            name,
+            default,
+            self.shared.config.window,
+            Arc::clone(&self.shared.degraded),
+        ));
+        self.shared.registry.lock().push(core.clone());
+        self.apply_warm_start(&core);
+        core
+    }
+
     /// Creates an adaptive allocation context for a list site with the given
     /// developer-declared default variant.
     pub fn list_context<T: Eq + Hash + Clone>(&self, default: ListKind) -> ListContext<T> {
-        self.named_list_context(default, format!("list-site-{}", self.next_id()))
+        ListContext::from_core(self.register(default, None))
     }
 
     /// Like [`Switch::list_context`], with an explicit allocation-site name
@@ -902,21 +847,12 @@ impl Switch {
         default: ListKind,
         name: impl Into<String>,
     ) -> ListContext<T> {
-        let core = Arc::new(ContextCore::with_freeze(
-            self.next_id(),
-            name.into(),
-            default,
-            self.shared.config.window,
-            Arc::clone(&self.shared.degraded),
-        ));
-        self.shared.registry.lock().lists.push(Arc::clone(&core));
-        self.apply_warm_start(&core);
-        ListContext::from_core(core)
+        ListContext::from_core(self.register(default, Some(name.into())))
     }
 
     /// Creates an adaptive allocation context for a set site.
     pub fn set_context<T: Eq + Hash + Clone>(&self, default: SetKind) -> SetContext<T> {
-        self.named_set_context(default, format!("set-site-{}", self.next_id()))
+        SetContext::from_core(self.register(default, None))
     }
 
     /// Like [`Switch::set_context`], with an explicit allocation-site name.
@@ -925,21 +861,12 @@ impl Switch {
         default: SetKind,
         name: impl Into<String>,
     ) -> SetContext<T> {
-        let core = Arc::new(ContextCore::with_freeze(
-            self.next_id(),
-            name.into(),
-            default,
-            self.shared.config.window,
-            Arc::clone(&self.shared.degraded),
-        ));
-        self.shared.registry.lock().sets.push(Arc::clone(&core));
-        self.apply_warm_start(&core);
-        SetContext::from_core(core)
+        SetContext::from_core(self.register(default, Some(name.into())))
     }
 
     /// Creates an adaptive allocation context for a map site.
     pub fn map_context<K: Eq + Hash + Clone, V: Clone>(&self, default: MapKind) -> MapContext<K, V> {
-        self.named_map_context(default, format!("map-site-{}", self.next_id()))
+        MapContext::from_core(self.register(default, None))
     }
 
     /// Like [`Switch::map_context`], with an explicit allocation-site name.
@@ -948,16 +875,7 @@ impl Switch {
         default: MapKind,
         name: impl Into<String>,
     ) -> MapContext<K, V> {
-        let core = Arc::new(ContextCore::with_freeze(
-            self.next_id(),
-            name.into(),
-            default,
-            self.shared.config.window,
-            Arc::clone(&self.shared.degraded),
-        ));
-        self.shared.registry.lock().maps.push(Arc::clone(&core));
-        self.apply_warm_start(&core);
-        MapContext::from_core(core)
+        MapContext::from_core(self.register(default, Some(name.into())))
     }
 
     /// Runs one synchronous analysis pass over every registered context —
@@ -970,8 +888,7 @@ impl Switch {
 
     /// Number of registered allocation contexts.
     pub fn context_count(&self) -> usize {
-        let r = self.shared.registry.lock();
-        r.lists.len() + r.sets.len() + r.maps.len()
+        self.shared.registry.lock().len()
     }
 
     /// A copy of the transition log (feeds the paper's Table 6): the
@@ -1034,22 +951,7 @@ impl Switch {
     /// diagnosis surface, machine-readable.
     pub fn explain(&self, site_id: u64) -> Option<SelectionExplanation> {
         let registry = self.shared.registry.lock();
-        for core in &registry.lists {
-            if core.id() == site_id {
-                return core.explain();
-            }
-        }
-        for core in &registry.sets {
-            if core.id() == site_id {
-                return core.explain();
-            }
-        }
-        for core in &registry.maps {
-            if core.id() == site_id {
-                return core.explain();
-            }
-        }
-        None
+        registry.iter().find(|core| core.id() == site_id)?.explain()
     }
 
     /// Completed analysis passes (clean or panicked) since construction.
@@ -1073,24 +975,11 @@ impl Switch {
     /// One-stop liveness summary for dashboards and fault triage: is the
     /// engine still adapting, and what has it lost along the way?
     pub fn health(&self) -> EngineHealth {
-        let (profiles_ingested, profiles_dropped) = {
-            let registry = self.shared.registry.lock();
-            let mut ingested = 0u64;
-            let mut dropped = 0u64;
-            for core in &registry.lists {
-                ingested += core.profiles_pushed();
-                dropped += core.profiles_dropped();
-            }
-            for core in &registry.sets {
-                ingested += core.profiles_pushed();
-                dropped += core.profiles_dropped();
-            }
-            for core in &registry.maps {
-                ingested += core.profiles_pushed();
-                dropped += core.profiles_dropped();
-            }
-            (ingested, dropped)
-        };
+        let (mut profiles_ingested, mut profiles_dropped) = (0, 0);
+        for core in self.shared.registry.lock().iter() {
+            profiles_ingested += core.profiles_pushed();
+            profiles_dropped += core.profiles_dropped();
+        }
         let (events_recorded, events_dropped) = {
             let log = self.shared.log.lock();
             (log.recorded(), log.dropped())
@@ -1145,22 +1034,16 @@ impl Switch {
     /// mitigation (§4.4).
     pub fn context_summaries(&self) -> Vec<ContextSummary> {
         let registry = self.shared.registry.lock();
-        let mut out = Vec::with_capacity(
-            registry.lists.len() + registry.sets.len() + registry.maps.len(),
-        );
-        fn summarize<K: Kind>(core: &ContextCore<K>) -> ContextSummary {
-            ContextSummary {
+        registry
+            .iter()
+            .map(|core| ContextSummary {
                 name: core.name().to_owned(),
-                abstraction: K::ABSTRACTION,
-                default_kind: core.default_kind().to_string(),
-                current_kind: core.current_kind().to_string(),
+                abstraction: core.abstraction(),
+                default_kind: core.default_kind_name(),
+                current_kind: core.current_kind_name(),
                 stats: core.stats(),
-            }
-        }
-        out.extend(registry.lists.iter().map(|c| summarize(c)));
-        out.extend(registry.sets.iter().map(|c| summarize(c)));
-        out.extend(registry.maps.iter().map(|c| summarize(c)));
-        out
+            })
+            .collect()
     }
 
     /// Exports the engine's learned selection state as a [`cs_state::Snapshot`]:
@@ -1176,24 +1059,22 @@ impl Switch {
 
     fn export_state_seq(&self, seq: u64) -> cs_state::Snapshot {
         let mut snapshot = cs_state::Snapshot::default();
-        fn site<K: Kind>(core: &ContextCore<K>) -> cs_state::SiteRecord {
+        for core in self.shared.registry.lock().iter() {
             let stats = core.stats();
-            cs_state::SiteRecord {
+            snapshot.sites.push(cs_state::SiteRecord {
                 name: core.name().to_owned(),
-                abstraction: K::ABSTRACTION.to_string(),
-                default_kind: core.default_kind().to_string(),
-                current_kind: core.current_kind().to_string(),
+                abstraction: core.abstraction().to_string(),
+                default_kind: core.default_kind_name(),
+                current_kind: core.current_kind_name(),
                 rounds: stats.rounds,
                 switches: stats.switches,
                 history_instances: stats.history_instances,
-            }
-        }
-        fn profile<K: Kind>(core: &ContextCore<K>) -> cs_state::ProfileSummaryRecord {
+            });
             // The alloc keys are additive: summary records are key-value,
             // so snapshots written before allocation observability (or by
             // binaries without the counting allocator) load unchanged.
             let (alloc_count, alloc_bytes) = core.history_alloc();
-            cs_state::ProfileSummaryRecord {
+            snapshot.profiles.push(cs_state::ProfileSummaryRecord {
                 site: core.name().to_owned(),
                 entries: vec![
                     ("profiles_ingested".to_owned(), core.profiles_pushed()),
@@ -1201,36 +1082,19 @@ impl Switch {
                     ("alloc_count".to_owned(), alloc_count),
                     ("alloc_bytes".to_owned(), alloc_bytes),
                 ],
+            });
+        }
+        fn blob<K: ModelFamily>(models: &Models) -> cs_state::ModelBlobRecord {
+            cs_state::ModelBlobRecord {
+                family: K::FAMILY.to_owned(),
+                text: cs_model::persist::to_text(K::model(models)),
             }
         }
-        {
-            let registry = self.shared.registry.lock();
-            for core in &registry.lists {
-                snapshot.sites.push(site(core));
-                snapshot.profiles.push(profile(core));
-            }
-            for core in &registry.sets {
-                snapshot.sites.push(site(core));
-                snapshot.profiles.push(profile(core));
-            }
-            for core in &registry.maps {
-                snapshot.sites.push(site(core));
-                snapshot.profiles.push(profile(core));
-            }
-        }
+        let models = &self.shared.models;
         snapshot.models = vec![
-            cs_state::ModelBlobRecord {
-                family: "lists".to_owned(),
-                text: cs_model::persist::to_text(&self.shared.models.list),
-            },
-            cs_state::ModelBlobRecord {
-                family: "sets".to_owned(),
-                text: cs_model::persist::to_text(&self.shared.models.set),
-            },
-            cs_state::ModelBlobRecord {
-                family: "maps".to_owned(),
-                text: cs_model::persist::to_text(&self.shared.models.map),
-            },
+            blob::<ListKind>(models),
+            blob::<SetKind>(models),
+            blob::<MapKind>(models),
         ];
         snapshot.meta = Some(cs_state::MetaRecord {
             seq,
@@ -1317,22 +1181,17 @@ impl Switch {
     /// ```
     pub fn site_manifest(&self) -> Vec<SiteManifestEntry> {
         let registry = self.shared.registry.lock();
-        let mut out = Vec::with_capacity(
-            registry.lists.len() + registry.sets.len() + registry.maps.len(),
-        );
-        fn entry<K: Kind>(core: &ContextCore<K>) -> SiteManifestEntry {
-            SiteManifestEntry {
+        let mut out: Vec<SiteManifestEntry> = registry
+            .iter()
+            .map(|core| SiteManifestEntry {
                 id: core.id(),
                 name: core.name().to_owned(),
-                abstraction: K::ABSTRACTION,
-                default_kind: core.default_kind().to_string(),
-                current_kind: core.current_kind().to_string(),
+                abstraction: core.abstraction(),
+                default_kind: core.default_kind_name(),
+                current_kind: core.current_kind_name(),
                 alloc_bytes_per_op: core.history_alloc_per_op(),
-            }
-        }
-        out.extend(registry.lists.iter().map(|c| entry(c)));
-        out.extend(registry.sets.iter().map(|c| entry(c)));
-        out.extend(registry.maps.iter().map(|c| entry(c)));
+            })
+            .collect();
         out.sort_by_key(|e| e.id);
         out
     }
@@ -1549,11 +1408,40 @@ mod tests {
 
     #[test]
     fn multiple_context_types_register() {
-        let engine = Switch::builder().build();
-        let _l = engine.list_context::<i64>(ListKind::Array);
-        let _s = engine.set_context::<i64>(SetKind::Chained);
-        let _m = engine.map_context::<i64, i64>(MapKind::Chained);
+        // Registered map, list, set: id order is not abstraction order.
+        let engine = Switch::builder().window(fast_window()).build();
+        let map = engine.named_map_context::<i64, i64>(MapKind::Chained, "m");
+        let list = engine.list_context::<i64>(ListKind::Array);
+        let set = engine.named_set_context::<i64>(SetKind::Chained, "s");
+        let mut finished = 0;
+        for v in 0..30 {
+            let (mut m, mut l, mut s) = (map.create_map(), list.create_list(), set.create_set());
+            m.insert(v, v);
+            l.push(v);
+            s.insert(v);
+            let monitored = [m.is_monitored(), l.is_monitored(), s.is_monitored()];
+            finished += monitored.iter().filter(|&&b| b).count() as u64;
+        }
+        engine.analyze_now();
         assert_eq!(engine.context_count(), 3);
+        assert_eq!(list.name(), format!("list-site-{}", list.id()));
+        let ids = [map.id(), list.id(), set.id()];
+        let kinds = [Abstraction::Map, Abstraction::List, Abstraction::Set];
+        let manifest = engine.site_manifest();
+        assert!(manifest.iter().map(|e| e.id).eq(ids), "sorted by id");
+        assert!(manifest.iter().map(|e| e.abstraction).eq(kinds));
+        let summaries = engine.context_summaries();
+        assert!(summaries.iter().map(|s| s.abstraction).eq(kinds));
+        let defaults = summaries.iter().map(|s| s.default_kind.as_str());
+        assert!(defaults.eq(["chained", "array", "chained"]));
+        assert!(ids.iter().all(|&id| engine.explain(id).is_some()));
+        assert_eq!(engine.health().profiles_ingested, finished);
+        let state = engine.export_state();
+        let records = state.sites.iter().map(|r| r.abstraction.as_str());
+        assert!(records.eq(["map", "list", "set"]));
+        assert_eq!(state.profiles.len(), 3);
+        let blobs = state.models.iter().map(|b| b.family.as_str());
+        assert!(blobs.eq(["lists", "sets", "maps"]));
     }
 
     #[test]

@@ -501,7 +501,7 @@ mod tests {
     use cs_profile::OpKind;
 
     fn monitored_list() -> (SwitchList<i64>, ProfileSink) {
-        let sink = ProfileSink::new();
+        let sink = ProfileSink::bounded(1);
         let list = SwitchList::new(
             AnyList::new(ListKind::Array),
             Some(Monitor::new(sink.clone(), ClockSampler::new(8, 0))),
@@ -511,7 +511,7 @@ mod tests {
 
     #[test]
     fn unmonitored_handle_reports_nothing() {
-        let sink = ProfileSink::new();
+        let sink = ProfileSink::bounded(1);
         {
             let mut l: SwitchList<i64> = SwitchList::new(AnyList::new(ListKind::Array), None);
             l.push(1);
@@ -558,7 +558,7 @@ mod tests {
     #[test]
     fn set_handle_counts_ops() {
         use cs_collections::SetKind;
-        let sink = ProfileSink::new();
+        let sink = ProfileSink::bounded(1);
         {
             let mut set: SwitchSet<i64> = SwitchSet::new(
                 AnySet::new(SetKind::Chained),
@@ -582,7 +582,7 @@ mod tests {
     #[test]
     fn map_handle_counts_ops() {
         use cs_collections::MapKind;
-        let sink = ProfileSink::new();
+        let sink = ProfileSink::bounded(1);
         {
             let mut map: SwitchMap<i64, i64> = SwitchMap::new(
                 AnyMap::new(MapKind::Array),
@@ -675,7 +675,7 @@ mod tests {
 
     #[test]
     fn unmonitored_handle_carries_no_wall_time() {
-        let sink = ProfileSink::new();
+        let sink = ProfileSink::bounded(1);
         let mut l: SwitchList<i64> = SwitchList::new(AnyList::new(ListKind::Array), None);
         for v in 0..100 {
             l.push(v);

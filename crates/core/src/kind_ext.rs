@@ -1,9 +1,14 @@
-//! Framework-side extension trait over the variant-kind enums.
+//! Framework-side extension traits over the variant-kind enums.
 
-use std::fmt::Display;
+use std::fmt::{Debug, Display};
 use std::hash::Hash;
+use std::str::FromStr;
 
+use cs_collections::kind::ParseKindError;
 use cs_collections::{adaptive, Abstraction, ListKind, MapKind, SetKind};
+use cs_model::PerformanceModel;
+
+use crate::engine::Models;
 
 /// What the selection machinery needs from a variant-kind enum
 /// ([`ListKind`], [`SetKind`], [`MapKind`]): a stable index (for the atomic
@@ -50,6 +55,23 @@ pub trait Kind: Copy + Eq + Hash + Display + Send + Sync + 'static {
 
     /// The adaptive kind's default transition threshold (paper Table 1).
     fn adaptive_threshold() -> usize;
+}
+
+/// A kind family the engine holds a model for: [`ListKind`], [`SetKind`]
+/// and [`MapKind`]. It names the family's slot in [`Models`] and the
+/// family's name in model files and snapshots, so a
+/// [`ContextCore`](crate::ContextCore) of the family can run its own
+/// analysis pass behind [`AnyContext`](crate::AnyContext).
+pub(crate) trait ModelFamily: Kind + Debug + FromStr<Err = ParseKindError> {
+    /// `"lists"`, `"sets"` or `"maps"`: the stem of the family's model file
+    /// (`lists.model`) and the family of its snapshot model blob.
+    const FAMILY: &'static str;
+
+    /// The family's model in `models`.
+    fn model(models: &Models) -> &PerformanceModel<Self>;
+
+    /// The family's model slot in `models`, for installing a loaded model.
+    fn model_mut(models: &mut Models) -> &mut PerformanceModel<Self>;
 }
 
 impl Kind for ListKind {
@@ -99,6 +121,26 @@ impl Kind for MapKind {
         adaptive::MAP_THRESHOLD
     }
 }
+
+macro_rules! model_family {
+    ($kind:ty, $family:literal, $field:ident) => {
+        impl ModelFamily for $kind {
+            const FAMILY: &'static str = $family;
+
+            fn model(models: &Models) -> &PerformanceModel<Self> {
+                &models.$field
+            }
+
+            fn model_mut(models: &mut Models) -> &mut PerformanceModel<Self> {
+                &mut models.$field
+            }
+        }
+    };
+}
+
+model_family!(ListKind, "lists", list);
+model_family!(SetKind, "sets", set);
+model_family!(MapKind, "maps", map);
 
 #[cfg(test)]
 mod tests {

@@ -58,7 +58,7 @@ mod select;
 mod state;
 mod subscriber;
 
-pub use context::{ContextCore, ContextStats, ListContext, MapContext, SetContext};
+pub use context::{AnyContext, ContextCore, ContextStats, ListContext, MapContext, SetContext};
 pub use engine::{
     ContextSummary, EngineHealth, Models, SiteManifestEntry, Switch, SwitchBuilder, SwitchConfig,
     WeakSwitch,

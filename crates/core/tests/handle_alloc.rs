@@ -7,7 +7,7 @@
 //! numbers the alloc-rate dimension and the energy proxy consume.
 
 use cs_collections::{ListKind, SetKind};
-use cs_core::{SelectionRule, Switch};
+use cs_core::{AnyContext, SelectionRule, Switch};
 use cs_model::default_models;
 use cs_profile::WindowConfig;
 

@@ -21,7 +21,7 @@
 //! ```
 //! use cs_profile::{OpKind, OpRecorder, ProfileSink};
 //!
-//! let sink = ProfileSink::new();
+//! let sink = ProfileSink::bounded(8);
 //! let mut rec = OpRecorder::new();
 //! rec.record(OpKind::Populate);
 //! rec.record(OpKind::Contains);

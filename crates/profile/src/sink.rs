@@ -7,11 +7,10 @@ use parking_lot::Mutex;
 
 use crate::WorkloadProfile;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SinkInner {
     queue: VecDeque<WorkloadProfile>,
-    /// `None` = unbounded (the historical behaviour).
-    capacity: Option<usize>,
+    capacity: usize,
     /// Profiles discarded because the queue was full.
     dropped: u64,
     /// Profiles ever pushed (accepted), including ones later evicted.
@@ -28,18 +27,17 @@ struct SinkInner {
 /// (only monitored instances, only at end-of-life) and the critical section
 /// is a few nanoseconds.
 ///
-/// A sink built with [`ProfileSink::bounded`] caps the pending-profile
-/// queue: when the analyzer stalls (or dies) while instances keep finishing,
-/// the oldest profiles are dropped first and counted in
-/// [`ProfileSink::dropped`], so monitoring degrades to a bounded-memory
-/// sliding window instead of growing without limit.
+/// The sink caps the pending-profile queue: when the analyzer stalls (or
+/// dies) while instances keep finishing, the oldest profiles are dropped
+/// first and counted in [`ProfileSink::dropped`], so monitoring degrades to
+/// a bounded-memory sliding window instead of growing without limit.
 ///
 /// # Examples
 ///
 /// ```
 /// use cs_profile::{OpRecorder, ProfileSink};
 ///
-/// let sink = ProfileSink::new();
+/// let sink = ProfileSink::bounded(16);
 /// let clone = sink.clone();
 /// std::thread::spawn(move || {
 ///     clone.push(OpRecorder::new().finish());
@@ -48,17 +46,12 @@ struct SinkInner {
 /// .unwrap();
 /// assert_eq!(sink.len(), 1);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ProfileSink {
     inner: Arc<Mutex<SinkInner>>,
 }
 
 impl ProfileSink {
-    /// Creates an empty, unbounded sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates an empty sink that retains at most `capacity` pending
     /// profiles, dropping the oldest on overflow.
     ///
@@ -70,15 +63,15 @@ impl ProfileSink {
         ProfileSink {
             inner: Arc::new(Mutex::new(SinkInner {
                 queue: VecDeque::new(),
-                capacity: Some(capacity),
+                capacity,
                 dropped: 0,
                 pushed: 0,
             })),
         }
     }
 
-    /// Pushes a finished profile, evicting the oldest pending profile if a
-    /// capacity is configured and reached.
+    /// Pushes a finished profile, evicting the oldest pending profile if the
+    /// capacity is reached.
     ///
     /// Every finished profile in the process funnels through here — the
     /// single-owner handle path on drop and the concurrent runtime's epoch
@@ -91,11 +84,9 @@ impl ProfileSink {
     pub fn push(&self, profile: WorkloadProfile) {
         let _span = cs_trace::span(cs_trace::Phase::Flush, 0);
         let mut inner = self.inner.lock();
-        if let Some(cap) = inner.capacity {
-            while inner.queue.len() >= cap {
-                inner.queue.pop_front();
-                inner.dropped += 1;
-            }
+        while inner.queue.len() >= inner.capacity {
+            inner.queue.pop_front();
+            inner.dropped += 1;
         }
         inner.queue.push_back(profile);
         inner.pushed += 1;
@@ -118,29 +109,19 @@ impl ProfileSink {
         self.len() == 0
     }
 
-    /// Number of profiles dropped to overflow since creation (always 0 for
-    /// unbounded sinks).
+    /// Number of profiles dropped to overflow since creation.
     pub fn dropped(&self) -> u64 {
         self.inner.lock().dropped
     }
 
-    /// The configured capacity, or `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
+    /// The configured capacity.
+    pub fn capacity(&self) -> usize {
         self.inner.lock().capacity
     }
 
     /// Removes and returns all buffered profiles, oldest first.
     pub fn drain(&self) -> Vec<WorkloadProfile> {
         std::mem::take(&mut self.inner.lock().queue).into()
-    }
-
-    /// Copies the buffered profiles without removing them.
-    ///
-    /// The paper analyzes the whole set of metrics whenever the finished
-    /// ratio is reached, while instances may still be reporting; `snapshot`
-    /// supports that read-without-consume pattern.
-    pub fn snapshot(&self) -> Vec<WorkloadProfile> {
-        self.inner.lock().queue.iter().cloned().collect()
     }
 }
 
@@ -151,7 +132,7 @@ mod tests {
 
     #[test]
     fn push_then_drain_round_trips() {
-        let sink = ProfileSink::new();
+        let sink = ProfileSink::bounded(10);
         for i in 0..10 {
             let mut r = OpRecorder::new();
             r.observe_size(i);
@@ -165,16 +146,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_does_not_consume() {
-        let sink = ProfileSink::new();
-        sink.push(OpRecorder::new().finish());
-        assert_eq!(sink.snapshot().len(), 1);
-        assert_eq!(sink.len(), 1);
-    }
-
-    #[test]
     fn clones_share_the_buffer() {
-        let sink = ProfileSink::new();
+        let sink = ProfileSink::bounded(1);
         let clone = sink.clone();
         clone.push(OpRecorder::new().finish());
         assert_eq!(sink.len(), 1);
@@ -182,7 +155,7 @@ mod tests {
 
     #[test]
     fn concurrent_pushes_are_all_recorded() {
-        let sink = ProfileSink::new();
+        let sink = ProfileSink::bounded(800);
         let handles: Vec<_> = (0..8)
             .map(|_| {
                 let s = sink.clone();
@@ -202,18 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_sink_never_drops() {
-        let sink = ProfileSink::new();
-        for _ in 0..5_000 {
-            sink.push(OpRecorder::new().finish());
-        }
-        assert_eq!(sink.len(), 5_000);
-        assert_eq!(sink.dropped(), 0);
-        assert_eq!(sink.pushed(), 5_000);
-        assert_eq!(sink.capacity(), None);
-    }
-
-    #[test]
     fn bounded_sink_drops_oldest_and_counts() {
         let sink = ProfileSink::bounded(3);
         for i in 0..7usize {
@@ -224,7 +185,7 @@ mod tests {
         assert_eq!(sink.len(), 3);
         assert_eq!(sink.dropped(), 4);
         assert_eq!(sink.pushed(), 7, "evicted profiles still count as pushed");
-        assert_eq!(sink.capacity(), Some(3));
+        assert_eq!(sink.capacity(), 3);
         // The newest three survive, oldest first.
         let kept: Vec<usize> = sink.drain().iter().map(|p| p.max_size()).collect();
         assert_eq!(kept, vec![4, 5, 6]);

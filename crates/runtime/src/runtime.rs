@@ -10,7 +10,7 @@ use cs_core::Switch;
 use crate::map::ConcurrentMap;
 use crate::set::ConcurrentSet;
 use crate::shard::{Publish, Shards, Variant};
-use crate::site::{CoreRef, SiteShared, SiteStats};
+use crate::site::{SiteShared, SiteStats};
 
 /// Tuning knobs for a [`Runtime`] — shard fan-out for the handles it
 /// creates, and when their shards flush.
@@ -144,16 +144,9 @@ impl Runtime {
         K: Eq + Hash + Clone + Send + 'static,
         V: Clone + Send + 'static,
     {
-        let name = name.into();
-        let ctx = self
-            .engine
-            .named_map_context::<K, V>(default, name.clone());
+        let ctx = self.engine.named_map_context::<K, V>(default, name);
         let core = Arc::clone(ctx.core());
-        let shared = Arc::new(SiteShared::new(
-            ctx.id(),
-            name,
-            CoreRef::Map(Arc::clone(&core)),
-        ));
+        let shared = Arc::new(SiteShared::new(core.clone()));
         let map = ConcurrentMap::new(Arc::clone(&shared), core, &self.config);
         self.register(shared, &map.inner);
         map
@@ -176,14 +169,9 @@ impl Runtime {
     where
         T: Eq + Hash + Clone + Send + 'static,
     {
-        let name = name.into();
-        let ctx = self.engine.named_set_context::<T>(default, name.clone());
+        let ctx = self.engine.named_set_context::<T>(default, name);
         let core = Arc::clone(ctx.core());
-        let shared = Arc::new(SiteShared::new(
-            ctx.id(),
-            name,
-            CoreRef::Set(Arc::clone(&core)),
-        ));
+        let shared = Arc::new(SiteShared::new(core.clone()));
         let set = ConcurrentSet::new(Arc::clone(&shared), core, &self.config);
         self.register(shared, &set.inner);
         set

@@ -333,21 +333,19 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
-    use crate::site::CoreRef;
     use cs_collections::hash_one;
     use cs_core::Switch;
 
     fn test_map(flush_ops: u64, shards: usize) -> Shards<AnyMap<u64, u64>> {
         let engine = Switch::builder().build();
         let ctx = engine.named_map_context::<u64, u64>(MapKind::Chained, "shard-test");
-        let core = Arc::clone(ctx.core());
-        let site = SiteShared::new(ctx.id(), "shard-test".into(), CoreRef::Map(Arc::clone(&core)));
+        let site = Arc::new(SiteShared::new(ctx.core().clone()));
         let config = RuntimeConfig {
             shards,
             flush_ops,
             flush_interval: Duration::MAX,
         };
-        Shards::new(Arc::new(site), core, &config, |kind, clock, now| {
+        Shards::new(site, Arc::clone(ctx.core()), &config, |kind, clock, now| {
             Mutex::new(Shard::new(AnyMap::new(kind), clock, now))
         })
     }

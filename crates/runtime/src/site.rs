@@ -1,5 +1,5 @@
 //! Shared per-site state: exact op totals, flush/contention counters, and
-//! the kind-generic engine core the flush path feeds.
+//! the type-erased engine context the flush path feeds.
 //!
 //! A [`SiteShared`] is the only state an op on a concurrent handle shares
 //! beyond the shard it locks, and it is touched only on epoch boundaries
@@ -9,66 +9,18 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use cs_collections::{MapKind, SetKind};
-use cs_core::{ContextCore, ContextStats};
+use cs_core::AnyContext;
 use cs_profile::{OpKind, WorkloadProfile};
-
-/// The kind-generic engine context behind a site, type-erased over the
-/// element types (a [`ContextCore`] is generic over the *kind* only, which
-/// is what makes a non-generic registry possible).
-#[derive(Debug)]
-pub(crate) enum CoreRef {
-    /// A set site.
-    Set(Arc<ContextCore<SetKind>>),
-    /// A map site.
-    Map(Arc<ContextCore<MapKind>>),
-}
-
-impl CoreRef {
-    fn ingest(&self, profile: WorkloadProfile) -> bool {
-        match self {
-            CoreRef::Set(c) => c.ingest_profile(profile),
-            CoreRef::Map(c) => c.ingest_profile(profile),
-        }
-    }
-
-    fn stats(&self) -> ContextStats {
-        match self {
-            CoreRef::Set(c) => c.stats(),
-            CoreRef::Map(c) => c.stats(),
-        }
-    }
-
-    fn current_kind(&self) -> String {
-        match self {
-            CoreRef::Set(c) => c.current_kind().to_string(),
-            CoreRef::Map(c) => c.current_kind().to_string(),
-        }
-    }
-
-    fn default_kind(&self) -> String {
-        match self {
-            CoreRef::Set(c) => c.default_kind().to_string(),
-            CoreRef::Map(c) => c.default_kind().to_string(),
-        }
-    }
-
-    fn abstraction(&self) -> cs_collections::Abstraction {
-        match self {
-            CoreRef::Set(_) => cs_collections::Abstraction::Set,
-            CoreRef::Map(_) => cs_collections::Abstraction::Map,
-        }
-    }
-}
 
 /// Shared state of one runtime site: exact cumulative op totals (updated in
 /// batch when a shard publishes its buffer), flush and shard-contention
-/// counters, and the engine core that receives flushed profiles.
+/// counters, and the engine context, erased to an [`AnyContext`], that
+/// receives flushed profiles.
 #[derive(Debug)]
 pub struct SiteShared {
+    /// The context's id, copied out of it: every op's span reads it.
     id: u64,
-    name: String,
-    core: CoreRef,
+    core: Arc<dyn AnyContext>,
     op_totals: [AtomicU64; 4],
     nanos_total: AtomicU64,
     max_size: AtomicUsize,
@@ -79,10 +31,9 @@ pub struct SiteShared {
 }
 
 impl SiteShared {
-    pub(crate) fn new(id: u64, name: String, core: CoreRef) -> Self {
+    pub(crate) fn new(core: Arc<dyn AnyContext>) -> Self {
         SiteShared {
-            id,
-            name,
+            id: core.id(),
             core,
             op_totals: [
                 AtomicU64::new(0),
@@ -106,7 +57,7 @@ impl SiteShared {
 
     /// The site's allocation-site label.
     pub fn name(&self) -> &str {
-        &self.name
+        self.core.name()
     }
 
     /// This site's row in [`Runtime::site_manifest`](crate::Runtime::site_manifest).
@@ -117,10 +68,10 @@ impl SiteShared {
         let alloc_bytes = self.alloc_bytes.load(Ordering::Relaxed);
         cs_core::SiteManifestEntry {
             id: self.id,
-            name: self.name.clone(),
+            name: self.name().to_owned(),
             abstraction: self.core.abstraction(),
-            default_kind: self.core.default_kind(),
-            current_kind: self.core.current_kind(),
+            default_kind: self.core.default_kind_name(),
+            current_kind: self.core.current_kind_name(),
             alloc_bytes_per_op: if total_ops == 0 {
                 0.0
             } else {
@@ -164,7 +115,7 @@ impl SiteShared {
     pub(crate) fn ingest(&self, profile: WorkloadProfile) {
         self.publish_totals(&profile);
         self.flushes.fetch_add(1, Ordering::Relaxed);
-        self.core.ingest(profile);
+        self.core.ingest_profile(profile);
     }
 
     /// Exact cumulative count for `op` over every published buffer.
@@ -183,8 +134,8 @@ impl SiteShared {
         ];
         SiteStats {
             id: self.id,
-            name: self.name.clone(),
-            current_kind: self.core.current_kind(),
+            name: self.name().to_owned(),
+            current_kind: self.core.current_kind_name(),
             ops,
             total_ops: ops.iter().sum(),
             sampled_nanos: self.nanos_total.load(Ordering::Relaxed),

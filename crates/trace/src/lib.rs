@@ -22,7 +22,7 @@
 //!   `no-alloc-in-span-path`); the single exception is a thread's very
 //!   first span, which registers its ring.
 //! * **Sampled fast path for ops.** [`op_span`] in [`TraceMode::Sampled`]
-//!   measures one op in `op_sample_mask() + 1` and scales the measurement
+//!   measures one op in [`OP_SAMPLE_MASK`]` + 1` and scales the measurement
 //!   back up, so the common op pays one atomic load and one thread-local
 //!   tick — no clock read.
 //! * **Off means off.** The default mode is [`TraceMode::Off`]; every
@@ -62,9 +62,8 @@ pub use phase::{Phase, PHASE_COUNT};
 pub use ring::{SpanRecord, RING_CAPACITY, SPAN_BUCKET_BOUNDS_NS, SPAN_BUCKET_COUNT};
 pub use snapshot::{snapshot, OverheadReport, ThreadTrace, TraceSnapshot};
 pub use span::{
-    add_app_time, credit_app_ops, enabled, mode, now_ns, op_sample_mask, op_span,
-    registered_threads, reset, set_mode, set_op_sample_mask, span, tracer_costs, Span, TraceMode,
-    TracerCosts,
+    add_app_time, credit_app_ops, enabled, mode, now_ns, op_span, registered_threads, reset,
+    set_mode, span, tracer_costs, Span, TraceMode, TracerCosts, OP_SAMPLE_MASK,
 };
 
 // Snapshots cross threads by construction; losing `Send + Sync` on the

@@ -22,7 +22,7 @@ pub enum TraceMode {
     /// Nothing is recorded; every span call is one relaxed atomic load.
     Off = 0,
     /// Analysis-side phases are always recorded; the per-op
-    /// [`op_span`] records one op in `op_sample_mask() + 1` and scales its
+    /// [`op_span`] records one op in `OP_SAMPLE_MASK + 1` and scales its
     /// duration back up in the overhead aggregates.
     Sampled = 1,
     /// Every span is recorded, including every op. The honest worst case —
@@ -31,11 +31,12 @@ pub enum TraceMode {
 }
 
 static MODE: AtomicU8 = AtomicU8::new(TraceMode::Off as u8);
-/// `tick & mask == 0` selects the sampled op; default 63 = one op in 64 —
-/// chosen so sampled tracing stays well inside the 5% self-overhead budget
-/// even on collection-op-only microbenchmarks (see the `overhead_sweep`
-/// bench).
-static OP_SAMPLE_MASK: AtomicU64 = AtomicU64::new(63);
+
+/// The op-record sampling mask of [`TraceMode::Sampled`]: `tick & mask == 0`
+/// selects the sampled op, so 63 samples one op in 64 — chosen so sampled
+/// tracing stays well inside the 5% self-overhead budget even on
+/// collection-op-only microbenchmarks (see the `overhead_sweep` bench).
+pub const OP_SAMPLE_MASK: u64 = 63;
 
 /// Sets the global tracing mode. Takes effect on the next span call on
 /// every thread; spans already entered complete under their old mode.
@@ -57,24 +58,6 @@ pub fn mode() -> TraceMode {
 #[inline]
 pub fn enabled() -> bool {
     MODE.load(Ordering::Relaxed) != TraceMode::Off as u8
-}
-
-/// Sets the op-record sampling mask used in [`TraceMode::Sampled`].
-///
-/// # Panics
-///
-/// Panics unless `mask + 1` is a power of two (`0`, `1`, `3`, `7`, ...).
-pub fn set_op_sample_mask(mask: u64) {
-    assert!(
-        mask.wrapping_add(1).is_power_of_two(),
-        "op sample mask must be 2^k - 1, got {mask}"
-    );
-    OP_SAMPLE_MASK.store(mask, Ordering::Relaxed);
-}
-
-/// The op-record sampling mask (see [`set_op_sample_mask`]).
-pub fn op_sample_mask() -> u64 {
-    OP_SAMPLE_MASK.load(Ordering::Relaxed)
 }
 
 fn epoch() -> Instant {
@@ -245,7 +228,7 @@ pub fn span(phase: Phase, site: u64) -> Span {
 }
 
 /// Opens an op-record span at `site`, honouring the sampling fast path: in
-/// [`TraceMode::Sampled`] only one op in `op_sample_mask() + 1` is
+/// [`TraceMode::Sampled`] only one op in `OP_SAMPLE_MASK + 1` is
 /// measured, and its duration is scaled back up in the overhead
 /// aggregates. The unsampled op pays one atomic load, one thread-local
 /// tick, and no clock read.
@@ -254,15 +237,14 @@ pub fn op_span(site: u64) -> Span {
     match MODE.load(Ordering::Relaxed) {
         0 => Span::disarmed(),
         1 => {
-            let mask = OP_SAMPLE_MASK.load(Ordering::Relaxed);
             let sampled = with_local(|local| {
                 let tick = local.tick.get().wrapping_add(1);
                 local.tick.set(tick);
-                tick & mask == 0
+                tick & OP_SAMPLE_MASK == 0
             })
             .unwrap_or(false);
             if sampled {
-                enter(Phase::OpRecord, site, mask.wrapping_add(1))
+                enter(Phase::OpRecord, site, OP_SAMPLE_MASK + 1)
             } else {
                 Span::disarmed()
             }
@@ -348,7 +330,7 @@ fn measure_tracer_costs() -> TracerCosts {
             .try_with(|c| {
                 let tick = c.get().wrapping_add(1);
                 c.set(tick);
-                tick & OP_SAMPLE_MASK.load(Ordering::Relaxed) == 0
+                tick & OP_SAMPLE_MASK == 0
             })
             .unwrap_or(false);
         std::hint::black_box(armed);
@@ -430,17 +412,9 @@ pub(crate) mod tests {
     fn sampled_op_spans_honor_the_mask() {
         let _guard = mode_lock();
         set_mode(TraceMode::Sampled);
-        set_op_sample_mask(3);
-        let armed = (0..16).filter(|_| op_span(9).is_armed()).count();
+        let armed = (0..128).filter(|_| op_span(9).is_armed()).count();
         set_mode(TraceMode::Off);
-        set_op_sample_mask(63);
-        assert_eq!(armed, 4, "one op in mask+1 is sampled");
-    }
-
-    #[test]
-    #[should_panic(expected = "2^k - 1")]
-    fn bad_sample_mask_is_rejected() {
-        set_op_sample_mask(5);
+        assert_eq!(armed, 2, "one op in OP_SAMPLE_MASK + 1 is sampled");
     }
 
     #[test]
