@@ -50,10 +50,14 @@ pub struct ContextStats {
 /// clock is a small share of monitored op time.
 const CLOCKED_OPS_PER_WINDOW: u64 = 256;
 
-/// Clock period of the monitors handed out before the first analysed
-/// window, when the site's op volume is still unknown, and the most a
-/// window that verifies a switch may use.
+/// Clock period monitors start from before the first analysed window,
+/// when the site's op volume is still unknown, and the most the window
+/// that verifies a switch starts from.
 const FIRST_WINDOW_CLOCK_PERIOD: u64 = 8;
+
+/// The bit of [`ContextCore`]'s clock budget marking the window that
+/// verifies a switch.
+const VERIFYING: u64 = 1 << 63;
 
 /// The kind-generic part of an allocation context: everything the analyzer
 /// needs, independent of the element type of the collections the site
@@ -65,10 +69,11 @@ pub struct ContextCore<K: Kind> {
     current: AtomicUsize,
     default_kind: K,
     window: WindowState,
-    /// Clock period `P` of the monitors this context hands out, sized by
-    /// the last analysed window so that each window clocks about
-    /// [`CLOCKED_OPS_PER_WINDOW`] ops.
-    clock_period: AtomicU64,
+    /// Clock period budget `P`, sized by the last analysed window so that
+    /// each window clocks about [`CLOCKED_OPS_PER_WINDOW`] ops; 0 before
+    /// the first analysed window, and [`VERIFYING`] set in the window that
+    /// verifies a switch. [`ContextCore::clock_schedule`] reads it.
+    clock_budget: AtomicU64,
     sink: ProfileSink,
     config: WindowConfig,
     history: Mutex<ProfileHistogram>,
@@ -110,7 +115,7 @@ impl<K: Kind> ContextCore<K> {
             current: AtomicUsize::new(default_kind.index()),
             default_kind,
             window: WindowState::new(),
-            clock_period: AtomicU64::new(FIRST_WINDOW_CLOCK_PERIOD),
+            clock_budget: AtomicU64::new(0),
             sink: ProfileSink::bounded(config.window_size.max(1) * 4),
             config,
             history: Mutex::new(ProfileHistogram::new()),
@@ -157,28 +162,50 @@ impl<K: Kind> ContextCore<K> {
         self.frozen.load(Ordering::Acquire)
     }
 
-    /// The clock period `P` for the site's monitored op streams: clock one
-    /// op in `P` and scale its nanos by `P`. It is `max(1, W / 256)` for
-    /// the `W` ops of the last analysed window, 8 before the first window,
-    /// and at most 8 in the window that verifies a switch. Monitored
-    /// handles read it when they are created; `cs-runtime` shards read it
-    /// when they are built, after each flush and at each migration.
+    /// The fixed clock period `P` for the site's concurrent op streams:
+    /// clock one op in `P` and scale its nanos by `P`. It is `max(1, W /
+    /// 256)` for the `W` ops of the last analysed window, 8 before the
+    /// first window, and at most 8 in the window that verifies a switch.
+    /// `cs-runtime` shards read it when they are built, after each flush
+    /// and at each migration. Monitored handles start from it, and back off
+    /// from it in the first window and in the verifying one.
     pub fn clock_period(&self) -> u64 {
-        self.clock_period.load(Ordering::Relaxed)
+        self.clock_schedule().0
+    }
+
+    /// The `(start, ceiling)` of the monitors' clock: from 8 with no
+    /// ceiling before the first analysed window, from `min(8, P)` up to
+    /// `P` in the window that verifies a switch, and a fixed `P` in every
+    /// other window.
+    fn clock_schedule(&self) -> (u64, u64) {
+        let budget = self.clock_budget.load(Ordering::Relaxed);
+        let period = budget & !VERIFYING;
+        if period == 0 {
+            (FIRST_WINDOW_CLOCK_PERIOD, u64::MAX)
+        } else if budget & VERIFYING != 0 {
+            (period.min(FIRST_WINDOW_CLOCK_PERIOD), period)
+        } else {
+            (period, period)
+        }
     }
 
     /// Claims a monitoring slot for a new instance, returning the monitor
     /// payload if this instance should be sampled. The monitor's clock
-    /// clocks one op in the context's current period, its phase seeded by
-    /// the slot index. Frozen contexts sample nothing.
+    /// follows the window's schedule ([`ContextCore::clock_schedule`]): a
+    /// window whose op volume is unknown (the first) or that must be
+    /// clocked densely (the verifying one) starts at a short period and
+    /// backs off, so a long-lived instance does not clock thousands of its
+    /// ops. Its phase is seeded by the slot index. Frozen contexts sample
+    /// nothing.
     pub(crate) fn claim_monitor(&self) -> Option<Monitor> {
         if self.is_frozen() {
             return None;
         }
         let slot = self.window.try_claim_slot(self.config.window_size)?;
+        let (start, ceiling) = self.clock_schedule();
         Some(Monitor::new(
             self.sink.clone(),
-            ClockSampler::new(self.clock_period(), slot as u64),
+            ClockSampler::backoff(start, ceiling, slot as u64),
         ))
     }
 
@@ -249,7 +276,7 @@ impl<K: Kind> ContextCore<K> {
             window_nanos = window_nanos.saturating_add(profile.elapsed_nanos());
             history.add(profile);
         }
-        self.clock_period.store(
+        self.clock_budget.store(
             (window_ops / CLOCKED_OPS_PER_WINDOW).max(1),
             Ordering::Relaxed,
         );
@@ -379,8 +406,7 @@ impl<K: Kind> ContextCore<K> {
         guard.last_transition_round = Some(round);
         // The next window's cost per op decides the rollback: clock it
         // densely, not on the budget's ~256 ops.
-        self.clock_period
-            .fetch_min(FIRST_WINDOW_CLOCK_PERIOD, Ordering::Relaxed);
+        self.clock_budget.fetch_or(VERIFYING, Ordering::Relaxed);
         self.current.store(sel.kind.index(), Ordering::Release);
         // Profiles pushed while this pass ran (a concurrent handle's shard
         // flushing between the drain above and the store) were recorded on
@@ -412,8 +438,7 @@ impl<K: Kind> ContextCore<K> {
         self.history.lock().clear();
         self.sink.drain();
         self.window.reset();
-        self.clock_period
-            .store(FIRST_WINDOW_CLOCK_PERIOD, Ordering::Relaxed);
+        self.clock_budget.store(0, Ordering::Relaxed);
         self.guard.lock().clear();
         *self.last_explanation.lock() = None;
         self.current
@@ -1076,31 +1101,38 @@ mod tests {
         assert!(core.explain().is_none(), "reset clears the audit trail");
     }
 
+    /// Slot 0's clock in the current window, and the fixed period runtime
+    /// shards read.
+    fn schedule(core: &ContextCore<ListKind>) -> (ClockSampler, u64) {
+        let m = core.claim_monitor().expect("window has a free slot");
+        core.window.reset();
+        (m.clock(), core.clock_period())
+    }
+
+    /// Before the first analysed window: from 8, no ceiling.
+    fn first_window() -> (ClockSampler, u64) {
+        (ClockSampler::backoff(8, u64::MAX, 0), 8)
+    }
+
     #[test]
     fn each_analysed_window_sets_the_next_monitors_clock_period() {
         let core = list_core();
-        // The monitor handed out and the public accessor agree.
-        let period = |core: &ContextCore<ListKind>| {
-            let m = core.claim_monitor().expect("window has a free slot");
-            core.window.reset();
-            assert_eq!(m.clock_period(), core.clock_period());
-            m.clock_period()
-        };
-        assert_eq!(period(&core), FIRST_WINDOW_CLOCK_PERIOD);
+        assert_eq!(schedule(&core), first_window());
         let rule = SelectionRule::impossible();
-        // 10 profiles × 5,000 ops: W = 50,000, so P = 50,000 / 256 = 195.
+        // 10 profiles × 5,000 ops: W = 50,000, so P = 50,000 / 256 = 195,
+        // a fixed period.
         feed_window(&core, 10, 5_000, 1_000);
         core.analyze(default_models::list_model(), &rule);
-        assert_eq!(period(&core), 50_000 / CLOCKED_OPS_PER_WINDOW);
+        assert_eq!(schedule(&core), (ClockSampler::new(195, 0), 195));
         // A window smaller than the budget clocks every op.
         feed_window(&core, 10, 10, 1_000);
         core.analyze(default_models::list_model(), &rule);
-        assert_eq!(period(&core), 1);
+        assert_eq!(schedule(&core), (ClockSampler::new(1, 0), 1));
         // A round that is not ready leaves the period alone.
         core.analyze(default_models::list_model(), &rule);
-        assert_eq!(period(&core), 1);
+        assert_eq!(schedule(&core), (ClockSampler::new(1, 0), 1));
         core.reset();
-        assert_eq!(period(&core), FIRST_WINDOW_CLOCK_PERIOD);
+        assert_eq!(schedule(&core), first_window());
     }
 
     #[test]
@@ -1111,31 +1143,27 @@ mod tests {
         let cfg = GuardrailConfig::default();
         let budget = TransitionBudget::new(None);
         let mut events = Vec::new();
-        let period = |core: &ContextCore<ListKind>| {
-            let m = core.claim_monitor().expect("window has a free slot");
-            core.window.reset();
-            m.clock_period()
-        };
-        // W = 50,000 would give P = 195, but the window after the switch is
-        // the one verification reads.
+        // W = 50,000 gives P = 195, but the window after the switch is the
+        // one verification reads: its monitors start at 8 and back off up
+        // to 195, and runtime shards clock one op in 8.
         feed_window(&core, 10, 5_000, 50_000);
         assert!(core
             .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
             .is_some());
-        assert_eq!(period(&core), FIRST_WINDOW_CLOCK_PERIOD);
+        assert_eq!(schedule(&core), (ClockSampler::backoff(8, 195, 0), 8));
         // The verifying window (as cheap per op, so no rollback) hands the
         // period back to the budget.
         feed_window(&core, 10, 5_000, 50_000);
         core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
         assert_eq!(core.stats().rollbacks, 0);
-        assert_eq!(period(&core), 50_000 / CLOCKED_OPS_PER_WINDOW);
-        // A window already clocking more densely keeps its period.
+        assert_eq!(schedule(&core), (ClockSampler::new(195, 0), 195));
+        // A window already clocking more densely keeps its fixed period.
         core.reset();
         feed_window(&core, 10, 100, 1_000);
         assert!(core
             .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
             .is_some());
-        assert_eq!(period(&core), 3);
+        assert_eq!(schedule(&core), (ClockSampler::new(3, 0), 3));
     }
 
     /// A kind family whose `Display` pushes one profile into an armed sink:

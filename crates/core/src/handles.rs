@@ -33,8 +33,8 @@ impl Monitor {
     }
 
     #[cfg(test)]
-    pub(crate) fn clock_period(&self) -> u64 {
-        self.clock.period()
+    pub(crate) fn clock(&self) -> ClockSampler {
+        self.clock
     }
 
     /// The fast path's whole bookkeeping: the op's count and size.
@@ -85,11 +85,11 @@ fn instrumented<R>(scale: Option<u64>, body: impl FnOnce() -> R) -> (R, u64, All
 /// counting is off and tracing is off: one branch over the three flags.
 /// Otherwise it takes the `instrumented` path: an alloc guard, the op
 /// span, and, on the clocked op, two clock reads whose nanos are scaled by
-/// the sampler's period. Counts and sizes are therefore exact on every op,
-/// and allocation attribution is exact whenever counting is on. The alloc
-/// guard closes before the recorder runs, so monitoring bookkeeping never
-/// pollutes the attribution window. Unmonitored instances execute the body
-/// alone.
+/// the period of the sampler's block that op fell in. Counts and sizes are
+/// therefore exact on every op, and allocation attribution is exact
+/// whenever counting is on. The alloc guard closes before the recorder
+/// runs, so monitoring bookkeeping never pollutes the attribution window.
+/// Unmonitored instances execute the body alone.
 macro_rules! timed {
     ($self:ident, $op:expr, $len:expr, $body:expr) => {{
         match $self.monitor.as_mut() {
@@ -618,38 +618,82 @@ mod tests {
         );
     }
 
+    fn nanos(l: &SwitchList<i64>) -> u64 {
+        l.monitor.as_ref().unwrap().recorder.elapsed_nanos()
+    }
+
     #[test]
     fn only_clocked_ops_read_the_clock_and_they_are_scaled() {
-        // A copy of the handle's sampler predicts which ops it clocks: the
-        // others record no wall time, the clocked ones record a multiple
-        // of the period, and every op is counted either way.
-        let (mut list, sink) = monitored_list();
-        let nanos = |l: &SwitchList<i64>| l.monitor.as_ref().unwrap().recorder.elapsed_nanos();
+        // A copy of the handle's sampler predicts which ops it clocks and
+        // each clocked op's scale, its block's period: the other ops record
+        // no wall time, the clocked ones a multiple of their scale, and
+        // every op is counted either way. 3,000 ops cross all five periods
+        // of a sampler backing off from 3 to 40.
+        let sink = ProfileSink::bounded(1);
+        let mut list = SwitchList::new(
+            AnyList::new(ListKind::Array),
+            Some(Monitor::new(sink.clone(), ClockSampler::backoff(3, 40, 5))),
+        );
         let mut oracle = list.monitor.as_ref().unwrap().clock;
-        let period = oracle.period();
-        let mut clocked_ops = 0;
-        for v in 0..64 {
+        let mut scales = Vec::new();
+        for v in 0..3_000 {
             let before = nanos(&list);
             let clocked = oracle.tick();
             list.push(v);
             let added = nanos(&list) - before;
             if clocked {
-                clocked_ops += 1;
-                assert_eq!(added % period, 0, "a clocked op is scaled by the period");
+                let scale = oracle.period();
+                scales.push(scale);
+                assert_eq!(added % scale, 0, "op {v} is scaled by its block's period");
             } else {
                 assert_eq!(added, 0, "an unclocked op records no wall time");
             }
         }
-        assert_eq!(
-            clocked_ops,
-            64 / period,
-            "one op in every period is clocked"
-        );
+        assert_eq!(&scales[..32], &[3; 32], "32 clocked ops per period");
+        let mut periods = scales.clone();
+        periods.dedup();
+        assert_eq!(periods, [3, 6, 12, 24, 40]);
         assert!(nanos(&list) > 0, "the clocked ops measured wall time");
         drop(list);
         let p = &sink.drain()[0];
-        assert_eq!(p.count(OpKind::Populate), 64, "every op is still counted");
-        assert_eq!(p.max_size(), 64);
+        assert_eq!(p.count(OpKind::Populate), 3_000, "every op counted");
+        assert_eq!(p.max_size(), 3_000);
+    }
+
+    #[test]
+    fn a_first_window_list_clocks_a_few_hundred_of_10_000_ops() {
+        // A first-window monitor starts at 8 and backs off with no ceiling:
+        // of 10,000 ops it clocks at most 200, where one in 8 is 1,250.
+        // Every op is still counted, and its size observed.
+        let engine = crate::Switch::builder().build();
+        let ctx = engine.list_context::<i64>(ListKind::Array);
+        let clock = ctx.core().claim_monitor().expect("first slot").clock();
+        assert_eq!(clock, ClockSampler::backoff(8, u64::MAX, 0));
+        let sink = ProfileSink::bounded(1);
+        let mut list = SwitchList::new(
+            AnyList::new(ListKind::Array),
+            Some(Monitor::new(sink.clone(), clock)),
+        );
+        let mut oracle = clock;
+        let (mut clocked, mut timed) = (0, 0);
+        for v in 0..10_000i64 {
+            let before = nanos(&list);
+            clocked += usize::from(oracle.tick());
+            match v % 4 {
+                0 | 1 => list.push(v),
+                2 => assert!(list.contains(&(v / 2))),
+                _ => list.insert(0, v),
+            }
+            timed += usize::from(nanos(&list) > before);
+        }
+        assert!(clocked <= 200, "{clocked} of 10,000 ops clocked");
+        assert!(timed <= clocked, "only the oracle's ops read the clock");
+        drop(list);
+        let p = &sink.drain()[0];
+        assert_eq!(p.count(OpKind::Populate), 5_000);
+        assert_eq!(p.count(OpKind::Contains), 2_500);
+        assert_eq!(p.count(OpKind::Middle), 2_500);
+        assert_eq!(p.max_size(), 7_500);
     }
 
     #[test]
@@ -692,5 +736,204 @@ mod tests {
         }
         assert!(list.heap_bytes() >= 100 * std::mem::size_of::<i64>());
         assert!(list.allocated_bytes() >= list.heap_bytes() as u64);
+    }
+
+    /// Monitored handles of every variant against `std` oracles, on the
+    /// first window's clock schedule: contents after every iterate, and the
+    /// drained profile's per-op counts and max size against the script's
+    /// tallies. Scripts of 300 to 1,500 ops cross one to four back-off
+    /// periods. No assertion reads wall time.
+    mod oracle {
+        use super::*;
+        use cs_collections::{MapKind, SetKind};
+        use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Add(i64),
+            Remove(i64),
+            Contains(i64),
+            Middle(usize, i64),
+            Iterate,
+            /// An op the handle does not record (pop/get/set, clear).
+            Unrecorded(i64),
+        }
+
+        fn script() -> impl Strategy<Value = Vec<Op>> {
+            let op = prop_oneof![
+                6 => (-40i64..40).prop_map(Op::Add),
+                3 => (-40i64..40).prop_map(Op::Remove),
+                6 => (-40i64..40).prop_map(Op::Contains),
+                2 => (0usize..64, -40i64..40).prop_map(|(i, v)| Op::Middle(i, v)),
+                1 => Just(Op::Iterate),
+                1 => (-40i64..40).prop_map(Op::Unrecorded),
+            ];
+            proptest::collection::vec(op, 300..1_500)
+        }
+
+        /// The per-op counts and max size a script's recorded ops imply.
+        #[derive(Debug, Default)]
+        struct Tally {
+            counts: [u64; 4],
+            max_size: usize,
+        }
+
+        impl Tally {
+            fn note(&mut self, op: OpKind, size: usize) {
+                self.counts[op.index()] += 1;
+                self.max_size = self.max_size.max(size);
+            }
+
+            fn check(&self, sink: &ProfileSink) {
+                let profiles = sink.drain();
+                assert_eq!(profiles.len(), 1);
+                for op in OpKind::ALL {
+                    assert_eq!(profiles[0].count(op), self.counts[op.index()], "{op}");
+                }
+                assert_eq!(profiles[0].max_size(), self.max_size);
+            }
+        }
+
+        fn monitor(sink: &ProfileSink, seed: u64) -> Option<Monitor> {
+            let clock = ClockSampler::backoff(8, u64::MAX, seed);
+            Some(Monitor::new(sink.clone(), clock))
+        }
+
+        proptest! {
+            #[test]
+            fn lists_match_a_vec_and_their_tallies(script in script(), seed in 0u64..1_000) {
+                for &kind in ListKind::ALL.iter() {
+                    let sink = ProfileSink::bounded(1);
+                    let mut list = SwitchList::new(AnyList::new(kind), monitor(&sink, seed));
+                    let (mut oracle, mut tally) = (Vec::new(), Tally::default());
+                    for &op in &script {
+                        match op {
+                            Op::Add(v) => {
+                                list.push(v);
+                                oracle.push(v);
+                                tally.note(OpKind::Populate, oracle.len());
+                            }
+                            Op::Remove(v) if !oracle.is_empty() => {
+                                let at = v.unsigned_abs() as usize % oracle.len();
+                                tally.note(OpKind::Middle, oracle.len());
+                                prop_assert_eq!(list.remove(at), oracle.remove(at));
+                            }
+                            Op::Remove(_) => prop_assert_eq!(list.pop(), oracle.pop()),
+                            Op::Contains(v) => {
+                                prop_assert_eq!(list.contains(&v), oracle.contains(&v));
+                                tally.note(OpKind::Contains, oracle.len());
+                            }
+                            Op::Middle(i, v) => {
+                                let at = i % (oracle.len() + 1);
+                                list.insert(at, v);
+                                oracle.insert(at, v);
+                                tally.note(OpKind::Middle, oracle.len());
+                            }
+                            Op::Iterate => {
+                                prop_assert_eq!(list.as_vec(), oracle.clone(), "{}", kind);
+                                tally.note(OpKind::Iterate, oracle.len());
+                            }
+                            Op::Unrecorded(v) => {
+                                let at = v.unsigned_abs() as usize;
+                                prop_assert_eq!(list.get(at), oracle.get(at));
+                                if at < oracle.len() {
+                                    let old = std::mem::replace(&mut oracle[at], v);
+                                    prop_assert_eq!(list.set(at, v), old);
+                                }
+                                prop_assert_eq!(list.pop(), oracle.pop());
+                            }
+                        }
+                        prop_assert_eq!(list.len(), oracle.len());
+                    }
+                    drop(list);
+                    tally.check(&sink);
+                }
+            }
+
+            #[test]
+            fn sets_match_a_btree_set_and_their_tallies(script in script(), seed in 0u64..1_000) {
+                for &kind in SetKind::ALL.iter() {
+                    let sink = ProfileSink::bounded(1);
+                    let mut set = SwitchSet::new(AnySet::new(kind), monitor(&sink, seed));
+                    let (mut oracle, mut tally) = (BTreeSet::new(), Tally::default());
+                    for &op in &script {
+                        match op {
+                            Op::Add(v) | Op::Middle(_, v) => {
+                                prop_assert_eq!(set.insert(v), oracle.insert(v));
+                                tally.note(OpKind::Populate, oracle.len());
+                            }
+                            Op::Remove(v) => {
+                                prop_assert_eq!(set.remove(&v), oracle.remove(&v));
+                                tally.note(OpKind::Middle, oracle.len());
+                            }
+                            Op::Contains(v) => {
+                                prop_assert_eq!(set.contains(&v), oracle.contains(&v));
+                                tally.note(OpKind::Contains, oracle.len());
+                            }
+                            Op::Iterate => {
+                                let mut got = BTreeSet::new();
+                                set.for_each(|&v| assert!(got.insert(v), "{v} visited twice"));
+                                prop_assert_eq!(&got, &oracle, "{}", kind);
+                                tally.note(OpKind::Iterate, oracle.len());
+                            }
+                            Op::Unrecorded(v) if v % 8 == 0 => {
+                                set.clear();
+                                oracle.clear();
+                            }
+                            Op::Unrecorded(_) => {}
+                        }
+                        prop_assert_eq!(set.len(), oracle.len());
+                    }
+                    drop(set);
+                    tally.check(&sink);
+                }
+            }
+
+            #[test]
+            fn maps_match_a_btree_map_and_their_tallies(script in script(), seed in 0u64..1_000) {
+                for &kind in MapKind::ALL.iter() {
+                    let sink = ProfileSink::bounded(1);
+                    let mut map = SwitchMap::new(AnyMap::new(kind), monitor(&sink, seed));
+                    let (mut oracle, mut tally) = (BTreeMap::new(), Tally::default());
+                    for &op in &script {
+                        match op {
+                            Op::Add(v) | Op::Middle(_, v) => {
+                                prop_assert_eq!(map.insert(v, 3 * v), oracle.insert(v, 3 * v));
+                                tally.note(OpKind::Populate, oracle.len());
+                            }
+                            Op::Remove(v) => {
+                                prop_assert_eq!(map.remove(&v), oracle.remove(&v));
+                                tally.note(OpKind::Middle, oracle.len());
+                            }
+                            Op::Contains(v) if v % 2 == 0 => {
+                                prop_assert_eq!(map.get(&v), oracle.get(&v));
+                                tally.note(OpKind::Contains, oracle.len());
+                            }
+                            Op::Contains(v) => {
+                                prop_assert_eq!(map.contains_key(&v), oracle.contains_key(&v));
+                                tally.note(OpKind::Contains, oracle.len());
+                            }
+                            Op::Iterate => {
+                                let mut got = BTreeMap::new();
+                                map.for_each(|&k, &v| {
+                                    assert!(got.insert(k, v).is_none(), "{k} visited twice");
+                                });
+                                prop_assert_eq!(&got, &oracle, "{}", kind);
+                                tally.note(OpKind::Iterate, oracle.len());
+                            }
+                            Op::Unrecorded(v) if v % 8 == 0 => {
+                                map.clear();
+                                oracle.clear();
+                            }
+                            Op::Unrecorded(_) => {}
+                        }
+                        prop_assert_eq!(map.len(), oracle.len());
+                    }
+                    drop(map);
+                    tally.check(&sink);
+                }
+            }
+        }
     }
 }

@@ -2,15 +2,30 @@
 //!
 //! Two `Instant::now()` calls cost more than many of the ops they bracket,
 //! so neither monitored core handles nor runtime sites clock every op. Each
-//! recorder owns a [`ClockSampler`]: a countdown that clocks one op in every
-//! `P` of *its own* op stream, the caller scaling that op's nanos by `P`.
-//! The phase of the first clocked op comes from a seed, so recorders seeded
-//! with consecutive values (the slots of one monitoring window) cover every
-//! phase, and fewer than `P` of them still spread over the whole period:
-//! each op is clocked with probability exactly `1/P`, whatever else
-//! runs on the thread, and the scaled sum is an unbiased estimate of the
-//! stream's wall time. Only the clock is sampled: op counts, sizes and
-//! allocation attribution are recorded on every op by the callers.
+//! recorder owns a [`ClockSampler`]: a countdown that splits *its own* op
+//! stream into blocks of `P` ops and clocks one op in each block, the caller
+//! scaling that op's nanos by `P`. The phase of the clocked op within its
+//! block comes from a seed, so recorders seeded with consecutive values (the
+//! slots of one monitoring window) cover every phase, and fewer than `P` of
+//! them still spread over the whole period: each op is clocked with
+//! probability exactly `1/P`, whatever else runs on the thread, and the
+//! scaled sum is an unbiased estimate of the stream's wall time. Only the
+//! clock is sampled: op counts, sizes and allocation attribution are
+//! recorded on every op by the callers.
+//!
+//! A sampler may also back off: it starts at a period `P0` and doubles the
+//! period after every 32 clocked ops, up to a ceiling. A new period opens
+//! at the end of the current block with a fresh phase from the same seed,
+//! so block boundaries do not depend on the seed, every op is still
+//! clocked with probability exactly 1/(its block's period), and scaling
+//! each clocked op by its own block's period keeps the sum unbiased. With
+//! no ceiling, a stream of `L` ops clocks about `32·log2(1 + L/(32·P0))`
+//! ops instead of `L/P0`, which is what a window whose op volume is not
+//! known in advance needs.
+
+/// Clocked ops a backing-off sampler spends at one period before doubling
+/// it.
+const CLOCKS_PER_LEVEL: u32 = 32;
 
 /// `2^64 / φ`, the golden-ratio step of Fibonacci hashing.
 const GOLDEN_STEP: u128 = 0x9E37_79B9_7F4A_7C15;
@@ -51,6 +66,15 @@ fn coprime(a: u64, b: u64) -> bool {
     }
 }
 
+/// The phase of `seed` within `period`: `seed × step mod period`.
+fn phase(period: u64, seed: u64) -> u64 {
+    let step = phase_step(period);
+    match seed.checked_mul(step) {
+        Some(product) => product % period,
+        None => (u128::from(seed) * u128::from(step) % u128::from(period)) as u64,
+    }
+}
+
 /// A per-recorder countdown that decides which ops read the wall clock.
 ///
 /// # Examples
@@ -66,11 +90,21 @@ fn coprime(a: u64, b: u64) -> bool {
 ///     })
 ///     .sum();
 /// assert_eq!(clocked * 8, 8 * 64);
+///
+/// // Backing off from 8 with no ceiling, 20,000 ops clock at most 200.
+/// let mut s = ClockSampler::backoff(8, u64::MAX, 3);
+/// assert!((0..20_000).filter(|_| s.tick()).count() <= 200);
 /// ```
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClockSampler {
+    /// Length of the current block: the scale of the op last clocked.
     period: u64,
+    ceiling: u64,
     countdown: u64,
+    seed: u64,
+    /// Clocked ops left at this period; 0 once the next clocked op opens
+    /// the doubled period.
+    level_left: u32,
 }
 
 impl ClockSampler {
@@ -78,15 +112,23 @@ impl ClockSampler {
     /// op). The first clocked op is op `1 + phase`, the phase in
     /// `[0, period)` derived from `seed`.
     pub fn new(period: u64, seed: u64) -> Self {
-        let period = period.max(1);
-        let step = phase_step(period);
-        let phase = match seed.checked_mul(step) {
-            Some(product) => product % period,
-            None => (u128::from(seed) * u128::from(step) % u128::from(period)) as u64,
-        };
+        Self::backoff(period, period, seed)
+    }
+
+    /// A sampler starting at period `start` (`0` is treated as `1`) that
+    /// doubles its period after every 32 clocked ops until it reaches
+    /// `ceiling` (`u64::MAX` for none; a ceiling below `start` reads as
+    /// `start`, which is [`ClockSampler::new`]'s fixed schedule). Each
+    /// period opens at the end of the previous period's last block, with a
+    /// phase derived from `seed` as `new` derives it.
+    pub fn backoff(start: u64, ceiling: u64, seed: u64) -> Self {
+        let period = start.max(1);
         ClockSampler {
             period,
-            countdown: phase + 1,
+            ceiling: ceiling.max(period),
+            countdown: phase(period, seed) + 1,
+            seed,
+            level_left: CLOCKS_PER_LEVEL,
         }
     }
 
@@ -95,14 +137,43 @@ impl ClockSampler {
     pub fn tick(&mut self) -> bool {
         self.countdown -= 1;
         if self.countdown == 0 {
-            self.countdown = self.period;
+            if self.period == self.ceiling {
+                self.countdown = self.period;
+            } else {
+                self.back_off();
+            }
             true
         } else {
             false
         }
     }
 
-    /// Ops each clocked op stands for: the factor its nanos are scaled by.
+    /// Schedules the next clocked op of a sampler below its ceiling: one
+    /// period on, or, after the level's last clocked op, the fresh phase of
+    /// the doubled period counted from the end of this block.
+    #[inline(never)]
+    fn back_off(&mut self) {
+        if self.level_left == 0 {
+            // This op opens the period the level's last op scheduled.
+            self.period = self.next_period();
+            self.level_left = CLOCKS_PER_LEVEL;
+        }
+        self.level_left -= 1;
+        self.countdown = if self.level_left > 0 {
+            self.period
+        } else {
+            let next = self.next_period();
+            (self.period - phase(self.period, self.seed)).saturating_add(phase(next, self.seed))
+        };
+    }
+
+    fn next_period(&self) -> u64 {
+        self.period.saturating_mul(2).min(self.ceiling)
+    }
+
+    /// Ops each clocked op stands for: the length of the block the last
+    /// clocked op fell in (before the first, the starting period), the
+    /// factor its nanos are scaled by.
     #[inline]
     pub fn period(&self) -> u64 {
         self.period
@@ -128,6 +199,92 @@ mod tests {
                     .map(|i| clocked(ClockSampler::new(period, 17 + i), ops))
                     .sum();
                 assert_eq!(total * period, period * ops, "P={period} L={ops}");
+            }
+        }
+    }
+
+    #[test]
+    fn backing_off_keeps_the_scaled_sum_exact_over_a_cycle_of_seeds() {
+        // Block boundaries do not depend on the seed, and as many
+        // consecutive seeds as the lcm of the level periods take every
+        // phase of every level equally often. Scaling each clocked op by
+        // its own block's period, their sums add up to seeds × L exactly.
+        fn gcd(a: u64, b: u64) -> u64 {
+            if b == 0 {
+                a
+            } else {
+                gcd(b, a % b)
+            }
+        }
+        const LEN: usize = 20_000;
+        for (start, ceiling) in [(8u64, 64u64), (8, 195), (3, 40), (8, 4_096), (1, 8)] {
+            let mut seeds = start;
+            let mut period = start;
+            while period < ceiling {
+                period = (2 * period).min(ceiling);
+                seeds = seeds / gcd(seeds, period) * period;
+            }
+            // scaled[i]: the scales of op i summed over the seeds.
+            let mut scaled = vec![0u64; LEN];
+            for seed in 40..40 + seeds {
+                let mut s = ClockSampler::backoff(start, ceiling, seed);
+                for at in scaled.iter_mut() {
+                    if s.tick() {
+                        *at += s.period();
+                    }
+                }
+            }
+            let mut sum = 0;
+            for (len, at) in scaled.iter().enumerate() {
+                assert_eq!(sum, seeds * len as u64, "P0={start} Pmax={ceiling} L={len}");
+                sum += at;
+            }
+            assert_eq!(sum, seeds * LEN as u64, "P0={start} Pmax={ceiling} L={LEN}");
+        }
+    }
+
+    #[test]
+    fn each_period_clocks_one_op_per_block_at_its_own_phase() {
+        for seed in 0..50 {
+            let mut s = ClockSampler::backoff(3, 40, seed);
+            let (mut period, mut level_start, mut in_level) = (3, 0, 0);
+            for op in 0..6_000u64 {
+                if !s.tick() {
+                    continue;
+                }
+                if in_level == 32 && period < 40 {
+                    level_start += 32 * period;
+                    period = (2 * period).min(40);
+                    in_level = 0;
+                }
+                in_level += 1;
+                assert_eq!(s.period(), period, "seed {seed} op {op}");
+                let block = (op - level_start) / period;
+                assert_eq!(block, in_level - 1, "one clocked op per block");
+                assert_eq!((op - level_start) % period, phase(period, seed));
+            }
+            assert_eq!(period, 40, "the ceiling is reached and kept");
+        }
+    }
+
+    #[test]
+    fn backing_off_from_8_clocks_at_most_200_of_20_000_ops() {
+        for seed in 0..64 {
+            let n = clocked(ClockSampler::backoff(8, u64::MAX, seed), 20_000);
+            assert!(n <= 200, "seed {seed}: {n} clocked");
+        }
+        assert_eq!(clocked(ClockSampler::new(8, 0), 20_000), 2_500);
+    }
+
+    #[test]
+    fn a_ceiling_at_or_below_the_start_is_the_fixed_schedule() {
+        for seed in 0..20 {
+            for period in [1u64, 3, 8, 195] {
+                let fixed = ClockSampler::new(period, seed);
+                assert_eq!(ClockSampler::backoff(period, period, seed), fixed);
+                assert_eq!(ClockSampler::backoff(period, period / 2, seed), fixed);
+                let (mut a, mut b) = (fixed, ClockSampler::backoff(period, 0, seed));
+                assert!((0..5_000).all(|_| a.tick() == b.tick() && a.period() == period));
             }
         }
     }
