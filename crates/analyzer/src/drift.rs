@@ -10,7 +10,7 @@
 //! Matching is by name, strongest evidence first: a runtime site whose name
 //! equals a static site's declared `named_*` literal, its fingerprint
 //! (`path::item#ordinal`), or its location (`path:line`) is **anchored**.
-//! Auto-generated names (`list-site-3`, `cmap-0`, …) carry no source
+//! Auto-generated names (`list-site-3`, `map-site-0`, …) carry no source
 //! identity and are reported as **anonymous** — a warning, not a failure,
 //! because the engine mints them legitimately for anonymous contexts. A
 //! *named* runtime site matching nothing static is **unanchored** and fails
@@ -149,8 +149,9 @@ impl DriftReport {
 }
 
 /// Is `name` one of the engine/runtime auto-generated site names?
-/// (`list-site-N` / `set-site-N` / `map-site-N` from the engine,
-/// `clist-N` / `cset-N` / `cmap-N` from the concurrent runtime.)
+/// (`list-site-N` / `set-site-N` / `map-site-N` from the engine, which
+/// names the concurrent runtime's anonymous sites too; `clist-N` /
+/// `cset-N` / `cmap-N` in manifests dumped by older runtime builds.)
 pub fn is_auto_generated_name(name: &str) -> bool {
     let numeric_suffix = |prefix: &str| {
         name.strip_prefix(prefix)

@@ -14,11 +14,9 @@
 //! | Set  | [`ChainedHashSet`], [`OpenHashSet`] (three library profiles), [`LinkedHashSet`], [`ArraySet`], [`CompactHashSet`], [`AdaptiveSet`] |
 //! | Map  | [`ChainedHashMap`], [`OpenHashMap`] (three library profiles), [`LinkedHashMap`], [`ArrayMap`], [`CompactHashMap`], [`AdaptiveMap`] |
 //!
-//! Beyond Table 2, the crate also ships the sorted JDK analogues the paper's
-//! introduction discusses ([`TreeMap`], [`TreeSet`]) and a sharded
-//! concurrent map ([`ShardedHashMap`]); they are library members rather
-//! than switch candidates, covering the paper's "sorted and concurrent
-//! collections" future work.
+//! Beyond Table 2, the crate also ships a sharded concurrent map
+//! ([`ShardedHashMap`]): not a switch candidate, but the lock-striping
+//! design the concurrent runtime's registry and handles are built on.
 //!
 //! Two cross-cutting facilities make the variants usable by the selection
 //! framework:
@@ -68,7 +66,7 @@ pub use hash::{hash_one, FxBuildHasher, FxHasher};
 pub use kind::{Abstraction, LibraryProfile, ListKind, MapKind, SetKind};
 pub use list::{ArrayList, HashArrayList, LinkedList};
 pub use map::{
-    ArrayMap, ChainedHashMap, CompactHashMap, LinkedHashMap, OpenHashMap, ShardedHashMap, TreeMap,
+    ArrayMap, ChainedHashMap, CompactHashMap, LinkedHashMap, OpenHashMap, ShardedHashMap,
 };
-pub use set::{ArraySet, ChainedHashSet, CompactHashSet, LinkedHashSet, OpenHashSet, TreeSet};
+pub use set::{ArraySet, ChainedHashSet, CompactHashSet, LinkedHashSet, OpenHashSet};
 pub use traits::{HeapSize, ListOps, MapOps, SetOps};

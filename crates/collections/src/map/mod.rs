@@ -10,7 +10,6 @@ mod compact;
 mod linked;
 mod open;
 mod sharded;
-mod tree;
 
 pub use array::ArrayMap;
 pub use chained::ChainedHashMap;
@@ -18,4 +17,3 @@ pub use compact::CompactHashMap;
 pub use linked::LinkedHashMap;
 pub use open::OpenHashMap;
 pub use sharded::ShardedHashMap;
-pub use tree::TreeMap;

@@ -9,10 +9,8 @@
 //! [`crate::adaptive`].
 
 mod array;
-mod tree;
 
 pub use array::ArraySet;
-pub use tree::TreeSet;
 
 use std::fmt;
 use std::hash::Hash;

@@ -4,8 +4,8 @@
 //! transitions) lean on.
 
 use cs_collections::{
-    AnyList, AnyMap, AnySet, ArrayList, ChainedHashMap, CompactHashMap, LinkedHashMap,
-    LinkedList, ListKind, ListOps, MapKind, MapOps, OpenHashMap, SetKind, SetOps, TreeMap,
+    AnyList, AnyMap, AnySet, ArrayList, ChainedHashMap, CompactHashMap, LinkedHashMap, LinkedList,
+    ListKind, ListOps, MapKind, MapOps, OpenHashMap, SetKind, SetOps,
 };
 
 fn check_exact_size<I: ExactSizeIterator>(mut it: I, expected: usize) {
@@ -43,8 +43,6 @@ fn hash_map_iters_are_exact() {
     check_exact_size(linked.iter(), 41);
     let compact: CompactHashMap<i64, i64> = (0..41).map(|k| (k, k)).collect();
     check_exact_size(compact.iter(), 41);
-    let tree: TreeMap<i64, i64> = (0..41).map(|k| (k, k)).collect();
-    check_exact_size(tree.iter(), 41);
 }
 
 #[test]
@@ -54,12 +52,6 @@ fn iteration_after_removals_stays_exact() {
         m.remove(&k);
     }
     check_exact_size(m.iter(), 25);
-
-    let mut t: TreeMap<i64, i64> = (0..50).map(|k| (k, k)).collect();
-    for k in (0..50).step_by(2) {
-        t.remove(&k);
-    }
-    check_exact_size(t.iter(), 25);
 }
 
 #[test]
@@ -142,8 +134,6 @@ fn drain_into_count_equals_len_for_every_variant() {
 fn empty_iterators_are_well_behaved() {
     let l: ArrayList<i64> = ArrayList::new();
     check_exact_size(l.iter(), 0);
-    let m: TreeMap<i64, i64> = TreeMap::new();
-    check_exact_size(m.iter(), 0);
     let o: OpenHashMap<i64, i64> = OpenHashMap::new();
     check_exact_size(o.iter(), 0);
 }

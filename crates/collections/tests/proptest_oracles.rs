@@ -7,10 +7,10 @@
 use proptest::prelude::*;
 
 use cs_collections::{
-    AdaptiveList, AdaptiveMap, AdaptiveSet, AnyList, AnyMap, AnySet, ArrayList, ArrayMap,
-    ArraySet, ChainedHashMap, ChainedHashSet, CompactHashMap, CompactHashSet, HashArrayList,
-    LibraryProfile, LinkedHashMap, LinkedHashSet, LinkedList, ListKind, ListOps, MapKind, MapOps,
-    OpenHashMap, OpenHashSet, SetKind, SetOps, TreeMap, TreeSet,
+    AdaptiveList, AdaptiveMap, AdaptiveSet, AnyList, AnyMap, AnySet, ArrayList, ArrayMap, ArraySet,
+    ChainedHashMap, ChainedHashSet, CompactHashMap, CompactHashSet, HashArrayList, LibraryProfile,
+    LinkedHashMap, LinkedHashSet, LinkedList, ListKind, ListOps, MapKind, MapOps, OpenHashMap,
+    OpenHashSet, SetKind, SetOps,
 };
 
 #[derive(Debug, Clone)]
@@ -267,34 +267,6 @@ proptest! {
     #[test]
     fn adaptive_map_matches_std(ops in map_ops()) {
         run_map_script(&mut AdaptiveMap::with_threshold(6), &ops);
-    }
-
-    #[test]
-    fn tree_map_matches_std(ops in map_ops()) {
-        run_map_script(&mut TreeMap::new(), &ops);
-    }
-
-    #[test]
-    fn tree_set_matches_std(ops in set_ops()) {
-        run_set_script(&mut TreeSet::new(), &ops);
-    }
-
-    /// TreeMap iteration must always be sorted, whatever the op script did.
-    #[test]
-    fn tree_map_iterates_sorted(ops in map_ops()) {
-        let mut m = TreeMap::new();
-        for op in &ops {
-            match *op {
-                MapOp::Insert(k, v) => { m.insert(k, v); }
-                MapOp::Remove(k) => { m.remove(&k); }
-                MapOp::Clear => m.clear(),
-                _ => {}
-            }
-        }
-        let keys: Vec<i64> = m.iter().map(|(k, _)| *k).collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(keys, sorted);
     }
 
     #[test]

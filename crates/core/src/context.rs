@@ -24,7 +24,7 @@ use crate::event::{
     EngineEvent, QuarantineEvent, RollbackEvent, SelectionExplanation, SelectionOutcome,
     TransitionEvent,
 };
-use crate::guard::{GuardState, GuardrailConfig, PendingVerification, TransitionBudget};
+use crate::guard::{GuardState, GuardrailConfig, PendingVerification};
 use crate::handles::{Monitor, SwitchList, SwitchMap, SwitchSet};
 use crate::kind_ext::{Kind, ModelFamily};
 use crate::rules::SelectionRule;
@@ -214,7 +214,7 @@ impl<K: Kind> ContextCore<K> {
     /// `rule` and switch the current variant if a better candidate exists.
     ///
     /// Equivalent to [`ContextCore::analyze_guarded`] with the default
-    /// guardrails, no transition budget, and guardrail events discarded.
+    /// guardrails and guardrail events discarded.
     ///
     /// Returns the transition event if a switch happened.
     pub fn analyze(
@@ -223,13 +223,7 @@ impl<K: Kind> ContextCore<K> {
         rule: &SelectionRule,
     ) -> Option<TransitionEvent> {
         let mut events = Vec::new();
-        self.analyze_guarded(
-            model,
-            rule,
-            &GuardrailConfig::default(),
-            &TransitionBudget::new(None),
-            &mut events,
-        )
+        self.analyze_guarded(model, rule, &GuardrailConfig::default(), &mut events)
     }
 
     /// Runs one guarded analysis pass.
@@ -243,8 +237,7 @@ impl<K: Kind> ContextCore<K> {
     ///    the candidate quarantined with exponential backoff. Verification
     ///    applies only to time-primary rules, and only when both windows
     ///    carried measured wall time.
-    /// 2. Enforces the per-site **cooldown** and the global **transition
-    ///    budget** before switching.
+    /// 2. Enforces the per-site **cooldown** before switching.
     /// 3. Excludes **quarantined** candidates from selection.
     ///
     /// Guardrail decisions (rollbacks, quarantines) are appended to
@@ -255,7 +248,6 @@ impl<K: Kind> ContextCore<K> {
         model: &PerformanceModel<K>,
         rule: &SelectionRule,
         guard_cfg: &GuardrailConfig,
-        budget: &TransitionBudget,
         events: &mut Vec<EngineEvent>,
     ) -> Option<TransitionEvent> {
         if self.is_frozen() {
@@ -380,12 +372,6 @@ impl<K: Kind> ContextCore<K> {
             }
             return None;
         };
-        if !budget.try_take() {
-            explanation.outcome = SelectionOutcome::BudgetExhausted;
-            events.push(EngineEvent::Selection(explanation.clone()));
-            *self.last_explanation.lock() = Some(explanation);
-            return None;
-        }
         // The switch commits from here on: one SwitchExec span per
         // transition event, so span and event counts agree exactly.
         let _switch_span = cs_trace::span(cs_trace::Phase::SwitchExec, self.id);
@@ -520,7 +506,6 @@ pub trait AnyContext: Send + Sync + fmt::Debug {
         models: &Models,
         rule: &SelectionRule,
         guard_cfg: &GuardrailConfig,
-        budget: &TransitionBudget,
         events: &mut Vec<EngineEvent>,
     ) -> Option<TransitionEvent>;
 }
@@ -588,10 +573,9 @@ impl<K: ModelFamily> AnyContext for ContextCore<K> {
         models: &Models,
         rule: &SelectionRule,
         guard_cfg: &GuardrailConfig,
-        budget: &TransitionBudget,
         events: &mut Vec<EngineEvent>,
     ) -> Option<TransitionEvent> {
-        self.analyze_guarded(K::model(models), rule, guard_cfg, budget, events)
+        self.analyze_guarded(K::model(models), rule, guard_cfg, events)
     }
 }
 
@@ -825,7 +809,7 @@ mod tests {
     // hand-picked wall times) straight into the context's sink, making the
     // verification arithmetic fully deterministic.
 
-    use crate::guard::{GuardrailConfig, TransitionBudget};
+    use crate::guard::GuardrailConfig;
     use cs_model::{CostDimension as Dim, Polynomial, VariantCostModel};
     use cs_profile::{OpCounters, OpKind, WorkloadProfile};
 
@@ -910,14 +894,13 @@ mod tests {
         let model = inverted_list_model();
         let rule = SelectionRule::r_time();
         let cfg = GuardrailConfig::default();
-        let budget = TransitionBudget::new(None);
         let mut events = Vec::new();
 
         // Round 0: cheap window (10 ns/op) — the inverted model switches
         // the site to Linked and records the baseline.
         feed_window(&core, 10, 100, 1_000);
         let t = core
-            .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+            .analyze_guarded(&model, &rule, &cfg, &mut events)
             .expect("inverted model must trigger a switch");
         assert_eq!(t.to, "linked");
         assert_eq!(core.current_kind(), ListKind::Linked);
@@ -933,7 +916,7 @@ mod tests {
         // Round 1: the realized window is 10× slower (100 ns/op) —
         // verification must undo the switch and quarantine Linked.
         feed_window(&core, 10, 100, 10_000);
-        let t = core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
+        let t = core.analyze_guarded(&model, &rule, &cfg, &mut events);
         assert!(t.is_none(), "rollback is not a transition");
         assert_eq!(core.current_kind(), ListKind::Array);
         assert_eq!(core.stats().rollbacks, 1);
@@ -961,7 +944,7 @@ mod tests {
         // Round 2: the model still prefers Linked, but it is quarantined —
         // the site must stay on Array.
         feed_window(&core, 10, 100, 1_000);
-        let t = core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
+        let t = core.analyze_guarded(&model, &rule, &cfg, &mut events);
         assert!(t.is_none(), "quarantined candidate must not be reselected");
         assert_eq!(core.current_kind(), ListKind::Array);
     }
@@ -972,15 +955,14 @@ mod tests {
         let model = inverted_list_model();
         let rule = SelectionRule::r_time();
         let cfg = GuardrailConfig::default();
-        let budget = TransitionBudget::new(None);
         let mut events = Vec::new();
 
         feed_window(&core, 10, 100, 1_000);
-        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+        core.analyze_guarded(&model, &rule, &cfg, &mut events)
             .expect("switch");
         // Realized window is *faster* (5 ns/op): the switch sticks.
         feed_window(&core, 10, 100, 500);
-        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
+        core.analyze_guarded(&model, &rule, &cfg, &mut events);
         assert_eq!(core.current_kind(), ListKind::Linked);
         assert_eq!(core.stats().rollbacks, 0);
         assert!(
@@ -997,14 +979,13 @@ mod tests {
         let model = inverted_list_model();
         let rule = SelectionRule::r_time();
         let cfg = GuardrailConfig::disabled();
-        let budget = TransitionBudget::new(None);
         let mut events = Vec::new();
 
         feed_window(&core, 10, 100, 1_000);
-        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+        core.analyze_guarded(&model, &rule, &cfg, &mut events)
             .expect("switch");
         feed_window(&core, 10, 100, 100_000);
-        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
+        core.analyze_guarded(&model, &rule, &cfg, &mut events);
         assert_eq!(core.current_kind(), ListKind::Linked);
         assert_eq!(core.stats().rollbacks, 0);
     }
@@ -1016,12 +997,11 @@ mod tests {
         let rule = SelectionRule::r_time();
         // Verification off isolates the cooldown behaviour; 3-round cooldown.
         let cfg = GuardrailConfig::disabled().cooldown_rounds(3);
-        let budget = TransitionBudget::new(None);
         let mut events = Vec::new();
 
         feed_window(&core, 10, 100, 1_000);
         assert!(core
-            .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+            .analyze_guarded(&model, &rule, &cfg, &mut events)
             .is_some());
         // Manually flip back so the model wants to switch again.
         core.current.store(ListKind::Array.index(), Ordering::Release);
@@ -1029,39 +1009,14 @@ mod tests {
         for _ in 0..2 {
             feed_window(&core, 10, 100, 1_000);
             assert!(core
-                .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+                .analyze_guarded(&model, &rule, &cfg, &mut events)
                 .is_none());
         }
         // Round 3: cooldown over.
         feed_window(&core, 10, 100, 1_000);
         assert!(core
-            .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+            .analyze_guarded(&model, &rule, &cfg, &mut events)
             .is_some());
-    }
-
-    #[test]
-    fn exhausted_budget_blocks_switches() {
-        let core = list_core();
-        let model = inverted_list_model();
-        let rule = SelectionRule::r_time();
-        let cfg = GuardrailConfig::disabled();
-        let budget = TransitionBudget::new(Some(0));
-        let mut events = Vec::new();
-
-        feed_window(&core, 10, 100, 1_000);
-        let t = core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
-        assert!(t.is_none());
-        assert_eq!(core.current_kind(), ListKind::Array);
-        assert_eq!(core.stats().switches, 0);
-        // The rejected decision is still audited.
-        let sel = events
-            .iter()
-            .find_map(|e| e.as_selection())
-            .expect("budget-blocked selection audited");
-        assert_eq!(sel.outcome, crate::event::SelectionOutcome::BudgetExhausted);
-        assert_eq!(sel.winner.as_deref(), Some("linked"));
-        let exp = core.explain().expect("explanation stored");
-        assert_eq!(exp.outcome, crate::event::SelectionOutcome::BudgetExhausted);
     }
 
     #[test]
@@ -1071,11 +1026,10 @@ mod tests {
         let model = inverted_list_model();
         let rule = SelectionRule::r_time();
         let cfg = GuardrailConfig::disabled();
-        let budget = TransitionBudget::new(None);
         let mut events = Vec::new();
 
         feed_window(&core, 10, 100, 1_000);
-        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+        core.analyze_guarded(&model, &rule, &cfg, &mut events)
             .expect("switch");
         let exp = core.explain().expect("switched pass explained");
         assert_eq!(exp.winner.as_deref(), Some("linked"));
@@ -1090,7 +1044,7 @@ mod tests {
         // A pass with no satisfying candidate still refreshes the trail.
         feed_window(&core, 10, 100, 1_000);
         assert!(core
-            .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+            .analyze_guarded(&model, &rule, &cfg, &mut events)
             .is_none());
         let exp = core.explain().expect("kept-variant pass explained");
         assert_eq!(exp.winner, None);
@@ -1141,27 +1095,26 @@ mod tests {
         let model = inverted_list_model();
         let rule = SelectionRule::r_time();
         let cfg = GuardrailConfig::default();
-        let budget = TransitionBudget::new(None);
         let mut events = Vec::new();
         // W = 50,000 gives P = 195, but the window after the switch is the
         // one verification reads: its monitors start at 8 and back off up
         // to 195, and runtime shards clock one op in 8.
         feed_window(&core, 10, 5_000, 50_000);
         assert!(core
-            .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+            .analyze_guarded(&model, &rule, &cfg, &mut events)
             .is_some());
         assert_eq!(schedule(&core), (ClockSampler::backoff(8, 195, 0), 8));
         // The verifying window (as cheap per op, so no rollback) hands the
         // period back to the budget.
         feed_window(&core, 10, 5_000, 50_000);
-        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
+        core.analyze_guarded(&model, &rule, &cfg, &mut events);
         assert_eq!(core.stats().rollbacks, 0);
         assert_eq!(schedule(&core), (ClockSampler::new(195, 0), 195));
         // A window already clocking more densely keeps its fixed period.
         core.reset();
         feed_window(&core, 10, 100, 1_000);
         assert!(core
-            .analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+            .analyze_guarded(&model, &rule, &cfg, &mut events)
             .is_some());
         assert_eq!(schedule(&core), (ClockSampler::new(3, 0), 3));
     }
@@ -1247,7 +1200,6 @@ mod tests {
             &inverted_list_model(),
             &SelectionRule::r_time(),
             &GuardrailConfig::default(),
-            &TransitionBudget::new(None),
             &mut events,
         );
         assert!(t.is_none());
@@ -1260,14 +1212,13 @@ mod tests {
         let model = inverted_list_model();
         let rule = SelectionRule::r_time();
         let cfg = GuardrailConfig::default();
-        let budget = TransitionBudget::new(None);
         let mut events = Vec::new();
 
         feed_window(&core, 10, 100, 1_000);
-        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events)
+        core.analyze_guarded(&model, &rule, &cfg, &mut events)
             .expect("switch");
         feed_window(&core, 10, 100, 10_000);
-        core.analyze_guarded(&model, &rule, &cfg, &budget, &mut events);
+        core.analyze_guarded(&model, &rule, &cfg, &mut events);
         assert!(!core.guard.lock().quarantine.is_empty());
         core.reset();
         let g = core.guard.lock();

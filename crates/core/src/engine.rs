@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
@@ -19,10 +19,10 @@ use crate::event::{
     AnalyzerPanicEvent, DegradedEvent, EngineEvent, EventLog, ModelFallbackEvent,
     SelectionExplanation, TransitionEvent, WarmStartEvent, WarmStartSiteEvent, WarmStartSiteOutcome,
 };
-use crate::guard::{GuardrailConfig, TransitionBudget};
+use crate::guard::GuardrailConfig;
 use crate::kind_ext::ModelFamily;
 use crate::rules::SelectionRule;
-use crate::state::{SnapshotPolicy, StatePersister, WarmStartReport, WarmState};
+use crate::state::{WarmStartReport, WarmState};
 use crate::subscriber::{EngineEventSink, SinkRegistry};
 
 /// The performance models the engine selects against.
@@ -152,7 +152,7 @@ pub struct SwitchConfig {
     pub rule: SelectionRule,
     /// Monitoring window parameters (paper §5 defaults).
     pub window: WindowConfig,
-    /// Adaptation guardrails (verification, quarantine, cooldown, budget).
+    /// Adaptation guardrails (verification, quarantine, cooldown).
     pub guardrails: GuardrailConfig,
 }
 
@@ -184,7 +184,8 @@ struct Shared {
     /// Every registered context, in registration order.
     registry: Mutex<Vec<Arc<dyn AnyContext>>>,
     log: Mutex<EventLog>,
-    budget: TransitionBudget,
+    /// Transitions committed by analysis passes, over every site.
+    transitions: AtomicU64,
     next_context_id: AtomicU64,
     stop: AtomicBool,
     /// Raised when the analyzer exceeded its failure allowance: adaptation
@@ -410,7 +411,12 @@ impl SwitchBuilder {
     }
 
     /// Imports learned selection state from a crash-safe snapshot written
-    /// by [`Switch::save_state`] (or a [`StatePersister`]).
+    /// by [`Switch::save_state`].
+    ///
+    /// First, temp files that a writer killed mid-save left beside `path`
+    /// (`<file>.tmp-<pid>-<n>`) are removed, best effort: this is the
+    /// startup call, made before the process saves anything, so every such
+    /// file is a previous process's garbage.
     ///
     /// Robust end to end: a missing or unreadable file means a plain cold
     /// start (recorded as an [`EngineEvent::WarmStart`] with a note, never
@@ -427,6 +433,7 @@ impl SwitchBuilder {
     /// [`EngineEvent::ModelFallback`].
     pub fn warm_start_from(self, path: impl AsRef<std::path::Path>) -> Self {
         let path = path.as_ref();
+        let _ = cs_state::sweep_stale_temps(path);
         let source = path.display().to_string();
         match cs_state::load_lenient(path) {
             Ok(report) => self.warm_start_snapshot(report, source),
@@ -490,7 +497,6 @@ impl SwitchBuilder {
             self.event_log_capacity
                 .unwrap_or(Switch::DEFAULT_EVENT_LOG_CAPACITY),
         );
-        let budget = TransitionBudget::new(self.config.guardrails.max_transitions);
         let sinks = SinkRegistry::default();
         for sink in self.pending_sinks {
             sinks.subscribe(sink);
@@ -588,7 +594,7 @@ impl SwitchBuilder {
             models,
             registry: Mutex::new(Vec::new()),
             log: Mutex::new(log),
-            budget,
+            transitions: AtomicU64::new(0),
             next_context_id: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             degraded: Arc::new(AtomicBool::new(false)),
@@ -652,13 +658,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Consecutive analyzer panics tolerated before the engine enters degraded
+/// mode.
+const MAX_ANALYZER_FAILURES: u32 = 3;
+
 /// Runs one analysis pass over every registered context, isolating panics.
 ///
 /// Returns `true` when the pass completed cleanly. A panicking pass (a
 /// buggy model, a poisoned profile) is caught here: the panic is recorded
-/// as an [`AnalyzerPanicEvent`], and after
-/// [`GuardrailConfig::max_analyzer_failures`] *consecutive* failures the
-/// engine enters degraded mode — every context freezes on its last-known
+/// as an [`AnalyzerPanicEvent`], and after [`MAX_ANALYZER_FAILURES`]
+/// *consecutive* failures the engine enters degraded mode — every context freezes on its last-known
 /// variant and monitoring stops, rather than crashing the host or silently
 /// spinning. `parking_lot` mutexes do not poison, so a pass that unwound
 /// mid-iteration leaves the registry and log usable.
@@ -679,10 +688,12 @@ fn analyze_shared(shared: &Shared) -> bool {
                 &shared.models,
                 &shared.config.rule,
                 &shared.config.guardrails,
-                &shared.budget,
                 &mut events,
             );
-            events.extend(transition.map(EngineEvent::Transition));
+            if let Some(transition) = transition {
+                shared.transitions.fetch_add(1, Ordering::Relaxed);
+                events.push(EngineEvent::Transition(transition));
+            }
         }
         drop(registry);
         shared.record_and_dispatch(events);
@@ -703,7 +714,7 @@ fn analyze_shared(shared: &Shared) -> bool {
                 consecutive,
                 message: panic_message(payload.as_ref()),
             })];
-            if consecutive >= shared.config.guardrails.max_analyzer_failures {
+            if consecutive >= MAX_ANALYZER_FAILURES {
                 shared.degraded.store(true, Ordering::Release);
                 events.push(EngineEvent::DegradedEntered(DegradedEvent {
                     consecutive_failures: consecutive,
@@ -915,7 +926,7 @@ impl Switch {
     }
 
     /// Total events ever recorded (including entries since evicted from the
-    /// bounded log and entries removed by [`Switch::clear_transition_log`]).
+    /// bounded log).
     pub fn events_recorded(&self) -> u64 {
         self.shared.log.lock().recorded()
     }
@@ -1006,11 +1017,6 @@ impl Switch {
         }
     }
 
-    /// Clears the transition log.
-    pub fn clear_transition_log(&self) {
-        self.shared.log.lock().clear();
-    }
-
     /// Whether the engine froze adaptation after repeated analyzer
     /// failures. A degraded engine keeps serving every site's last-known
     /// variant but samples and switches nothing.
@@ -1018,9 +1024,10 @@ impl Switch {
         self.shared.degraded.load(Ordering::Acquire)
     }
 
-    /// Transitions claimed against the global budget so far.
+    /// Transitions the analyzer has committed so far, over every site
+    /// (rollbacks are not transitions and do not count).
     pub fn transitions_used(&self) -> u64 {
-        self.shared.budget.used()
+        self.shared.transitions.load(Ordering::Relaxed)
     }
 
     /// Whether a background analyzer is running.
@@ -1115,8 +1122,7 @@ impl Switch {
     /// sequence number.
     ///
     /// The snapshot warm-starts a future engine through
-    /// [`SwitchBuilder::warm_start_from`]. For automatic persistence,
-    /// subscribe a [`StatePersister`] with [`Switch::persist_state_to`].
+    /// [`SwitchBuilder::warm_start_from`].
     ///
     /// # Errors
     ///
@@ -1129,26 +1135,6 @@ impl Switch {
         let seq = self.shared.snapshot_seq.fetch_add(1, Ordering::Relaxed) + 1;
         let snapshot = self.export_state_seq(seq);
         cs_state::write_atomic(path, &snapshot)
-    }
-
-    /// Subscribes a [`StatePersister`] that keeps `path` current with
-    /// crash-safe snapshots — written after bursts of adaptation activity
-    /// and periodically across analysis passes, per `policy`.
-    ///
-    /// Stale temp files left by a previous process killed mid-snapshot are
-    /// swept on the way in. The returned handle exposes write statistics
-    /// and [`StatePersister::snapshot_now`]; it holds only a weak engine
-    /// reference, so dropping it (or the engine) leaks nothing.
-    pub fn persist_state_to(
-        &self,
-        path: impl Into<PathBuf>,
-        policy: SnapshotPolicy,
-    ) -> Arc<StatePersister> {
-        let path = path.into();
-        let _ = cs_state::sweep_stale_temps(&path);
-        let persister = Arc::new(StatePersister::new(path, policy, self.downgrade()));
-        self.subscribe(Arc::clone(&persister) as Arc<dyn EngineEventSink>);
-        persister
     }
 
     /// The warm-start account, when this engine imported a snapshot at
@@ -1244,7 +1230,7 @@ pub struct EngineHealth {
     pub contexts: usize,
     /// Completed analysis passes (clean or panicked).
     pub analysis_passes: u64,
-    /// Transitions claimed against the global budget.
+    /// Transitions the analyzer has committed.
     pub transitions_used: u64,
     /// Events ever recorded in the engine log.
     pub events_recorded: u64,

@@ -109,9 +109,6 @@ pub struct CandidateEstimate {
 pub enum SelectionOutcome {
     /// A candidate won and the site switched to it.
     Switched,
-    /// A candidate won but the global transition budget was exhausted, so
-    /// the switch was rejected.
-    BudgetExhausted,
     /// No candidate satisfied the rule; the site kept its variant.
     NoCandidate,
 }
@@ -120,7 +117,6 @@ impl fmt::Display for SelectionOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             SelectionOutcome::Switched => "switched",
-            SelectionOutcome::BudgetExhausted => "budget-exhausted",
             SelectionOutcome::NoCandidate => "no-candidate",
         })
     }
@@ -559,10 +555,6 @@ impl EventLog {
     pub(crate) fn recorded(&self) -> u64 {
         self.recorded
     }
-
-    pub(crate) fn clear(&mut self) {
-        self.events.clear();
-    }
 }
 
 impl Default for EventLog {
@@ -726,9 +718,5 @@ mod tests {
             .map(|t| t.round)
             .collect();
         assert_eq!(rounds, vec![2, 3, 4]);
-        log.clear();
-        assert_eq!(log.events().count(), 0);
-        // Drop counter deliberately survives a clear.
-        assert_eq!(log.dropped(), 2);
     }
 }

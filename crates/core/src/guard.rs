@@ -1,5 +1,4 @@
-//! Adaptation guardrails: switch verification, quarantine, cooldown, and
-//! the global transition budget.
+//! Adaptation guardrails: switch verification, quarantine and cooldown.
 //!
 //! CollectionSwitch trusts its cost models: when a model says a candidate is
 //! cheaper, the engine switches. A miscalibrated (or corrupted) model can
@@ -17,19 +16,20 @@
 //! * **Cooldown** — a site must sit out a configurable number of analysis
 //!   rounds between transitions, damping oscillation under phase-flipping
 //!   workloads.
-//! * **Transition budget** — an optional global cap on the total number of
-//!   switches an engine will perform over its lifetime.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Upper bound on a quarantine's length in rounds, however many strikes
+/// accrue.
+const QUARANTINE_CAP: u64 = 64;
 
 /// Tuning knobs for the adaptation guardrails.
 ///
 /// The defaults are chosen so that a well-calibrated model behaves exactly
 /// as the unguarded engine did: verification only fires on switches that
 /// measure *worse* than both break-even and the model's own prediction by a
-/// 25% margin, the cooldown of one round matches the natural analysis
-/// cadence, and no global budget is imposed.
+/// 25% margin, and the cooldown of one round matches the natural analysis
+/// cadence.
 ///
 /// # Examples
 ///
@@ -38,8 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// let strict = GuardrailConfig::default()
 ///     .verify_tolerance(0.1)
-///     .cooldown_rounds(4)
-///     .max_transitions(Some(100));
+///     .cooldown_rounds(4);
 /// assert_eq!(strict.cooldown_rounds, 4);
 ///
 /// let off = GuardrailConfig::disabled();
@@ -56,15 +55,8 @@ pub struct GuardrailConfig {
     /// one switch per analysis round, exactly the unguarded behaviour.
     pub cooldown_rounds: u64,
     /// Rounds of quarantine imposed on a candidate's first verification
-    /// failure at a site.
+    /// failure at a site; each further strike doubles it, up to 64 rounds.
     pub quarantine_base: u64,
-    /// Upper bound on the quarantine length however many strikes accrue.
-    pub quarantine_cap: u64,
-    /// Global cap on lifetime transitions across all sites; `None` = no cap.
-    pub max_transitions: Option<u64>,
-    /// Consecutive analyzer panics tolerated before the engine enters
-    /// degraded mode (adaptation and monitoring frozen).
-    pub max_analyzer_failures: u32,
 }
 
 impl Default for GuardrailConfig {
@@ -73,24 +65,19 @@ impl Default for GuardrailConfig {
             verify_tolerance: 0.25,
             cooldown_rounds: 1,
             quarantine_base: 4,
-            quarantine_cap: 64,
-            max_transitions: None,
-            max_analyzer_failures: 3,
         }
     }
 }
 
 impl GuardrailConfig {
-    /// A configuration with every guardrail turned off — the engine behaves
-    /// exactly like the pre-guardrail implementation.
+    /// A configuration with verification off and the natural one-round
+    /// cooldown: the engine switches whenever the model finds a better
+    /// candidate, like the pre-guardrail implementation. Without
+    /// verification nothing is quarantined.
     pub fn disabled() -> Self {
         GuardrailConfig {
             verify_tolerance: f64::INFINITY,
-            cooldown_rounds: 1,
-            quarantine_base: 4,
-            quarantine_cap: 64,
-            max_transitions: None,
-            max_analyzer_failures: u32::MAX,
+            ..GuardrailConfig::default()
         }
     }
 
@@ -120,25 +107,6 @@ impl GuardrailConfig {
         self
     }
 
-    /// Sets the quarantine length cap in rounds (minimum 1).
-    pub fn quarantine_cap(mut self, rounds: u64) -> Self {
-        self.quarantine_cap = rounds.max(1);
-        self
-    }
-
-    /// Sets (or clears) the global transition budget.
-    pub fn max_transitions(mut self, limit: Option<u64>) -> Self {
-        self.max_transitions = limit;
-        self
-    }
-
-    /// Sets how many consecutive analyzer panics are tolerated before the
-    /// engine degrades (minimum 1).
-    pub fn max_analyzer_failures(mut self, failures: u32) -> Self {
-        self.max_analyzer_failures = failures.max(1);
-        self
-    }
-
     /// Whether post-switch verification is active.
     pub fn verification_enabled(&self) -> bool {
         self.verify_tolerance.is_finite()
@@ -150,64 +118,7 @@ impl GuardrailConfig {
         let doublings = strikes.saturating_sub(1).min(32);
         self.quarantine_base
             .saturating_mul(1u64 << doublings)
-            .min(self.quarantine_cap)
-    }
-}
-
-/// Shared, thread-safe counter enforcing [`GuardrailConfig::max_transitions`].
-///
-/// One budget instance is shared by every allocation context of an engine;
-/// `try_take` atomically claims one transition slot.
-#[derive(Debug, Default)]
-pub struct TransitionBudget {
-    used: AtomicU64,
-    limit: Option<u64>,
-}
-
-impl TransitionBudget {
-    /// Creates a budget with the given cap (`None` = unlimited).
-    pub fn new(limit: Option<u64>) -> Self {
-        TransitionBudget {
-            used: AtomicU64::new(0),
-            limit,
-        }
-    }
-
-    /// Claims one transition slot; returns `false` when the budget is spent.
-    pub fn try_take(&self) -> bool {
-        match self.limit {
-            None => {
-                self.used.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Some(limit) => {
-                let mut cur = self.used.load(Ordering::Relaxed);
-                loop {
-                    if cur >= limit {
-                        return false;
-                    }
-                    match self.used.compare_exchange_weak(
-                        cur,
-                        cur + 1,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => return true,
-                        Err(actual) => cur = actual,
-                    }
-                }
-            }
-        }
-    }
-
-    /// Transitions claimed so far.
-    pub fn used(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
-    }
-
-    /// The configured cap, if any.
-    pub fn limit(&self) -> Option<u64> {
-        self.limit
+            .min(QUARANTINE_CAP)
     }
 }
 
@@ -292,7 +203,6 @@ mod tests {
     fn default_config_matches_unguarded_cadence() {
         let c = GuardrailConfig::default();
         assert_eq!(c.cooldown_rounds, 1);
-        assert_eq!(c.max_transitions, None);
         assert!(c.verification_enabled());
     }
 
@@ -300,7 +210,6 @@ mod tests {
     fn disabled_config_turns_verification_off() {
         let c = GuardrailConfig::disabled();
         assert!(!c.verification_enabled());
-        assert_eq!(c.max_analyzer_failures, u32::MAX);
     }
 
     #[test]
@@ -317,39 +226,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn negative_tolerance_rejected() {
         let _ = GuardrailConfig::default().verify_tolerance(-0.5);
-    }
-
-    #[test]
-    fn budget_caps_total_takes() {
-        let b = TransitionBudget::new(Some(2));
-        assert!(b.try_take());
-        assert!(b.try_take());
-        assert!(!b.try_take());
-        assert_eq!(b.used(), 2);
-        assert_eq!(b.limit(), Some(2));
-    }
-
-    #[test]
-    fn unlimited_budget_always_grants() {
-        let b = TransitionBudget::new(None);
-        for _ in 0..1000 {
-            assert!(b.try_take());
-        }
-        assert_eq!(b.used(), 1000);
-    }
-
-    #[test]
-    fn budget_is_race_free() {
-        let b = std::sync::Arc::new(TransitionBudget::new(Some(100)));
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let b = b.clone();
-                std::thread::spawn(move || (0..50).filter(|_| b.try_take()).count())
-            })
-            .collect();
-        let granted: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(granted, 100);
-        assert_eq!(b.used(), 100);
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use event::{
     QuarantineEvent, RollbackEvent, SelectionExplanation, SelectionOutcome, TransitionEvent,
     WarmStartEvent, WarmStartSiteEvent, WarmStartSiteOutcome,
 };
-pub use guard::{GuardrailConfig, TransitionBudget};
+pub use guard::GuardrailConfig;
 pub use handles::{SwitchList, SwitchMap, SwitchSet};
 pub use kind_ext::Kind;
 pub use rules::{Criterion, ParseRuleError, SelectionRule};
@@ -76,10 +76,7 @@ pub use select::{
     adaptive_eligible, select_variant, select_variant_explained, select_variant_filtered,
     ExplainedSelection, Selection,
 };
-pub use state::{
-    SnapshotPolicy, StatePersister, StatePersisterStats, WarmStartReport,
-    SNAPSHOT_LATENCY_BOUNDS_NS, SNAPSHOT_LATENCY_BUCKETS,
-};
+pub use state::WarmStartReport;
 pub use subscriber::EngineEventSink;
 
 // Compile-time thread-safety contract: the engine and everything the
@@ -96,6 +93,5 @@ const _: () = {
     assert_send_sync::<ListContext<u64>>();
     assert_send_sync::<SetContext<u64>>();
     assert_send_sync::<MapContext<u64, u64>>();
-    assert_send_sync::<TransitionBudget>();
     assert_send_sync::<EngineEvent>();
 };

@@ -1,20 +1,19 @@
-//! Engine-side durability: warm-start accounting and the snapshot
-//! persister sink.
+//! Engine-side durability: warm-start accounting.
 //!
 //! The byte-level guarantees (atomic writes, per-record checksums,
 //! lenient salvage) live in `cs-state`; this module owns the *policy*
-//! side: what the engine exports into a snapshot, how a loaded snapshot
-//! is validated against live sites, and when snapshots get written.
+//! side: how a loaded snapshot is validated against live sites, and what
+//! the import reports.
 //!
 //! The flow across a restart:
 //!
-//! 1. Process N runs with a [`StatePersister`] subscribed
-//!    ([`Switch::persist_state_to`](crate::Switch::persist_state_to)):
-//!    adaptation events mark the state dirty, and snapshots are written
-//!    atomically after every few dirtying events or analysis passes.
+//! 1. Process N saves its learned state with
+//!    [`Switch::save_state`](crate::Switch::save_state), which writes the
+//!    snapshot atomically.
 //! 2. Process N+1 builds its engine with
 //!    [`SwitchBuilder::warm_start_from`](crate::SwitchBuilder::warm_start_from):
-//!    the snapshot is loaded leniently (corruption quarantined, never
+//!    temp files a writer killed mid-save left beside the snapshot are
+//!    swept, the snapshot is loaded leniently (corruption quarantined, never
 //!    fatal), model blobs re-validate through `cs-model`'s parser, and
 //!    each site record waits for a live site with a matching name.
 //! 3. As allocation contexts register, matching records are validated
@@ -24,34 +23,10 @@
 //!    [`WarmStartSiteEvent`](crate::WarmStartSiteEvent) recorded.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use cs_collections::Abstraction;
 use parking_lot::Mutex;
-
-use crate::engine::WeakSwitch;
-use crate::event::EngineEvent;
-use crate::subscriber::EngineEventSink;
-
-/// Snapshot-latency histogram bounds, in nanoseconds (upper bucket
-/// edges; one implicit `+Inf` bucket follows). Roughly half-decade
-/// spacing from 0.1 ms to ~0.3 s.
-pub const SNAPSHOT_LATENCY_BOUNDS_NS: [u64; 8] = [
-    100_000,
-    316_000,
-    1_000_000,
-    3_160_000,
-    10_000_000,
-    31_600_000,
-    100_000_000,
-    316_000_000,
-];
-
-/// Bucket count of the snapshot-latency histogram: one per bound plus
-/// the overflow bucket.
-pub const SNAPSHOT_LATENCY_BUCKETS: usize = SNAPSHOT_LATENCY_BOUNDS_NS.len() + 1;
 
 /// Warm-start state stashed in the engine: the salvage account from load
 /// time plus the still-unclaimed site records, consumed as live sites
@@ -132,199 +107,6 @@ impl WarmStartReport {
     }
 }
 
-/// When a [`StatePersister`] writes a snapshot.
-///
-/// Both triggers count *dirtying* events — transitions, rollbacks,
-/// quarantines, degraded-mode entry — because only those change the
-/// state worth persisting. A trigger set to `0` is disabled;
-/// [`StatePersister::snapshot_now`] always works regardless.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotPolicy {
-    /// Snapshot once this many dirtying events accumulate.
-    pub every_events: u64,
-    /// Snapshot after this many analysis passes, if anything is dirty —
-    /// the time-based backstop for quiet hosts.
-    pub every_passes: u64,
-}
-
-impl Default for SnapshotPolicy {
-    fn default() -> Self {
-        SnapshotPolicy {
-            every_events: 8,
-            every_passes: 16,
-        }
-    }
-}
-
-impl SnapshotPolicy {
-    /// Snapshot eagerly on every dirtying event — for tests and for
-    /// hosts that may be killed at any moment.
-    pub fn eager() -> SnapshotPolicy {
-        SnapshotPolicy {
-            every_events: 1,
-            every_passes: 1,
-        }
-    }
-}
-
-/// Counters describing a persister's activity, from
-/// [`StatePersister::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatePersisterStats {
-    /// Snapshots written successfully.
-    pub snapshots_written: u64,
-    /// Write attempts that failed with an I/O error (state stays dirty;
-    /// the next trigger retries).
-    pub write_failures: u64,
-    /// Dirtying events since the last successful write.
-    pub pending_dirty_events: u64,
-    /// Duration of the most recent successful write, in nanoseconds.
-    pub last_write_nanos: u64,
-    /// Total time spent in successful writes, in nanoseconds.
-    pub total_write_nanos: u64,
-    /// Size of the most recent snapshot, in bytes.
-    pub last_write_bytes: u64,
-    /// Latency distribution of successful writes, bucketed by
-    /// [`SNAPSHOT_LATENCY_BOUNDS_NS`] (last entry is the overflow
-    /// bucket).
-    pub latency_buckets: [u64; SNAPSHOT_LATENCY_BUCKETS],
-}
-
-/// An [`EngineEventSink`] that persists the engine's learned state with
-/// crash-safe snapshots — periodic (every few analysis passes) and
-/// event-triggered (after a burst of adaptation activity).
-///
-/// Created via [`Switch::persist_state_to`](crate::Switch::persist_state_to).
-/// Holds only a [`WeakSwitch`], so a forgotten persister never keeps the
-/// engine alive; once the engine is gone the sink quietly does nothing.
-///
-/// Write failures are counted, never raised: persistence is an
-/// optimization, and a full disk must not take down adaptation. Failed
-/// state stays dirty so the next trigger retries.
-#[derive(Debug)]
-pub struct StatePersister {
-    path: PathBuf,
-    policy: SnapshotPolicy,
-    engine: WeakSwitch,
-    dirty: AtomicU64,
-    passes_since_write: AtomicU64,
-    snapshots_written: AtomicU64,
-    write_failures: AtomicU64,
-    last_write_nanos: AtomicU64,
-    total_write_nanos: AtomicU64,
-    last_write_bytes: AtomicU64,
-    latency_buckets: [AtomicU64; SNAPSHOT_LATENCY_BUCKETS],
-}
-
-impl StatePersister {
-    pub(crate) fn new(path: PathBuf, policy: SnapshotPolicy, engine: WeakSwitch) -> StatePersister {
-        StatePersister {
-            path,
-            policy,
-            engine,
-            dirty: AtomicU64::new(0),
-            passes_since_write: AtomicU64::new(0),
-            snapshots_written: AtomicU64::new(0),
-            write_failures: AtomicU64::new(0),
-            last_write_nanos: AtomicU64::new(0),
-            total_write_nanos: AtomicU64::new(0),
-            last_write_bytes: AtomicU64::new(0),
-            latency_buckets: Default::default(),
-        }
-    }
-
-    /// The snapshot target path.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
-    /// The trigger policy.
-    pub fn policy(&self) -> SnapshotPolicy {
-        self.policy
-    }
-
-    /// Activity counters.
-    pub fn stats(&self) -> StatePersisterStats {
-        let mut latency_buckets = [0u64; SNAPSHOT_LATENCY_BUCKETS];
-        for (out, cell) in latency_buckets.iter_mut().zip(&self.latency_buckets) {
-            *out = cell.load(Ordering::Relaxed);
-        }
-        StatePersisterStats {
-            snapshots_written: self.snapshots_written.load(Ordering::Relaxed),
-            write_failures: self.write_failures.load(Ordering::Relaxed),
-            pending_dirty_events: self.dirty.load(Ordering::Relaxed),
-            last_write_nanos: self.last_write_nanos.load(Ordering::Relaxed),
-            total_write_nanos: self.total_write_nanos.load(Ordering::Relaxed),
-            last_write_bytes: self.last_write_bytes.load(Ordering::Relaxed),
-            latency_buckets,
-        }
-    }
-
-    /// Writes a snapshot immediately, regardless of triggers. Returns
-    /// `true` on success; `false` when the engine is gone or the write
-    /// failed (failure is counted in [`StatePersisterStats`]).
-    pub fn snapshot_now(&self) -> bool {
-        let Some(engine) = self.engine.upgrade() else {
-            return false;
-        };
-        match engine.save_state(&self.path) {
-            Ok(report) => {
-                self.snapshots_written.fetch_add(1, Ordering::Relaxed);
-                self.last_write_nanos
-                    .store(report.elapsed_nanos, Ordering::Relaxed);
-                self.total_write_nanos
-                    .fetch_add(report.elapsed_nanos, Ordering::Relaxed);
-                self.last_write_bytes.store(report.bytes, Ordering::Relaxed);
-                let bucket = SNAPSHOT_LATENCY_BOUNDS_NS
-                    .iter()
-                    .position(|&b| report.elapsed_nanos <= b)
-                    .unwrap_or(SNAPSHOT_LATENCY_BOUNDS_NS.len());
-                self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-                self.dirty.store(0, Ordering::Relaxed);
-                self.passes_since_write.store(0, Ordering::Relaxed);
-                true
-            }
-            Err(_) => {
-                self.write_failures.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-        }
-    }
-}
-
-impl EngineEventSink for StatePersister {
-    fn on_event(&self, event: &EngineEvent) {
-        let dirtying = matches!(
-            event,
-            EngineEvent::Transition(_)
-                | EngineEvent::Rollback(_)
-                | EngineEvent::Quarantine(_)
-                | EngineEvent::DegradedEntered(_)
-        );
-        if !dirtying {
-            return;
-        }
-        let dirty = self.dirty.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.policy.every_events > 0 && dirty >= self.policy.every_events {
-            self.snapshot_now();
-        }
-    }
-
-    fn on_analysis_pass(&self, _elapsed: Duration) {
-        let passes = self.passes_since_write.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.policy.every_passes > 0
-            && passes >= self.policy.every_passes
-            && self.dirty.load(Ordering::Relaxed) > 0
-        {
-            self.snapshot_now();
-        }
-    }
-
-    fn name(&self) -> &str {
-        "state-persister"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,18 +128,5 @@ mod tests {
         assert!((report.hit_ratio() - 0.75).abs() < 1e-12);
         report.sites_in_snapshot = 0;
         assert_eq!(report.hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn persister_without_engine_counts_nothing() {
-        let p = StatePersister::new(
-            std::env::temp_dir().join("cs-state-dangling.css"),
-            SnapshotPolicy::eager(),
-            WeakSwitch::dangling(),
-        );
-        assert!(!p.snapshot_now());
-        let stats = p.stats();
-        assert_eq!(stats.snapshots_written, 0);
-        assert_eq!(stats.write_failures, 0);
     }
 }

@@ -20,7 +20,8 @@
 //!    drifted since the snapshot. Each bad record must degrade *its* site
 //!    to a cold start (with a [`cs_core::WarmStartSiteEvent`] recorded)
 //!    while every valid record still applies; a missing snapshot must mean
-//!    a plain cold start, never an error.
+//!    a plain cold start, never an error, and a temp file left by a writer
+//!    killed mid-save is swept when the next process warm-starts.
 
 use std::path::PathBuf;
 
@@ -412,6 +413,37 @@ fn poisoned_warm_start_degrades_per_site_only() {
     lookup_heavy_round(&drifted);
     engine.analyze_now();
     assert_ne!(drifted.current_kind(), ListKind::Array);
+
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn warm_start_sweeps_a_crashed_writers_temp_file() {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cs_warm_sweep.css");
+    let snapshot = cs_state::Snapshot {
+        meta: None,
+        sites: vec![cs_state::SiteRecord {
+            name: "orders".to_owned(),
+            abstraction: "list".to_owned(),
+            default_kind: "array".to_owned(),
+            current_kind: "hasharray".to_owned(),
+            rounds: 5,
+            switches: 1,
+            history_instances: 500,
+        }],
+        models: Vec::new(),
+        profiles: Vec::new(),
+    };
+    cs_state::write_atomic(&path, &snapshot).expect("snapshot writes");
+    // What a writer killed between its temp write and its rename leaves.
+    let stale = path.with_file_name("cs_warm_sweep.css.tmp-4242-0");
+    std::fs::write(&stale, b"half a snapshot").expect("stale temp writes");
+
+    let engine = Switch::builder().warm_start_from(&path).build();
+    assert!(!stale.exists(), "warm start sweeps the stale temp");
+    let ctx = engine.named_list_context::<i64>(ListKind::Array, "orders");
+    assert_eq!(ctx.current_kind(), ListKind::HashArray, "the record still applies");
+    assert_eq!(engine.warm_start_report().expect("report exists").applied, 1);
 
     std::fs::remove_file(&path).ok();
 }

@@ -274,9 +274,31 @@ mod tests {
         assert_eq!(manifest[0].default_kind, "chained");
         assert_eq!(manifest[0].current_kind, "chained");
         assert_eq!(manifest[1].id, anon.id());
-        // Anonymous sites carry the runtime's auto-minted name.
-        assert_eq!(manifest[1].name, "cset-1");
+        // Anonymous sites carry the engine's auto-minted name.
+        assert_eq!(manifest[1].name, format!("set-site-{}", anon.id()));
         assert_eq!(manifest[1].abstraction, cs_collections::Abstraction::Set);
+    }
+
+    #[test]
+    fn anonymous_sites_on_runtimes_sharing_an_engine_get_distinct_names() {
+        let engine = Switch::builder().build();
+        let (a, b) = (Runtime::new(engine.clone()), Runtime::new(engine.clone()));
+        let _maps = [
+            a.concurrent_map::<u64, u64>(MapKind::Chained),
+            b.concurrent_map::<u64, u64>(MapKind::Chained),
+            a.concurrent_map::<u64, u64>(MapKind::Array),
+        ];
+        let _set = b.concurrent_set::<u64>(SetKind::Chained);
+        let manifest = engine.site_manifest();
+        assert_eq!(manifest.len(), 4);
+        for entry in &manifest {
+            let minted = format!("{}-site-{}", entry.abstraction, entry.id);
+            assert_eq!(entry.name, minted);
+        }
+        let mut names: Vec<&str> = manifest.iter().map(|e| e.name.as_str()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), 4, "every anonymous site has its own name");
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::{Arc, Weak};
 use std::time::Duration;
 
 use cs_collections::{MapKind, SetKind, ShardedHashMap};
-use cs_core::Switch;
+use cs_core::{MapContext, SetContext, Switch};
 
 use crate::map::ConcurrentMap;
 use crate::set::ConcurrentSet;
@@ -122,13 +122,14 @@ impl Runtime {
         self.registry.insert(shared.id(), Site { shared, shards });
     }
 
-    /// Creates an anonymous concurrent map site starting at `default`.
+    /// Creates an anonymous concurrent map site starting at `default`. The
+    /// engine names it `map-site-{id}`, as it names anonymous contexts.
     pub fn concurrent_map<K, V>(&self, default: MapKind) -> ConcurrentMap<K, V>
     where
         K: Eq + Hash + Clone + Send + 'static,
         V: Clone + Send + 'static,
     {
-        self.named_concurrent_map(default, format!("cmap-{}", self.registry.len()))
+        self.map_site(self.engine.map_context(default))
     }
 
     /// Creates a named concurrent map site starting at `default`. The site
@@ -144,7 +145,16 @@ impl Runtime {
         K: Eq + Hash + Clone + Send + 'static,
         V: Clone + Send + 'static,
     {
-        let ctx = self.engine.named_map_context::<K, V>(default, name);
+        self.map_site(self.engine.named_map_context(default, name))
+    }
+
+    /// Builds the concurrent map over the engine context `ctx` and
+    /// registers its site.
+    fn map_site<K, V>(&self, ctx: MapContext<K, V>) -> ConcurrentMap<K, V>
+    where
+        K: Eq + Hash + Clone + Send + 'static,
+        V: Clone + Send + 'static,
+    {
         let core = Arc::clone(ctx.core());
         let shared = Arc::new(SiteShared::new(core.clone()));
         let map = ConcurrentMap::new(Arc::clone(&shared), core, &self.config);
@@ -152,12 +162,13 @@ impl Runtime {
         map
     }
 
-    /// Creates an anonymous concurrent set site starting at `default`.
+    /// Creates an anonymous concurrent set site starting at `default`,
+    /// named `set-site-{id}` by the engine.
     pub fn concurrent_set<T>(&self, default: SetKind) -> ConcurrentSet<T>
     where
         T: Eq + Hash + Clone + Send + 'static,
     {
-        self.named_concurrent_set(default, format!("cset-{}", self.registry.len()))
+        self.set_site(self.engine.set_context(default))
     }
 
     /// Creates a named concurrent set site starting at `default`.
@@ -169,7 +180,15 @@ impl Runtime {
     where
         T: Eq + Hash + Clone + Send + 'static,
     {
-        let ctx = self.engine.named_set_context::<T>(default, name);
+        self.set_site(self.engine.named_set_context(default, name))
+    }
+
+    /// Builds the concurrent set over the engine context `ctx` and
+    /// registers its site.
+    fn set_site<T>(&self, ctx: SetContext<T>) -> ConcurrentSet<T>
+    where
+        T: Eq + Hash + Clone + Send + 'static,
+    {
         let core = Arc::clone(ctx.core());
         let shared = Arc::new(SiteShared::new(core.clone()));
         let set = ConcurrentSet::new(Arc::clone(&shared), core, &self.config);
@@ -197,32 +216,6 @@ impl Runtime {
         for shards in live {
             shards.flush();
         }
-    }
-
-    /// Atomically persists the engine's learned selection state (runtime
-    /// sites included — every concurrent handle is an engine context) via
-    /// [`Switch::save_state`]. Restore it on the next boot by building the
-    /// engine with `Switch::builder().warm_start_from(path)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the atomic write.
-    pub fn save_state(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<cs_state::WriteReport> {
-        self.engine.save_state(path)
-    }
-
-    /// Subscribes a [`cs_core::StatePersister`] keeping `path` current with
-    /// crash-safe snapshots of the engine's learned state; see
-    /// [`Switch::persist_state_to`].
-    pub fn persist_state_to(
-        &self,
-        path: impl Into<std::path::PathBuf>,
-        policy: cs_core::SnapshotPolicy,
-    ) -> Arc<cs_core::StatePersister> {
-        self.engine.persist_state_to(path, policy)
     }
 
     /// Snapshot of one site's counters, by site id. Reads the registry

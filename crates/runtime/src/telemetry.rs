@@ -88,7 +88,7 @@ impl Runtime {
             let totals: [(&str, &str, u64); 8] = [
                 (
                     "cs_runtime_site_flushes_total",
-                    "Thread-local buffer flushes per site.",
+                    "Shard buffer flushes per site.",
                     stats.flushes,
                 ),
                 (
@@ -103,12 +103,12 @@ impl Runtime {
                 ),
                 (
                     "cs_runtime_site_alloc_count_total",
-                    "Sampled-and-scaled allocation events attributed to critical ops per site.",
+                    "Allocation events attributed to critical ops per site (exact while a counting allocator is active).",
                     stats.alloc_count,
                 ),
                 (
                     "cs_runtime_site_alloc_bytes_total",
-                    "Sampled-and-scaled allocation bytes attributed to critical ops per site.",
+                    "Allocation bytes attributed to critical ops per site (exact while a counting allocator is active).",
                     stats.alloc_bytes,
                 ),
                 (

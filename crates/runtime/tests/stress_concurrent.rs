@@ -89,11 +89,11 @@ fn guarded_adaptation_survives_concurrent_mutation_with_zero_lost_ops() {
             map: common::inverted_model(MapKind::Array, MapKind::Chained),
             ..Default::default()
         })
-        // Once verification refutes the array candidate, keep it out for
-        // the rest of the test: the default backoff (4 rounds) is short
-        // enough that the analyzer could legitimately re-try the quarantined
-        // candidate before the final assertions run, which is correct
-        // behaviour but not what this harness pins down.
+        // Once verification refutes the array candidate, keep it out as
+        // long as the guardrails allow. The 64-round quarantine cap clips
+        // this base, so the analyzer may re-try the candidate 64 site
+        // rounds after the rollback (4 at the default base); a re-try is
+        // correct behaviour, but not what this harness pins down.
         .guardrails(GuardrailConfig::default().quarantine_base(1_000_000))
         // Small windows so analysis rounds fire many times within the run.
         .window(WindowConfig {

@@ -105,6 +105,8 @@ fn snapshot_counters_exactly_match_event_log_and_per_op_accounting() {
             map: common::inverted_model(MapKind::Array, MapKind::Chained),
             ..Default::default()
         })
+        // Quarantine the refuted candidate as long as the guardrails allow:
+        // the 64-round cap clips this base (see `stress_concurrent.rs`).
         .guardrails(GuardrailConfig::default().quarantine_base(1_000_000))
         .window(WindowConfig {
             window_size: 24,

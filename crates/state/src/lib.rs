@@ -89,8 +89,9 @@ pub use writer::{
     FORMAT_VERSION, MAX_PAYLOAD,
 };
 
-// Snapshots and load reports cross threads (the engine's persister sink
-// runs on the analyzer thread); keep them Send + Sync by construction.
+// Snapshots and load reports cross threads (an engine shared by many
+// threads saves from whichever calls it); keep them Send + Sync by
+// construction.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Snapshot>();

@@ -3,13 +3,11 @@
 //! The push side ([`MetricsSink`](crate::MetricsSink)) counts events as
 //! they happen; this module covers what events alone cannot — point-in-time
 //! state (degraded flag, context count) and totals maintained inside the
-//! engine (budget usage, log drops, profile drops, pass time). Call
+//! engine (transitions, log drops, profile drops, pass time). Call
 //! [`export_engine`] right before snapshotting, the way a Prometheus
 //! exporter refreshes on scrape.
 
-use cs_core::{
-    EngineHealth, StatePersisterStats, Switch, WarmStartReport, SNAPSHOT_LATENCY_BOUNDS_NS,
-};
+use cs_core::{EngineHealth, Switch, WarmStartReport};
 use cs_trace::{TraceSnapshot, SPAN_BUCKET_BOUNDS_NS};
 
 use crate::metrics::MetricsRegistry;
@@ -39,7 +37,7 @@ pub fn export_engine_health(registry: &MetricsRegistry, health: &EngineHealth) {
         ),
         (
             "cs_engine_transitions_used_total",
-            "Transitions claimed against the global budget.",
+            "Transitions the analyzer has committed.",
             health.transitions_used,
         ),
         (
@@ -153,69 +151,6 @@ pub fn export_warm_start(registry: &MetricsRegistry, report: &WarmStartReport) {
             &[],
         )
         .set(report.hit_ratio());
-}
-
-/// Mirrors a [`StatePersisterStats`] into `registry`: snapshot write
-/// totals, failure count, pending dirty events, and the snapshot write
-/// latency histogram (`cs_state_snapshot_duration_seconds`, mirrored from
-/// the persister's fixed nanosecond buckets — never `observe` into it).
-pub fn export_persister(registry: &MetricsRegistry, stats: &StatePersisterStats) {
-    registry
-        .counter(
-            "cs_state_snapshots_written_total",
-            "Crash-safe state snapshots written successfully.",
-            &[],
-        )
-        .set_total(stats.snapshots_written);
-    registry
-        .counter(
-            "cs_state_snapshot_failures_total",
-            "State snapshot write attempts that failed with an I/O error.",
-            &[],
-        )
-        .set_total(stats.write_failures);
-    registry
-        .gauge(
-            "cs_state_pending_dirty_events",
-            "Dirtying engine events since the last successful snapshot.",
-            &[],
-        )
-        .set(stats.pending_dirty_events as i64);
-    registry
-        .gauge(
-            "cs_state_last_snapshot_bytes",
-            "Size of the most recent state snapshot, in bytes.",
-            &[],
-        )
-        .set(stats.last_write_bytes as i64);
-    let bounds: Vec<f64> = SNAPSHOT_LATENCY_BOUNDS_NS
-        .iter()
-        .map(|&ns| ns as f64 * 1e-9)
-        .collect();
-    registry
-        .histogram(
-            "cs_state_snapshot_duration_seconds",
-            "Latency of successful state snapshot writes.",
-            &[],
-            &bounds,
-        )
-        .set_distribution(&stats.latency_buckets, stats.total_write_nanos as f64 * 1e-9);
-}
-
-/// Refreshes every `cs_state_*` family from a live engine and (optionally)
-/// its persister: [`export_warm_start`] when the engine was warm-started,
-/// plus [`export_persister`] when a persister handle is supplied.
-pub fn export_state(
-    registry: &MetricsRegistry,
-    engine: &Switch,
-    persister: Option<&cs_core::StatePersister>,
-) {
-    if let Some(report) = engine.warm_start_report() {
-        export_warm_start(registry, &report);
-    }
-    if let Some(p) = persister {
-        export_persister(registry, &p.stats());
-    }
 }
 
 /// Mirrors the process-wide `cs-heap` allocation account into `registry`
@@ -465,7 +400,7 @@ mod tests {
     }
 
     #[test]
-    fn state_export_mirrors_warm_report_and_persister() {
+    fn warm_start_export_mirrors_the_report() {
         use crate::metrics::ValueSnapshot;
 
         let report = WarmStartReport {
@@ -503,33 +438,8 @@ mod tests {
             .expect("hit ratio exported");
         assert!((hit - 0.75).abs() < 1e-12, "hit ratio {hit}");
 
-        let mut stats = cs_core::StatePersisterStats {
-            snapshots_written: 5,
-            write_failures: 1,
-            total_write_nanos: 5_000_000,
-            ..Default::default()
-        };
-        stats.latency_buckets[2] = 5;
-        export_persister(&registry, &stats);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter_value("cs_state_snapshots_written_total"), Some(5));
-        assert_eq!(snap.counter_value("cs_state_snapshot_failures_total"), Some(1));
-        let hist = snap
-            .family("cs_state_snapshot_duration_seconds")
-            .and_then(|f| f.series.first())
-            .map(|s| s.value.clone())
-            .expect("latency histogram exported");
-        match hist {
-            ValueSnapshot::Histogram(h) => {
-                assert_eq!(h.count, 5);
-                assert_eq!(h.counts[2], 5);
-                assert!((h.sum - 5e-3).abs() < 1e-12);
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
         // Idempotent re-export, and the exposition stays well-formed.
         export_warm_start(&registry, &report);
-        export_persister(&registry, &stats);
         crate::validate_prometheus_text(&registry.snapshot().to_prometheus_text())
             .expect("valid exposition");
     }

@@ -74,8 +74,8 @@ mod prometheus;
 mod sinks;
 
 pub use export::{
-    export_engine, export_engine_health, export_heap, export_persister, export_process,
-    export_state, export_trace, export_warm_start,
+    export_engine, export_engine_health, export_heap, export_process, export_trace,
+    export_warm_start,
 };
 pub use flight::FlightRecorder;
 pub use json::{

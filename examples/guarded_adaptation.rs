@@ -60,11 +60,12 @@ fn main() {
         ..Default::default()
     };
 
-    // Guardrails are on by default; spelling them out shows the knobs. A
-    // switch must not regress measured per-op time by more than 25% over
-    // what the model promised, sites wait 1 analysis round between
-    // transitions, and a refuted candidate is quarantined for 4 rounds
-    // (doubling on every repeat offence).
+    // Guardrails are on by default; spelling them out shows all three
+    // knobs at their defaults. A switch must not regress measured per-op
+    // time by more than 25% over what the model promised, sites wait 1
+    // analysis round between transitions, and a refuted candidate is
+    // quarantined for 4 rounds (doubling on every repeat offence, up to
+    // 64 rounds).
     let engine = Switch::builder()
         .rule(SelectionRule::r_time())
         .models(models)

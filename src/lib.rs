@@ -72,8 +72,8 @@ pub mod prelude {
     };
     pub use cs_heap::{AllocGuard, CountingAlloc, HeapAccount};
     pub use cs_core::{
-        EngineEvent, GuardrailConfig, ListContext, MapContext, SelectionRule, SetContext,
-        SnapshotPolicy, StatePersister, Switch, SwitchList, SwitchMap, SwitchSet, WarmStartReport,
+        EngineEvent, GuardrailConfig, ListContext, MapContext, SelectionRule, SetContext, Switch,
+        SwitchList, SwitchMap, SwitchSet, WarmStartReport,
     };
     pub use cs_model::{CostDimension, PerformanceModel};
     pub use cs_obs::{ObsBuilder, ObsHandle, RuntimeObsExt, SwitchObsExt};
