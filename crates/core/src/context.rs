@@ -330,9 +330,13 @@ impl<K: Kind> ContextCore<K> {
         let current = self.current_kind();
         let explained = if !rolled_back && guard.cooldown_ok(round, guard_cfg) {
             let _decision_span = cs_trace::span(cs_trace::Phase::Decision, self.id);
-            Some(select_variant_explained(model, rule, current, &history, |k| {
-                !guard.is_quarantined(k.index(), round)
-            }))
+            Some(select_variant_explained(
+                model,
+                rule,
+                current,
+                &history,
+                |k| !guard.is_quarantined(k.index(), round),
+            ))
         } else {
             None
         };
@@ -359,9 +363,7 @@ impl<K: Kind> ContextCore<K> {
             alloc_driven: explained.alloc_driven,
             candidates: explained.candidates,
             winner: explained.selection.map(|s| s.kind.to_string()),
-            winning_margin: explained
-                .selection
-                .map_or(0.0, |s| 1.0 - s.primary_ratio),
+            winning_margin: explained.selection.map_or(0.0, |s| 1.0 - s.primary_ratio),
             outcome: SelectionOutcome::NoCandidate,
         };
         let Some(sel) = explained.selection else {
@@ -1004,7 +1006,8 @@ mod tests {
             .analyze_guarded(&model, &rule, &cfg, &mut events)
             .is_some());
         // Manually flip back so the model wants to switch again.
-        core.current.store(ListKind::Array.index(), Ordering::Release);
+        core.current
+            .store(ListKind::Array.index(), Ordering::Release);
         // Rounds 1 and 2 are inside the cooldown.
         for _ in 0..2 {
             feed_window(&core, 10, 100, 1_000);
@@ -1174,7 +1177,10 @@ mod tests {
         MID_PASS_PUSH.with(|armed| *armed.borrow_mut() = Some(core.sink.clone()));
         assert!(core.analyze(&model, &SelectionRule::r_time()).is_some());
         assert_eq!(core.current_kind(), RacyKind::Fast);
-        assert!(MID_PASS_PUSH.with(|armed| armed.borrow().is_none()), "pushed mid-pass");
+        assert!(
+            MID_PASS_PUSH.with(|armed| armed.borrow().is_none()),
+            "pushed mid-pass"
+        );
         // The mid-pass profile ran on the replaced variant: the window that
         // verifies the switch starts empty, and the history holds it.
         assert_eq!(core.sink.len(), 0);

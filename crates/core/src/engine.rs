@@ -17,7 +17,8 @@ use parking_lot::Mutex;
 use crate::context::{AnyContext, ContextCore, ListContext, MapContext, SetContext};
 use crate::event::{
     AnalyzerPanicEvent, DegradedEvent, EngineEvent, EventLog, ModelFallbackEvent,
-    SelectionExplanation, TransitionEvent, WarmStartEvent, WarmStartSiteEvent, WarmStartSiteOutcome,
+    SelectionExplanation, TransitionEvent, WarmStartEvent, WarmStartSiteEvent,
+    WarmStartSiteOutcome,
 };
 use crate::guard::GuardrailConfig;
 use crate::kind_ext::ModelFamily;
@@ -302,7 +303,9 @@ pub struct WeakSwitch {
 impl WeakSwitch {
     /// A handle that never upgrades, for defaults and tests.
     pub fn dangling() -> WeakSwitch {
-        WeakSwitch { shared: Weak::new() }
+        WeakSwitch {
+            shared: Weak::new(),
+        }
     }
 
     /// Attempts to upgrade to a usable engine handle; `None` once every
@@ -876,7 +879,10 @@ impl Switch {
     }
 
     /// Creates an adaptive allocation context for a map site.
-    pub fn map_context<K: Eq + Hash + Clone, V: Clone>(&self, default: MapKind) -> MapContext<K, V> {
+    pub fn map_context<K: Eq + Hash + Clone, V: Clone>(
+        &self,
+        default: MapKind,
+    ) -> MapContext<K, V> {
         MapContext::from_core(self.register(default, None))
     }
 

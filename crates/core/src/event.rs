@@ -268,7 +268,12 @@ impl fmt::Display for QuarantineEvent {
         write!(
             f,
             "{}: {} quarantine {} until round {} (strike {}, round {})",
-            self.context_name, self.abstraction, self.candidate, self.until_round, self.strikes, self.round
+            self.context_name,
+            self.abstraction,
+            self.candidate,
+            self.until_round,
+            self.strikes,
+            self.round
         )
     }
 }

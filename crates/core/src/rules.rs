@@ -88,7 +88,10 @@ impl SelectionRule {
     ///
     /// Panics if `criteria` is empty.
     pub fn custom(name: &'static str, criteria: Vec<Criterion>) -> Self {
-        assert!(!criteria.is_empty(), "a selection rule needs at least one criterion");
+        assert!(
+            !criteria.is_empty(),
+            "a selection rule needs at least one criterion"
+        );
         SelectionRule { name, criteria }
     }
 
@@ -210,9 +213,9 @@ impl FromStr for SelectionRule {
         let mut criteria = Vec::new();
         for part in input.split(',') {
             let part = part.trim();
-            let (dim_s, thr_s) = part
-                .split_once('<')
-                .ok_or_else(|| ParseRuleError(format!("criterion `{part}` is not `<dim> < <threshold>`")))?;
+            let (dim_s, thr_s) = part.split_once('<').ok_or_else(|| {
+                ParseRuleError(format!("criterion `{part}` is not `<dim> < <threshold>`"))
+            })?;
             let dimension: CostDimension = dim_s
                 .trim()
                 .parse()
@@ -339,8 +342,14 @@ mod tests {
 
     #[test]
     fn parses_named_presets() {
-        assert_eq!("R_time".parse::<SelectionRule>().unwrap(), SelectionRule::r_time());
-        assert_eq!("R_alloc".parse::<SelectionRule>().unwrap(), SelectionRule::r_alloc());
+        assert_eq!(
+            "R_time".parse::<SelectionRule>().unwrap(),
+            SelectionRule::r_time()
+        );
+        assert_eq!(
+            "R_alloc".parse::<SelectionRule>().unwrap(),
+            SelectionRule::r_alloc()
+        );
         assert_eq!(
             "R_impossible".parse::<SelectionRule>().unwrap(),
             SelectionRule::impossible()

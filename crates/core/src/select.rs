@@ -418,8 +418,7 @@ mod tests {
     #[test]
     fn adaptive_gate_blocks_uniform_sizes() {
         // All instances large: adaptive excluded even if it would score well.
-        let uniform: Vec<WorkloadProfile> =
-            (0..10).map(|_| profile(100, 200, 0, 0, 500)).collect();
+        let uniform: Vec<WorkloadProfile> = (0..10).map(|_| profile(100, 200, 0, 0, 500)).collect();
         let sel = select_variant(
             default_models::set_model(),
             &SelectionRule::r_time(),
@@ -468,7 +467,11 @@ mod tests {
         let mut pm: PerformanceModel<ListKind> = PerformanceModel::new();
         let flat = |c: f64| {
             let mut vm = VariantCostModel::new();
-            vm.set_op_cost(CostDimension::Time, OpKind::Contains, Polynomial::constant(c));
+            vm.set_op_cost(
+                CostDimension::Time,
+                OpKind::Contains,
+                Polynomial::constant(c),
+            );
             vm
         };
         pm.insert_variant(ListKind::Array, flat(100.0)); // current
@@ -490,7 +493,11 @@ mod tests {
         use cs_model::{CostDimension, PerformanceModel, Polynomial, VariantCostModel};
         let mut pm: PerformanceModel<ListKind> = PerformanceModel::new();
         let mut vm = VariantCostModel::new();
-        vm.set_op_cost(CostDimension::Time, OpKind::Contains, Polynomial::constant(5.0));
+        vm.set_op_cost(
+            CostDimension::Time,
+            OpKind::Contains,
+            Polynomial::constant(5.0),
+        );
         pm.insert_variant(ListKind::Array, vm);
         // Only the current variant is calibrated: nothing to switch to.
         let sel = select_variant(
@@ -583,8 +590,7 @@ mod tests {
     #[test]
     fn explained_selection_marks_exclusions() {
         // Uniform large sizes close the adaptive gate; quarantine HashArray.
-        let uniform: Vec<WorkloadProfile> =
-            (0..10).map(|_| profile(100, 500, 0, 0, 500)).collect();
+        let uniform: Vec<WorkloadProfile> = (0..10).map(|_| profile(100, 500, 0, 0, 500)).collect();
         let explained = select_variant_explained(
             default_models::list_model(),
             &SelectionRule::r_time(),
@@ -676,8 +682,7 @@ mod tests {
 
     #[test]
     fn alloc_rule_switch_is_alloc_driven() {
-        let profiles: Vec<WorkloadProfile> =
-            (0..20).map(|_| profile(8, 10, 0, 0, 8)).collect();
+        let profiles: Vec<WorkloadProfile> = (0..20).map(|_| profile(8, 10, 0, 0, 8)).collect();
         let explained = select_variant_explained(
             default_models::set_model(),
             &SelectionRule::r_alloc(),
@@ -708,8 +713,7 @@ mod tests {
     fn small_uniform_sets_switch_to_array_under_alloc() {
         // The h2 situation (Table 6): HS → ArraySet; tiny uniform sets make
         // the array variant eligible inside the time cap.
-        let profiles: Vec<WorkloadProfile> =
-            (0..20).map(|_| profile(8, 10, 0, 0, 8)).collect();
+        let profiles: Vec<WorkloadProfile> = (0..20).map(|_| profile(8, 10, 0, 0, 8)).collect();
         let sel = select_variant(
             default_models::set_model(),
             &SelectionRule::r_alloc(),

@@ -135,8 +135,7 @@ impl SinkRegistry {
         }
         let mut dead: Vec<Arc<dyn EngineEventSink>> = Vec::new();
         for sink in &sinks {
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&**sink)));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&**sink)));
             if outcome.is_err() {
                 dead.push(Arc::clone(sink));
             }

@@ -235,8 +235,11 @@ fn corrupt_model_directory_falls_back_to_analytic_models() {
     // Unparsable garbage, a file that parses numerically but carries a NaN
     // coefficient, and a missing third file: all three must fall back.
     std::fs::write(dir.join("lists.model"), "this is not a model\n").unwrap();
-    std::fs::write(dir.join("sets.model"), "model set\nvariant array\ntime middle poly 1.0 NaN\n")
-        .unwrap();
+    std::fs::write(
+        dir.join("sets.model"),
+        "model set\nvariant array\ntime middle poly 1.0 NaN\n",
+    )
+    .unwrap();
     let _ = std::fs::remove_file(dir.join("maps.model"));
 
     // Construction must succeed; the corruption surfaces as events, not
@@ -296,7 +299,10 @@ fn cooldown_bounds_transitions_under_phase_flipping() {
     }
 
     let transitions = engine.transition_log().len() as u64;
-    assert!(transitions >= 1, "the flipping workload must trigger adaptation");
+    assert!(
+        transitions >= 1,
+        "the flipping workload must trigger adaptation"
+    );
     assert!(
         transitions <= ROUNDS.div_ceil(COOLDOWN),
         "cooldown of {COOLDOWN} rounds must bound {ROUNDS} rounds to at most \
@@ -326,8 +332,14 @@ fn warm_start_round_trips_learned_state_across_engines() {
         .warm_start_from(&path)
         .build();
     let ctx = second.named_list_context::<i64>(ListKind::Array, "orders");
-    assert_eq!(ctx.current_kind(), learned, "warm start installs the learned variant");
-    let report = second.warm_start_report().expect("warm-started engine has a report");
+    assert_eq!(
+        ctx.current_kind(),
+        learned,
+        "warm start installs the learned variant"
+    );
+    let report = second
+        .warm_start_report()
+        .expect("warm-started engine has a report");
     assert_eq!(report.applied, 1);
     assert_eq!(report.rejected_stale, 0);
     assert_eq!(report.rejected_unknown, 0);
@@ -382,16 +394,31 @@ fn poisoned_warm_start_degrades_per_site_only() {
     let drifted = engine.named_list_context::<i64>(ListKind::Array, "drifted");
     let future = engine.named_list_context::<i64>(ListKind::Array, "from-the-future");
 
-    assert_eq!(good.current_kind(), ListKind::HashArray, "valid record applies");
-    assert_eq!(drifted.current_kind(), ListKind::Array, "stale fingerprint cold-starts");
-    assert_eq!(future.current_kind(), ListKind::Array, "unknown variant cold-starts");
+    assert_eq!(
+        good.current_kind(),
+        ListKind::HashArray,
+        "valid record applies"
+    );
+    assert_eq!(
+        drifted.current_kind(),
+        ListKind::Array,
+        "stale fingerprint cold-starts"
+    );
+    assert_eq!(
+        future.current_kind(),
+        ListKind::Array,
+        "unknown variant cold-starts"
+    );
 
     let report = engine.warm_start_report().expect("report exists");
     assert_eq!(report.sites_in_snapshot, 4);
     assert_eq!(report.applied, 1);
     assert_eq!(report.rejected_stale, 1);
     assert_eq!(report.rejected_unknown, 1);
-    assert_eq!(report.unclaimed, 1, "the deleted site's record stays unclaimed");
+    assert_eq!(
+        report.unclaimed, 1,
+        "the deleted site's record stays unclaimed"
+    );
     assert!((report.hit_ratio() - 0.25).abs() < 1e-12);
 
     // Every outcome is on the event log, tagged per site.
@@ -406,8 +433,10 @@ fn poisoned_warm_start_degrades_per_site_only() {
     assert_eq!(outcomes.len(), 3);
     assert!(outcomes.contains(&("good".to_owned(), WarmStartSiteOutcome::Applied)));
     assert!(outcomes.contains(&("drifted".to_owned(), WarmStartSiteOutcome::StaleFingerprint)));
-    assert!(outcomes
-        .contains(&("from-the-future".to_owned(), WarmStartSiteOutcome::UnknownKind)));
+    assert!(outcomes.contains(&(
+        "from-the-future".to_owned(),
+        WarmStartSiteOutcome::UnknownKind
+    )));
 
     // The degraded sites still adapt normally from their cold start.
     lookup_heavy_round(&drifted);
@@ -442,8 +471,15 @@ fn warm_start_sweeps_a_crashed_writers_temp_file() {
     let engine = Switch::builder().warm_start_from(&path).build();
     assert!(!stale.exists(), "warm start sweeps the stale temp");
     let ctx = engine.named_list_context::<i64>(ListKind::Array, "orders");
-    assert_eq!(ctx.current_kind(), ListKind::HashArray, "the record still applies");
-    assert_eq!(engine.warm_start_report().expect("report exists").applied, 1);
+    assert_eq!(
+        ctx.current_kind(),
+        ListKind::HashArray,
+        "the record still applies"
+    );
+    assert_eq!(
+        engine.warm_start_report().expect("report exists").applied,
+        1
+    );
 
     std::fs::remove_file(&path).ok();
 }
@@ -453,7 +489,10 @@ fn missing_snapshot_is_a_cold_start_not_an_error() {
     let engine = Switch::builder()
         .warm_start_from("/nonexistent/cs-state/fleet.css")
         .build();
-    assert!(engine.warm_start_report().is_none(), "no warm state without a snapshot");
+    assert!(
+        engine.warm_start_report().is_none(),
+        "no warm state without a snapshot"
+    );
     let notes: Vec<String> = engine
         .event_log()
         .into_iter()
@@ -463,7 +502,11 @@ fn missing_snapshot_is_a_cold_start_not_an_error() {
         })
         .collect();
     assert_eq!(notes.len(), 1, "the miss is recorded, not raised");
-    assert!(notes[0].contains("cold start"), "note explains: {}", notes[0]);
+    assert!(
+        notes[0].contains("cold start"),
+        "note explains: {}",
+        notes[0]
+    );
 
     // The engine is fully functional.
     let ctx = engine.list_context::<i64>(ListKind::Array);

@@ -29,7 +29,12 @@ struct RecordingSink {
 
 impl RecordingSink {
     fn kinds(&self) -> Vec<&'static str> {
-        self.events.lock().unwrap().iter().map(|e| e.kind_name()).collect()
+        self.events
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|e| e.kind_name())
+            .collect()
     }
 
     fn len(&self) -> usize {
@@ -151,10 +156,16 @@ fn every_sink_sees_every_event_in_recorded_order() {
         engine.events_recorded() - seen_before_late,
         "late subscriber receives events from subscription onward"
     );
-    assert_eq!(late.kinds(), log_kinds[seen_before_late as usize..].to_vec());
+    assert_eq!(
+        late.kinds(),
+        log_kinds[seen_before_late as usize..].to_vec()
+    );
 
     // Analysis-pass notifications fan out too: one per non-degraded pass.
-    assert_eq!(early.passes.load(Ordering::Relaxed), engine.analysis_passes());
+    assert_eq!(
+        early.passes.load(Ordering::Relaxed),
+        engine.analysis_passes()
+    );
     assert_eq!(engine.subscriber_count(), 2);
     assert_eq!(engine.sink_disconnects(), 0);
 }
@@ -219,7 +230,10 @@ fn panicking_sink_is_disconnected_and_counted_without_poisoning_the_engine() {
     // Both healthy sinks — including the one registered *after* the
     // panicking sink — received the complete stream.
     let total = engine.events_recorded();
-    assert!(total >= 4, "lifecycle records the mixed stream, got {total}");
+    assert!(
+        total >= 4,
+        "lifecycle records the mixed stream, got {total}"
+    );
     assert_eq!(before.len() as u64, total);
     assert_eq!(after.len() as u64, total);
     let log_kinds: Vec<&str> = engine.event_log().iter().map(|e| e.kind_name()).collect();

@@ -47,8 +47,8 @@ mod counters;
 mod guard;
 
 pub use counters::{
-    counting_active, orphan_account, pin_thread, process_account, thread_account,
-    thread_blocks, HeapAccount,
+    counting_active, orphan_account, pin_thread, process_account, thread_account, thread_blocks,
+    HeapAccount,
 };
 pub use guard::{AllocDelta, AllocGuard};
 

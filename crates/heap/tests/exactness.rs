@@ -131,20 +131,14 @@ fn main() {
     // the orphan ledger (worker TLS registration, teardown stragglers).
     // Nothing else allocates in this single-test binary between the two
     // quiescent snapshots.
-    let accounted_alloc_bytes = results
-        .iter()
-        .map(|(_, d)| d.alloc_bytes)
-        .sum::<u64>()
+    let accounted_alloc_bytes = results.iter().map(|(_, d)| d.alloc_bytes).sum::<u64>()
         + main_delta.alloc_bytes
         + orphan_delta.alloc_bytes;
     assert_eq!(
         process_delta.alloc_bytes, accounted_alloc_bytes,
         "process alloc bytes must equal workers + main + orphan exactly"
     );
-    let accounted_alloc_count = results
-        .iter()
-        .map(|(_, d)| d.alloc_count)
-        .sum::<u64>()
+    let accounted_alloc_count = results.iter().map(|(_, d)| d.alloc_count).sum::<u64>()
         + main_delta.alloc_count
         + orphan_delta.alloc_count;
     assert_eq!(

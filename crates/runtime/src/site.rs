@@ -105,7 +105,8 @@ impl SiteShared {
             self.alloc_bytes
                 .fetch_add(profile.alloc_bytes(), Ordering::Relaxed);
         }
-        self.max_size.fetch_max(profile.max_size(), Ordering::Relaxed);
+        self.max_size
+            .fetch_max(profile.max_size(), Ordering::Relaxed);
     }
 
     /// Folds one flushed shard buffer into the shared state: exact totals

@@ -193,14 +193,9 @@ mod tests {
             Some(100),
             "50 inserts + 50 gets"
         );
-        assert_eq!(
-            snap.counter_total("cs_runtime_site_flushes_total"),
-            Some(1)
-        );
+        assert_eq!(snap.counter_total("cs_runtime_site_flushes_total"), Some(1));
         let text = snap.to_prometheus_text();
-        assert!(text.contains(
-            "cs_runtime_site_ops_total{site=\"tele-map\",op=\"populate\"} 50"
-        ));
+        assert!(text.contains("cs_runtime_site_ops_total{site=\"tele-map\",op=\"populate\"} 50"));
         validate_prometheus_text(&text).expect("valid exposition");
 
         // Second export after more activity overwrites, not double-counts.

@@ -45,7 +45,10 @@ fn every_allocating_runtime_op_is_attributed_exactly() {
     }
     let set_ops = cs_heap::thread_account().delta_since(&before);
 
-    assert!(map_ops.alloc_count > 0 && set_ops.alloc_count > 0, "the ops allocate");
+    assert!(
+        map_ops.alloc_count > 0 && set_ops.alloc_count > 0,
+        "the ops allocate"
+    );
     rt.flush();
     for (stats, ops) in [(map.stats(), map_ops), (set.stats(), set_ops)] {
         assert_eq!(

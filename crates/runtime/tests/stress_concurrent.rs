@@ -162,17 +162,19 @@ fn guarded_adaptation_survives_concurrent_mutation_with_zero_lost_ops() {
 
     // --- Zero lost ops: exact per-kind accounting across every thread. ---
     for op in OpKind::ALL {
-        let expected: u64 = tallies.iter().map(|t| t.ops[op.index()]).sum::<u64>()
-            + main_tally.ops[op.index()];
+        let expected: u64 =
+            tallies.iter().map(|t| t.ops[op.index()]).sum::<u64>() + main_tally.ops[op.index()];
         assert_eq!(
             stats.ops[op.index()],
             expected,
             "op kind {op:?}: site total must equal the sum of thread tallies"
         );
     }
-    let expected_total: u64 =
-        tallies.iter().map(|t| t.ops.iter().sum::<u64>()).sum::<u64>()
-            + main_tally.ops.iter().sum::<u64>();
+    let expected_total: u64 = tallies
+        .iter()
+        .map(|t| t.ops.iter().sum::<u64>())
+        .sum::<u64>()
+        + main_tally.ops.iter().sum::<u64>();
     assert_eq!(stats.total_ops, expected_total);
     assert!(stats.flushes > 0);
 
@@ -215,7 +217,11 @@ fn guarded_adaptation_survives_concurrent_mutation_with_zero_lost_ops() {
     // --- Data integrity across switch + rollback migrations. ---
     assert_eq!(map.len(), THREADS * KEYS_PER_THREAD as usize);
     for key in 0..(THREADS as u64 * KEYS_PER_THREAD) {
-        assert_eq!(map.read(&key, |v| *v), Some(key * 2), "entry {key} corrupted");
+        assert_eq!(
+            map.read(&key, |v| *v),
+            Some(key * 2),
+            "entry {key} corrupted"
+        );
     }
 }
 

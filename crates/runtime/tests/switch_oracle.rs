@@ -24,7 +24,12 @@ use cs_runtime::{Runtime, RuntimeConfig};
 use proptest::prelude::*;
 
 /// Shards flush on count (or explicitly) only.
-fn runtime(guardrails: GuardrailConfig, history_decay: f64, shards: usize, flush_ops: u64) -> Runtime {
+fn runtime(
+    guardrails: GuardrailConfig,
+    history_decay: f64,
+    shards: usize,
+    flush_ops: u64,
+) -> Runtime {
     let engine = Switch::builder()
         .rule(SelectionRule::r_time())
         .models(Models {
@@ -73,9 +78,13 @@ fn concurrent_handles_match_std_oracles_through_live_switches() {
         let (mut map_oracle, mut set_oracle) = (BTreeMap::new(), BTreeSet::new());
         // Ops issued per kind, indexed like `OpKind::index`.
         let (mut map_ops, mut set_ops) = ([0u64; 4], [0u64; 4]);
-        let [populate, contains, iterate, middle] =
-            [OpKind::Populate, OpKind::Contains, OpKind::Iterate, OpKind::Middle]
-                .map(OpKind::index);
+        let [populate, contains, iterate, middle] = [
+            OpKind::Populate,
+            OpKind::Contains,
+            OpKind::Iterate,
+            OpKind::Middle,
+        ]
+        .map(OpKind::index);
 
         for (code, k) in collection::vec(step(), 1..160).gen(rng) {
             match code {
@@ -145,7 +154,12 @@ fn ops_buffered_before_a_switch_stay_out_of_the_verifying_window() {
         // Verification cannot roll back, so the verifying round scores
         // candidates, and history decay 0 makes that round's history
         // exactly the profiles ingested since the switch.
-        let rt = runtime(GuardrailConfig::default().verify_tolerance(1e12), 0.0, 1, 1 << 20);
+        let rt = runtime(
+            GuardrailConfig::default().verify_tolerance(1e12),
+            0.0,
+            1,
+            1 << 20,
+        );
         let map = rt.named_concurrent_map::<u64, u64>(MapKind::Chained, "cut/map");
         (0..100).for_each(|k| assert_eq!(map.insert(k, k), None));
         rt.flush();
@@ -172,8 +186,14 @@ fn ops_buffered_before_a_switch_stay_out_of_the_verifying_window() {
         assert_eq!(rt.engine().health().profiles_ingested, 2);
         // The verifying round priced only the 5 ops run on the array
         // variant, at the model's 1 per op.
-        let explanation = rt.engine().explain(map.id()).expect("verifying round scored");
-        assert_eq!((explanation.round, explanation.current.as_str()), (1, "array"));
+        let explanation = rt
+            .engine()
+            .explain(map.id())
+            .expect("verifying round scored");
+        assert_eq!(
+            (explanation.round, explanation.current.as_str()),
+            (1, "array")
+        );
         assert_eq!(explanation.current_primary_cost, 5.0);
     }
 }

@@ -167,8 +167,14 @@ fn snapshot_counters_exactly_match_event_log_and_per_op_accounting() {
     tallies.push(main_tally);
 
     let stats = map.stats();
-    assert!(stats.switches >= 1, "inverted model must provoke a switch: {stats}");
-    assert!(stats.rollbacks >= 1, "verification must roll it back: {stats}");
+    assert!(
+        stats.switches >= 1,
+        "inverted model must provoke a switch: {stats}"
+    );
+    assert!(
+        stats.rollbacks >= 1,
+        "verification must roll it back: {stats}"
+    );
 
     // Freeze everything *after* the workload is quiescent.
     rt.export_metrics(&registry);
@@ -205,9 +211,15 @@ fn snapshot_counters_exactly_match_event_log_and_per_op_accounting() {
 
     // --- Per-site adaptation counters == SiteStats == event log. ---------
     let site = &[("site", SITE)];
-    assert_eq!(labelled(&snapshot, "cs_site_transitions_total", site), stats.switches);
+    assert_eq!(
+        labelled(&snapshot, "cs_site_transitions_total", site),
+        stats.switches
+    );
     assert_eq!(stats.switches, kind_count(&log, "transition"));
-    assert_eq!(labelled(&snapshot, "cs_site_rollbacks_total", site), stats.rollbacks);
+    assert_eq!(
+        labelled(&snapshot, "cs_site_rollbacks_total", site),
+        stats.rollbacks
+    );
     assert_eq!(stats.rollbacks, kind_count(&log, "rollback"));
     assert_eq!(
         labelled(&snapshot, "cs_site_quarantines_total", site),
@@ -262,7 +274,10 @@ fn snapshot_counters_exactly_match_event_log_and_per_op_accounting() {
     // --- Selection audit: every switch decision was counted and margined. -
     let selections = kind_count(&log, "selection");
     assert!(selections >= 1, "audited passes must be recorded");
-    assert_eq!(snapshot.counter_total("cs_selections_total"), Some(selections));
+    assert_eq!(
+        snapshot.counter_total("cs_selections_total"),
+        Some(selections)
+    );
     let margins = snapshot
         .family("cs_selection_margin")
         .expect("margin histogram registered");
@@ -286,7 +301,10 @@ fn snapshot_counters_exactly_match_event_log_and_per_op_accounting() {
         snapshot.counter_value("cs_engine_transitions_used_total"),
         Some(engine.health().transitions_used)
     );
-    assert_eq!(snapshot.counter_value("cs_engine_analyzer_panics_total"), Some(0));
+    assert_eq!(
+        snapshot.counter_value("cs_engine_analyzer_panics_total"),
+        Some(0)
+    );
     assert_eq!(snapshot.gauge_value("cs_engine_degraded"), Some(0));
     assert_eq!(snapshot.gauge_value("cs_runtime_sites"), Some(1));
 
