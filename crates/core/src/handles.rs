@@ -15,11 +15,22 @@ use cs_collections::{AnyList, AnyMap, AnySet, HeapSize, ListOps, MapOps, SetOps}
 use cs_heap::{AllocDelta, AllocGuard};
 use cs_profile::{ClockSampler, OpKind, OpRecorder, ProfileSink};
 
+/// Whether recorded ops must take the instrumented path — an alloc guard
+/// and an op span on every op — because heap counting or tracing is on.
+/// A monitored handle reads it once, when its monitor is claimed; a
+/// `cs-runtime` shard on each of its slow-path ops.
+pub fn ops_instrumented() -> bool {
+    cs_heap::counting_active() || cs_trace::enabled()
+}
+
 /// Monitoring payload carried by sampled instances.
 #[derive(Debug)]
 pub(crate) struct Monitor {
     recorder: OpRecorder,
     clock: ClockSampler,
+    /// Whether heap counting or tracing was on when the monitor was
+    /// claimed: every op then takes the instrumented path.
+    instrumented: bool,
     sink: ProfileSink,
 }
 
@@ -28,6 +39,7 @@ impl Monitor {
         Monitor {
             recorder: OpRecorder::new(),
             clock,
+            instrumented: ops_instrumented(),
             sink,
         }
     }
@@ -81,22 +93,25 @@ fn instrumented<R>(scale: Option<u64>, body: impl FnOnce() -> R) -> (R, u64, All
 /// op. Every monitored op advances the recorder's [`ClockSampler`] and
 /// records its count and its size, evaluated *after* the body so call sites
 /// can report post-operation length. An op takes the fast path — body,
-/// count, size, nothing more — when the sampler does not clock it, heap
-/// counting is off and tracing is off: one branch over the three flags.
-/// Otherwise it takes the `instrumented` path: an alloc guard, the op
-/// span, and, on the clocked op, two clock reads whose nanos are scaled by
-/// the period of the sampler's block that op fell in. Counts and sizes are
-/// therefore exact on every op, and allocation attribution is exact
-/// whenever counting is on. The alloc guard closes before the recorder
-/// runs, so monitoring bookkeeping never pollutes the attribution window.
-/// Unmonitored instances execute the body alone.
+/// count, size, nothing more — when the sampler does not clock it and the
+/// monitor's `instrumented` flag is clear: one branch over two bits. The
+/// flag records whether heap counting or tracing was on when the monitor
+/// was claimed and is never re-read, so a handle claimed while tracing is
+/// off records no op spans for its life. Otherwise the op takes the
+/// `instrumented` path: an alloc guard, the op span, and, on the clocked
+/// op, two clock reads whose nanos are scaled by the period of the
+/// sampler's block that op fell in. Counts and sizes are therefore exact
+/// on every op, and allocation attribution is exact whenever counting is
+/// on. The alloc guard closes before the recorder runs, so monitoring
+/// bookkeeping never pollutes the attribution window. Unmonitored
+/// instances execute the body alone.
 macro_rules! timed {
     ($self:ident, $op:expr, $len:expr, $body:expr) => {{
         match $self.monitor.as_mut() {
             None => $body,
             Some(m) => {
                 let clocked = m.clock.tick();
-                if clocked | cs_heap::counting_active() | cs_trace::enabled() {
+                if clocked | m.instrumented {
                     let scale = clocked.then_some(m.clock.period());
                     let (out, nanos, alloc) = instrumented(scale, || $body);
                     m.record($op, $len, nanos, alloc);

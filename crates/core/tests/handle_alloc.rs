@@ -126,3 +126,25 @@ fn unmonitored_handles_never_open_a_guard_window() {
         "an all-empty window must bail before scoring"
     );
 }
+
+#[test]
+fn steady_state_monitored_create_drop_pairs_do_not_allocate() {
+    // Each monitored drop pushes one profile into the context's sink. The
+    // analyzer's drain leaves the sink's queue its capacity, so once one
+    // window has grown it, the next window's pushes allocate nothing.
+    let engine = Switch::builder().build();
+    let ctx = engine.list_context::<u64>(ListKind::Array);
+    let create_and_drop = || {
+        let list = ctx.create_list();
+        assert!(list.is_monitored());
+    };
+    (0..100).for_each(|_| create_and_drop());
+    engine.analyze_now();
+    let before = cs_heap::thread_account();
+    (0..100).for_each(|_| create_and_drop());
+    let churn = cs_heap::thread_account().delta_since(&before);
+    assert_eq!(
+        churn.alloc_count, 0,
+        "100 create/drop pairs allocated: {churn:?}"
+    );
+}

@@ -103,6 +103,7 @@ impl OpCounters {
     }
 
     /// Total count over all operations.
+    #[inline]
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }

@@ -148,6 +148,12 @@ impl ClockSampler {
         }
     }
 
+    /// Whether the next [`tick`](Self::tick) clocks its op.
+    #[inline]
+    pub fn fires_next(&self) -> bool {
+        self.countdown == 1
+    }
+
     /// Schedules the next clocked op of a sampler below its ceiling: one
     /// period on, or, after the level's last clocked op, the fresh phase of
     /// the doubled period counted from the end of this block.
@@ -367,6 +373,16 @@ mod tests {
                     (total as f64 - uniform).abs() <= 4.0,
                     "P={period} L={len}: {total} clocked, uniform phases give {uniform:.1}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn fires_next_predicts_every_tick() {
+        for mut s in [ClockSampler::new(7, 3), ClockSampler::backoff(3, 40, 5)] {
+            for op in 0..3_000 {
+                let predicted = s.fires_next();
+                assert_eq!(s.tick(), predicted, "op {op}");
             }
         }
     }

@@ -119,9 +119,10 @@ impl ProfileSink {
         self.inner.lock().capacity
     }
 
-    /// Removes and returns all buffered profiles, oldest first.
+    /// Removes and returns all buffered profiles, oldest first. The queue
+    /// keeps its capacity, so the next window's pushes do not regrow it.
     pub fn drain(&self) -> Vec<WorkloadProfile> {
-        std::mem::take(&mut self.inner.lock().queue).into()
+        self.inner.lock().queue.drain(..).collect()
     }
 }
 
