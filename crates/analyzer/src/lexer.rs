@@ -80,10 +80,7 @@ impl Token {
             .trim_end_matches(|c: char| c.is_ascii_alphabetic())
             .trim_end_matches(|c: char| c.is_ascii_digit() && cleaned.contains('x'));
         if let Some(hex) = cleaned.strip_prefix("0x") {
-            let hex: String = hex
-                .chars()
-                .take_while(|c| c.is_ascii_hexdigit())
-                .collect();
+            let hex: String = hex.chars().take_while(|c| c.is_ascii_hexdigit()).collect();
             return u64::from_str_radix(&hex, 16).ok();
         }
         if cleaned.contains('.') || cleaned.contains('e') || cleaned.contains('E') {
@@ -96,7 +93,11 @@ impl Token {
 
 impl fmt::Display for Token {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{} {:?} `{}`", self.line, self.col, self.kind, self.text)
+        write!(
+            f,
+            "{}:{} {:?} `{}`",
+            self.line, self.col, self.kind, self.text
+        )
     }
 }
 
@@ -523,10 +524,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(TokenKind, String)> {
-        lex(src)
-            .into_iter()
-            .map(|t| (t.kind, t.text))
-            .collect()
+        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
     }
 
     #[test]
@@ -587,7 +585,9 @@ mod tests {
     #[test]
     fn raw_string_containing_constructor_is_not_code() {
         let toks = kinds(r####"let s = r#"Vec::new()"#;"####);
-        assert!(!toks.iter().any(|(k, t)| *k == TokenKind::Ident && t == "Vec"));
+        assert!(!toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Ident && t == "Vec"));
     }
 
     #[test]
@@ -603,8 +603,12 @@ mod tests {
     #[test]
     fn raw_identifiers_strip_the_sigil() {
         let toks = kinds("fn r#type(r#fn: u8) {}");
-        assert!(toks.iter().any(|(k, t)| *k == TokenKind::Ident && t == "type"));
-        assert!(toks.iter().any(|(k, t)| *k == TokenKind::Ident && t == "fn" && t != "r#fn"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Ident && t == "type"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokenKind::Ident && t == "fn" && t != "r#fn"));
     }
 
     #[test]
@@ -621,7 +625,10 @@ mod tests {
             .filter(|(k, _)| *k == TokenKind::Char)
             .map(|(_, t)| t.clone())
             .collect();
-        assert_eq!(chars, vec!["a".to_owned(), "\\n".to_owned(), " ".to_owned()]);
+        assert_eq!(
+            chars,
+            vec!["a".to_owned(), "\\n".to_owned(), " ".to_owned()]
+        );
     }
 
     #[test]

@@ -75,10 +75,12 @@ fn parse_args(argv: &[String]) -> Option<Args> {
             "--update" => args.update = true,
             "--calibrated" => args.calibrated = true,
             "--min-speedup" => args.min_speedup = it.next()?.parse().ok(),
-            "--dimension" => args.dimension = it.next()?.parse().ok().or_else(|| {
-                eprintln!("cs-analyzer: unknown cost dimension");
-                None
-            }),
+            "--dimension" => {
+                args.dimension = it.next()?.parse().ok().or_else(|| {
+                    eprintln!("cs-analyzer: unknown cost dimension");
+                    None
+                })
+            }
             "--baseline" => args.baseline = Some(PathBuf::from(it.next()?)),
             "--manifest" => args.manifest = Some(PathBuf::from(it.next()?)),
             other if !other.starts_with('-') && target.is_none() => {
@@ -116,7 +118,10 @@ fn cmd_scan(args: &Args) -> Result<ExitCode, String> {
         .collect();
     if args.json {
         let root = args.target.display().to_string();
-        print!("{}", cs_analyzer::manifest_to_json(&root, &sites).render_pretty());
+        print!(
+            "{}",
+            cs_analyzer::manifest_to_json(&root, &sites).render_pretty()
+        );
     } else {
         for site in &sites {
             println!(
@@ -149,8 +154,7 @@ fn advise_opts(args: &Args) -> AdviseOptions {
 
 fn cmd_advise(args: &Args) -> Result<ExitCode, String> {
     let opts = advise_opts(args);
-    let advice =
-        advise_tree(&args.target, extract_opts(args), opts).map_err(|e| e.to_string())?;
+    let advice = advise_tree(&args.target, extract_opts(args), opts).map_err(|e| e.to_string())?;
     if args.json {
         let root = args.target.display().to_string();
         print!(

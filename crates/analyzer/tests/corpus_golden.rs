@@ -68,7 +68,10 @@ fn tricky_tokens_extracts_only_real_sites() {
 
     // 5 real sites; every decoy inside strings/comments is ignored.
     assert_eq!(sites.len(), 5, "{sites:#?}");
-    assert_eq!(sites[0].fingerprint(), "corpus/tricky_tokens.rs::raw_strings#0");
+    assert_eq!(
+        sites[0].fingerprint(),
+        "corpus/tricky_tokens.rs::raw_strings#0"
+    );
     assert_eq!(
         sites
             .iter()
@@ -76,7 +79,10 @@ fn tricky_tokens_extracts_only_real_sites() {
             .count(),
         2
     );
-    let chars_site = sites.iter().find(|s| s.item == "lifetimes_and_chars").unwrap();
+    let chars_site = sites
+        .iter()
+        .find(|s| s.item == "lifetimes_and_chars")
+        .unwrap();
     assert_eq!(chars_site.capacity_hint, Some(3));
     assert_eq!(chars_site.binding.as_deref(), Some("chars"));
     assert!(sites.iter().all(|s| !s.in_test));
@@ -89,7 +95,9 @@ fn cfg_test_items_are_excluded() {
     assert_matches_golden("cfg_test_items.rs", &sites);
 
     assert_eq!(sites.len(), 2, "{sites:#?}");
-    assert!(sites.iter().all(|s| s.item == "production" || s.item == "also_production"));
+    assert!(sites
+        .iter()
+        .all(|s| s.item == "production" || s.item == "also_production"));
     let cap = sites.iter().find(|s| s.item == "also_production").unwrap();
     assert_eq!(cap.constructor, "HashMap::with_capacity");
     assert_eq!(cap.capacity_hint, Some(4));
@@ -102,14 +110,23 @@ fn context_sites_capture_kinds_and_names() {
     assert_matches_golden("context_sites.rs", &sites);
 
     assert_eq!(sites.len(), 8, "{sites:#?}");
-    let named: Vec<_> = sites.iter().filter_map(|s| s.declared_name.as_deref()).collect();
-    assert_eq!(named, vec!["IndexCursor:70", "symbol-table", "session-cache"]);
+    let named: Vec<_> = sites
+        .iter()
+        .filter_map(|s| s.declared_name.as_deref())
+        .collect();
+    assert_eq!(
+        named,
+        vec!["IndexCursor:70", "symbol-table", "session-cache"]
+    );
     let open = sites
         .iter()
         .find(|s| s.declared_name.as_deref() == Some("symbol-table"))
         .unwrap();
     assert_eq!(open.declared.kind_name().as_deref(), Some("open-eclipse"));
-    let linked = sites.iter().find(|s| s.constructor == "AnyList::new").unwrap();
+    let linked = sites
+        .iter()
+        .find(|s| s.constructor == "AnyList::new")
+        .unwrap();
     assert_eq!(linked.declared.kind_name().as_deref(), Some("linked"));
 }
 

@@ -75,9 +75,19 @@ fn runtime_manifest_round_trips_through_json() {
     // CLI's `drift --manifest` flag, then re-read it.
     let doc = runtime_manifest_to_json(&rt.site_manifest()).render_pretty();
     let parsed = Json::parse(&doc).expect("manifest dump parses");
-    assert_eq!(parsed.get("kind").and_then(Json::as_str), Some("runtime-manifest"));
-    let sites = parsed.get("sites").and_then(Json::as_array).expect("sites array");
-    assert_eq!(sites.len(), 2, "runtime registry holds only concurrent sites");
+    assert_eq!(
+        parsed.get("kind").and_then(Json::as_str),
+        Some("runtime-manifest")
+    );
+    let sites = parsed
+        .get("sites")
+        .and_then(Json::as_array)
+        .expect("sites array");
+    assert_eq!(
+        sites.len(),
+        2,
+        "runtime registry holds only concurrent sites"
+    );
     let names: Vec<&str> = sites
         .iter()
         .filter_map(|s| s.get("name").and_then(Json::as_str))
