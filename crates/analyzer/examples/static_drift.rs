@@ -15,8 +15,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use cs_analyzer::{
-    advise_file_with_dataflow, check_drift_with_advice, dataflow_file, drift_to_json, extract,
-    AdviseOptions, ExtractOptions,
+    advise_file, check_drift_with_advice, drift_to_json, extract, AdviseOptions, ExtractOptions,
 };
 use std::time::Duration;
 
@@ -65,10 +64,8 @@ fn main() -> ExitCode {
     let label = "crates/analyzer/examples/static_drift.rs";
     let source_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/static_drift.rs");
     let src = fs::read_to_string(&source_path).expect("own source readable");
-    let opts = ExtractOptions::default();
-    let analysis = extract(label, &src, opts);
-    let flows = dataflow_file(&src, &analysis, opts);
-    let advice = advise_file_with_dataflow(&analysis, &flows, AdviseOptions::default());
+    let analysis = extract(label, &src, ExtractOptions::default());
+    let advice = advise_file(&analysis, AdviseOptions::default());
 
     // Dynamic side: a live engine with the contexts declared above. The
     // monitored handles flush on drop inside `wire_contexts`; the analysis

@@ -3,7 +3,8 @@
 //! The dynamic half of CollectionSwitch observes real operation counts; the
 //! static half has only source evidence. This module reconstructs a
 //! *synthetic* [`WorkloadProfile`] per allocation site from the
-//! [`MethodFact`]s the extractor attributed to the site's binding: each
+//! [`MethodFact`]s on the site's aliases (its binding and every binding the
+//! dataflow pass saw the value reach): each
 //! method call maps to one of the paper's four critical operations
 //! (abstraction-sensitive — `insert` populates a map but is a middle
 //! insertion on a list), and loop nesting amplifies its weight, since a call
@@ -137,43 +138,29 @@ fn amplified(depth: u32) -> u64 {
     LOOP_WEIGHT.saturating_pow(depth.min(MAX_AMPLIFIED_DEPTH))
 }
 
-/// Builds the usage summary for `site` from the facts of its file.
+/// Builds the usage summary for `site` from the facts of its file and the
+/// site's dataflow facts.
 ///
-/// Facts attribute to the site when the receiver matches the site's binding
-/// *and* the call sits in the same enclosing item — the extractor does not
-/// track dataflow across functions, and pretending otherwise would
+/// Facts attribute to the site when the receiver is one of the site's
+/// **aliases** (its declared binding, plus every binding a move, borrow,
+/// clone or `create_*` handle return passed the value to — a
+/// `let list = ctx.create_list();` handle feeds its context site's evidence)
+/// *and* the call sits in the same enclosing item: the dataflow pass does
+/// not follow values across functions, and pretending otherwise would
 /// misattribute unrelated bindings that happen to share a name.
-pub fn summarize(site: &StaticSite, facts: &[MethodFact]) -> UsageSummary {
-    summarize_with_facts(site, facts, None)
-}
-
-/// [`summarize`], refined with the dataflow pass's [`SiteFacts`] when
-/// available:
 ///
-/// * facts attribute through the whole **alias set** (moves, borrows,
-///   clones, `create_*` handle returns), not just the declared binding —
-///   a `let list = ctx.create_list();` handle finally feeds its context
-///   site's evidence;
-/// * a dataflow-derived **exact capacity bound** beats populate-count
-///   guesswork for the assumed size (an explicit `with_capacity` hint
-///   still wins — the author asserted it).
-pub fn summarize_with_facts(
-    site: &StaticSite,
-    facts: &[MethodFact],
-    flow: Option<&SiteFacts>,
-) -> UsageSummary {
+/// For the assumed size, an explicit `with_capacity` hint wins (the author
+/// asserted it), then a dataflow-derived exact bound, then populate-count
+/// guesswork.
+pub fn summarize(site: &StaticSite, facts: &[MethodFact], flow: &SiteFacts) -> UsageSummary {
     let mut summary = UsageSummary::default();
-    let receivers: Vec<&str> = match flow {
-        Some(f) if !f.aliases.is_empty() => f.aliases.iter().map(String::as_str).collect(),
-        _ => site.binding.as_deref().into_iter().collect(),
-    };
-    if receivers.is_empty() {
+    if flow.aliases.is_empty() {
         summary.assumed_max_size = site.capacity_hint.unwrap_or(0) as usize;
         return summary;
     }
     let abstraction = site.declared.abstraction();
     for fact in facts {
-        if !receivers.iter().any(|r| *r == fact.receiver) || fact.item != site.item {
+        if !flow.aliases.contains(&fact.receiver) || fact.item != site.item {
             continue;
         }
         summary.matched_facts += 1;
@@ -188,7 +175,7 @@ pub fn summarize_with_facts(
     // the structure grows to its amplified populate count, capped at the
     // default so a depth-4 loop does not imply 16M elements.
     let populate = summary.op_weights[OpKind::Populate.index()];
-    let flow_bound = flow.and_then(|f| f.capacity.exact()).filter(|&n| n > 0);
+    let flow_bound = flow.capacity.exact().filter(|&n| n > 0);
     summary.assumed_max_size = match (site.capacity_hint, flow_bound) {
         (Some(c), _) if c > 0 => c as usize,
         (_, Some(n)) => (n as usize).min(DEFAULT_MAX_SIZE * 16),
@@ -203,9 +190,10 @@ mod tests {
     use super::*;
     use crate::extract::{extract, ExtractOptions};
 
-    fn analyze(src: &str) -> (Vec<StaticSite>, Vec<MethodFact>) {
+    /// The summary of the first site in `src`.
+    fn summarize_first(src: &str) -> UsageSummary {
         let a = extract("t.rs", src, ExtractOptions::default());
-        (a.sites, a.facts)
+        summarize(&a.sites[0], &a.facts, &a.flows[0])
     }
 
     #[test]
@@ -219,8 +207,7 @@ fn filter(xs: &[u64]) {
     }
 }
 "#;
-        let (sites, facts) = analyze(src);
-        let s = summarize(&sites[0], &facts);
+        let s = summarize_first(src);
         assert_eq!(s.dominant_op(), Some(OpKind::Contains));
         assert_eq!(s.assumed_max_size, 512);
         let p = s.to_profile().expect("evidence exists");
@@ -258,8 +245,7 @@ fn b(v: &mut Vec<u64>) {
     v.contains(&1);
 }
 "#;
-        let (sites, facts) = analyze(src);
-        let s = summarize(&sites[0], &facts);
+        let s = summarize_first(src);
         assert_eq!(s.matched_facts, 1, "only the push in `a` attributes");
         assert_eq!(s.dominant_op(), Some(OpKind::Populate));
     }
@@ -267,8 +253,7 @@ fn b(v: &mut Vec<u64>) {
     #[test]
     fn no_evidence_yields_no_profile() {
         let src = "fn f() { let v = Vec::new(); }";
-        let (sites, facts) = analyze(src);
-        let s = summarize(&sites[0], &facts);
+        let s = summarize_first(src);
         assert!(s.to_profile().is_none());
         assert_eq!(s.evidence(), "no-evidence");
     }
@@ -285,8 +270,7 @@ fn f(grid: &[Vec<u64>]) {
     }
 }
 "#;
-        let (sites, facts) = analyze(src);
-        let s = summarize(&sites[0], &facts);
+        let s = summarize_first(src);
         assert_eq!(
             s.op_weights[OpKind::Contains.index()],
             LOOP_WEIGHT * LOOP_WEIGHT
@@ -305,19 +289,11 @@ fn f(xs: &[u64]) {
     log.contains(&1u64);
 }
 "#;
-        let (sites, facts) = analyze(src);
-        let a = extract("t.rs", src, ExtractOptions::default());
-        let flow = crate::dataflow::dataflow_file(src, &a, ExtractOptions::default());
-        let without = summarize(&sites[0], &facts);
+        let s = summarize_first(src);
+        assert_eq!(s.matched_facts, 2, "the moved `log` carries the evidence");
+        assert_eq!(s.dominant_op(), Some(OpKind::Populate));
         assert_eq!(
-            without.matched_facts, 0,
-            "binding-only matching misses the moved `log`"
-        );
-        let with = summarize_with_facts(&sites[0], &facts, Some(&flow[0]));
-        assert_eq!(with.matched_facts, 2);
-        assert_eq!(with.dominant_op(), Some(OpKind::Populate));
-        assert_eq!(
-            with.assumed_max_size, 96,
+            s.assumed_max_size, 96,
             "the literal loop trip beats the amplified populate guess"
         );
     }
@@ -331,8 +307,7 @@ fn f(xs: &[u64]) {
     v.sort();
 }
 "#;
-        let (sites, facts) = analyze(src);
-        let s = summarize(&sites[0], &facts);
+        let s = summarize_first(src);
         assert_eq!(s.assumed_max_size, LOOP_WEIGHT as usize);
     }
 }

@@ -30,7 +30,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 use cs_analyzer::{
-    advise_file_with_dataflow, dataflow_file, extract, AdviseOptions, ExtractOptions,
+    advise_file, extract, AdviseOptions, ExtractOptions,
 };
 use cs_model::CostDimension;
 
@@ -148,12 +148,9 @@ fn main() {
     let source_path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/advisor_demo.rs");
     let src = std::fs::read_to_string(&source_path).expect("own source readable");
-    let opts = ExtractOptions::default();
-    let analysis = extract(label, &src, opts);
-    let flows = dataflow_file(&src, &analysis, opts);
-    let advice = advise_file_with_dataflow(
+    let analysis = extract(label, &src, ExtractOptions::default());
+    let advice = advise_file(
         &analysis,
-        &flows,
         AdviseOptions {
             dimension: CostDimension::AllocRate,
             ..AdviseOptions::default()
