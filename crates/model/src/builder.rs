@@ -144,7 +144,8 @@ impl Subject for ListSubject {
     }
     fn iterate(&self) -> u64 {
         let mut acc = 0_u64;
-        self.inner.for_each_value(&mut |v| acc = acc.wrapping_add(*v as u64));
+        self.inner
+            .for_each_value(&mut |v| acc = acc.wrapping_add(*v as u64));
         acc
     }
     fn middle(&mut self) {
@@ -183,7 +184,8 @@ impl Subject for SetSubject {
     }
     fn iterate(&self) -> u64 {
         let mut acc = 0_u64;
-        self.inner.for_each_value(&mut |v| acc = acc.wrapping_add(*v as u64));
+        self.inner
+            .for_each_value(&mut |v| acc = acc.wrapping_add(*v as u64));
         acc
     }
     fn middle(&mut self) {
@@ -358,23 +360,24 @@ fn build_variant_model<S: Subject>(proto: &S, cfg: &BuilderConfig) -> VariantCos
                 footprints[i] = cell.footprint;
             }
         }
-        let tpoly = Polynomial::fit(&xs, &times, cfg.degree)
-            .unwrap_or_else(|_| Polynomial::constant(times.iter().sum::<f64>() / times.len() as f64));
-        let apoly = Polynomial::fit(&xs, &allocs, cfg.degree)
-            .unwrap_or_else(|_| Polynomial::zero());
+        let tpoly = Polynomial::fit(&xs, &times, cfg.degree).unwrap_or_else(|_| {
+            Polynomial::constant(times.iter().sum::<f64>() / times.len() as f64)
+        });
+        let apoly =
+            Polynomial::fit(&xs, &allocs, cfg.degree).unwrap_or_else(|_| Polynomial::zero());
         let epoints: Vec<f64> = times
             .iter()
             .zip(allocs.iter())
             .map(|(&t, &a)| t + 0.05 * a)
             .collect();
-        let epoly = Polynomial::fit(&xs, &epoints, cfg.degree)
-            .unwrap_or_else(|_| Polynomial::zero());
+        let epoly =
+            Polynomial::fit(&xs, &epoints, cfg.degree).unwrap_or_else(|_| Polynomial::zero());
         model.set_op_cost(CostDimension::Time, op, tpoly);
         model.set_op_cost(CostDimension::Alloc, op, apoly);
         model.set_op_cost(CostDimension::Energy, op, epoly);
     }
-    let fpoly = Polynomial::fit(&xs, &footprints, cfg.degree)
-        .unwrap_or_else(|_| Polynomial::zero());
+    let fpoly =
+        Polynomial::fit(&xs, &footprints, cfg.degree).unwrap_or_else(|_| Polynomial::zero());
     model.set_instance_cost(CostDimension::Footprint, fpoly);
     model
 }
@@ -483,6 +486,9 @@ mod tests {
     fn measured_alloc_is_zero_for_lookups() {
         let m = build_map_model(&tiny());
         let v = m.variant(MapKind::Chained).unwrap();
-        assert_eq!(v.op_cost(CostDimension::Alloc, OpKind::Contains, 500.0), 0.0);
+        assert_eq!(
+            v.op_cost(CostDimension::Alloc, OpKind::Contains, 500.0),
+            0.0
+        );
     }
 }

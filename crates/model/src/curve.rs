@@ -116,11 +116,7 @@ mod tests {
 
     #[test]
     fn piecewise_boundary_is_inclusive_below() {
-        let c = CostCurve::piecewise(
-            40.0,
-            Polynomial::constant(1.0),
-            Polynomial::constant(2.0),
-        );
+        let c = CostCurve::piecewise(40.0, Polynomial::constant(1.0), Polynomial::constant(2.0));
         assert_eq!(c.eval(40.0), 1.0);
         assert_eq!(c.eval(40.0001), 2.0);
     }

@@ -109,7 +109,10 @@ fn build_variant(curves: &Curves) -> VariantCostModel {
         CostDimension::Energy,
         curve(move |s| 0.05 * ai(s), curves.brk),
     );
-    m.set_instance_cost(CostDimension::Footprint, curve(curves.footprint, curves.brk));
+    m.set_instance_cost(
+        CostDimension::Footprint,
+        curve(curves.footprint, curves.brk),
+    );
     m
 }
 
@@ -125,39 +128,39 @@ fn list_curves(kind: ListKind) -> Curves {
     match kind {
         ListKind::Array => Curves {
             time: [
-                |_| 3.0,                 // populate: amortized append
-                |s| 5.0 + 0.6 * s,       // contains: half-array scan
-                |s| 5.0 + 0.8 * s,       // iterate
-                |s| 8.0 + 0.25 * s,      // middle: memmove half
+                |_| 3.0,            // populate: amortized append
+                |s| 5.0 + 0.6 * s,  // contains: half-array scan
+                |s| 5.0 + 0.8 * s,  // iterate
+                |s| 8.0 + 0.25 * s, // middle: memmove half
             ],
             alloc: [|_| 12.0, zero, zero, zero],
-            alloc_instance: |_| 80.0,    // default capacity 10 × 8 bytes
+            alloc_instance: |_| 80.0, // default capacity 10 × 8 bytes
             footprint: |s| 40.0 + 9.6 * s,
             brk: None,
         },
         ListKind::Linked => Curves {
             time: [
                 |_| 10.0,
-                |s| 8.0 + 1.5 * s,       // pointer-chasing scan
+                |s| 8.0 + 1.5 * s, // pointer-chasing scan
                 |s| 10.0 + 3.0 * s,
-                |s| 12.0 + 1.0 * s,      // walk to middle
+                |s| 12.0 + 1.0 * s, // walk to middle
             ],
             alloc: [|_| 40.0, zero, zero, zero],
-            alloc_instance: |_| 0.0,     // nodes only, no base table
+            alloc_instance: |_| 0.0, // nodes only, no base table
             footprint: |s| 48.0 + 40.0 * s,
             brk: None,
         },
         ListKind::HashArray => Curves {
             time: [
-                |_| 22.0,                // append + hash-index upkeep
-                |_| 12.0,                // O(1) membership
+                |_| 22.0, // append + hash-index upkeep
+                |_| 12.0, // O(1) membership
                 |s| 6.0 + 0.8 * s,
                 // Deliberately identical to ArrayList (paper §5.1 model
                 // limitation; reality is slower — see Fig. 6).
                 |s| 8.0 + 0.25 * s,
             ],
             alloc: [|_| 48.0, zero, zero, zero],
-            alloc_instance: |_| 336.0,   // array base + index table minimum
+            alloc_instance: |_| 336.0, // array base + index table minimum
             footprint: |s| 96.0 + 57.6 * s,
             brk: None,
         },
@@ -168,12 +171,7 @@ fn list_curves(kind: ListKind) -> Curves {
                 |s| 6.0 + 0.85 * s,
                 |s| 9.0 + 0.25 * s,
             ],
-            alloc: [
-                |s| if s <= LIST_T { 13.0 } else { 42.0 },
-                zero,
-                zero,
-                zero,
-            ],
+            alloc: [|s| if s <= LIST_T { 13.0 } else { 42.0 }, zero, zero, zero],
             alloc_instance: |s| if s <= LIST_T { 84.0 } else { 420.0 },
             footprint: |s| {
                 if s <= LIST_T {
@@ -195,31 +193,31 @@ fn set_curves(kind: SetKind) -> Curves {
     match kind {
         SetKind::Chained => Curves {
             time: [
-                |_| 30.0,                // entry allocation dominates
+                |_| 30.0, // entry allocation dominates
                 |s| 15.0 + 0.002 * s,
                 |s| 8.0 + 2.0 * s,
                 |s| 30.0 + 0.002 * s,
             ],
             alloc: [|_| 50.0, zero, zero, zero],
-            alloc_instance: |_| 160.0,   // 16-bucket base table
+            alloc_instance: |_| 160.0, // 16-bucket base table
             footprint: |s| 64.0 + 50.0 * s,
             brk: None,
         },
         SetKind::Open(LibraryProfile::Koloboke) => Curves {
             time: [
-                |s| 18.0 + 0.002 * s,    // sparsest table: flat everywhere
-                |s| 9.0 + 0.002 * s,     // fastest lookups at every size
-                |s| 6.0 + 1.6 * s,       // scans a half-empty table
+                |s| 18.0 + 0.002 * s, // sparsest table: flat everywhere
+                |s| 9.0 + 0.002 * s,  // fastest lookups at every size
+                |s| 6.0 + 1.6 * s,    // scans a half-empty table
                 |s| 24.0 + 0.002 * s,
             ],
             alloc: [|_| 34.0, zero, zero, zero],
-            alloc_instance: |_| 256.0,   // min capacity 16, sparse slots
+            alloc_instance: |_| 256.0, // min capacity 16, sparse slots
             footprint: |s| 64.0 + 32.0 * s,
             brk: None,
         },
         SetKind::Open(LibraryProfile::Eclipse) => Curves {
             time: [
-                |s| 19.0 + 0.020 * s,    // degrades mid-range (Fig. 5d/e)
+                |s| 19.0 + 0.020 * s, // degrades mid-range (Fig. 5d/e)
                 |s| 9.2 + 0.0155 * s,
                 |s| 6.0 + 1.25 * s,
                 |s| 26.0 + 0.020 * s,
@@ -231,13 +229,13 @@ fn set_curves(kind: SetKind) -> Curves {
         },
         SetKind::Open(LibraryProfile::FastUtil) => Curves {
             time: [
-                |s| 19.0 + 0.040 * s,    // densest table: long probe chains
+                |s| 19.0 + 0.040 * s, // densest table: long probe chains
                 |s| 9.5 + 0.028 * s,
                 |s| 6.0 + 1.05 * s,
                 |s| 30.0 + 0.040 * s,
             ],
             alloc: [|_| 18.0, zero, zero, zero],
-            alloc_instance: |_| 64.0,    // min capacity 4, dense slots
+            alloc_instance: |_| 64.0, // min capacity 4, dense slots
             footprint: |s| 32.0 + 17.8 * s,
             brk: None,
         },
@@ -255,7 +253,7 @@ fn set_curves(kind: SetKind) -> Curves {
         },
         SetKind::Array => Curves {
             time: [
-                |s| 4.0 + 0.5 * s,       // duplicate check scans
+                |s| 4.0 + 0.5 * s, // duplicate check scans
                 |s| 4.0 + 0.6 * s,
                 |s| 4.0 + 0.8 * s,
                 |s| 6.0 + 0.6 * s,
@@ -269,7 +267,7 @@ fn set_curves(kind: SetKind) -> Curves {
             time: [
                 |_| 24.0,
                 |s| 13.0 + 0.006 * s,
-                |s| 5.0 + 0.9 * s,       // dense storage iterates fast
+                |s| 5.0 + 0.9 * s, // dense storage iterates fast
                 |s| 28.0 + 0.006 * s,
             ],
             // Low footprint but high allocation churn: the dense vector
@@ -286,12 +284,7 @@ fn set_curves(kind: SetKind) -> Curves {
                 |s| 5.5 + 1.0 * s,
                 |s| if s <= SET_T { 7.0 + 0.6 * s } else { 26.0 },
             ],
-            alloc: [
-                |s| if s <= SET_T { 11.0 } else { 30.0 },
-                zero,
-                zero,
-                zero,
-            ],
+            alloc: [|s| if s <= SET_T { 11.0 } else { 30.0 }, zero, zero, zero],
             alloc_instance: |s| if s <= SET_T { 16.0 } else { 280.0 },
             footprint: |s| {
                 if s <= SET_T {
@@ -402,12 +395,7 @@ fn map_curves(kind: MapKind) -> Curves {
                 |s| 6.5 + 1.1 * s,
                 |s| if s <= MAP_T { 8.0 + 0.6 * s } else { 28.0 },
             ],
-            alloc: [
-                |s| if s <= MAP_T { 19.0 } else { 42.0 },
-                zero,
-                zero,
-                zero,
-            ],
+            alloc: [|s| if s <= MAP_T { 19.0 } else { 42.0 }, zero, zero, zero],
             alloc_instance: |s| if s <= MAP_T { 24.0 } else { 408.0 },
             footprint: |s| {
                 if s <= MAP_T {
@@ -544,10 +532,14 @@ mod tests {
                 .unwrap()
                 .op_cost(CostDimension::Alloc, OpKind::Populate, 300.0)
         };
-        assert!(alloc(SetKind::Open(LibraryProfile::FastUtil))
-            < alloc(SetKind::Open(LibraryProfile::Eclipse)));
-        assert!(alloc(SetKind::Open(LibraryProfile::Eclipse))
-            < alloc(SetKind::Open(LibraryProfile::Koloboke)));
+        assert!(
+            alloc(SetKind::Open(LibraryProfile::FastUtil))
+                < alloc(SetKind::Open(LibraryProfile::Eclipse))
+        );
+        assert!(
+            alloc(SetKind::Open(LibraryProfile::Eclipse))
+                < alloc(SetKind::Open(LibraryProfile::Koloboke))
+        );
         assert!(alloc(SetKind::Open(LibraryProfile::Koloboke)) < alloc(SetKind::Compact));
         assert!(alloc(SetKind::Compact) < alloc(SetKind::Chained));
     }

@@ -55,8 +55,8 @@ mod curve;
 pub mod default_models;
 mod dimension;
 pub mod energy;
-pub mod persist;
 mod perf;
+pub mod persist;
 mod poly;
 pub mod threshold;
 

@@ -80,7 +80,10 @@ impl Polynomial {
     /// Builds a polynomial from unscaled coefficients (ascending powers of
     /// the raw variable).
     pub fn from_coeffs(coeffs: Vec<f64>) -> Self {
-        assert!(!coeffs.is_empty(), "a polynomial needs at least one coefficient");
+        assert!(
+            !coeffs.is_empty(),
+            "a polynomial needs at least one coefficient"
+        );
         Polynomial { coeffs, scale: 1.0 }
     }
 
@@ -91,7 +94,10 @@ impl Polynomial {
 
     /// Rebuilds a polynomial from [`parts`](Polynomial::parts) output.
     pub fn from_parts(coeffs: Vec<f64>, scale: f64) -> Self {
-        assert!(!coeffs.is_empty(), "a polynomial needs at least one coefficient");
+        assert!(
+            !coeffs.is_empty(),
+            "a polynomial needs at least one coefficient"
+        );
         assert!(scale > 0.0, "scale must be positive");
         Polynomial { coeffs, scale }
     }
@@ -308,7 +314,10 @@ mod tests {
     fn identical_xs_are_singular() {
         let xs = [5.0; 10];
         let ys = [1.0; 10];
-        assert_eq!(Polynomial::fit(&xs, &ys, 3).unwrap_err(), FitError::Singular);
+        assert_eq!(
+            Polynomial::fit(&xs, &ys, 3).unwrap_err(),
+            FitError::Singular
+        );
     }
 
     #[test]

@@ -9,9 +9,7 @@
 use proptest::prelude::*;
 
 use cs_collections::ListKind;
-use cs_model::{
-    persist, CostCurve, CostDimension, PerformanceModel, Polynomial, VariantCostModel,
-};
+use cs_model::{persist, CostCurve, CostDimension, PerformanceModel, Polynomial, VariantCostModel};
 use cs_profile::OpKind;
 
 /// One generated cost-curve record: which slot it fills and its curve.
@@ -33,13 +31,22 @@ fn coeff(raw: i64) -> f64 {
 
 fn poly(scale_raw: u32, coeff_raws: Vec<i64>) -> Polynomial {
     // Scale must be strictly positive for the parser to accept it.
-    Polynomial::from_parts(coeff_raws.into_iter().map(coeff).collect(), f64::from(scale_raw) / 16.0)
+    Polynomial::from_parts(
+        coeff_raws.into_iter().map(coeff).collect(),
+        f64::from(scale_raw) / 16.0,
+    )
 }
 
 fn entry_strategy() -> impl Strategy<Value = Entry> {
     let slot = (0usize..4, 0usize..4, 0usize..5);
-    let poly_params = (1u32..50_000, proptest::collection::vec(-1_000_000_i64..1_000_000, 1..5));
-    let pw_extra = (1u32..5_000, proptest::collection::vec(-1_000_000_i64..1_000_000, 1..5));
+    let poly_params = (
+        1u32..50_000,
+        proptest::collection::vec(-1_000_000_i64..1_000_000, 1..5),
+    );
+    let pw_extra = (
+        1u32..5_000,
+        proptest::collection::vec(-1_000_000_i64..1_000_000, 1..5),
+    );
     // curve_pick: 0-2 plain polynomial, 3 piecewise (thresholds from the
     // scale domain keep them positive and representable).
     (slot, poly_params, pw_extra, 0u8..4).prop_map(
