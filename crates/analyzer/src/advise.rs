@@ -19,7 +19,6 @@
 use cs_collections::{Abstraction, ListKind, MapKind, SetKind};
 use cs_model::{default_models, CostDimension, EnergyWeights, PerformanceModel};
 use std::fmt;
-use std::hash::Hash;
 
 use crate::dataflow::{CapacityBound, SiteFacts};
 use crate::extract::{DeclaredVariant, FileAnalysis, StaticSite};
@@ -194,7 +193,7 @@ fn predicted_alloc<K>(
     summary: &UsageSummary,
 ) -> Option<f64>
 where
-    K: Copy + Eq + Hash + fmt::Display,
+    K: Copy + Eq + fmt::Display,
 {
     let profile = summary.to_profile()?;
     let total_ops: u64 = summary.op_weights.iter().sum();
@@ -218,7 +217,7 @@ fn recommend<K>(
     opts: AdviseOptions,
 ) -> (Option<Recommendation>, Option<&'static str>, Option<f64>)
 where
-    K: Copy + Eq + Hash + fmt::Display,
+    K: Copy + Eq + fmt::Display,
 {
     let Some(profile) = summary.to_profile() else {
         return (None, Some("no usage evidence"), None);
@@ -466,6 +465,47 @@ fn filter(xs: &[u64]) -> usize {
         let line = advice[0].render();
         assert!(line.contains("t.rs:3"), "{line}");
         assert!(line.contains("hasharray"), "{line}");
+    }
+
+    #[test]
+    fn exact_cost_ties_go_to_the_first_variant_in_the_model() {
+        // Array and HashArray price the profile identically; the tie breaks
+        // by the model's insertion order, the same way in every build.
+        use cs_model::{Polynomial, VariantCostModel};
+        let flat = |cost: f64| {
+            let mut vm = VariantCostModel::new();
+            vm.set_op_cost(
+                CostDimension::Time,
+                OpKind::Contains,
+                Polynomial::constant(cost),
+            );
+            vm
+        };
+        let summary = UsageSummary {
+            matched_facts: 1,
+            classified_facts: 1,
+            op_weights: [0, 100, 0, 0],
+            assumed_max_size: 16,
+        };
+        for (first, second) in [
+            (ListKind::Array, ListKind::HashArray),
+            (ListKind::HashArray, ListKind::Array),
+        ] {
+            for _ in 0..16 {
+                let mut model = PerformanceModel::new();
+                model.insert_variant(ListKind::Linked, flat(10.0));
+                model.insert_variant(first, flat(2.0));
+                model.insert_variant(second, flat(2.0));
+                let (rec, _, _) = recommend(
+                    &model,
+                    ListKind::Linked,
+                    ListKind::Adaptive,
+                    &summary,
+                    AdviseOptions::default(),
+                );
+                assert_eq!(rec.expect("5x cheaper").kind, first.to_string());
+            }
+        }
     }
 
     #[test]

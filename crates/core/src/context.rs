@@ -28,7 +28,7 @@ use crate::guard::{GuardState, GuardrailConfig, PendingVerification};
 use crate::handles::{Monitor, SwitchList, SwitchMap, SwitchSet};
 use crate::kind_ext::{Kind, ModelFamily};
 use crate::rules::SelectionRule;
-use crate::select::select_variant_explained;
+use crate::select::PassRecord;
 
 /// Counters describing a context's activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,9 +81,9 @@ pub struct ContextCore<K: Kind> {
     switches: AtomicU64,
     rollbacks: AtomicU64,
     guard: Mutex<GuardState>,
-    /// Audit trail of the most recent selection pass that actually scored
-    /// candidates (see [`ContextCore::explain`]).
-    last_explanation: Mutex<Option<SelectionExplanation>>,
+    /// The numbers behind the most recent selection pass that actually
+    /// scored candidates; [`AnyContext::explain`] renders them.
+    last_pass: Mutex<Option<LastPass>>,
     /// Shared freeze flag: when the owning engine enters degraded mode it
     /// raises this, and the context stops sampling and analyzing — the
     /// last-known-good variant keeps being instantiated.
@@ -123,14 +123,21 @@ impl<K: Kind> ContextCore<K> {
             switches: AtomicU64::new(0),
             rollbacks: AtomicU64::new(0),
             guard: Mutex::new(GuardState::default()),
-            last_explanation: Mutex::new(None),
+            last_pass: Mutex::new(None),
             frozen,
         }
     }
 
     /// The variant the site currently instantiates.
     pub fn current_kind(&self) -> K {
-        K::from_index(self.current.load(Ordering::Acquire))
+        K::from_index(self.current_index())
+    }
+
+    /// The index of [`ContextCore::current_kind`] in `K::all()`: one
+    /// atomic load, for callers that compare it on every op.
+    #[inline]
+    pub fn current_index(&self) -> usize {
+        self.current.load(Ordering::Acquire)
     }
 
     /// The variant the developer originally declared.
@@ -258,16 +265,15 @@ impl<K: Kind> ContextCore<K> {
         if !self.config.round_ready(started, finished) {
             return None;
         }
-        let drained = self.sink.drain();
         let mut window_ops: u64 = 0;
         let mut window_nanos: u64 = 0;
         let mut history = self.history.lock();
         history.decay(self.config.history_decay);
-        for profile in &drained {
+        self.sink.drain_each(|profile| {
             window_ops += profile.total_ops();
             window_nanos = window_nanos.saturating_add(profile.elapsed_nanos());
-            history.add(profile);
-        }
+            history.add(&profile);
+        });
         self.clock_budget.store(
             (window_ops / CLOCKED_OPS_PER_WINDOW).max(1),
             Ordering::Relaxed,
@@ -328,15 +334,11 @@ impl<K: Kind> ContextCore<K> {
         }
 
         let current = self.current_kind();
-        let explained = if !rolled_back && guard.cooldown_ok(round, guard_cfg) {
+        let record = if !rolled_back && guard.cooldown_ok(round, guard_cfg) {
             let _decision_span = cs_trace::span(cs_trace::Phase::Decision, self.id);
-            Some(select_variant_explained(
-                model,
-                rule,
-                current,
-                &history,
-                |k| !guard.is_quarantined(k.index(), round),
-            ))
+            PassRecord::score(model, rule, current, &history, |k| {
+                !guard.is_quarantined(k.index(), round)
+            })
         } else {
             None
         };
@@ -348,38 +350,27 @@ impl<K: Kind> ContextCore<K> {
         // adaptation process").
         self.window.reset();
 
-        let explained = explained?;
-        let mut explanation = SelectionExplanation {
-            context_id: self.id,
-            context_name: self.name.clone(),
-            abstraction: K::ABSTRACTION,
-            rule: rule.name().to_owned(),
-            round,
-            current: current.to_string(),
-            current_primary_cost: explained.current_primary_cost,
-            current_alloc_cost: explained.current_alloc_cost,
-            current_energy_cost: explained.current_energy_cost,
-            alloc_bytes_per_op: explained.alloc_bytes_per_op,
-            alloc_driven: explained.alloc_driven,
-            candidates: explained.candidates,
-            winner: explained.selection.map(|s| s.kind.to_string()),
-            winning_margin: explained.selection.map_or(0.0, |s| 1.0 - s.primary_ratio),
-            outcome: SelectionOutcome::NoCandidate,
-        };
-        let Some(sel) = explained.selection else {
-            // An empty-workload bail leaves no candidate rows; keep the last
-            // substantive explanation in that case.
-            if !explanation.candidates.is_empty() {
-                *self.last_explanation.lock() = Some(explanation);
-            }
+        // A pass that bailed before scoring (an empty workload) keeps the
+        // last substantive record in place.
+        let record = record?;
+        let Some(sel) = record.selection::<K>() else {
+            *self.last_pass.lock() = Some(LastPass {
+                round,
+                outcome: SelectionOutcome::NoCandidate,
+                record,
+            });
             return None;
         };
         // The switch commits from here on: one SwitchExec span per
         // transition event, so span and event counts agree exactly.
         let _switch_span = cs_trace::span(cs_trace::Phase::SwitchExec, self.id);
-        explanation.outcome = SelectionOutcome::Switched;
-        events.push(EngineEvent::Selection(explanation.clone()));
-        *self.last_explanation.lock() = Some(explanation);
+        let last = LastPass {
+            round,
+            outcome: SelectionOutcome::Switched,
+            record,
+        };
+        events.push(EngineEvent::Selection(self.render(&last)));
+        *self.last_pass.lock() = Some(last);
         let baseline_cpo = if window_ops > 0 {
             window_nanos as f64 / window_ops as f64
         } else {
@@ -396,20 +387,16 @@ impl<K: Kind> ContextCore<K> {
         // densely, not on the budget's ~256 ops.
         self.clock_budget.fetch_or(VERIFYING, Ordering::Relaxed);
         self.current.store(sel.kind.index(), Ordering::Release);
+        self.switches.fetch_add(1, Ordering::Relaxed);
         // Profiles pushed while this pass ran (a concurrent handle's shard
         // flushing between the drain above and the store) were recorded on
         // the variant just replaced: they join the history, not the window
         // that verifies the switch. The guard goes before the history lock:
         // history is always locked first.
-        let late = self.sink.drain();
-        self.switches.fetch_add(1, Ordering::Relaxed);
         drop(guard);
-        if !late.is_empty() {
-            let mut history = self.history.lock();
-            for profile in &late {
-                history.add(profile);
-            }
-        }
+        let mut history = self.history.lock();
+        self.sink.drain_each(|profile| history.add(&profile));
+        drop(history);
         Some(TransitionEvent::new(
             self.id,
             self.name.clone(),
@@ -428,10 +415,41 @@ impl<K: Kind> ContextCore<K> {
         self.window.reset();
         self.clock_budget.store(0, Ordering::Relaxed);
         self.guard.lock().clear();
-        *self.last_explanation.lock() = None;
+        *self.last_pass.lock() = None;
         self.current
             .store(self.default_kind.index(), Ordering::Release);
     }
+
+    /// Renders a kept pass as the explanation the engine reports.
+    fn render(&self, last: &LastPass) -> SelectionExplanation {
+        let explained = last.record.render::<K>();
+        SelectionExplanation {
+            context_id: self.id,
+            context_name: self.name.clone(),
+            abstraction: K::ABSTRACTION,
+            rule: last.record.rule().to_owned(),
+            round: last.round,
+            current: last.record.current::<K>().to_string(),
+            current_primary_cost: explained.current_primary_cost,
+            current_alloc_cost: explained.current_alloc_cost,
+            current_energy_cost: explained.current_energy_cost,
+            alloc_bytes_per_op: explained.alloc_bytes_per_op,
+            alloc_driven: explained.alloc_driven,
+            candidates: explained.candidates,
+            winner: explained.selection.map(|s| s.kind.to_string()),
+            winning_margin: explained.selection.map_or(0.0, |s| 1.0 - s.primary_ratio),
+            outcome: last.outcome,
+        }
+    }
+}
+
+/// The latest scored pass of a context: its record, its round and what it
+/// did with the winner.
+#[derive(Debug, Clone, Copy)]
+struct LastPass {
+    round: u64,
+    outcome: SelectionOutcome,
+    record: PassRecord,
 }
 
 /// An allocation context of any kind family, with the family erased:
@@ -538,7 +556,8 @@ impl<K: ModelFamily> AnyContext for ContextCore<K> {
     }
 
     fn explain(&self) -> Option<SelectionExplanation> {
-        self.last_explanation.lock().clone()
+        let last = *self.last_pass.lock();
+        last.map(|last| self.render(&last))
     }
 
     fn profiles_pushed(&self) -> u64 {

@@ -1,4 +1,14 @@
 //! The variant selection algorithm (paper §3.1.1–§3.1.2).
+//!
+//! One scoring core runs the algorithm. It prices the current variant once
+//! per criterion of the rule and each eligible candidate only on the
+//! dimensions the criteria name, and hands every candidate's row to its
+//! caller as numbers. [`select_variant`] and [`select_variant_filtered`]
+//! keep only the winner. An analysis pass also prices the audit's
+//! allocation-rate and time columns and keeps the rows in a [`PassRecord`],
+//! a fixed-size record on the stack: the strings, the energy column and
+//! the candidate vector of an explanation are rendered from it only when
+//! someone reads them.
 
 use cs_model::{CostDimension, PerformanceModel};
 use cs_profile::ProfileHistogram;
@@ -91,7 +101,9 @@ pub fn select_variant<K: Kind>(
 ///
 /// The guardrail layer uses this to keep quarantined candidates — variants
 /// that recently failed post-switch verification at this site — out of the
-/// running without touching the selection algorithm itself.
+/// running without touching the selection algorithm itself. Only the
+/// dimensions the rule's criteria name are priced, and nothing is
+/// allocated.
 pub fn select_variant_filtered<K: Kind>(
     model: &PerformanceModel<K>,
     rule: &SelectionRule,
@@ -99,7 +111,7 @@ pub fn select_variant_filtered<K: Kind>(
     history: &ProfileHistogram,
     eligible: impl FnMut(K) -> bool,
 ) -> Option<Selection<K>> {
-    select_variant_explained(model, rule, current, history, eligible).selection
+    score(model, rule, current, history, false, eligible, |_| {})?.selection
 }
 
 /// The fully explained outcome of one selection pass: the winner (if any)
@@ -142,27 +154,122 @@ pub struct ExplainedSelection<K> {
 /// its cost ratio against the current variant, whether it satisfied the
 /// rule, and why it was excluded when it never got scored.
 ///
-/// This is the single implementation of the paper's selection algorithm —
-/// [`select_variant`] and [`select_variant_filtered`] are thin wrappers —
-/// so the audit trail can never drift from the actual decision.
+/// It runs the same scoring core as [`select_variant_filtered`], with the
+/// audit's allocation-rate and time columns priced too, so the audit trail
+/// can never drift from the actual decision. Rendering the energy column
+/// fits [`cs_model::calibrated_weights`] on its first use in the process.
+///
+/// # Panics
+///
+/// Panics if the kind family has more than 8 variants (the three shipped
+/// families have at most 8).
 pub fn select_variant_explained<K: Kind>(
     model: &PerformanceModel<K>,
     rule: &SelectionRule,
     current: K,
     history: &ProfileHistogram,
-    mut eligible: impl FnMut(K) -> bool,
+    eligible: impl FnMut(K) -> bool,
 ) -> ExplainedSelection<K> {
-    let bail = ExplainedSelection {
-        selection: None,
-        candidates: Vec::new(),
-        current_primary_cost: 0.0,
-        current_alloc_cost: 0.0,
-        current_energy_cost: 0.0,
-        alloc_bytes_per_op: 0.0,
-        alloc_driven: false,
-    };
+    match PassRecord::score(model, rule, current, history, eligible) {
+        Some(record) => record.render(),
+        None => ExplainedSelection {
+            selection: None,
+            candidates: Vec::new(),
+            current_primary_cost: 0.0,
+            current_alloc_cost: 0.0,
+            current_energy_cost: 0.0,
+            alloc_bytes_per_op: 0.0,
+            alloc_driven: false,
+        },
+    }
+}
+
+/// The most variants an audited kind family may hold: a [`PassRecord`]
+/// has a row for each but the current one. `SetKind` and `MapKind` hold 8.
+const MAX_KINDS: usize = 8;
+
+/// One candidate of a scored pass, as numbers.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Row {
+    /// The candidate's index in `K::all()`.
+    kind: usize,
+    /// Why the candidate was never scored; its costs are NaN then.
+    excluded: Option<&'static str>,
+    primary_cost: f64,
+    primary_ratio: f64,
+    satisfied: bool,
+    /// The audit's allocation-rate and time columns, NaN unless asked for.
+    alloc_cost: f64,
+    time_cost: f64,
+}
+
+impl Row {
+    fn excluded(kind: usize, reason: &'static str) -> Row {
+        Row {
+            kind,
+            excluded: Some(reason),
+            primary_cost: f64::NAN,
+            primary_ratio: f64::NAN,
+            satisfied: false,
+            alloc_cost: f64::NAN,
+            time_cost: f64::NAN,
+        }
+    }
+}
+
+/// What a scored pass found besides its rows.
+struct Scored<K> {
+    selection: Option<Selection<K>>,
+    current_primary_cost: f64,
+    /// The current variant's audit columns, NaN unless asked for.
+    current_alloc_cost: f64,
+    current_time_cost: f64,
+}
+
+/// `TC_D(V)` of one variant over the history, priced at most once per
+/// dimension.
+struct Costs<'a, K> {
+    model: &'a PerformanceModel<K>,
+    history: &'a ProfileHistogram,
+    kind: K,
+    priced: [Option<f64>; CostDimension::ALL.len()],
+}
+
+impl<'a, K: Kind> Costs<'a, K> {
+    fn new(model: &'a PerformanceModel<K>, history: &'a ProfileHistogram, kind: K) -> Self {
+        Costs {
+            model,
+            history,
+            kind,
+            priced: [None; CostDimension::ALL.len()],
+        }
+    }
+
+    fn of(&mut self, dimension: CostDimension) -> f64 {
+        let (model, kind, history) = (self.model, self.kind, self.history);
+        *self.priced[dimension.index()]
+            .get_or_insert_with(|| model.histogram_cost(kind, dimension, history))
+    }
+}
+
+/// The scoring core every entry point runs: the paper's algorithm over
+/// `history`, pricing the current variant and each eligible candidate only
+/// on the rule's criteria (a candidate stops at the first criterion it
+/// fails, after its primary cost), plus the allocation-rate and time
+/// columns when `audit` is set. Each candidate's row goes to `on_row`, in
+/// `K::all()` order. `None` when the pass bails before scoring: an empty
+/// workload, or a current variant that costs nothing on some criterion.
+fn score<K: Kind>(
+    model: &PerformanceModel<K>,
+    rule: &SelectionRule,
+    current: K,
+    history: &ProfileHistogram,
+    audit: bool,
+    mut eligible: impl FnMut(K) -> bool,
+    mut on_row: impl FnMut(Row),
+) -> Option<Scored<K>> {
     if history.total_ops() == 0 {
-        return bail;
+        return None;
     }
 
     // Everything below evaluates the cost model over the workload history;
@@ -170,35 +277,17 @@ pub fn select_variant_explained<K: Kind>(
     // in scope here — the enclosing Decision span carries the site.
     let _model_span = cs_trace::span(cs_trace::Phase::ModelEval, 0);
 
-    let primary = rule.primary();
+    let primary = rule.primary().dimension;
+    let mut cur = Costs::new(model, history, current);
+    // Degenerate current (e.g. uncalibrated variant): nothing to compare.
+    if rule.criteria().iter().any(|c| cur.of(c.dimension) <= 0.0) {
+        return None;
+    }
+    let current_primary_cost = cur.of(primary);
     let adaptive = K::adaptive_kind();
     let adaptive_ok = adaptive_eligible(history, K::adaptive_threshold());
-
-    // Current costs per dimension used by the rule.
-    let current_cost = |dim| model.histogram_cost(current, dim, history);
-
-    // Degenerate current (e.g. uncalibrated variant): nothing to compare.
-    if rule
-        .criteria()
-        .iter()
-        .any(|c| current_cost(c.dimension) <= 0.0)
-    {
-        return bail;
-    }
-
-    let current_primary_cost = current_cost(primary.dimension);
-    // Allocation and energy columns are part of every audit row regardless
-    // of the rule, so a reader can see what an alloc- or energy-primary
-    // rule *would* have decided.
-    let weights = cs_model::calibrated_weights();
-    let current_alloc_cost = current_cost(CostDimension::AllocRate);
-    let current_time_cost = current_cost(CostDimension::Time);
-    let current_energy_cost = weights.energy(current_time_cost, current_alloc_cost);
-    let alloc_bytes_per_op = history.alloc_bytes_per_op();
-    let mut candidates = Vec::new();
     let mut best: Option<Selection<K>> = None;
-    let mut best_time_cost = 0.0;
-    for &candidate in K::all() {
+    for (index, &candidate) in K::all().iter().enumerate() {
         if candidate == current {
             continue;
         }
@@ -212,72 +301,168 @@ pub fn select_variant_explained<K: Kind>(
             None
         };
         if let Some(reason) = excluded {
-            candidates.push(CandidateEstimate {
-                variant: candidate.to_string(),
-                primary_cost: f64::NAN,
-                primary_ratio: f64::NAN,
-                alloc_cost: f64::NAN,
-                energy_cost: f64::NAN,
-                satisfied: false,
-                excluded: Some(reason),
-            });
+            on_row(Row::excluded(index, reason));
             continue;
         }
-        let satisfied = rule.satisfied(|dim| {
-            let cur = model.histogram_cost(current, dim, history);
-            if cur <= 0.0 {
-                return f64::INFINITY;
-            }
-            model.histogram_cost(candidate, dim, history) / cur
-        });
-        let primary_cost = model.histogram_cost(candidate, primary.dimension, history);
+        let mut costs = Costs::new(model, history, candidate);
+        let satisfied = rule.satisfied(|dim| costs.of(dim) / cur.of(dim));
+        let primary_cost = costs.of(primary);
         let primary_ratio = primary_cost / current_primary_cost;
-        let alloc_cost = model.histogram_cost(candidate, CostDimension::AllocRate, history);
-        let time_cost = model.histogram_cost(candidate, CostDimension::Time, history);
-        let energy_cost = weights.energy(time_cost, alloc_cost);
-        candidates.push(CandidateEstimate {
-            variant: candidate.to_string(),
+        let (alloc_cost, time_cost) = if audit {
+            (
+                costs.of(CostDimension::AllocRate),
+                costs.of(CostDimension::Time),
+            )
+        } else {
+            (f64::NAN, f64::NAN)
+        };
+        on_row(Row {
+            kind: index,
+            excluded: None,
             primary_cost,
             primary_ratio,
-            alloc_cost,
-            energy_cost,
             satisfied,
-            excluded: None,
+            alloc_cost,
+            time_cost,
         });
-        if !satisfied {
-            continue;
-        }
-        let better = match &best {
-            None => true,
-            Some(b) => primary_ratio < b.primary_ratio,
-        };
-        if better {
+        if satisfied && best.is_none_or(|b| primary_ratio < b.primary_ratio) {
             best = Some(Selection {
                 kind: candidate,
                 primary_ratio,
             });
-            best_time_cost = time_cost;
         }
     }
-    // A switch is alloc-driven when the allocation term carried it: either
-    // the rule optimizes an allocation dimension outright, or it optimizes
-    // the energy proxy and the winner is no faster on the time term alone
-    // (energy is affine in time and alloc, so removing the alloc component
-    // from both sides leaves a pure time comparison).
-    let alloc_driven = best.is_some()
-        && match primary.dimension {
-            CostDimension::Alloc | CostDimension::AllocRate => true,
-            CostDimension::Energy => best_time_cost >= current_time_cost,
-            _ => false,
-        };
-    ExplainedSelection {
+    let (current_alloc_cost, current_time_cost) = if audit {
+        (
+            cur.of(CostDimension::AllocRate),
+            cur.of(CostDimension::Time),
+        )
+    } else {
+        (f64::NAN, f64::NAN)
+    };
+    Some(Scored {
         selection: best,
-        candidates,
         current_primary_cost,
         current_alloc_cost,
-        current_energy_cost,
-        alloc_bytes_per_op,
-        alloc_driven,
+        current_time_cost,
+    })
+}
+
+/// The numbers behind one scored selection pass: the rule, the current
+/// variant, its costs, the winner and one row per candidate, from which
+/// [`PassRecord::render`] builds the [`ExplainedSelection`] the pass would
+/// have returned. It holds no heap data, so an analysis pass fills one on
+/// the stack and a context keeps its latest by copy.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PassRecord {
+    rule: &'static str,
+    primary: CostDimension,
+    current: usize,
+    current_primary_cost: f64,
+    current_alloc_cost: f64,
+    current_time_cost: f64,
+    alloc_bytes_per_op: f64,
+    /// The winner's index in `K::all()` and its primary ratio.
+    winner: Option<(usize, f64)>,
+    rows: [Row; MAX_KINDS],
+    len: usize,
+}
+
+impl PassRecord {
+    /// Scores one pass with the audit's columns priced; `None` when it
+    /// bailed before scoring (see [`select_variant_explained`]).
+    pub(crate) fn score<K: Kind>(
+        model: &PerformanceModel<K>,
+        rule: &SelectionRule,
+        current: K,
+        history: &ProfileHistogram,
+        eligible: impl FnMut(K) -> bool,
+    ) -> Option<PassRecord> {
+        assert!(
+            K::all().len() <= MAX_KINDS,
+            "an audited kind family holds at most {MAX_KINDS} variants"
+        );
+        // Filler: only the first `len` rows are ever read.
+        let mut rows = [Row::excluded(0, ""); MAX_KINDS];
+        let mut len = 0;
+        let scored = score(model, rule, current, history, true, eligible, |row| {
+            rows[len] = row;
+            len += 1;
+        })?;
+        Some(PassRecord {
+            rule: rule.name(),
+            primary: rule.primary().dimension,
+            current: current.index(),
+            current_primary_cost: scored.current_primary_cost,
+            current_alloc_cost: scored.current_alloc_cost,
+            current_time_cost: scored.current_time_cost,
+            alloc_bytes_per_op: history.alloc_bytes_per_op(),
+            winner: scored.selection.map(|s| (s.kind.index(), s.primary_ratio)),
+            rows,
+            len,
+        })
+    }
+
+    /// The name of the rule the pass applied.
+    pub(crate) fn rule(&self) -> &'static str {
+        self.rule
+    }
+
+    /// The variant the site held going into the pass.
+    pub(crate) fn current<K: Kind>(&self) -> K {
+        K::from_index(self.current)
+    }
+
+    /// The pass's winner, as [`select_variant_filtered`] returns it.
+    pub(crate) fn selection<K: Kind>(&self) -> Option<Selection<K>> {
+        self.winner.map(|(kind, primary_ratio)| Selection {
+            kind: K::from_index(kind),
+            primary_ratio,
+        })
+    }
+
+    /// Renders the audit: variant names, the energy column from the
+    /// per-process [`cs_model::calibrated_weights`], and whether the
+    /// allocation term decided the pass.
+    pub(crate) fn render<K: Kind>(&self) -> ExplainedSelection<K> {
+        let weights = cs_model::calibrated_weights();
+        let rows = &self.rows[..self.len];
+        let candidates = rows
+            .iter()
+            .map(|row| CandidateEstimate {
+                variant: K::from_index(row.kind).to_string(),
+                primary_cost: row.primary_cost,
+                primary_ratio: row.primary_ratio,
+                alloc_cost: row.alloc_cost,
+                energy_cost: match row.excluded {
+                    Some(_) => f64::NAN,
+                    None => weights.energy(row.time_cost, row.alloc_cost),
+                },
+                satisfied: row.satisfied,
+                excluded: row.excluded,
+            })
+            .collect();
+        // A switch is alloc-driven when the allocation term carried it:
+        // either the rule optimizes an allocation dimension outright, or it
+        // optimizes the energy proxy and the winner is no faster on the time
+        // term alone (energy is affine in time and alloc, so removing the
+        // alloc component from both sides leaves a pure time comparison).
+        let alloc_driven = self.winner.is_some_and(|(winner, _)| match self.primary {
+            CostDimension::Alloc | CostDimension::AllocRate => true,
+            CostDimension::Energy => rows
+                .iter()
+                .any(|row| row.kind == winner && row.time_cost >= self.current_time_cost),
+            _ => false,
+        });
+        ExplainedSelection {
+            selection: self.selection(),
+            candidates,
+            current_primary_cost: self.current_primary_cost,
+            current_alloc_cost: self.current_alloc_cost,
+            current_energy_cost: weights.energy(self.current_time_cost, self.current_alloc_cost),
+            alloc_bytes_per_op: self.alloc_bytes_per_op,
+            alloc_driven,
+        }
     }
 }
 

@@ -79,7 +79,10 @@ pub trait EngineEventSink: Send + Sync {
 /// The engine's sink registry and panic-isolating dispatcher.
 #[derive(Default)]
 pub(crate) struct SinkRegistry {
-    sinks: Mutex<Vec<Arc<dyn EngineEventSink>>>,
+    /// The subscribed sinks as a copy-on-write snapshot: a dispatch clones
+    /// the `Arc`, not the list, so it allocates nothing; subscribing and
+    /// disconnecting a panicked sink swap in a new list.
+    sinks: Mutex<Arc<[Arc<dyn EngineEventSink>]>>,
     disconnects: AtomicU64,
 }
 
@@ -94,7 +97,8 @@ impl fmt::Debug for SinkRegistry {
 
 impl SinkRegistry {
     pub(crate) fn subscribe(&self, sink: Arc<dyn EngineEventSink>) {
-        self.sinks.lock().push(sink);
+        let mut sinks = self.sinks.lock();
+        *sinks = sinks.iter().cloned().chain([sink]).collect();
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -129,12 +133,9 @@ impl SinkRegistry {
     }
 
     fn for_each_isolated(&self, call: impl Fn(&dyn EngineEventSink)) {
-        let sinks: Vec<Arc<dyn EngineEventSink>> = self.sinks.lock().clone();
-        if sinks.is_empty() {
-            return;
-        }
+        let sinks = Arc::clone(&self.sinks.lock());
         let mut dead: Vec<Arc<dyn EngineEventSink>> = Vec::new();
-        for sink in &sinks {
+        for sink in sinks.iter() {
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| call(&**sink)));
             if outcome.is_err() {
                 dead.push(Arc::clone(sink));
@@ -143,9 +144,12 @@ impl SinkRegistry {
         if !dead.is_empty() {
             self.disconnects
                 .fetch_add(dead.len() as u64, Ordering::Relaxed);
-            self.sinks
-                .lock()
-                .retain(|s| !dead.iter().any(|d| Arc::ptr_eq(s, d)));
+            let mut sinks = self.sinks.lock();
+            *sinks = sinks
+                .iter()
+                .filter(|s| !dead.iter().any(|d| Arc::ptr_eq(s, d)))
+                .cloned()
+                .collect();
         }
     }
 }

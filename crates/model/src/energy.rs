@@ -10,19 +10,30 @@
 //! mirroring how `cs-trace` calibrates its tracer costs:
 //!
 //! * `time_weight` — measured ns per *modeled time unit*, fitted by timing
-//!   a populate loop whose modeled cost is known (`ArrayList` populate,
-//!   3 units/op in [`default_models`](crate::default_models)). On hardware
-//!   comparable to the models' assumptions this lands near 1.0.
-//! * `alloc_weight` — measured ns per *allocated byte*, fitted by timing a
-//!   boxed-allocation loop of known total size. This is the honest,
-//!   machine-specific replacement for the synthetic `0.05 ns/byte` the
-//!   shipped curves assume.
+//!   65,536 appends whose modeled cost is known (`ArrayList` populate,
+//!   3 units/op in [`default_models`](crate::default_models)), as 16 vectors
+//!   each grown from empty to 4,096 `u64`s, so the growth the model
+//!   amortizes is timed too.
+//! * `alloc_weight` — measured ns per *allocated byte*, fitted by timing
+//!   65,536 boxed 64-byte allocations and their frees, 512 held at a time.
+//!   This is the machine-specific replacement for the synthetic
+//!   `0.05 ns/byte` the shipped curves assume; it prices allocator work
+//!   on memory the process already has, not page faults.
+//!
+//! Both loops together hold at most 64 KiB live (48 KiB while the last
+//! append run moves its buffer), so the fit neither faults in fresh pages
+//! nor moves the process's peak RSS. It runs once per process, on first
+//! use, in 2–3 ms on a 2-vCPU x86 VM. In the engine only the audit reads
+//! the weights: the energy columns of an explanation, which it renders for
+//! a switch's `Selection` event or an `explain` call, never on an analysis
+//! pass that keeps its variant and never while building an engine. The
+//! static advisor reads them when asked to (`advise --calibrated`).
 //!
 //! The shipped [`default_models`](crate::default_models) keep their
 //! synthetic `time + 0.05·alloc` Energy curves — models are data, fitted
 //! once, and persisted files must not depend on the measuring machine. The
-//! calibrated weights apply *at evaluation time*: the selection layer prices
-//! each candidate's energy as
+//! calibrated weights apply *at rendering time*: the audit prices each
+//! candidate's energy as
 //! `time_weight · tc_time + alloc_weight · tc_alloc_rate`, and benches
 //! honesty-check the result against measured wall time (the proxy must stay
 //! within one order of magnitude — see `alloc_sweep`).
@@ -33,11 +44,14 @@ use std::time::Instant;
 /// Modeled cost (time units per op) of the calibration workload: an
 /// amortized `ArrayList` append (`default_models` populate curve).
 const CAL_MODEL_UNITS_PER_OP: f64 = 3.0;
-/// Iterations of the calibration loops. Small enough to finish in well
-/// under a millisecond; large enough to amortize timer overhead.
+/// Iterations of the calibration loops: enough to amortize timer overhead.
 const CAL_ITERS: usize = 64 * 1024;
+/// Appends per vector in the time loop: a 32 KiB vector at its largest.
+const CAL_APPEND_RUN: usize = 4 * 1024;
 /// Payload size of the allocation-calibration loop, bytes per allocation.
 const CAL_ALLOC_BYTES: usize = 64;
+/// Payloads the allocation loop holds before freeing them: 32 KiB.
+const CAL_CHURN_BATCH: usize = 512;
 
 /// Weights of the energy proxy `E = time_weight · t + alloc_weight · a`
 /// with `t` in modeled time units and `a` in allocated bytes.
@@ -80,29 +94,35 @@ impl Default for EnergyWeights {
 }
 
 fn measure_time_weight() -> f64 {
-    // Time CAL_ITERS amortized appends into a pre-grown Vec — the workload
-    // whose modeled cost per op is CAL_MODEL_UNITS_PER_OP.
-    let mut v: Vec<u64> = Vec::new();
+    // Time CAL_ITERS amortized appends — the workload whose modeled cost
+    // per op is CAL_MODEL_UNITS_PER_OP — in runs that each grow a vector
+    // from empty, so the doublings are paid as the model amortizes them.
     let start = Instant::now();
-    for i in 0..CAL_ITERS as u64 {
-        v.push(i);
+    for _ in 0..CAL_ITERS / CAL_APPEND_RUN {
+        let mut v: Vec<u64> = Vec::new();
+        for i in 0..CAL_APPEND_RUN as u64 {
+            v.push(i);
+        }
+        std::hint::black_box(&v);
     }
     let nanos = start.elapsed().as_nanos() as f64;
-    std::hint::black_box(&v);
     (nanos / CAL_ITERS as f64) / CAL_MODEL_UNITS_PER_OP
 }
 
 fn measure_alloc_weight() -> f64 {
     // Time CAL_ITERS boxed allocations of CAL_ALLOC_BYTES each; the slope
-    // is ns per byte of allocation churn. Holding then dropping the boxes
+    // is ns per byte of allocation churn. Dropping each batch of boxes
     // includes the free half of the churn, which is the honest per-byte
     // price of a byte that does not stay live.
-    let mut held: Vec<Box<[u8; CAL_ALLOC_BYTES]>> = Vec::with_capacity(CAL_ITERS);
+    let mut held: Vec<Box<[u8; CAL_ALLOC_BYTES]>> = Vec::with_capacity(CAL_CHURN_BATCH);
     let start = Instant::now();
-    for _ in 0..CAL_ITERS {
-        held.push(Box::new([0u8; CAL_ALLOC_BYTES]));
+    for _ in 0..CAL_ITERS / CAL_CHURN_BATCH {
+        for _ in 0..CAL_CHURN_BATCH {
+            held.push(Box::new([0u8; CAL_ALLOC_BYTES]));
+        }
+        std::hint::black_box(&held);
+        held.clear();
     }
-    drop(held);
     let nanos = start.elapsed().as_nanos() as f64;
     nanos / (CAL_ITERS * CAL_ALLOC_BYTES) as f64
 }

@@ -49,6 +49,9 @@ pub struct BucketAgg {
 #[derive(Debug, Clone, Default)]
 pub struct ProfileHistogram {
     buckets: Vec<Option<BucketAgg>>,
+    /// Bit `i` set when bucket `i` is occupied: cost evaluation walks the
+    /// few occupied buckets, not all 64 slots.
+    occupancy: u64,
     instances: u64,
     totals: OpCounters,
     total_nanos: u64,
@@ -61,6 +64,7 @@ impl ProfileHistogram {
     pub fn new() -> Self {
         ProfileHistogram {
             buckets: vec![None; BUCKETS],
+            occupancy: 0,
             instances: 0,
             totals: OpCounters::new(),
             total_nanos: 0,
@@ -101,6 +105,7 @@ impl ProfileHistogram {
                     min_size: profile.max_size(),
                     max_size: profile.max_size(),
                 });
+                self.occupancy |= 1 << idx;
             }
         }
         self.instances += 1;
@@ -168,9 +173,17 @@ impl ProfileHistogram {
         self.occupied().map(|b| b.min_size).min().unwrap_or(0)
     }
 
-    /// Iterates over the occupied buckets.
+    /// Iterates over the occupied buckets, smallest sizes first.
     pub fn occupied(&self) -> impl Iterator<Item = &BucketAgg> {
-        self.buckets.iter().filter_map(|b| b.as_ref())
+        let mut rest = self.occupancy;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let idx = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            self.buckets[idx].as_ref()
+        })
     }
 
     /// Number of occupied buckets (the per-analysis work factor).
@@ -211,6 +224,7 @@ impl ProfileHistogram {
         for b in &mut self.buckets {
             *b = None;
         }
+        self.occupancy = 0;
         self.instances = 0;
         self.totals = OpCounters::new();
         self.total_nanos = 0;

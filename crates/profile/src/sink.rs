@@ -124,6 +124,14 @@ impl ProfileSink {
     pub fn drain(&self) -> Vec<WorkloadProfile> {
         self.inner.lock().queue.drain(..).collect()
     }
+
+    /// Removes every buffered profile, oldest first, handing each to
+    /// `each` under the sink's lock: the analysis pass folds them into its
+    /// history this way without collecting a `Vec`. `each` must not push
+    /// into this sink.
+    pub fn drain_each(&self, each: impl FnMut(WorkloadProfile)) {
+        self.inner.lock().queue.drain(..).for_each(each);
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +152,20 @@ mod tests {
         assert_eq!(drained.len(), 10);
         assert!(sink.is_empty());
         assert_eq!(drained[9].max_size(), 9);
+    }
+
+    #[test]
+    fn drain_each_visits_oldest_first_and_empties() {
+        let sink = ProfileSink::bounded(4);
+        for i in 0..4 {
+            let mut r = OpRecorder::new();
+            r.observe_size(i);
+            sink.push(r.finish());
+        }
+        let mut seen = Vec::new();
+        sink.drain_each(|p| seen.push(p.max_size()));
+        assert_eq!(seen, vec![0, 1, 2, 3]);
+        assert!(sink.is_empty());
     }
 
     #[test]

@@ -96,6 +96,10 @@ impl<T: Eq + std::hash::Hash + Clone> Variant for AnySet<T> {
 /// One stripe: the collection and the record of the ops that reached it.
 pub(crate) struct Shard<C> {
     data: C,
+    /// The index of `data`'s variant in its kind family, set at build and
+    /// at migration: the fast path compares it with the site's
+    /// [`ContextCore::current_index`].
+    kind: usize,
     rec: OpRecorder,
     clock: ClockSampler,
     last_flush: Instant,
@@ -108,11 +112,12 @@ pub(crate) struct Shard<C> {
     countdown: u64,
 }
 
-impl<C> Shard<C> {
+impl<C: Variant> Shard<C> {
     /// A shard holding `data`, its clock `clock`, its epoch starting `now`.
     /// Its first op takes the slow path, which sets the countdown.
     pub(crate) fn new(data: C, clock: ClockSampler, now: Instant) -> Self {
         Shard {
+            kind: data.kind().index(),
             data,
             rec: OpRecorder::new(),
             clock,
@@ -120,7 +125,9 @@ impl<C> Shard<C> {
             countdown: 1,
         }
     }
+}
 
+impl<C> Shard<C> {
     fn recorded(&self) -> u64 {
         self.rec.counters().total()
     }
@@ -227,7 +234,7 @@ impl<C: Variant> Shards<C> {
     ) -> (R, Option<WorkloadProfile>) {
         let fast = shard.countdown > 1
             && !shard.clock.fires_next()
-            && shard.data.kind() == self.core.current_kind();
+            && shard.kind == self.core.current_index();
         if !fast {
             return self.record_slow(shard, seed, op, contended, f);
         }
@@ -256,8 +263,8 @@ impl<C: Variant> Shards<C> {
         contended: bool,
         f: impl FnOnce(&mut C) -> R,
     ) -> (R, Option<WorkloadProfile>) {
-        let want = self.core.current_kind();
-        let lagging = shard.data.kind() != want;
+        let want = self.core.current_index();
+        let lagging = shard.kind != want;
         if lagging {
             self.cut(shard, seed);
         }
@@ -265,7 +272,8 @@ impl<C: Variant> Shards<C> {
         let alloc = AllocGuard::begin();
         let start = clocked.then(Instant::now);
         if lagging {
-            shard.data.migrate(want);
+            shard.data.migrate(C::Kind::from_index(want));
+            shard.kind = want;
         }
         let out = f(&mut shard.data);
         let nanos = start.map(|start| start.elapsed());
@@ -336,11 +344,11 @@ impl<C: Variant> Shards<C> {
     /// lags the site's kind is cut instead.
     pub(crate) fn flush(&self) {
         let now = Instant::now();
-        let (want, period) = (self.core.current_kind(), self.core.clock_period());
+        let (want, period) = (self.core.current_index(), self.core.clock_period());
         for (seed, lock) in self.shards.iter().enumerate() {
             let epoch = {
                 let mut shard = lock.lock();
-                if shard.data.kind() != want {
+                if shard.kind != want {
                     self.cut(&mut shard, seed as u64);
                     None
                 } else {
@@ -550,6 +558,35 @@ mod tests {
             shards.site.stats().sampled_nanos > 0,
             "one op in 8 is clocked, so nanos must accumulate"
         );
+    }
+
+    #[test]
+    fn a_shard_whose_kind_index_lags_takes_the_slow_path_and_migrates() {
+        let shards = test_map(1_000_000, 1);
+        for key in 0..70 {
+            insert(&shards, key);
+        }
+        let chained = shards.core.current_index();
+        {
+            // The site has moved on to Chained while this shard still holds
+            // Array, with its fast path otherwise open.
+            let mut shard = shards.shards[0].lock();
+            shard.data.migrate(MapKind::Array);
+            shard.kind = MapKind::Array.index();
+            shard.countdown = 64;
+            shard.clock = ClockSampler::new(1_000, 1);
+            assert!(!shard.clock.fires_next());
+        }
+        insert(&shards, 70);
+        let shard = shards.shards[0].lock();
+        assert_eq!(shard.kind, chained);
+        assert_eq!(shard.data.kind(), MapKind::Chained);
+        assert_eq!(Variant::len(&shard.data), 71, "migration kept every entry");
+        // The cut published the 70 ops recorded on the lagging variant to
+        // the site's exact totals, not as an epoch.
+        let stats = shards.site.stats();
+        assert_eq!((stats.total_ops, stats.flushes), (70, 0));
+        assert_eq!(shard.recorded(), 1);
     }
 
     #[test]
