@@ -102,8 +102,7 @@ fn exactness_worker(thread: usize, iterations: u64) -> ExactnessRow {
         attributed.bytes += inner_delta.bytes + outer_delta.bytes;
     }
     let ledger = cs_heap::thread_account().delta_since(&start);
-    let exact =
-        attributed.count == ledger.alloc_count && attributed.bytes == ledger.alloc_bytes;
+    let exact = attributed.count == ledger.alloc_count && attributed.bytes == ledger.alloc_bytes;
     ExactnessRow {
         thread,
         attributed,
@@ -206,7 +205,10 @@ fn run_switch_demo(sweep: &mut Sweep) -> SwitchResult {
     for _ in 0..POST_SWITCH_ROUNDS {
         churn_round(&ctx, pushes);
         ctx.core().analyze(model, &rule);
-        post = ctx.core().explain().expect("post-switch rounds keep scoring");
+        post = ctx
+            .core()
+            .explain()
+            .expect("post-switch rounds keep scoring");
     }
     let drop_factor = if post.alloc_bytes_per_op > 0.0 {
         pre.alloc_bytes_per_op / post.alloc_bytes_per_op
@@ -334,10 +336,7 @@ fn sweep(sweep: &mut Sweep) -> Json {
     let energy = run_energy_honesty(energy_iters, sweep);
     println!(
         "energy: predicted {:.2} ns-eq/op vs measured {:.2} ns/op (ratio {:.3}, in_band={})",
-        energy.predicted_energy_ns_per_op,
-        energy.measured_ns_per_op,
-        energy.ratio,
-        energy.in_band,
+        energy.predicted_energy_ns_per_op, energy.measured_ns_per_op, energy.ratio, energy.in_band,
     );
 
     let weights = cs_model::calibrated_weights();
@@ -347,8 +346,14 @@ fn sweep(sweep: &mut Sweep) -> Json {
             Json::object()
                 .field("time_weight", weights.time_weight)
                 .field("alloc_weight", weights.alloc_weight)
-                .field("synthetic_time_weight", cs_model::SYNTHETIC_WEIGHTS.time_weight)
-                .field("synthetic_alloc_weight", cs_model::SYNTHETIC_WEIGHTS.alloc_weight),
+                .field(
+                    "synthetic_time_weight",
+                    cs_model::SYNTHETIC_WEIGHTS.time_weight,
+                )
+                .field(
+                    "synthetic_alloc_weight",
+                    cs_model::SYNTHETIC_WEIGHTS.alloc_weight,
+                ),
         )
         .field(
             "exactness",
@@ -393,7 +398,10 @@ fn sweep(sweep: &mut Sweep) -> Json {
                 .field("model_units_per_op", HONESTY_MODEL_UNITS_PER_OP)
                 .field("measured_ns_per_op", energy.measured_ns_per_op)
                 .field("attributed_bytes_per_op", energy.attributed_bytes_per_op)
-                .field("predicted_energy_ns_per_op", energy.predicted_energy_ns_per_op)
+                .field(
+                    "predicted_energy_ns_per_op",
+                    energy.predicted_energy_ns_per_op,
+                )
                 .field("ratio", energy.ratio)
                 .field("band_low", ENERGY_BAND.0)
                 .field("band_high", ENERGY_BAND.1)

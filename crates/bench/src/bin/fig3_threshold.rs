@@ -14,10 +14,10 @@
 use std::time::Instant;
 
 use cs_collections::AdaptiveSet;
+use cs_model::default_models;
 use cs_model::threshold::{
     list_benefit_curve, map_benefit_curve, optimal_threshold, set_benefit_curve,
 };
-use cs_model::default_models;
 
 fn main() {
     let sweep = std::env::args().any(|a| a == "--sweep");

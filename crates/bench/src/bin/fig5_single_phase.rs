@@ -177,9 +177,8 @@ fn run_list_section(instances: usize) {
         let ctx = engine.list_context::<JInt>(ListKind::Array);
         let mut rng = StdRng::seed_from_u64(5);
         let cs = steady_state(|_| {
-            let t = list_iteration::<TimeMetric, _>(instances, size, &mut rng, || {
-                ctx.create_list()
-            });
+            let t =
+                list_iteration::<TimeMetric, _>(instances, size, &mut rng, || ctx.create_list());
             engine.analyze_now();
             t
         });
@@ -199,7 +198,10 @@ fn run_set_section<M: Metric>(
         M::UNIT,
         rule.name()
     );
-    println!("size\t{baseline_name}_{u}\tcollectionswitch_{u}\tswitched_to", u = M::UNIT);
+    println!(
+        "size\t{baseline_name}_{u}\tcollectionswitch_{u}\tswitched_to",
+        u = M::UNIT
+    );
     for size in (100..=1000).step_by(100) {
         let mut rng = StdRng::seed_from_u64(5);
         let baseline = steady_state(|_| {
@@ -231,7 +233,10 @@ fn run_map_section<M: Metric>(
         M::UNIT,
         rule.name()
     );
-    println!("size\t{baseline_name}_{u}\tcollectionswitch_{u}\tswitched_to", u = M::UNIT);
+    println!(
+        "size\t{baseline_name}_{u}\tcollectionswitch_{u}\tswitched_to",
+        u = M::UNIT
+    );
     for size in (100..=1000).step_by(100) {
         let mut rng = StdRng::seed_from_u64(5);
         let baseline = steady_state(|_| {

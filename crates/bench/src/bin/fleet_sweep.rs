@@ -267,9 +267,9 @@ fn run_to_steady(label: &str, engine: &Switch, instances: usize, max_rounds: u32
 }
 
 fn kinds_to_json(kinds: &BTreeMap<String, String>) -> Json {
-    kinds
-        .iter()
-        .fold(Json::object(), |doc, (name, kind)| doc.field(name.as_str(), kind.as_str()))
+    kinds.iter().fold(Json::object(), |doc, (name, kind)| {
+        doc.field(name.as_str(), kind.as_str())
+    })
 }
 
 fn trace_to_json(trace: &RunTrace) -> Json {
@@ -374,12 +374,15 @@ fn sweep(sweep: &mut Sweep) -> Json {
             warm.starting_kinds, cold.final_kinds
         )
     });
-    sweep.check(warm.converged && warm.ops_to_steady <= cold.ops_to_steady, || {
-        format!(
-            "warm start converged no faster than cold: warm {} ops vs cold {} ops",
-            warm.ops_to_steady, cold.ops_to_steady
-        )
-    });
+    sweep.check(
+        warm.converged && warm.ops_to_steady <= cold.ops_to_steady,
+        || {
+            format!(
+                "warm start converged no faster than cold: warm {} ops vs cold {} ops",
+                warm.ops_to_steady, cold.ops_to_steady
+            )
+        },
+    );
 
     let ops_saved = cold.ops_to_steady.saturating_sub(warm.ops_to_steady);
     let ratio = warm.ops_to_steady as f64 / cold.ops_to_steady as f64;

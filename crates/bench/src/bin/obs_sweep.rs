@@ -117,7 +117,11 @@ fn main() -> ExitCode {
 
 fn sweep(sweep: &mut Sweep) -> Json {
     let ops_per_thread: u64 = if sweep.quick() { 400_000 } else { 1_500_000 };
-    let scrape_pause = if sweep.quick() { QUICK_SCRAPE_PAUSE } else { SCRAPE_PAUSE };
+    let scrape_pause = if sweep.quick() {
+        QUICK_SCRAPE_PAUSE
+    } else {
+        SCRAPE_PAUSE
+    };
 
     println!(
         "# obs sweep: {WORKLOAD_THREADS}-thread load x{ops_per_thread} ops/thread, \
@@ -191,7 +195,9 @@ fn sweep(sweep: &mut Sweep) -> Json {
     let handler_busy_ns = snap
         .counter_total("cs_obs_handler_busy_nanos_total")
         .unwrap_or(0);
-    let sampler_ticks = snap.counter_total("cs_obs_sampler_ticks_total").unwrap_or(0);
+    let sampler_ticks = snap
+        .counter_total("cs_obs_sampler_ticks_total")
+        .unwrap_or(0);
 
     // -- Final accounting: flush, one more scrape, exact totals ------------
     rt.flush();

@@ -93,8 +93,7 @@ fn run_overhead_experiment(scale: usize) {
     for app in apps::all_apps(scale) {
         let orig = median_time(&app, &Mode::Original);
         let disabled = median_time(&app, &Mode::FullAdap(SelectionRule::impossible()));
-        let over =
-            (disabled.as_secs_f64() / orig.as_secs_f64() - 1.0) * 100.0;
+        let over = (disabled.as_secs_f64() / orig.as_secs_f64() - 1.0) * 100.0;
         println!(
             "{:9} | {:13.1} | {:18.1} | {:+6.1}%",
             app.name,

@@ -21,7 +21,9 @@ fn transition_counts(app: &AppSpec, rule: SelectionRule) -> (Vec<(String, usize)
     let r = run_app(app, Mode::FullAdap(rule), 42);
     let mut counts: HashMap<String, usize> = HashMap::new();
     for t in &r.transitions {
-        *counts.entry(format!("{} {}", t.abstraction, t.edge())).or_insert(0) += 1;
+        *counts
+            .entry(format!("{} {}", t.abstraction, t.edge()))
+            .or_insert(0) += 1;
     }
     let mut edges: Vec<(String, usize)> = counts.into_iter().collect();
     edges.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
