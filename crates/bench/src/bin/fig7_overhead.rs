@@ -11,10 +11,10 @@
 //! histogram aggregation keeps the pass O(#size-buckets), so the curve is
 //! expected to be flat-ish in the window size, as in the paper. One more
 //! row prices the other half of the monitoring cost: folding one finished
-//! instance's profile into the histogram.
+//! instance's profile into the histogram. Each row prints the median and
+//! IQR of nanoseconds per call over `cs_bench::time_per_iter`'s samples.
 
-use std::time::Instant;
-
+use cs_bench::time_per_iter;
 use cs_collections::ListKind;
 use cs_core::{select_variant, SelectionRule, Switch};
 use cs_model::default_models;
@@ -22,7 +22,7 @@ use cs_profile::{OpCounters, OpKind, ProfileHistogram, WindowConfig, WorkloadPro
 
 fn main() {
     println!("# Fig. 7: analysis cost by window size");
-    println!("window\tns_per_analysis");
+    println!("window\tns_per_analysis\tiqr_ns");
     let model = default_models::list_model();
     let rule = SelectionRule::r_time();
     for window in [100usize, 300, 1_000, 3_000, 10_000, 30_000, 100_000] {
@@ -35,17 +35,10 @@ fn main() {
             c.add(OpKind::Middle, 1);
             hist.add(&WorkloadProfile::new(c, 10 + (i % 700)));
         }
-        // Steady-state protocol: warm up, then average many passes.
-        for _ in 0..1_000 {
-            std::hint::black_box(select_variant(model, &rule, ListKind::Array, &hist));
-        }
-        let reps = 100_000;
-        let start = Instant::now();
-        for _ in 0..reps {
-            std::hint::black_box(select_variant(model, &rule, ListKind::Array, &hist));
-        }
-        let ns = start.elapsed().as_nanos() as f64 / reps as f64;
-        println!("{window}\t{ns:.1}");
+        let t = time_per_iter(false, || {
+            select_variant(model, &rule, ListKind::Array, &hist)
+        });
+        println!("{window}\t{:.1}\t{:.1}", t.median_ns, t.iqr_ns);
     }
     println!();
     println!("# paper reference: < 285 ns across the same range");
@@ -56,17 +49,9 @@ fn main() {
     counters.add(OpKind::Contains, 10);
     let profile = WorkloadProfile::new(counters, 333);
     let mut hist = ProfileHistogram::new();
-    for _ in 0..1_000 {
-        hist.add(std::hint::black_box(&profile));
-    }
-    let reps = 1_000_000;
-    let start = Instant::now();
-    for _ in 0..reps {
-        hist.add(std::hint::black_box(&profile));
-    }
-    let ns = start.elapsed().as_nanos() as f64 / reps as f64;
+    let t = time_per_iter(false, || hist.add(std::hint::black_box(&profile)));
     std::hint::black_box(&hist);
-    println!("histogram_fold_ns\t{ns:.1}");
+    println!("histogram_fold_ns\t{:.1}\t{:.1}", t.median_ns, t.iqr_ns);
 
     println!();
     println!("# window-size ablation (DESIGN.md §4.3): decision stability");

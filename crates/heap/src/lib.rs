@@ -29,16 +29,15 @@
 //! static ALLOC: cs_heap::CountingAlloc = cs_heap::CountingAlloc::new();
 //! ```
 //!
-//! ## Attribution exactness (the documented sampling model)
+//! ## Attribution exactness
 //!
-//! With the allocator installed and `sample_mask == 0` (every op sampled),
+//! While counting is active, every op of a monitored handle and of a
+//! runtime shard runs inside an [`AllocGuard`], so attribution is exact:
 //! the sum of per-site attributed bytes over any quiescent window equals
 //! the sum of the participating threads' ledger deltas, provided all
 //! allocation on those threads happens inside guards; and the process
 //! account equals Σ thread ledgers + orphan ledger bit-for-bit at any
-//! quiescent point. With `sample_mask > 0` the runtime attributes sampled
-//! deltas scaled by `sample_mask + 1` — an unbiased estimate, not an exact
-//! partition. `BENCH_alloc.json`'s CI gate asserts the exact case;
+//! quiescent point. `BENCH_alloc.json`'s CI gate asserts it;
 //! `tests/exactness.rs` stresses it under 4 threads.
 
 #![deny(missing_docs)]

@@ -46,7 +46,7 @@ pub struct BucketAgg {
 /// assert_eq!(h.count(OpKind::Contains), 5);
 /// assert_eq!(h.max_size(), 1000);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ProfileHistogram {
     buckets: Vec<Option<BucketAgg>>,
     /// Bit `i` set when bucket `i` is occupied: cost evaluation walks the
@@ -57,6 +57,12 @@ pub struct ProfileHistogram {
     total_nanos: u64,
     alloc_count: u64,
     alloc_bytes: u64,
+}
+
+impl Default for ProfileHistogram {
+    fn default() -> Self {
+        ProfileHistogram::new()
+    }
 }
 
 impl ProfileHistogram {
@@ -252,6 +258,30 @@ mod tests {
         assert_eq!(ProfileHistogram::bucket_index(4), 2);
         assert_eq!(ProfileHistogram::bucket_index(5), 3);
         assert_eq!(ProfileHistogram::bucket_index(1024), 10);
+    }
+
+    #[test]
+    fn default_folds_profiles_like_new() {
+        let profiles = [
+            profile(3, 1),
+            profile(4, 100),
+            profile(5, 120),
+            profile(6, 5000),
+        ];
+        let mut from_default = ProfileHistogram::default();
+        let mut from_new = ProfileHistogram::new();
+        for p in &profiles {
+            from_default.add(p);
+            from_new.add(p);
+        }
+        assert_eq!(from_default.instances(), from_new.instances());
+        assert_eq!(from_default.total_ops(), 18);
+        assert_eq!(
+            from_default.count(OpKind::Contains),
+            from_new.count(OpKind::Contains)
+        );
+        assert!(from_default.occupied().eq(from_new.occupied()));
+        assert_eq!(from_default.occupied_len(), 3);
     }
 
     #[test]

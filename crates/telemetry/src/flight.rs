@@ -274,7 +274,7 @@ impl EngineEventSink for FlightRecorder {
     }
 
     fn on_analysis_pass(&self, _duration: Duration) {
-        let overhead = cs_trace::snapshot().overhead();
+        let overhead = cs_trace::overhead();
         let was_over = self.over_budget.load(Ordering::Relaxed) == 1;
         // Only judge the ratio once application time has been credited:
         // before the first flush the denominator is empty and any recorded

@@ -60,7 +60,7 @@ mod span;
 
 pub use phase::{Phase, PHASE_COUNT};
 pub use ring::{SpanRecord, RING_CAPACITY, SPAN_BUCKET_BOUNDS_NS, SPAN_BUCKET_COUNT};
-pub use snapshot::{snapshot, OverheadReport, ThreadTrace, TraceSnapshot};
+pub use snapshot::{overhead, snapshot, OverheadReport, ThreadTrace, TraceSnapshot};
 pub use span::{
     add_app_time, credit_app_ops, enabled, mode, now_ns, op_span, registered_threads, reset,
     set_mode, span, tracer_costs, Span, TraceMode, TracerCosts, OP_SAMPLE_MASK,

@@ -1,8 +1,10 @@
 //! Cross-thread trace snapshots and the self-overhead accountant.
 
+use std::borrow::Borrow;
+
 use crate::phase::PHASE_COUNT;
-use crate::ring::{SpanRecord, SPAN_BUCKET_COUNT};
-use crate::span::{all_rings, now_ns};
+use crate::ring::{SpanRecord, ThreadRing, SPAN_BUCKET_COUNT};
+use crate::span::{all_rings, now_ns, tracer_costs, with_rings};
 
 /// Frozen view of one thread's ring: its retained spans plus the monotonic
 /// aggregates the overhead accountant is built on.
@@ -56,29 +58,67 @@ pub fn snapshot() -> TraceSnapshot {
     let threads = all_rings()
         .iter()
         .map(|ring| {
-            let mut spans = Vec::new();
-            ring.collect_spans(&mut spans);
-            let (app_ops, app_nanos) = ring.app();
-            ThreadTrace {
-                thread: ring.thread(),
-                retired: ring.is_retired(),
-                recorded: ring.recorded(),
-                overwritten: ring.overwritten(),
-                spans,
-                phase_counts: ring.counts(),
-                phase_nanos: ring.nanos(),
-                phase_scaled_nanos: ring.scaled_nanos(),
-                outer_scaled_nanos: ring.outer_scaled(),
-                bucket_counts: ring.buckets(),
-                app_ops,
-                app_nanos,
-            }
+            let mut thread = ThreadTrace::aggregates(ring);
+            ring.collect_spans(&mut thread.spans);
+            thread
         })
         .collect();
     TraceSnapshot {
         threads,
         taken_ns: now_ns(),
     }
+}
+
+/// The self-overhead account, read from each ring's aggregates under the
+/// registry lock: what `snapshot().overhead()` returns, without copying a
+/// span or the registry. Allocation-free once [`tracer_costs`] has been
+/// measured, so an analysis-pass hook can call it.
+pub fn overhead() -> OverheadReport {
+    with_rings(|rings| overhead_of(rings.iter().map(|ring| ThreadTrace::aggregates(ring))))
+}
+
+impl ThreadTrace {
+    /// `ring`'s aggregates, with no spans copied.
+    fn aggregates(ring: &ThreadRing) -> ThreadTrace {
+        let (app_ops, app_nanos) = ring.app();
+        ThreadTrace {
+            thread: ring.thread(),
+            retired: ring.is_retired(),
+            recorded: ring.recorded(),
+            overwritten: ring.overwritten(),
+            spans: Vec::new(),
+            phase_counts: ring.counts(),
+            phase_nanos: ring.nanos(),
+            phase_scaled_nanos: ring.scaled_nanos(),
+            outer_scaled_nanos: ring.outer_scaled(),
+            bucket_counts: ring.buckets(),
+            app_ops,
+            app_nanos,
+        }
+    }
+}
+
+/// Sums per-thread aggregates into the overhead account: the one
+/// summation behind [`overhead`] and [`TraceSnapshot::overhead`].
+fn overhead_of<T: Borrow<ThreadTrace>>(threads: impl Iterator<Item = T>) -> OverheadReport {
+    let costs = tracer_costs();
+    let mut report = OverheadReport::default();
+    let mut recorded = 0u64;
+    for thread in threads {
+        let t = thread.borrow();
+        recorded += t.recorded;
+        report.framework_nanos += t.outer_scaled_nanos;
+        report.app_nanos += t.app_nanos;
+        report.app_ops += t.app_ops;
+        for p in 0..PHASE_COUNT {
+            report.phase_counts[p] += t.phase_counts[p];
+            report.phase_scaled_nanos[p] += t.phase_scaled_nanos[p];
+        }
+    }
+    report.tracer_nanos = recorded
+        .saturating_mul(costs.span_ns)
+        .saturating_add(report.app_ops.saturating_mul(costs.check_ns));
+    report
 }
 
 impl TraceSnapshot {
@@ -136,19 +176,7 @@ impl TraceSnapshot {
     /// The self-overhead account: tracer and framework time vs.
     /// application time.
     pub fn overhead(&self) -> OverheadReport {
-        let costs = crate::span::tracer_costs();
-        let app_ops: u64 = self.threads.iter().map(|t| t.app_ops).sum();
-        let recorded = self.total_recorded();
-        OverheadReport {
-            framework_nanos: self.threads.iter().map(|t| t.outer_scaled_nanos).sum(),
-            tracer_nanos: recorded
-                .saturating_mul(costs.span_ns)
-                .saturating_add(app_ops.saturating_mul(costs.check_ns)),
-            app_nanos: self.threads.iter().map(|t| t.app_nanos).sum(),
-            app_ops,
-            phase_counts: self.phase_counts(),
-            phase_scaled_nanos: self.phase_scaled_nanos(),
-        }
+        overhead_of(self.threads.iter())
     }
 
     fn sum(&self, f: impl Fn(&ThreadTrace) -> [u64; PHASE_COUNT]) -> [u64; PHASE_COUNT] {
@@ -182,7 +210,7 @@ impl TraceSnapshot {
 ///   include clock granularity, and on collection-op-only
 ///   microbenchmarks the denominator contains little besides monitored
 ///   ops.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OverheadReport {
     /// Estimated total framework nanos: sampling-scaled, depth-0 spans
     /// only (nested spans lie inside their parents and are not re-counted).
@@ -283,6 +311,20 @@ mod tests {
             "pipeline ratio {pipeline} out of range"
         );
         assert!(overhead.framework_nanos_per_op() > 0.0);
+    }
+
+    #[test]
+    fn the_aggregate_read_matches_the_snapshot_account() {
+        let _guard = mode_lock();
+        set_mode(TraceMode::Full);
+        crate::reset();
+        {
+            let _d = span(Phase::Decision, 5);
+            let _m = span(Phase::ModelEval, 5);
+        }
+        add_app_time(4, 1_000_000);
+        set_mode(TraceMode::Off);
+        assert_eq!(overhead(), snapshot().overhead());
     }
 
     #[test]

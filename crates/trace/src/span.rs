@@ -77,14 +77,20 @@ fn registry() -> &'static Mutex<Vec<Arc<ThreadRing>>> {
     REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
+/// Runs `f` over every ring ever registered, including rings of exited
+/// threads, under the registry lock.
+pub(crate) fn with_rings<R>(f: impl FnOnce(&[Arc<ThreadRing>]) -> R) -> R {
+    f(&registry().lock().unwrap_or_else(|e| e.into_inner()))
+}
+
 /// Every ring ever registered, including rings of exited threads.
 pub(crate) fn all_rings() -> Vec<Arc<ThreadRing>> {
-    registry().lock().unwrap_or_else(|e| e.into_inner()).clone()
+    with_rings(<[_]>::to_vec)
 }
 
 /// Number of threads that have ever recorded a span.
 pub fn registered_threads() -> usize {
-    registry().lock().unwrap_or_else(|e| e.into_inner()).len()
+    with_rings(<[_]>::len)
 }
 
 /// Zeroes every registered ring and aggregate. A bench/test convenience:
