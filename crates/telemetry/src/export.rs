@@ -23,11 +23,7 @@ pub fn export_engine_health(registry: &MetricsRegistry, health: &EngineHealth) {
         )
         .set(i64::from(health.degraded));
     registry
-        .gauge(
-            "cs_engine_contexts",
-            "Registered allocation contexts.",
-            &[],
-        )
+        .gauge("cs_engine_contexts", "Registered allocation contexts.", &[])
         .set(health.contexts as i64);
     let totals: [(&str, &str, u64); 8] = [
         (
@@ -418,7 +414,10 @@ mod tests {
         let registry = MetricsRegistry::new();
         export_warm_start(&registry, &report);
         let snap = registry.snapshot();
-        assert_eq!(snap.counter_value("cs_state_records_loaded_total"), Some(10));
+        assert_eq!(
+            snap.counter_value("cs_state_records_loaded_total"),
+            Some(10)
+        );
         assert_eq!(
             snap.counter_value("cs_state_records_quarantined_total"),
             Some(2)
@@ -491,8 +490,7 @@ mod tests {
         // exposition stays well-formed.
         export_process(&registry);
         let again = registry.snapshot();
-        crate::validate_prometheus_text(&again.to_prometheus_text())
-            .expect("valid exposition");
+        crate::validate_prometheus_text(&again.to_prometheus_text()).expect("valid exposition");
     }
 
     #[test]
@@ -530,7 +528,10 @@ mod tests {
         let registry = MetricsRegistry::new();
         export_trace(&registry, &snap);
         let tsnap = registry.snapshot();
-        assert_eq!(tsnap.counter_value("cs_trace_framework_nanos_total"), Some(250));
+        assert_eq!(
+            tsnap.counter_value("cs_trace_framework_nanos_total"),
+            Some(250)
+        );
         assert_eq!(tsnap.counter_value("cs_trace_app_nanos_total"), Some(750));
         assert_eq!(tsnap.counter_value("cs_trace_app_ops_total"), Some(10));
         let float_gauge = |name: &str| {

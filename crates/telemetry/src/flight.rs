@@ -513,11 +513,20 @@ mod tests {
         assert_eq!(rec.incidents_recorded(), 1);
         let content = std::fs::read_to_string(&path).unwrap();
         let doc = Json::parse(content.lines().next().unwrap()).expect("valid incident");
-        assert_eq!(doc.get("trigger").and_then(Json::as_str), Some("alloc_switch"));
+        assert_eq!(
+            doc.get("trigger").and_then(Json::as_str),
+            Some("alloc_switch")
+        );
         let event = doc.get("event").expect("event attached");
         assert_eq!(event.get("alloc_driven"), Some(&Json::Bool(true)));
-        assert_eq!(event.get("alloc_bytes_per_op").and_then(Json::as_f64), Some(41.5));
-        assert_eq!(event.get("current_alloc_cost").and_then(Json::as_f64), Some(40_000.0));
+        assert_eq!(
+            event.get("alloc_bytes_per_op").and_then(Json::as_f64),
+            Some(41.5)
+        );
+        assert_eq!(
+            event.get("current_alloc_cost").and_then(Json::as_f64),
+            Some(40_000.0)
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -538,9 +547,15 @@ mod tests {
         let ring = rec.recent_incidents();
         assert_eq!(ring.len(), 1);
         let doc = Json::parse(&ring[0]).expect("ring line is valid JSON");
-        assert_eq!(doc.get("trigger").and_then(Json::as_str), Some("phase_shift"));
+        assert_eq!(
+            doc.get("trigger").and_then(Json::as_str),
+            Some("phase_shift")
+        );
         let detail = doc.get("detail").expect("detail attached");
-        assert_eq!(detail.get("site").and_then(Json::as_str), Some("session-cache"));
+        assert_eq!(
+            detail.get("site").and_then(Json::as_str),
+            Some("session-cache")
+        );
         assert_eq!(detail.get("value").and_then(Json::as_f64), Some(0.2));
         // The same record also reached the sink on disk.
         let content = std::fs::read_to_string(&path).unwrap();

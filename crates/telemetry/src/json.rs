@@ -231,7 +231,11 @@ pub struct JsonParseError {
 
 impl std::fmt::Display for JsonParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
+        write!(
+            f,
+            "JSON parse error at byte {}: {}",
+            self.offset, self.message
+        )
     }
 }
 
@@ -677,9 +681,9 @@ pub fn event_to_json(event: &EngineEvent) -> Json {
             .field("until_round", q.until_round)
             .field("strikes", q.strikes)
             .field("round", q.round),
-        EngineEvent::ModelFallback(m) => {
-            doc.field("file", m.file.as_str()).field("reason", m.reason.as_str())
-        }
+        EngineEvent::ModelFallback(m) => doc
+            .field("file", m.file.as_str())
+            .field("reason", m.reason.as_str()),
         EngineEvent::AnalyzerPanic(p) => doc
             .field("consecutive", p.consecutive)
             .field("message", p.message.as_str()),
@@ -754,7 +758,10 @@ mod tests {
             .field("xs", vec![1_u64, 2, 3])
             .field("neg", Json::Int(-7))
             .field("ratio", 3.25)
-            .field("inner", Json::object().field("ok", true).field("gap", Json::Null));
+            .field(
+                "inner",
+                Json::object().field("ok", true).field("gap", Json::Null),
+            );
         let compact = Json::parse(&doc.render()).expect("compact parses");
         assert_eq!(compact, doc);
         let pretty = Json::parse(&doc.render_pretty()).expect("pretty parses");
@@ -793,7 +800,10 @@ mod tests {
     fn accessors_narrow_types() {
         let doc = Json::parse(r#"{"a":1,"b":[2],"c":"s","d":1.5}"#).unwrap();
         assert_eq!(doc.get("a").and_then(Json::as_u64), Some(1));
-        assert_eq!(doc.get("b").and_then(Json::as_array).map(|a| a.len()), Some(1));
+        assert_eq!(
+            doc.get("b").and_then(Json::as_array).map(|a| a.len()),
+            Some(1)
+        );
         assert_eq!(doc.get("c").and_then(Json::as_str), Some("s"));
         assert_eq!(doc.get("d").and_then(Json::as_f64), Some(1.5));
         assert_eq!(doc.get("missing"), None);

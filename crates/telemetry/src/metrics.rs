@@ -349,7 +349,10 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         bounds: &[f64],
     ) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram {name} needs at least one bucket");
+        assert!(
+            !bounds.is_empty(),
+            "histogram {name} needs at least one bucket"
+        );
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
             "histogram {name} bounds must be finite and strictly ascending"
@@ -682,8 +685,7 @@ mod tests {
         h.observe(5.0);
         h.observe(100.0);
         let snap = registry.snapshot();
-        let ValueSnapshot::Histogram(hist) = &snap.family("cs_h").unwrap().series[0].value
-        else {
+        let ValueSnapshot::Histogram(hist) = &snap.family("cs_h").unwrap().series[0].value else {
             panic!("expected histogram");
         };
         assert_eq!(hist.counts, vec![2, 1, 1]);

@@ -213,9 +213,7 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), Vec<String>> {
                     histogram_families.insert(name.to_owned());
                 }
                 if sampled.contains(name) {
-                    errors.push(format!(
-                        "line {lineno}: TYPE for {name} after its samples"
-                    ));
+                    errors.push(format!("line {lineno}: TYPE for {name} after its samples"));
                 }
             } else if let Some(rest) = comment.strip_prefix("HELP ") {
                 let name = rest.split(' ').next().unwrap_or("");
@@ -260,10 +258,14 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), Vec<String>> {
     // exposition (TYPE placement relative to samples is checked above).
     for family in &sampled {
         if !typed.contains(family) {
-            errors.push(format!("family {family} has samples but no # TYPE metadata"));
+            errors.push(format!(
+                "family {family} has samples but no # TYPE metadata"
+            ));
         }
         if !helped.contains(family) {
-            errors.push(format!("family {family} has samples but no # HELP metadata"));
+            errors.push(format!(
+                "family {family} has samples but no # HELP metadata"
+            ));
         }
     }
     for ((family, labels), &[saw_inf, saw_sum, saw_count]) in &hist_children {
@@ -273,9 +275,7 @@ pub fn validate_prometheus_text(text: &str) -> Result<(), Vec<String>> {
             format!("{{{labels}}}")
         };
         if !saw_inf {
-            errors.push(format!(
-                "histogram {family}{at} has no le=\"+Inf\" bucket"
-            ));
+            errors.push(format!("histogram {family}{at} has no le=\"+Inf\" bucket"));
         }
         if !saw_sum {
             errors.push(format!("histogram {family}{at} is missing {family}_sum"));
@@ -409,10 +409,7 @@ fn parse_sample(line: &str) -> Result<(String, String), String> {
     if fields.next().is_some() {
         return Err(format!("trailing garbage in {line:?}"));
     }
-    let mut canonical: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{k}={v:?}"))
-        .collect();
+    let mut canonical: Vec<String> = labels.iter().map(|(k, v)| format!("{k}={v:?}")).collect();
     canonical.sort();
     Ok((name.to_owned(), canonical.join(",")))
 }
@@ -428,12 +425,7 @@ mod tests {
             .counter("cs_transitions_total", "Transitions.", &[("site", "a\"b")])
             .add(3);
         registry.gauge("cs_degraded", "Degraded flag.", &[]).set(0);
-        let h = registry.histogram(
-            "cs_pass_seconds",
-            "Pass duration.",
-            &[],
-            &[0.001, 0.1],
-        );
+        let h = registry.histogram("cs_pass_seconds", "Pass duration.", &[], &[0.001, 0.1]);
         h.observe(0.0005);
         h.observe(0.05);
         h.observe(3.0);
@@ -541,8 +533,14 @@ mod tests {
     fn validator_rejects_histogram_missing_sum_or_count() {
         let text = "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\n";
         let errors = validate_prometheus_text(text).unwrap_err();
-        assert!(errors.iter().any(|e| e.contains("missing h_sum")), "{errors:?}");
-        assert!(errors.iter().any(|e| e.contains("missing h_count")), "{errors:?}");
+        assert!(
+            errors.iter().any(|e| e.contains("missing h_sum")),
+            "{errors:?}"
+        );
+        assert!(
+            errors.iter().any(|e| e.contains("missing h_count")),
+            "{errors:?}"
+        );
 
         let no_count = "# HELP h H.\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1.5\n";
         let errors = validate_prometheus_text(no_count).unwrap_err();
@@ -575,10 +573,9 @@ mod tests {
         // no histogram-completeness demand applies.
         let text = "# HELP x_bucket X.\n# TYPE x_bucket gauge\nx_bucket{le=\"0.5\"} 1\n";
         assert!(validate_prometheus_text(text).is_ok());
-        assert!(validate_prometheus_text(
-            "# HELP x_sum X.\n# TYPE x_sum counter\nx_sum 3\n"
-        )
-        .is_ok());
+        assert!(
+            validate_prometheus_text("# HELP x_sum X.\n# TYPE x_sum counter\nx_sum 3\n").is_ok()
+        );
     }
 
     #[test]

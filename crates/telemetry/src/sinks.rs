@@ -99,9 +99,7 @@ impl MetricsSink {
     }
 
     fn site_counter(&self, family: &'static str, help: &'static str, site: &str) {
-        self.registry
-            .counter(family, help, &[("site", site)])
-            .inc();
+        self.registry.counter(family, help, &[("site", site)]).inc();
     }
 }
 
@@ -327,10 +325,7 @@ mod tests {
 
     #[test]
     fn jsonl_sink_caps_lines_and_counts_skips() {
-        let path = std::env::temp_dir().join(format!(
-            "cs-jsonl-test-{}.jsonl",
-            std::process::id()
-        ));
+        let path = std::env::temp_dir().join(format!("cs-jsonl-test-{}.jsonl", std::process::id()));
         let sink = JsonlSink::create(&path, 2).unwrap();
         for _ in 0..5 {
             sink.on_event(&transition("A"));
