@@ -81,9 +81,7 @@ pub use reader::{
     decode_lenient, load_lenient, CorruptionIncident, CorruptionReason, LoadReport, SalvageStats,
     MAX_INCIDENTS,
 };
-pub use record::{
-    MetaRecord, ModelBlobRecord, ProfileSummaryRecord, Record, SiteRecord, Snapshot,
-};
+pub use record::{MetaRecord, ModelBlobRecord, ProfileSummaryRecord, Record, SiteRecord, Snapshot};
 pub use writer::{
     encode_snapshot, sweep_stale_temps, write_atomic, write_atomic_bytes, WriteReport,
     FORMAT_VERSION, MAX_PAYLOAD,

@@ -119,7 +119,11 @@ pub struct CorruptionIncident {
 
 impl fmt::Display for CorruptionIncident {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at offset {}: {}", self.reason, self.offset, self.detail)
+        write!(
+            f,
+            "{} at offset {}: {}",
+            self.reason, self.offset, self.detail
+        )
     }
 }
 
@@ -160,9 +164,9 @@ pub fn decode_lenient(bytes: &[u8]) -> LoadReport {
     let mut records = Vec::new();
 
     let push_incident = |incidents: &mut Vec<CorruptionIncident>,
-                             offset: usize,
-                             reason: CorruptionReason,
-                             detail: String| {
+                         offset: usize,
+                         reason: CorruptionReason,
+                         detail: String| {
         if incidents.len() < MAX_INCIDENTS {
             incidents.push(CorruptionIncident {
                 offset: offset as u64,
@@ -276,9 +280,8 @@ pub fn decode_lenient(bytes: &[u8]) -> LoadReport {
         }
         let mut crc = Crc32::new();
         crc.update(&bytes[p + 4..p + 9 + plen]);
-        let stored = u32::from_le_bytes(
-            bytes[p + 9 + plen..frame_end].try_into().expect("4 bytes"),
-        );
+        let stored =
+            u32::from_le_bytes(bytes[p + 9 + plen..frame_end].try_into().expect("4 bytes"));
         if crc.finish() != stored {
             stats.crc_failures += 1;
             push_incident(

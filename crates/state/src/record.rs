@@ -217,7 +217,9 @@ pub struct DecodeError {
 
 impl DecodeError {
     fn new(message: impl Into<String>) -> DecodeError {
-        DecodeError { message: message.into() }
+        DecodeError {
+            message: message.into(),
+        }
     }
 }
 
@@ -366,11 +368,10 @@ impl Snapshot {
                 }
                 Record::Site(site) => {
                     let key = (site.abstraction.clone(), site.name.clone());
-                    if let Some(existing) = snapshot
-                        .sites
-                        .iter_mut()
-                        .find(|s| (s.abstraction.as_str(), s.name.as_str()) == (key.0.as_str(), key.1.as_str()))
-                    {
+                    if let Some(existing) = snapshot.sites.iter_mut().find(|s| {
+                        (s.abstraction.as_str(), s.name.as_str())
+                            == (key.0.as_str(), key.1.as_str())
+                    }) {
                         *existing = site;
                         duplicates += 1;
                     } else {
@@ -378,8 +379,10 @@ impl Snapshot {
                     }
                 }
                 Record::Model(model) => {
-                    if let Some(existing) =
-                        snapshot.models.iter_mut().find(|m| m.family == model.family)
+                    if let Some(existing) = snapshot
+                        .models
+                        .iter_mut()
+                        .find(|m| m.family == model.family)
                     {
                         *existing = model;
                         duplicates += 1;
@@ -388,8 +391,10 @@ impl Snapshot {
                     }
                 }
                 Record::Profile(profile) => {
-                    if let Some(existing) =
-                        snapshot.profiles.iter_mut().find(|p| p.site == profile.site)
+                    if let Some(existing) = snapshot
+                        .profiles
+                        .iter_mut()
+                        .find(|p| p.site == profile.site)
                     {
                         *existing = profile;
                         duplicates += 1;
@@ -404,7 +409,10 @@ impl Snapshot {
 
     /// Total records the snapshot would serialize to.
     pub fn record_count(&self) -> usize {
-        usize::from(self.meta.is_some()) + self.sites.len() + self.models.len() + self.profiles.len()
+        usize::from(self.meta.is_some())
+            + self.sites.len()
+            + self.models.len()
+            + self.profiles.len()
     }
 }
 

@@ -106,10 +106,7 @@ fn temp_path_for(path: &Path) -> PathBuf {
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "snapshot".to_owned());
     let unique = TEMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-    path.with_file_name(format!(
-        "{file_name}.tmp-{}-{unique}",
-        std::process::id()
-    ))
+    path.with_file_name(format!("{file_name}.tmp-{}-{unique}", std::process::id()))
 }
 
 /// Atomically replaces `path` with the encoding of `snapshot` using the
@@ -202,7 +199,8 @@ mod tests {
     use crate::record::{MetaRecord, SiteRecord};
 
     fn temp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cs-state-writer-{tag}-{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("cs-state-writer-{tag}-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         dir
     }

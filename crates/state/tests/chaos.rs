@@ -79,8 +79,7 @@ fn frame_ranges(bytes: &[u8]) -> Vec<(usize, usize)> {
     while i + SYNC.len() <= bytes.len() {
         if bytes[i..i + SYNC.len()] == SYNC {
             starts.push(i);
-            let plen =
-                u32::from_le_bytes(bytes[i + 5..i + 9].try_into().unwrap()) as usize;
+            let plen = u32::from_le_bytes(bytes[i + 5..i + 9].try_into().unwrap()) as usize;
             i += FRAME_OVERHEAD + plen;
         } else {
             i += 1;
@@ -123,9 +122,7 @@ fn truncation_at_every_byte_salvages_the_intact_prefix() {
         // Exact accounting: a cut strictly inside a frame quarantines
         // exactly that frame; a cut on a boundary (or inside the header)
         // quarantines nothing.
-        let inside_frame = ranges
-            .iter()
-            .any(|&(start, end)| cut > start && cut < end);
+        let inside_frame = ranges.iter().any(|&(start, end)| cut > start && cut < end);
         let expected_quarantined = u64::from(inside_frame);
         assert_eq!(
             report.stats.records_quarantined(),
@@ -246,8 +243,11 @@ fn kill_during_snapshot_leaves_previous_generation_intact() {
     let mut new = sample_snapshot();
     new.meta.as_mut().unwrap().seq = 12;
     let new_bytes = encode_snapshot(&new);
-    std::fs::write(dir.join("state.css.tmp-99999-7"), &new_bytes[..new_bytes.len() / 2])
-        .unwrap();
+    std::fs::write(
+        dir.join("state.css.tmp-99999-7"),
+        &new_bytes[..new_bytes.len() / 2],
+    )
+    .unwrap();
 
     let report = load_lenient(&path).unwrap();
     assert!(report.stats.is_clean(), "{:?}", report.stats);

@@ -11,8 +11,8 @@
 //! is that such attempts can only ever *fail* (and be quarantined), never
 //! fabricate a record.
 
-use proptest::prelude::*;
 use proptest::collection;
+use proptest::prelude::*;
 
 use cs_state::{
     decode_lenient, encode_snapshot, MetaRecord, ModelBlobRecord, ProfileSummaryRecord, Record,
