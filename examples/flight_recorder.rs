@@ -26,10 +26,10 @@ use std::sync::Arc;
 
 use collection_switch::core::Models;
 use collection_switch::model::{PerformanceModel, Polynomial, VariantCostModel};
+use collection_switch::prelude::*;
 use collection_switch::profile::OpKind;
 use collection_switch::telemetry::{FlightRecorder, Json};
 use collection_switch::trace;
-use collection_switch::prelude::*;
 
 fn flat_list_model(costs: &[(ListKind, f64)]) -> PerformanceModel<ListKind> {
     let mut model = PerformanceModel::new();
@@ -59,9 +59,8 @@ fn main() {
     // -- Wire the pipeline -------------------------------------------------
     let registry = MetricsRegistry::new();
     let stream_path = std::env::temp_dir().join("cs_flight_recorder.jsonl");
-    let jsonl = Arc::new(
-        JsonlSink::create(&stream_path, 10_000).unwrap_or_else(|e| fail(&e.to_string())),
-    );
+    let jsonl =
+        Arc::new(JsonlSink::create(&stream_path, 10_000).unwrap_or_else(|e| fail(&e.to_string())));
     let recorder = Arc::new(FlightRecorder::new(Arc::clone(&jsonl), registry.clone()));
 
     // An inverted list model: the engine will switch to the "cheap" linked
@@ -107,7 +106,11 @@ fn main() {
     }
     trace::set_mode(TraceMode::Off);
 
-    if !engine.event_log().iter().any(|e| e.kind_name() == "rollback") {
+    if !engine
+        .event_log()
+        .iter()
+        .any(|e| e.kind_name() == "rollback")
+    {
         fail("the inverted model never provoked a rollback");
     }
     if recorder.incidents_recorded() == 0 {
@@ -116,8 +119,7 @@ fn main() {
     jsonl.flush().unwrap_or_else(|e| fail(&e.to_string()));
 
     // -- Re-read and validate the stream ------------------------------------
-    let content =
-        std::fs::read_to_string(&stream_path).unwrap_or_else(|e| fail(&e.to_string()));
+    let content = std::fs::read_to_string(&stream_path).unwrap_or_else(|e| fail(&e.to_string()));
     let mut incidents = Vec::new();
     for (n, line) in content.lines().enumerate() {
         let doc = Json::parse(line)
@@ -148,7 +150,14 @@ fn main() {
     }
     // The self-overhead account is present and internally consistent.
     let overhead = expect(incident, "overhead");
-    for field in ["framework_nanos", "tracer_nanos", "app_nanos", "app_ops", "ratio", "pipeline_ratio"] {
+    for field in [
+        "framework_nanos",
+        "tracer_nanos",
+        "app_nanos",
+        "app_ops",
+        "ratio",
+        "pipeline_ratio",
+    ] {
         let _ = expect(overhead, field);
     }
     // Sampled tracing ran throughout, so the span window must not be empty.

@@ -16,9 +16,7 @@
 //! 4. rolls the site back to the previous variant, and
 //! 5. quarantines the candidate so the model cannot re-select it.
 
-use collection_switch::model::{
-    CostDimension, PerformanceModel, Polynomial, VariantCostModel,
-};
+use collection_switch::model::{CostDimension, PerformanceModel, Polynomial, VariantCostModel};
 use collection_switch::prelude::*;
 use collection_switch::profile::OpKind;
 
@@ -104,7 +102,10 @@ fn main() {
 
     assert_eq!(stats.switches, 1, "the inverted model provoked one switch");
     if stats.rollbacks == 1 {
-        println!("\nverification caught the bad switch and restored {}", ctx.current_kind());
+        println!(
+            "\nverification caught the bad switch and restored {}",
+            ctx.current_kind()
+        );
     } else {
         // Verification is a wall-clock measurement; on a noisy machine the
         // regression can fall inside the tolerance.

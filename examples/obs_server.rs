@@ -31,9 +31,9 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
 use collection_switch::obs::{ObsBuilder, ObsHandle};
+use collection_switch::prelude::*;
 use collection_switch::runtime::ConcurrentMap;
 use collection_switch::telemetry::{validate_prometheus_text, FlightRecorder, Json};
-use collection_switch::prelude::*;
 
 fn fail(msg: &str) -> ! {
     eprintln!("obs_server: FAIL: {msg}");
@@ -132,7 +132,10 @@ fn main() {
     if !body.contains("cs_obs_sampler_ticks_total 10") {
         fail("sampler self-metrics missing from /metrics");
     }
-    println!("obs_server: /metrics OK ({} bytes, validator-clean)", body.len());
+    println!(
+        "obs_server: /metrics OK ({} bytes, validator-clean)",
+        body.len()
+    );
 
     let (status, body) = get(addr, "/health");
     if status != 200 {
@@ -152,7 +155,9 @@ fn main() {
         fail(&format!("/sites answered {status}"));
     }
     let sites = parse_json("/sites", &body);
-    let entries = sites.as_array().unwrap_or_else(|| fail("/sites is not an array"));
+    let entries = sites
+        .as_array()
+        .unwrap_or_else(|| fail("/sites is not an array"));
     let site = entries
         .iter()
         .find(|e| e.get("name").and_then(Json::as_str) == Some("phase-map"))
@@ -224,7 +229,9 @@ fn main() {
         .and_then(Json::as_str)
         .unwrap_or_else(|| fail("incident detail has no dimension"));
     if !dimension.ends_with("_fraction") {
-        fail(&format!("an op-mix flip must fire a mix dimension, got {dimension}"));
+        fail(&format!(
+            "an op-mix flip must fire a mix dimension, got {dimension}"
+        ));
     }
     println!("obs_server: /incidents OK (phase_shift on {dimension})");
 

@@ -46,7 +46,11 @@ fn main() {
         total
     });
     println!("  -> site now instantiates: {}\n", ctx.current_kind());
-    assert_eq!(ctx.current_kind(), ListKind::Array, "phase change must re-converge");
+    assert_eq!(
+        ctx.current_kind(),
+        ListKind::Array,
+        "phase change must re-converge"
+    );
 
     println!("transition log:");
     for event in engine.transition_log() {

@@ -54,5 +54,8 @@ fn main() {
     for v in 0..10_000 {
         hits += i64::from(list.contains(&v));
     }
-    println!("\n10k lookups on a 10k-element list: {:?} ({hits} hits)", t.elapsed());
+    println!(
+        "\n10k lookups on a 10k-element list: {:?} ({hits} hits)",
+        t.elapsed()
+    );
 }

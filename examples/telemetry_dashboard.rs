@@ -23,11 +23,9 @@
 use std::sync::Arc;
 
 use collection_switch::core::Models;
-use collection_switch::model::{
-    CostDimension, PerformanceModel, Polynomial, VariantCostModel,
-};
-use collection_switch::profile::OpKind;
+use collection_switch::model::{CostDimension, PerformanceModel, Polynomial, VariantCostModel};
 use collection_switch::prelude::*;
+use collection_switch::profile::OpKind;
 
 fn flat_list_model(costs: &[(ListKind, f64)]) -> PerformanceModel<ListKind> {
     let mut model = PerformanceModel::new();
@@ -62,9 +60,8 @@ fn main() {
     // -- Wire the pipeline -------------------------------------------------
     let registry = MetricsRegistry::new();
     let audit_path = std::env::temp_dir().join("cs_telemetry_dashboard.audit.jsonl");
-    let jsonl = Arc::new(
-        JsonlSink::create(&audit_path, 10_000).unwrap_or_else(|e| fail(&e.to_string())),
-    );
+    let jsonl =
+        Arc::new(JsonlSink::create(&audit_path, 10_000).unwrap_or_else(|e| fail(&e.to_string())));
 
     // An inverted list model provokes a switch that verification will roll
     // back — so the dashboard below shows the full decision lifecycle, not
@@ -152,10 +149,7 @@ fn main() {
             health.events_recorded
         ));
     }
-    let transitions = log
-        .iter()
-        .filter(|e| e.kind_name() == "transition")
-        .count() as u64;
+    let transitions = log.iter().filter(|e| e.kind_name() == "transition").count() as u64;
     let rollbacks = log.iter().filter(|e| e.kind_name() == "rollback").count() as u64;
     if transitions == 0 || rollbacks == 0 {
         fail("expected the inverted model to produce a transition and a rollback");
@@ -178,6 +172,10 @@ fn main() {
     println!("\n== json snapshot (first 400 chars) ==");
     let json = snapshot.to_json().render();
     println!("{}...", &json[..json.len().min(400)]);
-    println!("\naudit trail: {} ({} lines)", audit_path.display(), jsonl.lines_written());
+    println!(
+        "\naudit trail: {} ({} lines)",
+        audit_path.display(),
+        jsonl.lines_written()
+    );
     println!("telemetry_dashboard: OK");
 }

@@ -68,8 +68,14 @@ fn main() {
     let adaptive_peak = index_documents(&ctx, DOCS, || engine.analyze_now());
 
     println!("documents indexed:        {DOCS}");
-    println!("baseline peak (HashMap):  {:.1} KiB", baseline_peak as f64 / 1024.0);
-    println!("adaptive peak:            {:.1} KiB", adaptive_peak as f64 / 1024.0);
+    println!(
+        "baseline peak (HashMap):  {:.1} KiB",
+        baseline_peak as f64 / 1024.0
+    );
+    println!(
+        "adaptive peak:            {:.1} KiB",
+        adaptive_peak as f64 / 1024.0
+    );
     println!(
         "saved:                    {:.1}%",
         (1.0 - adaptive_peak as f64 / baseline_peak as f64) * 100.0

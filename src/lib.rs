@@ -70,11 +70,11 @@ pub mod prelude {
     pub use cs_collections::{
         AnyList, AnyMap, AnySet, ListKind, ListOps, MapKind, MapOps, SetKind, SetOps,
     };
-    pub use cs_heap::{AllocGuard, CountingAlloc, HeapAccount};
     pub use cs_core::{
         EngineEvent, GuardrailConfig, ListContext, MapContext, SelectionRule, SetContext, Switch,
         SwitchList, SwitchMap, SwitchSet, WarmStartReport,
     };
+    pub use cs_heap::{AllocGuard, CountingAlloc, HeapAccount};
     pub use cs_model::{CostDimension, PerformanceModel};
     pub use cs_obs::{ObsBuilder, ObsHandle, RuntimeObsExt, SwitchObsExt};
     pub use cs_runtime::{ConcurrentMap, ConcurrentSet, Runtime, RuntimeConfig};
