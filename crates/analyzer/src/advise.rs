@@ -17,7 +17,7 @@
 //! recommending "switch at runtime" would be abdicating, not advising.
 
 use cs_collections::{Abstraction, ListKind, MapKind, SetKind};
-use cs_model::{default_models, CostDimension, EnergyWeights, PerformanceModel};
+use cs_model::{default_models, CostDimension, PerformanceModel};
 use std::fmt;
 
 use crate::dataflow::{CapacityBound, SiteFacts};
@@ -32,11 +32,6 @@ pub struct AdviseOptions {
     /// Minimum `declared_cost / best_cost` ratio before a recommendation is
     /// emitted; below it the declared variant is considered good enough.
     pub min_speedup: f64,
-    /// Energy-proxy weights used for the `declared_energy_proxy` /
-    /// `recommended_energy_proxy` columns. Defaults to the synthetic
-    /// weights so reports (and goldens) are machine-independent; pass
-    /// [`cs_model::calibrated_weights`] for hardware-honest pricing.
-    pub weights: EnergyWeights,
 }
 
 impl Default for AdviseOptions {
@@ -44,7 +39,6 @@ impl Default for AdviseOptions {
         AdviseOptions {
             dimension: CostDimension::Time,
             min_speedup: 1.2,
-            weights: cs_model::SYNTHETIC_WEIGHTS,
         }
     }
 }
@@ -80,15 +74,9 @@ pub struct Recommendation {
     /// [`CostDimension::ALL`], in that order — the per-dimension columns of
     /// the advice report.
     pub dimension_costs: Vec<DimensionCost>,
-    /// Energy proxy of the declared variant:
-    /// `weights.energy(time, alloc_rate)` over the synthetic profile.
-    pub declared_energy_proxy: f64,
-    /// Energy proxy of the recommended variant.
-    pub recommended_energy_proxy: f64,
     /// The engine's `alloc_driven` semantics ported to static advice: the
-    /// switch is driven by allocation pressure, not wall time — either the
-    /// minimized dimension is `Alloc`/`AllocRate`, or it is `Energy` and
-    /// the time comparison alone would not justify the switch.
+    /// switch is driven by allocation pressure, not wall time, because the
+    /// minimized dimension is `Alloc` or `AllocRate`.
     pub alloc_driven: bool,
 }
 
@@ -246,8 +234,7 @@ where
     }
 
     // Re-price the declared-vs-best comparison on every dimension: the
-    // per-dimension columns of the report, and the inputs to the energy
-    // proxy and the alloc-driven rationale.
+    // per-dimension columns of the report.
     let dimension_costs: Vec<DimensionCost> = CostDimension::ALL
         .iter()
         .map(|&dimension| {
@@ -261,21 +248,10 @@ where
             }
         })
         .collect();
-    let at = |dim: CostDimension| &dimension_costs[dim.index()];
-    let time = at(CostDimension::Time);
-    let alloc_rate = at(CostDimension::AllocRate);
-    let declared_energy_proxy = opts.weights.energy(time.declared, alloc_rate.declared);
-    let recommended_energy_proxy = opts
-        .weights
-        .energy(time.recommended, alloc_rate.recommended);
-    // Port of the engine's `ExplainedSelection::alloc_driven`: energy is
-    // affine in time and alloc, so an Energy-driven switch whose time
-    // comparison alone would not justify it is carried by allocation.
-    let alloc_driven = match opts.dimension {
-        CostDimension::Alloc | CostDimension::AllocRate => true,
-        CostDimension::Energy => time.recommended >= time.declared,
-        _ => false,
-    };
+    let alloc_driven = matches!(
+        opts.dimension,
+        CostDimension::Alloc | CostDimension::AllocRate
+    );
     (
         Some(Recommendation {
             kind: best.to_string(),
@@ -284,8 +260,6 @@ where
             speedup,
             dimension: opts.dimension,
             dimension_costs,
-            declared_energy_proxy,
-            recommended_energy_proxy,
             alloc_driven,
         }),
         None,
@@ -573,17 +547,7 @@ fn dedup(xs: &[u64]) {
         for (i, dc) in rec.dimension_costs.iter().enumerate() {
             assert_eq!(dc.dimension, CostDimension::ALL[i]);
         }
-        // The proxy is exactly the synthetic weighting of the time and
-        // alloc-rate columns (the recommended kind may well spend *time* to
-        // save allocation — ordering between the proxies is not implied).
-        let time = &rec.dimension_costs[CostDimension::Time.index()];
         let ar = &rec.dimension_costs[CostDimension::AllocRate.index()];
-        let w = cs_model::SYNTHETIC_WEIGHTS;
-        assert!((rec.declared_energy_proxy - w.energy(time.declared, ar.declared)).abs() < 1e-9);
-        assert!(
-            (rec.recommended_energy_proxy - w.energy(time.recommended, ar.recommended)).abs()
-                < 1e-9
-        );
         assert!(ar.ratio >= opts.min_speedup, "alloc-rate won by the margin");
         assert!(advice[0].render().contains("[alloc-driven]"));
     }

@@ -3,17 +3,14 @@
 //! ```text
 //! cs-analyzer scan   <path> [--json] [--include-tests]   site manifest
 //! cs-analyzer advise <path> [--json] [--min-speedup X]
-//!                    [--dimension D] [--calibrated]      variant advisor
+//!                    [--dimension D]                     variant advisor
 //! cs-analyzer lint   <path> [--json]                     self-lint findings
 //! cs-analyzer check  <path> --baseline FILE [--update]   lint vs baseline (CI)
 //! cs-analyzer drift  <path> --manifest FILE [--json]     static vs runtime
 //! ```
 //!
 //! `--dimension` selects the cost dimension recommendations optimize
-//! (`time` | `alloc` | `footprint` | `energy` | `alloc_rate`; default
-//! `time`). `--calibrated` prices the energy proxy with this machine's
-//! measured time/alloc weights instead of the portable synthetic ones —
-//! never use it when the output is diffed against committed goldens.
+//! (`time` | `alloc` | `footprint` | `alloc_rate`; default `time`).
 //!
 //! Exit codes: 0 clean, 1 findings (new lint diagnostics, failed drift),
 //! 2 usage or I/O error.
@@ -26,14 +23,14 @@ use cs_analyzer::{
     scan_tree, AdviseOptions, ExtractOptions,
 };
 use cs_core::SiteManifestEntry;
-use cs_model::{calibrated_weights, CostDimension};
+use cs_model::CostDimension;
 use cs_telemetry::Json;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: cs-analyzer <scan|advise|lint|check|drift> <path> \
          [--json] [--include-tests] [--min-speedup X] \
-         [--dimension time|alloc|footprint|energy|alloc_rate] [--calibrated] \
+         [--dimension time|alloc|footprint|alloc_rate] \
          [--baseline FILE [--update]] [--manifest FILE]"
     );
     ExitCode::from(2)
@@ -46,7 +43,6 @@ struct Args {
     include_tests: bool,
     min_speedup: Option<f64>,
     dimension: Option<CostDimension>,
-    calibrated: bool,
     baseline: Option<PathBuf>,
     manifest: Option<PathBuf>,
     update: bool,
@@ -62,7 +58,6 @@ fn parse_args(argv: &[String]) -> Option<Args> {
         include_tests: false,
         min_speedup: None,
         dimension: None,
-        calibrated: false,
         baseline: None,
         manifest: None,
         update: false,
@@ -73,14 +68,14 @@ fn parse_args(argv: &[String]) -> Option<Args> {
             "--json" => args.json = true,
             "--include-tests" => args.include_tests = true,
             "--update" => args.update = true,
-            "--calibrated" => args.calibrated = true,
             "--min-speedup" => args.min_speedup = it.next()?.parse().ok(),
-            "--dimension" => {
-                args.dimension = it.next()?.parse().ok().or_else(|| {
-                    eprintln!("cs-analyzer: unknown cost dimension");
-                    None
-                })
-            }
+            "--dimension" => match it.next()?.parse() {
+                Ok(dimension) => args.dimension = Some(dimension),
+                Err(e) => {
+                    eprintln!("cs-analyzer: {e}");
+                    return None;
+                }
+            },
             "--baseline" => args.baseline = Some(PathBuf::from(it.next()?)),
             "--manifest" => args.manifest = Some(PathBuf::from(it.next()?)),
             other if !other.starts_with('-') && target.is_none() => {
@@ -145,9 +140,6 @@ fn advise_opts(args: &Args) -> AdviseOptions {
     }
     if let Some(d) = args.dimension {
         opts.dimension = d;
-    }
-    if args.calibrated {
-        opts.weights = calibrated_weights();
     }
     opts
 }

@@ -14,11 +14,14 @@ use crate::lint::Diagnostic;
 /// Schema version stamped on every document this module emits.
 ///
 /// v2: dataflow facts (`facts`), per-dimension recommendation columns
-/// (`dimensions`), energy proxies, `alloc_driven`/`escape_driven`
-/// rationale, advice strings, `predicted_alloc_bytes_per_op`, runtime
-/// manifests carry `alloc_bytes_per_op`, drift reports carry
-/// `alloc_drift`.
-pub const SCHEMA_VERSION: u64 = 2;
+/// (`dimensions`), `alloc_driven`/`escape_driven` rationale, advice
+/// strings, `predicted_alloc_bytes_per_op`, runtime manifests carry
+/// `alloc_bytes_per_op`, drift reports carry `alloc_drift`.
+///
+/// v3: the synthetic dimension priced as a weighted sum of time and
+/// allocation is retired. Each recommendation loses its two `*_proxy`
+/// keys and that dimension's element of `dimensions`.
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// One site as JSON (shared by the manifest and advice documents).
 pub fn site_to_json(site: &StaticSite) -> Json {
@@ -113,8 +116,6 @@ pub fn advice_to_json(advice: &SiteAdvice) -> Json {
                     .field("recommended_cost", r.recommended_cost)
                     .field("speedup", r.speedup)
                     .field("alloc_driven", r.alloc_driven)
-                    .field("declared_energy_proxy", r.declared_energy_proxy)
-                    .field("recommended_energy_proxy", r.recommended_energy_proxy)
                     .field(
                         "dimensions",
                         Json::Array(

@@ -1,5 +1,5 @@
-//! Allocation-observability sweep: attribution exactness, an alloc-driven
-//! switch, and the energy proxy's honesty check.
+//! Allocation-observability sweep: attribution exactness and an
+//! alloc-driven switch.
 //!
 //! ```text
 //! cargo run --release -p cs-bench --bin alloc_sweep -- [--quick] [--out PATH]
@@ -7,8 +7,8 @@
 //!
 //! This binary installs [`cs_heap::CountingAlloc`] (the opt-in every
 //! observability-enabled binary makes) and writes `BENCH_alloc.json`
-//! (schema in EXPERIMENTS.md). It is a gate — exit is nonzero when any of
-//! three claims fails on this machine:
+//! (schema in EXPERIMENTS.md). It is a gate — exit is nonzero when either
+//! of two claims fails on this machine:
 //!
 //! 1. **Attribution exactness** — 4 worker threads each run their entire
 //!    allocating workload inside nested [`cs_heap::AllocGuard`] windows and
@@ -26,13 +26,6 @@
 //!    *measured* `alloc_bytes_per_op` must drop at least 2× — the
 //!    LinkedList→ArrayList per-node elimination, observed rather than
 //!    modeled.
-//! 3. **Energy honesty** — the calibrated proxy
-//!    (`cs_model::calibrated_weights`) prices an allocation-heavy workload
-//!    (one 64-byte boxed allocation per op, plus an append modeled at
-//!    3 time units) in ns-equivalents; the prediction must stay within one
-//!    order of magnitude of the measured wall time per op. The proxy
-//!    claims *proportionality*, not wattage — this check keeps that claim
-//!    honest.
 //!
 //! The harness stamp heads the artifact; with the counting allocator
 //! installed, its `process` block carries the real heap account, so BENCH
@@ -43,7 +36,6 @@
 //! modes.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use cs_bench::{run_sweep, Sweep};
 use cs_collections::ListKind;
@@ -59,16 +51,8 @@ static ALLOC: cs_heap::CountingAlloc = cs_heap::CountingAlloc;
 /// Post-switch measured `alloc_bytes_per_op` must drop at least this
 /// factor below the pre-switch measurement.
 const SWITCH_DROP_FLOOR: f64 = 2.0;
-/// The energy proxy must stay within one order of magnitude of measured
-/// wall time on the calibration-shaped workload.
-const ENERGY_BAND: (f64, f64) = (0.1, 10.0);
 /// Worker threads of the exactness stress.
 const EXACTNESS_THREADS: usize = 4;
-/// Modeled time units per op of the honesty workload's append component —
-/// the amortized `ArrayList` append cost from `default_models`.
-const HONESTY_MODEL_UNITS_PER_OP: f64 = 3.0;
-/// Bytes each honesty-workload op allocates (one boxed payload).
-const HONESTY_ALLOC_BYTES_PER_OP: usize = 64;
 
 // ---------------------------------------------------------------------------
 // Part 1: attribution exactness under 4 threads.
@@ -236,75 +220,17 @@ fn run_switch_demo(sweep: &mut Sweep) -> SwitchResult {
 }
 
 // ---------------------------------------------------------------------------
-// Part 3: energy-proxy honesty.
-// ---------------------------------------------------------------------------
-
-struct EnergyResult {
-    measured_ns_per_op: f64,
-    attributed_bytes_per_op: f64,
-    predicted_energy_ns_per_op: f64,
-    ratio: f64,
-    in_band: bool,
-}
-
-fn run_energy_honesty(iterations: u64, sweep: &mut Sweep) -> EnergyResult {
-    let weights = cs_model::calibrated_weights();
-    // An allocation-heavy op: one boxed 64-byte payload appended to a
-    // pre-grown Vec, so the attributed churn is exactly the boxes and the
-    // measured wall time includes the allocator work the proxy prices.
-    // Measured independently of the calibration fit (fresh loop, fresh
-    // timing), though on the same machine — which is the point: the proxy
-    // claims to track *this machine's* time-plus-churn cost.
-    let mut held: Vec<Box<[u8; HONESTY_ALLOC_BYTES_PER_OP]>> =
-        Vec::with_capacity(iterations as usize);
-    let guard = AllocGuard::begin();
-    let started = Instant::now();
-    for _ in 0..iterations {
-        held.push(Box::new([0u8; HONESTY_ALLOC_BYTES_PER_OP]));
-    }
-    let elapsed = started.elapsed();
-    std::hint::black_box(&held);
-    let delta = guard.finish();
-    drop(held);
-
-    let measured_ns_per_op = elapsed.as_nanos() as f64 / iterations as f64;
-    let attributed_bytes_per_op = delta.bytes as f64 / iterations as f64;
-    let predicted_energy_ns_per_op =
-        weights.energy(HONESTY_MODEL_UNITS_PER_OP, attributed_bytes_per_op);
-    let ratio = predicted_energy_ns_per_op / measured_ns_per_op.max(1e-9);
-    let in_band = sweep.check((ENERGY_BAND.0..=ENERGY_BAND.1).contains(&ratio), || {
-        format!(
-            "energy proxy dishonest: predicted {predicted_energy_ns_per_op:.2} \
-             ns-equivalents/op vs measured {measured_ns_per_op:.2} ns/op \
-             (ratio {ratio:.3}, band [{}, {}])",
-            ENERGY_BAND.0, ENERGY_BAND.1,
-        )
-    });
-    EnergyResult {
-        measured_ns_per_op,
-        attributed_bytes_per_op,
-        predicted_energy_ns_per_op,
-        ratio,
-        in_band,
-    }
-}
-
-// ---------------------------------------------------------------------------
 
 fn main() -> ExitCode {
     run_sweep("alloc_sweep", std::env::args().skip(1), sweep)
 }
 
 fn sweep(sweep: &mut Sweep) -> Json {
-    let (exact_iters, energy_iters) = if sweep.quick() {
-        (20_000u64, 64 * 1024u64)
-    } else {
-        (200_000u64, 256 * 1024u64)
-    };
+    let exact_iters = if sweep.quick() { 20_000u64 } else { 200_000u64 };
 
     println!(
         "# alloc sweep: {EXACTNESS_THREADS}-thread exactness x{exact_iters}, \
-         R_alloc_rate switch demo, energy honesty (quick={})",
+         R_alloc_rate switch demo (quick={})",
         sweep.quick()
     );
 
@@ -333,28 +259,7 @@ fn sweep(sweep: &mut Sweep) -> Json {
         switched.drop_factor,
     );
 
-    let energy = run_energy_honesty(energy_iters, sweep);
-    println!(
-        "energy: predicted {:.2} ns-eq/op vs measured {:.2} ns/op (ratio {:.3}, in_band={})",
-        energy.predicted_energy_ns_per_op, energy.measured_ns_per_op, energy.ratio, energy.in_band,
-    );
-
-    let weights = cs_model::calibrated_weights();
     Json::object()
-        .field(
-            "weights",
-            Json::object()
-                .field("time_weight", weights.time_weight)
-                .field("alloc_weight", weights.alloc_weight)
-                .field(
-                    "synthetic_time_weight",
-                    cs_model::SYNTHETIC_WEIGHTS.time_weight,
-                )
-                .field(
-                    "synthetic_alloc_weight",
-                    cs_model::SYNTHETIC_WEIGHTS.alloc_weight,
-                ),
-        )
         .field(
             "exactness",
             Json::object()
@@ -391,20 +296,5 @@ fn sweep(sweep: &mut Sweep) -> Json {
                 .field("drop_floor", SWITCH_DROP_FLOOR)
                 .field("pre", explanation_to_json(&switched.pre))
                 .field("post", explanation_to_json(&switched.post)),
-        )
-        .field(
-            "energy",
-            Json::object()
-                .field("model_units_per_op", HONESTY_MODEL_UNITS_PER_OP)
-                .field("measured_ns_per_op", energy.measured_ns_per_op)
-                .field("attributed_bytes_per_op", energy.attributed_bytes_per_op)
-                .field(
-                    "predicted_energy_ns_per_op",
-                    energy.predicted_energy_ns_per_op,
-                )
-                .field("ratio", energy.ratio)
-                .field("band_low", ENERGY_BAND.0)
-                .field("band_high", ENERGY_BAND.1)
-                .field("in_band", energy.in_band),
         )
 }

@@ -18,7 +18,7 @@
 //! | `runtime_sweep` | `BENCH_runtime.json`: concurrent-map thread sweep |
 //! | `overhead_sweep` | `BENCH_overhead.json`: tracer self-overhead gate (§5.3/§5.4) |
 //! | `fleet_sweep` | `BENCH_fleet.json`: cold vs warm-start convergence gate |
-//! | `alloc_sweep` | `BENCH_alloc.json`: allocation attribution and energy-proxy gate |
+//! | `alloc_sweep` | `BENCH_alloc.json`: allocation attribution and alloc-driven switch gate |
 //! | `obs_sweep` | `BENCH_obs.json`: operational-plane overhead gate |
 //! | `ladder_sweep` | `BENCH_ladder.json`: per-variant critical ops, enum vs boxed dispatch, monitored vs raw handles |
 //!

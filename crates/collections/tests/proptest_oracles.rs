@@ -2,7 +2,11 @@
 //!
 //! Each strategy generates a random operation script; the property asserts
 //! that the variant under test and the std oracle produce identical results
-//! and identical observable state after every step.
+//! and identical observable state after every step. Live-switch scripts
+//! interleave `switched_to` with the same ops and compare the full contents
+//! with the oracle after every step.
+
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -25,8 +29,8 @@ enum ListOp {
     Clear,
 }
 
-fn list_ops() -> impl Strategy<Value = Vec<ListOp>> {
-    let op = prop_oneof![
+fn list_op() -> impl Strategy<Value = ListOp> {
+    prop_oneof![
         4 => (-50_i64..50).prop_map(ListOp::Push),
         1 => Just(ListOp::Pop),
         2 => (0usize..64, -50_i64..50).prop_map(|(i, v)| ListOp::Insert(i, v)),
@@ -35,53 +39,71 @@ fn list_ops() -> impl Strategy<Value = Vec<ListOp>> {
         1 => (0usize..64, -50_i64..50).prop_map(|(i, v)| ListOp::Set(i, v)),
         2 => (-50_i64..50).prop_map(ListOp::Contains),
         1 => Just(ListOp::Clear),
-    ];
-    proptest::collection::vec(op, 1..120)
+    ]
+}
+
+fn list_ops() -> impl Strategy<Value = Vec<ListOp>> {
+    proptest::collection::vec(list_op(), 1..120)
+}
+
+/// Applies `op` to `list` and to its `oracle`, asserting that both return
+/// the same result and hold as many elements.
+fn apply_list_op<L: ListOps<i64>>(list: &mut L, oracle: &mut Vec<i64>, op: &ListOp) {
+    match *op {
+        ListOp::Push(v) => {
+            list.push(v);
+            oracle.push(v);
+        }
+        ListOp::Pop => {
+            assert_eq!(list.pop(), oracle.pop());
+        }
+        ListOp::Insert(i, v) => {
+            if i <= oracle.len() {
+                list.list_insert(i, v);
+                oracle.insert(i, v);
+            }
+        }
+        ListOp::Remove(i) => {
+            if i < oracle.len() {
+                assert_eq!(list.list_remove(i), oracle.remove(i));
+            }
+        }
+        ListOp::Get(i) => {
+            assert_eq!(list.get(i), oracle.get(i));
+        }
+        ListOp::Set(i, v) => {
+            if i < oracle.len() {
+                assert_eq!(list.set(i, v), std::mem::replace(&mut oracle[i], v));
+            }
+        }
+        ListOp::Contains(v) => {
+            assert_eq!(list.contains(&v), oracle.contains(&v));
+        }
+        ListOp::Clear => {
+            list.clear();
+            oracle.clear();
+        }
+    }
+    assert_eq!(list.len(), oracle.len());
+}
+
+/// The list's elements in iteration order.
+fn list_values<L: ListOps<i64>>(list: &L) -> Vec<i64> {
+    let mut values = Vec::new();
+    list.for_each_value(&mut |v| values.push(*v));
+    values
 }
 
 fn run_list_script<L: ListOps<i64>>(list: &mut L, ops: &[ListOp]) {
     let mut oracle: Vec<i64> = Vec::new();
     for op in ops {
-        match *op {
-            ListOp::Push(v) => {
-                list.push(v);
-                oracle.push(v);
-            }
-            ListOp::Pop => {
-                assert_eq!(list.pop(), oracle.pop());
-            }
-            ListOp::Insert(i, v) => {
-                if i <= oracle.len() {
-                    list.list_insert(i, v);
-                    oracle.insert(i, v);
-                }
-            }
-            ListOp::Remove(i) => {
-                if i < oracle.len() {
-                    assert_eq!(list.list_remove(i), oracle.remove(i));
-                }
-            }
-            ListOp::Get(i) => {
-                assert_eq!(list.get(i), oracle.get(i));
-            }
-            ListOp::Set(i, v) => {
-                if i < oracle.len() {
-                    assert_eq!(list.set(i, v), std::mem::replace(&mut oracle[i], v));
-                }
-            }
-            ListOp::Contains(v) => {
-                assert_eq!(list.contains(&v), oracle.contains(&v));
-            }
-            ListOp::Clear => {
-                list.clear();
-                oracle.clear();
-            }
-        }
-        assert_eq!(list.len(), oracle.len());
+        apply_list_op(list, &mut oracle, op);
     }
-    let mut collected = Vec::new();
-    list.for_each_value(&mut |v| collected.push(*v));
-    assert_eq!(collected, oracle, "final iteration order must match");
+    assert_eq!(
+        list_values(list),
+        oracle,
+        "final iteration order must match"
+    );
 }
 
 proptest! {
@@ -120,36 +142,54 @@ enum SetOp {
     Clear,
 }
 
-fn set_ops() -> impl Strategy<Value = Vec<SetOp>> {
-    let op = prop_oneof![
+fn set_op() -> impl Strategy<Value = SetOp> {
+    prop_oneof![
         5 => (-40_i64..40).prop_map(SetOp::Insert),
         2 => (-40_i64..40).prop_map(SetOp::Remove),
         3 => (-40_i64..40).prop_map(SetOp::Contains),
         1 => Just(SetOp::Clear),
-    ];
-    proptest::collection::vec(op, 1..150)
+    ]
+}
+
+fn set_ops() -> impl Strategy<Value = Vec<SetOp>> {
+    proptest::collection::vec(set_op(), 1..150)
+}
+
+/// Applies `op` to `set` and to its `oracle`, asserting that both return
+/// the same result and hold as many elements.
+fn apply_set_op<S: SetOps<i64>>(set: &mut S, oracle: &mut HashSet<i64>, op: &SetOp) {
+    match *op {
+        SetOp::Insert(v) => assert_eq!(set.insert(v), oracle.insert(v)),
+        SetOp::Remove(v) => assert_eq!(set.set_remove(&v), oracle.remove(&v)),
+        SetOp::Contains(v) => assert_eq!(set.contains(&v), oracle.contains(&v)),
+        SetOp::Clear => {
+            set.clear();
+            oracle.clear();
+        }
+    }
+    assert_eq!(set.len(), oracle.len());
+}
+
+/// The set's elements, sorted.
+fn set_values<S: SetOps<i64>>(set: &S) -> Vec<i64> {
+    let mut values = Vec::new();
+    set.for_each_value(&mut |v| values.push(*v));
+    values.sort_unstable();
+    values
+}
+
+fn sorted<T: Ord>(items: impl IntoIterator<Item = T>) -> Vec<T> {
+    let mut items: Vec<T> = items.into_iter().collect();
+    items.sort_unstable();
+    items
 }
 
 fn run_set_script<S: SetOps<i64>>(set: &mut S, ops: &[SetOp]) {
-    let mut oracle = std::collections::HashSet::new();
+    let mut oracle = HashSet::new();
     for op in ops {
-        match *op {
-            SetOp::Insert(v) => assert_eq!(set.insert(v), oracle.insert(v)),
-            SetOp::Remove(v) => assert_eq!(set.set_remove(&v), oracle.remove(&v)),
-            SetOp::Contains(v) => assert_eq!(set.contains(&v), oracle.contains(&v)),
-            SetOp::Clear => {
-                set.clear();
-                oracle.clear();
-            }
-        }
-        assert_eq!(set.len(), oracle.len());
+        apply_set_op(set, &mut oracle, op);
     }
-    let mut collected = Vec::new();
-    set.for_each_value(&mut |v| collected.push(*v));
-    collected.sort_unstable();
-    let mut expected: Vec<i64> = oracle.into_iter().collect();
-    expected.sort_unstable();
-    assert_eq!(collected, expected);
+    assert_eq!(set_values(set), sorted(oracle));
 }
 
 proptest! {
@@ -201,38 +241,50 @@ enum MapOp {
     Clear,
 }
 
-fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
-    let op = prop_oneof![
+fn map_op() -> impl Strategy<Value = MapOp> {
+    prop_oneof![
         5 => (-40_i64..40, -1000_i64..1000).prop_map(|(k, v)| MapOp::Insert(k, v)),
         2 => (-40_i64..40).prop_map(MapOp::Remove),
         3 => (-40_i64..40).prop_map(MapOp::Get),
         2 => (-40_i64..40).prop_map(MapOp::ContainsKey),
         1 => Just(MapOp::Clear),
-    ];
-    proptest::collection::vec(op, 1..150)
+    ]
+}
+
+fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
+    proptest::collection::vec(map_op(), 1..150)
+}
+
+/// Applies `op` to `map` and to its `oracle`, asserting that both return
+/// the same result and hold as many entries.
+fn apply_map_op<M: MapOps<i64, i64>>(map: &mut M, oracle: &mut HashMap<i64, i64>, op: &MapOp) {
+    match *op {
+        MapOp::Insert(k, v) => assert_eq!(map.map_insert(k, v), oracle.insert(k, v)),
+        MapOp::Remove(k) => assert_eq!(map.map_remove(&k), oracle.remove(&k)),
+        MapOp::Get(k) => assert_eq!(map.map_get(&k), oracle.get(&k)),
+        MapOp::ContainsKey(k) => assert_eq!(map.contains_key(&k), oracle.contains_key(&k)),
+        MapOp::Clear => {
+            map.clear();
+            oracle.clear();
+        }
+    }
+    assert_eq!(map.len(), oracle.len());
+}
+
+/// The map's entries, sorted.
+fn map_entries<M: MapOps<i64, i64>>(map: &M) -> Vec<(i64, i64)> {
+    let mut entries = Vec::new();
+    map.for_each_entry(&mut |k, v| entries.push((*k, *v)));
+    entries.sort_unstable();
+    entries
 }
 
 fn run_map_script<M: MapOps<i64, i64>>(map: &mut M, ops: &[MapOp]) {
-    let mut oracle = std::collections::HashMap::new();
+    let mut oracle = HashMap::new();
     for op in ops {
-        match *op {
-            MapOp::Insert(k, v) => assert_eq!(map.map_insert(k, v), oracle.insert(k, v)),
-            MapOp::Remove(k) => assert_eq!(map.map_remove(&k), oracle.remove(&k)),
-            MapOp::Get(k) => assert_eq!(map.map_get(&k), oracle.get(&k)),
-            MapOp::ContainsKey(k) => assert_eq!(map.contains_key(&k), oracle.contains_key(&k)),
-            MapOp::Clear => {
-                map.clear();
-                oracle.clear();
-            }
-        }
-        assert_eq!(map.len(), oracle.len());
+        apply_map_op(map, &mut oracle, op);
     }
-    let mut collected = Vec::new();
-    map.for_each_entry(&mut |k, v| collected.push((*k, *v)));
-    collected.sort_unstable();
-    let mut expected: Vec<(i64, i64)> = oracle.into_iter().collect();
-    expected.sort_unstable();
-    assert_eq!(collected, expected);
+    assert_eq!(map_entries(map), sorted(oracle));
 }
 
 proptest! {
@@ -294,6 +346,23 @@ proptest! {
         }
     }
 
+    /// Switching an AnySet between variants preserves the element set.
+    #[test]
+    fn any_set_switch_chain_preserves_elements(
+        values in proptest::collection::vec(-100_i64..100, 0..60),
+        kinds in proptest::collection::vec(0usize..8, 1..6),
+    ) {
+        let mut set: AnySet<i64> = AnySet::default();
+        for &v in &values {
+            SetOps::insert(&mut set, v);
+        }
+        let expected = sorted(values.iter().copied().collect::<HashSet<_>>());
+        for k in kinds {
+            set = set.switched_to(SetKind::ALL[k]);
+            prop_assert_eq!(set_values(&set), expected.clone());
+        }
+    }
+
     /// Switching an AnyMap between variants preserves the entry set.
     #[test]
     fn any_map_switch_chain_preserves_entries(
@@ -328,5 +397,90 @@ proptest! {
         prop_assert!(before.is_array_backed());
         prop_assert!(!after.is_array_backed());
         prop_assert!(before.heap_bytes() <= after.heap_bytes());
+    }
+}
+
+/// One step of a live-switch script: an op, or a switch to the variant at
+/// this index of the abstraction's `ALL` (the current variant included).
+#[derive(Debug, Clone)]
+enum Step<Op> {
+    Op(Op),
+    SwitchTo(usize),
+}
+
+/// Scripts that switch at any step, to any of `kinds` variants.
+fn steps<Op: 'static>(
+    op: impl Strategy<Value = Op> + 'static,
+    kinds: usize,
+) -> impl Strategy<Value = Vec<Step<Op>>> {
+    let step = prop_oneof![
+        6 => op.prop_map(Step::Op),
+        1 => (0..kinds).prop_map(Step::SwitchTo),
+    ];
+    proptest::collection::vec(step, 1..150)
+}
+
+proptest! {
+    /// Switches interleaved with ops keep an AnyList equal to its oracle,
+    /// in iteration order, after every step.
+    #[test]
+    fn any_list_interleaved_switches_match_vec(
+        start in 0..ListKind::ALL.len(),
+        script in steps(list_op(), ListKind::ALL.len()),
+    ) {
+        let mut list: AnyList<i64> = AnyList::new(ListKind::ALL[start]);
+        let mut oracle = Vec::new();
+        for step in &script {
+            match *step {
+                Step::Op(ref op) => apply_list_op(&mut list, &mut oracle, op),
+                Step::SwitchTo(k) => {
+                    list = list.switched_to(ListKind::ALL[k]);
+                    prop_assert_eq!(list.kind(), ListKind::ALL[k]);
+                }
+            }
+            prop_assert_eq!(list_values(&list), oracle.clone());
+        }
+    }
+
+    /// Switches interleaved with ops keep an AnySet equal to its oracle
+    /// after every step.
+    #[test]
+    fn any_set_interleaved_switches_match_std(
+        start in 0..SetKind::ALL.len(),
+        script in steps(set_op(), SetKind::ALL.len()),
+    ) {
+        let mut set: AnySet<i64> = AnySet::new(SetKind::ALL[start]);
+        let mut oracle = HashSet::new();
+        for step in &script {
+            match *step {
+                Step::Op(ref op) => apply_set_op(&mut set, &mut oracle, op),
+                Step::SwitchTo(k) => {
+                    set = set.switched_to(SetKind::ALL[k]);
+                    prop_assert_eq!(set.kind(), SetKind::ALL[k]);
+                }
+            }
+            prop_assert_eq!(set_values(&set), sorted(oracle.iter().copied()));
+        }
+    }
+
+    /// Switches interleaved with ops keep an AnyMap equal to its oracle
+    /// after every step.
+    #[test]
+    fn any_map_interleaved_switches_match_std(
+        start in 0..MapKind::ALL.len(),
+        script in steps(map_op(), MapKind::ALL.len()),
+    ) {
+        let mut map: AnyMap<i64, i64> = AnyMap::new(MapKind::ALL[start]);
+        let mut oracle = HashMap::new();
+        for step in &script {
+            match *step {
+                Step::Op(ref op) => apply_map_op(&mut map, &mut oracle, op),
+                Step::SwitchTo(k) => {
+                    map = map.switched_to(MapKind::ALL[k]);
+                    prop_assert_eq!(map.kind(), MapKind::ALL[k]);
+                }
+            }
+            prop_assert_eq!(map_entries(&map), sorted(oracle.iter().map(|(&k, &v)| (k, v))));
+        }
     }
 }

@@ -432,7 +432,6 @@ impl<K: Kind> ContextCore<K> {
             current: last.record.current::<K>().to_string(),
             current_primary_cost: explained.current_primary_cost,
             current_alloc_cost: explained.current_alloc_cost,
-            current_energy_cost: explained.current_energy_cost,
             alloc_bytes_per_op: explained.alloc_bytes_per_op,
             alloc_driven: explained.alloc_driven,
             candidates: explained.candidates,
@@ -493,7 +492,7 @@ pub trait AnyContext: Send + Sync + fmt::Debug {
 
     /// Attributed allocation churn `(events, bytes)` currently held in the
     /// site's decayed workload history — the observable behind the
-    /// alloc-rate dimension, exported into snapshot profile summaries.
+    /// alloc-rate dimension.
     fn history_alloc(&self) -> (u64, u64);
 
     /// Mean attributed allocation bytes per aggregated operation in the

@@ -1060,9 +1060,9 @@ impl Switch {
     }
 
     /// Exports the engine's learned selection state as a [`cs_state::Snapshot`]:
-    /// one [`cs_state::SiteRecord`] and one [`cs_state::ProfileSummaryRecord`]
-    /// per registered context, the three performance models as text blobs,
-    /// and a meta record (sequence, wall-clock time, rule, site count).
+    /// one [`cs_state::SiteRecord`] per registered context, the three
+    /// performance models as text blobs, and a meta record (sequence,
+    /// wall-clock time, rule, site count).
     ///
     /// This is the read-only half of [`Switch::save_state`]; it never
     /// touches the filesystem.
@@ -1082,19 +1082,6 @@ impl Switch {
                 rounds: stats.rounds,
                 switches: stats.switches,
                 history_instances: stats.history_instances,
-            });
-            // The alloc keys are additive: summary records are key-value,
-            // so snapshots written before allocation observability (or by
-            // binaries without the counting allocator) load unchanged.
-            let (alloc_count, alloc_bytes) = core.history_alloc();
-            snapshot.profiles.push(cs_state::ProfileSummaryRecord {
-                site: core.name().to_owned(),
-                entries: vec![
-                    ("profiles_ingested".to_owned(), core.profiles_pushed()),
-                    ("profiles_dropped".to_owned(), core.profiles_dropped()),
-                    ("alloc_count".to_owned(), alloc_count),
-                    ("alloc_bytes".to_owned(), alloc_bytes),
-                ],
             });
         }
         fn blob<K: ModelFamily>(models: &Models) -> cs_state::ModelBlobRecord {
@@ -1431,7 +1418,6 @@ mod tests {
         let state = engine.export_state();
         let records = state.sites.iter().map(|r| r.abstraction.as_str());
         assert!(records.eq(["map", "list", "set"]));
-        assert_eq!(state.profiles.len(), 3);
         let blobs = state.models.iter().map(|b| b.family.as_str());
         assert!(blobs.eq(["lists", "sets", "maps"]));
     }

@@ -93,10 +93,6 @@ pub struct CandidateEstimate {
     /// over the workload history (modeled bytes churned, no instance term);
     /// 0 when the model carries no alloc-rate curves.
     pub alloc_cost: f64,
-    /// The candidate's calibrated energy proxy over the history:
-    /// `time_weight · TC_time + alloc_weight · TC_alloc_rate` with the
-    /// per-process weights from [`cs_model::calibrated_weights`].
-    pub energy_cost: f64,
     /// Whether the candidate satisfied every criterion of the rule.
     pub satisfied: bool,
     /// Why the candidate was never scored, when it was excluded up front
@@ -151,17 +147,13 @@ pub struct SelectionExplanation {
     /// Estimated allocation-rate cost of the current variant over the
     /// history (0 when its model carries no alloc-rate curves).
     pub current_alloc_cost: f64,
-    /// The current variant's calibrated energy proxy over the history.
-    pub current_energy_cost: f64,
     /// The *measured* allocation intensity of the history the pass
     /// evaluated — attributed bytes per operation from the `cs-heap`
     /// per-site guards, as distinct from the modeled `alloc_cost` columns.
     pub alloc_bytes_per_op: f64,
     /// Whether the allocation dimension decided this pass: true when the
     /// winner was picked under an allocation-primary rule (`R_alloc`,
-    /// `R_alloc_rate`), or under an energy-primary rule where stripping the
-    /// allocation term from both sides would erase the winner's advantage.
-    /// False whenever there is no winner. The flight recorder's
+    /// `R_alloc_rate`). False whenever there is no winner. The flight recorder's
     /// `alloc_switch` reporting and the alloc-sweep bench key on this bit.
     pub alloc_driven: bool,
     /// Every candidate considered (current variant not included).
@@ -641,7 +633,6 @@ mod tests {
             current: "array".into(),
             current_primary_cost: 100.0,
             current_alloc_cost: 0.0,
-            current_energy_cost: 0.0,
             alloc_bytes_per_op: 0.0,
             alloc_driven: false,
             candidates: vec![CandidateEstimate {
@@ -649,7 +640,6 @@ mod tests {
                 primary_cost: 40.0,
                 primary_ratio: 0.4,
                 alloc_cost: 0.0,
-                energy_cost: 0.0,
                 satisfied: true,
                 excluded: None,
             }],
@@ -673,7 +663,6 @@ mod tests {
             current: "chained".into(),
             current_primary_cost: 10.0,
             current_alloc_cost: 0.0,
-            current_energy_cost: 0.0,
             alloc_bytes_per_op: 0.0,
             alloc_driven: false,
             candidates: Vec::new(),

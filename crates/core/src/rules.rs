@@ -124,12 +124,6 @@ impl SelectionRule {
         )
     }
 
-    /// An energy-targeting rule over the synthetic energy dimension (the
-    /// paper's named future-work direction).
-    pub fn r_energy() -> Self {
-        SelectionRule::custom("R_energy", vec![Criterion::new(CostDimension::Energy, 0.8)])
-    }
-
     /// An allocation-*rate* rule: steady-state bytes/op < 0.8 with the same
     /// 1.2× time cap as `R_alloc`. Unlike `R_alloc`, the primary dimension
     /// carries no per-instance base term, so it targets long-lived churny
@@ -199,13 +193,12 @@ impl FromStr for SelectionRule {
     /// target. Examples: `"time < 0.8"`, `"alloc < 0.8, time < 1.2"`.
     ///
     /// Named presets also parse: `R_time`, `R_alloc`, `R_footprint`,
-    /// `R_energy`, `R_impossible`.
+    /// `R_alloc_rate`, `R_impossible`.
     fn from_str(input: &str) -> Result<Self, Self::Err> {
         match input.trim() {
             "R_time" => return Ok(SelectionRule::r_time()),
             "R_alloc" => return Ok(SelectionRule::r_alloc()),
             "R_footprint" => return Ok(SelectionRule::r_footprint()),
-            "R_energy" => return Ok(SelectionRule::r_energy()),
             "R_alloc_rate" => return Ok(SelectionRule::r_alloc_rate()),
             "R_impossible" => return Ok(SelectionRule::impossible()),
             _ => {}

@@ -5,10 +5,9 @@
 //! dimensions the criteria name, and hands every candidate's row to its
 //! caller as numbers. [`select_variant`] and [`select_variant_filtered`]
 //! keep only the winner. An analysis pass also prices the audit's
-//! allocation-rate and time columns and keeps the rows in a [`PassRecord`],
-//! a fixed-size record on the stack: the strings, the energy column and
-//! the candidate vector of an explanation are rendered from it only when
-//! someone reads them.
+//! allocation-rate column and keeps the rows in a [`PassRecord`], a
+//! fixed-size record on the stack: the strings and the candidate vector of
+//! an explanation are rendered from it only when someone reads them.
 
 use cs_model::{CostDimension, PerformanceModel};
 use cs_profile::ProfileHistogram;
@@ -132,20 +131,12 @@ pub struct ExplainedSelection<K> {
     /// variant over the history (0 when the model carries no alloc-rate
     /// curves, or when the pass bailed).
     pub current_alloc_cost: f64,
-    /// The current variant's calibrated energy proxy over the history:
-    /// `time_weight · TC_time + alloc_weight · TC_alloc_rate` with the
-    /// per-process [`cs_model::calibrated_weights`].
-    pub current_energy_cost: f64,
     /// The measured allocation intensity of the history the pass evaluated:
     /// attributed bytes per operation from the `cs-heap` per-site guards.
     pub alloc_bytes_per_op: f64,
-    /// True when the allocation dimension decided this pass: the rule's
-    /// primary criterion *is* an allocation dimension (`alloc`,
-    /// `alloc_rate`), or the rule is energy-primary and the winner would
-    /// *not* have beaten the current variant on the time term alone (the
-    /// energy proxy is affine in time and alloc, so stripping the alloc
-    /// component from both sides reduces to a time comparison). False
-    /// whenever there is no winner.
+    /// True when the allocation dimension decided this pass: there is a
+    /// winner and the rule's primary criterion is an allocation dimension
+    /// (`alloc`, `alloc_rate`).
     pub alloc_driven: bool,
 }
 
@@ -155,9 +146,8 @@ pub struct ExplainedSelection<K> {
 /// rule, and why it was excluded when it never got scored.
 ///
 /// It runs the same scoring core as [`select_variant_filtered`], with the
-/// audit's allocation-rate and time columns priced too, so the audit trail
-/// can never drift from the actual decision. Rendering the energy column
-/// fits [`cs_model::calibrated_weights`] on its first use in the process.
+/// audit's allocation-rate column priced too, so the audit trail can never
+/// drift from the actual decision.
 ///
 /// # Panics
 ///
@@ -177,7 +167,6 @@ pub fn select_variant_explained<K: Kind>(
             candidates: Vec::new(),
             current_primary_cost: 0.0,
             current_alloc_cost: 0.0,
-            current_energy_cost: 0.0,
             alloc_bytes_per_op: 0.0,
             alloc_driven: false,
         },
@@ -198,9 +187,8 @@ struct Row {
     primary_cost: f64,
     primary_ratio: f64,
     satisfied: bool,
-    /// The audit's allocation-rate and time columns, NaN unless asked for.
+    /// The audit's allocation-rate column, NaN unless asked for.
     alloc_cost: f64,
-    time_cost: f64,
 }
 
 impl Row {
@@ -212,7 +200,6 @@ impl Row {
             primary_ratio: f64::NAN,
             satisfied: false,
             alloc_cost: f64::NAN,
-            time_cost: f64::NAN,
         }
     }
 }
@@ -221,9 +208,8 @@ impl Row {
 struct Scored<K> {
     selection: Option<Selection<K>>,
     current_primary_cost: f64,
-    /// The current variant's audit columns, NaN unless asked for.
+    /// The current variant's audit column, NaN unless asked for.
     current_alloc_cost: f64,
-    current_time_cost: f64,
 }
 
 /// `TC_D(V)` of one variant over the history, priced at most once per
@@ -255,8 +241,8 @@ impl<'a, K: Kind> Costs<'a, K> {
 /// The scoring core every entry point runs: the paper's algorithm over
 /// `history`, pricing the current variant and each eligible candidate only
 /// on the rule's criteria (a candidate stops at the first criterion it
-/// fails, after its primary cost), plus the allocation-rate and time
-/// columns when `audit` is set. Each candidate's row goes to `on_row`, in
+/// fails, after its primary cost), plus the allocation-rate column when
+/// `audit` is set. Each candidate's row goes to `on_row`, in
 /// `K::all()` order. `None` when the pass bails before scoring: an empty
 /// workload, or a current variant that costs nothing on some criterion.
 fn score<K: Kind>(
@@ -308,13 +294,10 @@ fn score<K: Kind>(
         let satisfied = rule.satisfied(|dim| costs.of(dim) / cur.of(dim));
         let primary_cost = costs.of(primary);
         let primary_ratio = primary_cost / current_primary_cost;
-        let (alloc_cost, time_cost) = if audit {
-            (
-                costs.of(CostDimension::AllocRate),
-                costs.of(CostDimension::Time),
-            )
+        let alloc_cost = if audit {
+            costs.of(CostDimension::AllocRate)
         } else {
-            (f64::NAN, f64::NAN)
+            f64::NAN
         };
         on_row(Row {
             kind: index,
@@ -323,7 +306,6 @@ fn score<K: Kind>(
             primary_ratio,
             satisfied,
             alloc_cost,
-            time_cost,
         });
         if satisfied && best.is_none_or(|b| primary_ratio < b.primary_ratio) {
             best = Some(Selection {
@@ -332,19 +314,15 @@ fn score<K: Kind>(
             });
         }
     }
-    let (current_alloc_cost, current_time_cost) = if audit {
-        (
-            cur.of(CostDimension::AllocRate),
-            cur.of(CostDimension::Time),
-        )
+    let current_alloc_cost = if audit {
+        cur.of(CostDimension::AllocRate)
     } else {
-        (f64::NAN, f64::NAN)
+        f64::NAN
     };
     Some(Scored {
         selection: best,
         current_primary_cost,
         current_alloc_cost,
-        current_time_cost,
     })
 }
 
@@ -360,7 +338,6 @@ pub(crate) struct PassRecord {
     current: usize,
     current_primary_cost: f64,
     current_alloc_cost: f64,
-    current_time_cost: f64,
     alloc_bytes_per_op: f64,
     /// The winner's index in `K::all()` and its primary ratio.
     winner: Option<(usize, f64)>,
@@ -395,7 +372,6 @@ impl PassRecord {
             current: current.index(),
             current_primary_cost: scored.current_primary_cost,
             current_alloc_cost: scored.current_alloc_cost,
-            current_time_cost: scored.current_time_cost,
             alloc_bytes_per_op: history.alloc_bytes_per_op(),
             winner: scored.selection.map(|s| (s.kind.index(), s.primary_ratio)),
             rows,
@@ -421,47 +397,31 @@ impl PassRecord {
         })
     }
 
-    /// Renders the audit: variant names, the energy column from the
-    /// per-process [`cs_model::calibrated_weights`], and whether the
-    /// allocation term decided the pass.
+    /// Renders the audit: variant names, and whether the allocation term
+    /// decided the pass.
     pub(crate) fn render<K: Kind>(&self) -> ExplainedSelection<K> {
-        let weights = cs_model::calibrated_weights();
-        let rows = &self.rows[..self.len];
-        let candidates = rows
+        let candidates = self.rows[..self.len]
             .iter()
             .map(|row| CandidateEstimate {
                 variant: K::from_index(row.kind).to_string(),
                 primary_cost: row.primary_cost,
                 primary_ratio: row.primary_ratio,
                 alloc_cost: row.alloc_cost,
-                energy_cost: match row.excluded {
-                    Some(_) => f64::NAN,
-                    None => weights.energy(row.time_cost, row.alloc_cost),
-                },
                 satisfied: row.satisfied,
                 excluded: row.excluded,
             })
             .collect();
-        // A switch is alloc-driven when the allocation term carried it:
-        // either the rule optimizes an allocation dimension outright, or it
-        // optimizes the energy proxy and the winner is no faster on the time
-        // term alone (energy is affine in time and alloc, so removing the
-        // alloc component from both sides leaves a pure time comparison).
-        let alloc_driven = self.winner.is_some_and(|(winner, _)| match self.primary {
-            CostDimension::Alloc | CostDimension::AllocRate => true,
-            CostDimension::Energy => rows
-                .iter()
-                .any(|row| row.kind == winner && row.time_cost >= self.current_time_cost),
-            _ => false,
-        });
         ExplainedSelection {
             selection: self.selection(),
             candidates,
             current_primary_cost: self.current_primary_cost,
             current_alloc_cost: self.current_alloc_cost,
-            current_energy_cost: weights.energy(self.current_time_cost, self.current_alloc_cost),
             alloc_bytes_per_op: self.alloc_bytes_per_op,
-            alloc_driven,
+            alloc_driven: self.winner.is_some()
+                && matches!(
+                    self.primary,
+                    CostDimension::Alloc | CostDimension::AllocRate
+                ),
         }
     }
 }
@@ -826,7 +786,6 @@ mod tests {
         assert_ne!(sel.kind, ListKind::Linked);
         assert!(explained.alloc_driven, "primary dimension is alloc_rate");
         assert!(explained.current_alloc_cost > 0.0);
-        assert!(explained.current_energy_cost > 0.0);
         let row = explained
             .candidates
             .iter()
@@ -839,7 +798,6 @@ mod tests {
             row.alloc_cost,
             explained.current_alloc_cost,
         );
-        assert!(row.energy_cost > 0.0);
     }
 
     #[test]
@@ -857,11 +815,10 @@ mod tests {
             !explained.alloc_driven,
             "a time-primary win is never alloc-driven"
         );
-        // The alloc and energy columns are still filled in for the audit.
+        // The alloc column is still filled in for the audit.
         assert!(explained.current_alloc_cost > 0.0);
         for row in explained.candidates.iter().filter(|c| c.excluded.is_none()) {
             assert!(row.alloc_cost.is_finite());
-            assert!(row.energy_cost.is_finite());
         }
     }
 

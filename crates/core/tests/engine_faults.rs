@@ -21,15 +21,19 @@
 //!    to a cold start (with a [`cs_core::WarmStartSiteEvent`] recorded)
 //!    while every valid record still applies; a missing snapshot must mean
 //!    a plain cold start, never an error, and a temp file left by a writer
-//!    killed mid-save is swept when the next process warm-starts.
+//!    killed mid-save is swept when the next process warm-starts. A
+//!    snapshot written before a record kind and a model dimension were
+//!    retired still applies in full.
 
 use std::path::PathBuf;
 
-use cs_collections::ListKind;
+use cs_collections::{ListKind, MapKind, SetKind};
 use cs_core::{
     EngineEvent, GuardrailConfig, ListContext, SelectionRule, Switch, WarmStartSiteOutcome,
 };
-use cs_model::{CostDimension, PerformanceModel, Polynomial, VariantCostModel};
+use cs_model::{
+    default_models, persist, CostDimension, PerformanceModel, Polynomial, VariantCostModel,
+};
 use cs_profile::OpKind;
 
 /// A list model with a flat per-op time cost for every variant.
@@ -380,7 +384,6 @@ fn poisoned_warm_start_degrades_per_site_only() {
             site_record("deleted-site", "array", "hasharray"),
         ],
         models: Vec::new(),
-        profiles: Vec::new(),
     };
     cs_state::write_atomic(&path, &snapshot).expect("snapshot writes");
 
@@ -461,7 +464,6 @@ fn warm_start_sweeps_a_crashed_writers_temp_file() {
             history_instances: 500,
         }],
         models: Vec::new(),
-        profiles: Vec::new(),
     };
     cs_state::write_atomic(&path, &snapshot).expect("snapshot writes");
     // What a writer killed between its temp write and its rename leaves.
@@ -513,4 +515,49 @@ fn missing_snapshot_is_a_cold_start_not_an_error() {
     lookup_heavy_round(&ctx);
     engine.analyze_now();
     assert_ne!(ctx.current_kind(), ListKind::Array);
+}
+
+/// What `save_state` wrote before per-site profile summaries (record tag
+/// 4) and a model dimension were retired: three site records, one
+/// profile summary per site, and three model blobs, each the default
+/// model with one variant made cheapest and with curves along the retired
+/// dimension.
+const RETIRED_RECORDS: &[u8] = include_bytes!("fixtures/retired_records.css");
+
+#[test]
+fn warm_start_from_a_snapshot_with_retired_records_applies_every_site() {
+    let engine = Switch::builder()
+        .rule(SelectionRule::r_time())
+        .warm_start_snapshot(cs_state::decode_lenient(RETIRED_RECORDS), "fixture")
+        .build();
+    let list = engine.named_list_context::<i64>(ListKind::Array, "orders");
+    let set = engine.named_set_context::<i64>(SetKind::Chained, "tags");
+    let map = engine.named_map_context::<i64, i64>(MapKind::Chained, "index");
+    assert_eq!(list.current_kind(), ListKind::HashArray);
+    assert_eq!(set.current_kind(), SetKind::Array);
+    assert_eq!(map.current_kind(), MapKind::Array);
+
+    let report = engine.warm_start_report().expect("report exists");
+    assert_eq!(report.records_quarantined, 0);
+    assert_eq!(report.records_loaded, 7, "meta, 3 sites, 3 models");
+    assert_eq!((report.models_in_snapshot, report.applied), (3, 3));
+    let applied = count_events(
+        &engine,
+        |e| matches!(e, EngineEvent::WarmStartSite(s) if s.outcome == WarmStartSiteOutcome::Applied),
+    );
+    assert_eq!(applied, 3);
+    assert_eq!(
+        count_events(&engine, |e| matches!(e, EngineEvent::ModelFallback(_))),
+        0
+    );
+    // The snapshot's models are the ones installed, not the defaults.
+    let installed = engine.export_state().models;
+    let defaults = [
+        persist::to_text(default_models::list_model()),
+        persist::to_text(default_models::set_model()),
+        persist::to_text(default_models::map_model()),
+    ];
+    for (blob, default) in installed.iter().zip(&defaults) {
+        assert_ne!(&blob.text, default, "{}", blob.family);
+    }
 }

@@ -4,7 +4,7 @@
 //! observability-enabled binary makes), drives monitored and unmonitored
 //! handles through allocating operations, and checks that the attributed
 //! churn flows all the way into the selection explanation — the same
-//! numbers the alloc-rate dimension and the energy proxy consume.
+//! numbers the alloc-rate dimension consumes.
 
 use cs_collections::{ListKind, SetKind};
 use cs_core::{AnyContext, SelectionRule, Switch};
@@ -55,7 +55,6 @@ fn monitored_handle_churn_reaches_the_explanation() {
         explanation.alloc_bytes_per_op
     );
     assert!(explanation.current_alloc_cost > 0.0);
-    assert!(explanation.current_energy_cost > 0.0);
 }
 
 #[test]

@@ -35,12 +35,11 @@ fn history(instances: &[Instance]) -> ProfileHistogram {
     history
 }
 
-fn shipped_rules() -> [SelectionRule; 6] {
+fn shipped_rules() -> [SelectionRule; 5] {
     [
         SelectionRule::r_time(),
         SelectionRule::r_alloc(),
         SelectionRule::r_footprint(),
-        SelectionRule::r_energy(),
         SelectionRule::r_alloc_rate(),
         SelectionRule::impossible(),
     ]

@@ -365,16 +365,8 @@ fn build_variant_model<S: Subject>(proto: &S, cfg: &BuilderConfig) -> VariantCos
         });
         let apoly =
             Polynomial::fit(&xs, &allocs, cfg.degree).unwrap_or_else(|_| Polynomial::zero());
-        let epoints: Vec<f64> = times
-            .iter()
-            .zip(allocs.iter())
-            .map(|(&t, &a)| t + 0.05 * a)
-            .collect();
-        let epoly =
-            Polynomial::fit(&xs, &epoints, cfg.degree).unwrap_or_else(|_| Polynomial::zero());
         model.set_op_cost(CostDimension::Time, op, tpoly);
         model.set_op_cost(CostDimension::Alloc, op, apoly);
-        model.set_op_cost(CostDimension::Energy, op, epoly);
     }
     let fpoly =
         Polynomial::fit(&xs, &footprints, cfg.degree).unwrap_or_else(|_| Polynomial::zero());

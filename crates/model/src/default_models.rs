@@ -92,22 +92,14 @@ fn build_variant(curves: &Curves) -> VariantCostModel {
         let a = curves.alloc[op.index()];
         m.set_op_cost(CostDimension::Time, op, curve(t, curves.brk));
         m.set_op_cost(CostDimension::Alloc, op, curve(a, curves.brk));
-        // Synthetic energy proxy: time + 0.05 · alloc (paper future work).
-        m.set_op_cost(
-            CostDimension::Energy,
-            op,
-            curve(move |s| t(s) + 0.05 * a(s), curves.brk),
-        );
         // Alloc *rate*: the same per-op churn curves as Alloc but with no
         // per-instance base — it prices steady-state bytes/op, the
         // observable cs-heap attribution measures live.
         m.set_op_cost(CostDimension::AllocRate, op, curve(a, curves.brk));
     }
-    let ai = curves.alloc_instance;
-    m.set_instance_cost(CostDimension::Alloc, curve(ai, curves.brk));
     m.set_instance_cost(
-        CostDimension::Energy,
-        curve(move |s| 0.05 * ai(s), curves.brk),
+        CostDimension::Alloc,
+        curve(curves.alloc_instance, curves.brk),
     );
     m.set_instance_cost(
         CostDimension::Footprint,
@@ -591,16 +583,6 @@ mod tests {
                 .op_cost(CostDimension::Time, OpKind::Middle, 400.0)
         };
         assert!((middle(ListKind::HashArray) - middle(ListKind::Array)).abs() < 1.0);
-    }
-
-    #[test]
-    fn energy_is_time_plus_scaled_alloc() {
-        let m = map_model();
-        let v = m.variant(MapKind::Chained).unwrap();
-        let t = v.op_cost(CostDimension::Time, OpKind::Populate, 100.0);
-        let a = v.op_cost(CostDimension::Alloc, OpKind::Populate, 100.0);
-        let e = v.op_cost(CostDimension::Energy, OpKind::Populate, 100.0);
-        assert!((e - (t + 0.05 * a)).abs() < 1.0);
     }
 
     #[test]

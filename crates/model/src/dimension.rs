@@ -8,9 +8,6 @@ use std::str::FromStr;
 ///
 /// The paper's evaluation optimizes `Time` and `Alloc` (rules `R_time` and
 /// `R_alloc`, Table 4) and tracks `Footprint` as the peak-memory outcome.
-/// `Energy` is the paper's named future-work dimension; here it is a derived
-/// synthetic (a fixed affine combination of time and allocation) so that
-/// rules over more than two dimensions are exercised end to end.
 ///
 /// # Examples
 ///
@@ -29,24 +26,20 @@ pub enum CostDimension {
     Alloc,
     /// Peak heap footprint of the collection at its maximum size.
     Footprint,
-    /// Synthetic energy proxy (derived from time and allocation).
-    Energy,
     /// Allocation *rate*: bytes allocated per operation, with no
     /// per-instance term. Where `Alloc` prices the total churn of a
     /// workload (and so grows with instance count), `AllocRate` prices
     /// steady-state churn intensity — the observable `cs-heap` attribution
-    /// measures live per site. Appended after `Energy` so persisted model
-    /// files indexed by the first four dimensions stay valid.
+    /// measures live per site.
     AllocRate,
 }
 
 impl CostDimension {
     /// All dimensions, in a fixed order usable for indexing.
-    pub const ALL: [CostDimension; 5] = [
+    pub const ALL: [CostDimension; 4] = [
         CostDimension::Time,
         CostDimension::Alloc,
         CostDimension::Footprint,
-        CostDimension::Energy,
         CostDimension::AllocRate,
     ];
 
@@ -57,8 +50,7 @@ impl CostDimension {
             CostDimension::Time => 0,
             CostDimension::Alloc => 1,
             CostDimension::Footprint => 2,
-            CostDimension::Energy => 3,
-            CostDimension::AllocRate => 4,
+            CostDimension::AllocRate => 3,
         }
     }
 }
@@ -69,7 +61,6 @@ impl fmt::Display for CostDimension {
             CostDimension::Time => "time",
             CostDimension::Alloc => "alloc",
             CostDimension::Footprint => "footprint",
-            CostDimension::Energy => "energy",
             CostDimension::AllocRate => "alloc_rate",
         };
         f.write_str(s)
@@ -96,7 +87,6 @@ impl FromStr for CostDimension {
             "time" => Ok(CostDimension::Time),
             "alloc" => Ok(CostDimension::Alloc),
             "footprint" => Ok(CostDimension::Footprint),
-            "energy" => Ok(CostDimension::Energy),
             "alloc_rate" => Ok(CostDimension::AllocRate),
             _ => Err(ParseDimensionError(s.to_owned())),
         }
@@ -116,7 +106,7 @@ mod tests {
 
     #[test]
     fn indexes_cover_all() {
-        let mut seen = [false; 5];
+        let mut seen = [false; CostDimension::ALL.len()];
         for d in CostDimension::ALL {
             seen[d.index()] = true;
         }

@@ -16,8 +16,8 @@
 //! This crate provides:
 //!
 //! * [`Polynomial`] — degree-d least-squares fitting and evaluation.
-//! * [`CostDimension`] — the cost dimensions (time, allocation, footprint,
-//!   plus the paper's future-work energy dimension as a derived synthetic).
+//! * [`CostDimension`] — the cost dimensions (time, allocation, footprint
+//!   and allocation rate).
 //! * [`PerformanceModel`] — per-(variant, dimension, op) polynomials with
 //!   the `tc` total-cost evaluation.
 //! * [`builder`] — the micro-benchmark harness that calibrates a model on
@@ -54,7 +54,6 @@ pub mod builder;
 mod curve;
 pub mod default_models;
 mod dimension;
-pub mod energy;
 mod perf;
 pub mod persist;
 mod poly;
@@ -62,6 +61,5 @@ pub mod threshold;
 
 pub use curve::CostCurve;
 pub use dimension::CostDimension;
-pub use energy::{calibrated_weights, EnergyWeights, SYNTHETIC_WEIGHTS};
 pub use perf::{PerformanceModel, VariantCostModel};
 pub use poly::{FitError, Polynomial};

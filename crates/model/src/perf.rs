@@ -37,8 +37,8 @@ pub struct VariantCostModel {
     // Dense (dimension × op) storage: the analyzer evaluates these curves in
     // its inner loop, where a hash lookup per access would dominate the
     // sub-microsecond analysis budget (paper Fig. 7).
-    op_costs: [[Option<CostCurve>; 4]; 5],
-    instance_costs: [Option<CostCurve>; 5],
+    op_costs: [[Option<CostCurve>; OpKind::ALL.len()]; CostDimension::ALL.len()],
+    instance_costs: [Option<CostCurve>; CostDimension::ALL.len()],
 }
 
 impl VariantCostModel {

@@ -11,6 +11,10 @@
 //! op <variant> <dimension> <opkind> pw <threshold> <scale> <c…> | <scale> <c…>
 //! instance <variant> <dimension> poly <scale> <c0> <c1> …
 //! ```
+//!
+//! Files written by earlier versions may carry curves along a dimension
+//! that has since been retired (`energy`); the reader checks those lines
+//! like any other and then skips them.
 
 use std::fmt::{self, Display, Write as _};
 use std::str::FromStr;
@@ -121,6 +125,11 @@ fn parse_op_kind(s: &str, line_no: usize) -> Result<OpKind, ParseModelError> {
         .ok_or_else(|| ParseModelError::new(line_no, format!("unknown op `{s}`")))
 }
 
+/// A dimension name that older model files carry but no [`CostDimension`]
+/// prices any more. A line along it is skipped, so such a file still
+/// loads; any other unknown dimension is an error.
+const RETIRED_DIMENSION: &str = "energy";
+
 /// Largest magnitude accepted for any scale, coefficient, or threshold.
 ///
 /// Calibrated costs are nanosecond/byte-scale figures; anything beyond this
@@ -207,7 +216,8 @@ fn parse_curve(tokens: &[&str], line_no: usize) -> Result<CostCurve, ParseModelE
 /// # Errors
 ///
 /// Returns [`ParseModelError`] on malformed lines, unknown variant /
-/// dimension / op names, or non-numeric values.
+/// dimension / op names, or non-numeric values. A well-formed line along a
+/// retired dimension (`energy`) is skipped, not an error.
 pub fn from_text<K>(text: &str) -> Result<PerformanceModel<K>, ParseModelError>
 where
     K: Copy + Eq + Display + FromStr,
@@ -252,10 +262,15 @@ where
         let kind: K = kind_s
             .parse()
             .map_err(|e| ParseModelError::new(line_no, format!("{e}")))?;
-        let dim: CostDimension = dim_s
-            .parse()
-            .map_err(|e| ParseModelError::new(line_no, format!("{e}")))?;
+        let dim = match dim_s.parse::<CostDimension>() {
+            Ok(dim) => Some(dim),
+            Err(_) if dim_s == RETIRED_DIMENSION => None,
+            Err(e) => return Err(ParseModelError::new(line_no, format!("{e}"))),
+        };
         let curve = parse_curve(curve_tokens, line_no)?;
+        let Some(dim) = dim else {
+            continue;
+        };
         let vm = model.variant_entry(kind);
         match op {
             Some(op) => vm.set_op_cost(dim, op, curve),
@@ -367,6 +382,37 @@ mod tests {
         let v = m.variant(ListKind::Adaptive).unwrap();
         assert_eq!(v.op_cost(CostDimension::Time, OpKind::Contains, 10.0), 1.0);
         assert_eq!(v.op_cost(CostDimension::Time, OpKind::Contains, 100.0), 9.0);
+    }
+
+    /// `to_text(default_models::list_model())` as written while the model
+    /// still priced an energy dimension: every variant carries `energy`
+    /// op and instance curves.
+    const LISTS_WITH_ENERGY: &str = include_str!("../tests/fixtures/lists_with_energy.model");
+
+    #[test]
+    fn retired_dimension_lines_are_skipped() {
+        let retired = |line: &&str| line.split_whitespace().nth(2) == Some("energy");
+        assert_eq!(LISTS_WITH_ENERGY.lines().filter(retired).count(), 20);
+        let without: String = LISTS_WITH_ENERGY
+            .lines()
+            .filter(|line| !retired(line))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let with: PerformanceModel<ListKind> = from_text(LISTS_WITH_ENERGY).unwrap();
+        let plain: PerformanceModel<ListKind> = from_text(&without).unwrap();
+        // Every curve, written back out, is the one parsed without those
+        // lines, and the file's other curves are today's defaults.
+        assert_eq!(to_text(&with), to_text(&plain));
+        assert_eq!(to_text(&with), to_text(default_models::list_model()));
+    }
+
+    #[test]
+    fn unknown_dimension_is_an_error() {
+        let err = from_text::<ListKind>("op array joules populate poly 1 0\n").unwrap_err();
+        assert!(err.to_string().contains("joules"), "{err}");
+        // A retired line is checked before it is skipped.
+        assert!(from_text::<ListKind>("op zorp energy populate poly 1 0\n").is_err());
+        assert!(from_text::<ListKind>("instance array energy poly 1 NaN\n").is_err());
     }
 
     #[test]

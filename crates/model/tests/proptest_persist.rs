@@ -38,7 +38,7 @@ fn poly(scale_raw: u32, coeff_raws: Vec<i64>) -> Polynomial {
 }
 
 fn entry_strategy() -> impl Strategy<Value = Entry> {
-    let slot = (0usize..4, 0usize..4, 0usize..5);
+    let slot = (0usize..4, 0..CostDimension::ALL.len(), 0usize..5);
     let poly_params = (
         1u32..50_000,
         proptest::collection::vec(-1_000_000_i64..1_000_000, 1..5),

@@ -158,8 +158,8 @@ impl ProfileHistogram {
     }
 
     /// Mean attributed allocation bytes per aggregated operation; `0.0` for
-    /// an empty histogram. This is the `a` evaluated by the alloc-rate and
-    /// energy terms of the cost model.
+    /// an empty histogram. This is the measured counterpart of the cost
+    /// model's alloc-rate dimension.
     pub fn alloc_bytes_per_op(&self) -> f64 {
         let total = self.total_ops();
         if total == 0 {

@@ -5,8 +5,8 @@
 //!
 //! The paper's value proposition is *amortized* learning: monitoring cost
 //! is paid once, better collection choices keep paying off. That breaks at
-//! every process restart unless the learned state (per-site decisions,
-//! calibrated model coefficients, profile summaries) survives the restart
+//! every process restart unless the learned state (per-site decisions and
+//! calibrated model coefficients) survives the restart
 //! — and it only *safely* survives if a half-written or bit-flipped
 //! snapshot can never poison the next process. This crate provides that
 //! guarantee with three pieces:
@@ -58,7 +58,6 @@
 //!         history_instances: 480,
 //!     }],
 //!     models: Vec::new(),
-//!     profiles: Vec::new(),
 //! };
 //! write_atomic(&path, &snapshot).unwrap();
 //!
@@ -81,7 +80,7 @@ pub use reader::{
     decode_lenient, load_lenient, CorruptionIncident, CorruptionReason, LoadReport, SalvageStats,
     MAX_INCIDENTS,
 };
-pub use record::{MetaRecord, ModelBlobRecord, ProfileSummaryRecord, Record, SiteRecord, Snapshot};
+pub use record::{MetaRecord, ModelBlobRecord, Record, SiteRecord, Snapshot};
 pub use writer::{
     encode_snapshot, sweep_stale_temps, write_atomic, write_atomic_bytes, WriteReport,
     FORMAT_VERSION, MAX_PAYLOAD,

@@ -20,7 +20,7 @@ use std::fmt;
 use std::path::Path;
 
 use crate::crc::Crc32;
-use crate::record::{Record, Snapshot};
+use crate::record::{Record, Snapshot, KIND_RETIRED_PROFILE};
 use crate::writer::{FORMAT_VERSION, FRAME_OVERHEAD, HEADER_LEN, MAGIC, MAX_PAYLOAD, SYNC};
 
 /// Loss counters for one load. All zero (and `header_ok`) for a clean
@@ -296,6 +296,11 @@ pub fn decode_lenient(bytes: &[u8]) -> LoadReport {
             gap_already_accounted = true;
             continue;
         }
+        // An intact frame of a retired kind is not damage: drop it unread.
+        if kind == KIND_RETIRED_PROFILE {
+            off = frame_end;
+            continue;
+        }
         match Record::decode(kind, &bytes[p + 9..p + 9 + plen]) {
             Ok(record) => {
                 stats.records_loaded += 1;
@@ -372,7 +377,6 @@ mod tests {
                 family: "lists".into(),
                 text: "# collectionswitch model v1\n".into(),
             }],
-            profiles: Vec::new(),
         }
     }
 

@@ -20,9 +20,6 @@ use std::fmt;
 /// beyond this is treated as corruption, not an allocation request.
 pub const MAX_STRING_LEN: usize = 4096;
 
-/// Upper bound on the entries of a profile-summary record.
-pub const MAX_PROFILE_ENTRIES: usize = 4096;
-
 /// Snapshot-level metadata: one per snapshot, written first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetaRecord {
@@ -73,17 +70,6 @@ pub struct ModelBlobRecord {
     pub text: String,
 }
 
-/// Aggregate workload counters for one site, for warm-start diagnostics
-/// and fleet dashboards (the engine does not feed these back into
-/// selection).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProfileSummaryRecord {
-    /// Allocation-site name.
-    pub site: String,
-    /// Named counters, e.g. `("profiles_ingested", 1024)`.
-    pub entries: Vec<(String, u64)>,
-}
-
 /// Any record a snapshot can carry.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Record {
@@ -93,8 +79,6 @@ pub enum Record {
     Site(SiteRecord),
     /// A calibrated model blob.
     Model(ModelBlobRecord),
-    /// Per-site workload counters.
-    Profile(ProfileSummaryRecord),
 }
 
 /// Wire tags. Unknown tags are quarantined by the reader (forward
@@ -102,7 +86,10 @@ pub enum Record {
 pub(crate) const KIND_META: u8 = 1;
 pub(crate) const KIND_SITE: u8 = 2;
 pub(crate) const KIND_MODEL: u8 = 3;
-pub(crate) const KIND_PROFILE: u8 = 4;
+/// Retired: per-site profile summaries, which earlier versions wrote and
+/// nothing read. The reader drops these frames unread, so snapshots that
+/// hold them still load clean.
+pub(crate) const KIND_RETIRED_PROFILE: u8 = 4;
 
 impl Record {
     /// The record's wire tag.
@@ -111,7 +98,6 @@ impl Record {
             Record::Meta(_) => KIND_META,
             Record::Site(_) => KIND_SITE,
             Record::Model(_) => KIND_MODEL,
-            Record::Profile(_) => KIND_PROFILE,
         }
     }
 
@@ -121,7 +107,6 @@ impl Record {
             Record::Meta(_) => "meta",
             Record::Site(_) => "site",
             Record::Model(_) => "model",
-            Record::Profile(_) => "profile",
         }
     }
 
@@ -147,14 +132,6 @@ impl Record {
             Record::Model(m) => {
                 put_str(&mut out, &m.family);
                 put_str(&mut out, &m.text);
-            }
-            Record::Profile(p) => {
-                put_str(&mut out, &p.site);
-                put_u32(&mut out, p.entries.len() as u32);
-                for (key, value) in &p.entries {
-                    put_str(&mut out, key);
-                    put_u64(&mut out, *value);
-                }
             }
         }
         out
@@ -185,20 +162,6 @@ impl Record {
                 // payload (already bounded by the frame's MAX_PAYLOAD).
                 text: c.str(usize::MAX)?,
             }),
-            KIND_PROFILE => {
-                let site = c.str(MAX_STRING_LEN)?;
-                let n = c.u32()? as usize;
-                if n > MAX_PROFILE_ENTRIES {
-                    return Err(DecodeError::new(format!(
-                        "profile entry count {n} exceeds cap {MAX_PROFILE_ENTRIES}"
-                    )));
-                }
-                let mut entries = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    entries.push((c.str(MAX_STRING_LEN)?, c.u64()?));
-                }
-                Record::Profile(ProfileSummaryRecord { site, entries })
-            }
             other => {
                 return Err(DecodeError::new(format!("unknown record kind {other}")));
             }
@@ -323,33 +286,24 @@ pub struct Snapshot {
     pub sites: Vec<SiteRecord>,
     /// Calibrated model blobs, in first-seen order.
     pub models: Vec<ModelBlobRecord>,
-    /// Per-site workload counters, in first-seen order.
-    pub profiles: Vec<ProfileSummaryRecord>,
 }
 
 impl Snapshot {
-    /// Flattens the snapshot back into its record stream, meta first —
-    /// the write order, so early truncation loses the least-important
-    /// records last (sites before profiles).
+    /// Flattens the snapshot back into its record stream, in write order:
+    /// meta, sites, models.
     pub fn records(&self) -> Vec<Record> {
-        let mut out = Vec::with_capacity(
-            usize::from(self.meta.is_some())
-                + self.sites.len()
-                + self.models.len()
-                + self.profiles.len(),
-        );
+        let mut out = Vec::with_capacity(self.record_count());
         if let Some(meta) = &self.meta {
             out.push(Record::Meta(meta.clone()));
         }
         out.extend(self.sites.iter().cloned().map(Record::Site));
         out.extend(self.models.iter().cloned().map(Record::Model));
-        out.extend(self.profiles.iter().cloned().map(Record::Profile));
         out
     }
 
     /// Assembles a snapshot from a salvaged record stream, deduplicating
     /// with last-wins semantics: sites key on `(abstraction, name)`,
-    /// models on `family`, profiles on `site`, meta on itself. Returns
+    /// models on `family`, meta on itself. Returns
     /// the snapshot and the number of duplicate records dropped.
     ///
     /// Last-wins matches the append-oriented write path: if a writer ever
@@ -390,18 +344,6 @@ impl Snapshot {
                         snapshot.models.push(model);
                     }
                 }
-                Record::Profile(profile) => {
-                    if let Some(existing) = snapshot
-                        .profiles
-                        .iter_mut()
-                        .find(|p| p.site == profile.site)
-                    {
-                        *existing = profile;
-                        duplicates += 1;
-                    } else {
-                        snapshot.profiles.push(profile);
-                    }
-                }
             }
         }
         (snapshot, duplicates)
@@ -409,10 +351,7 @@ impl Snapshot {
 
     /// Total records the snapshot would serialize to.
     pub fn record_count(&self) -> usize {
-        usize::from(self.meta.is_some())
-            + self.sites.len()
-            + self.models.len()
-            + self.profiles.len()
+        usize::from(self.meta.is_some()) + self.sites.len() + self.models.len()
     }
 }
 
@@ -440,10 +379,6 @@ mod tests {
             Record::Model(ModelBlobRecord {
                 family: "lists".into(),
                 text: "# collectionswitch model v1\n".into(),
-            }),
-            Record::Profile(ProfileSummaryRecord {
-                site: "IndexCursor:70".into(),
-                entries: vec![("profiles_ingested".into(), 480), ("ops".into(), 96_000)],
             }),
         ]
     }
@@ -508,6 +443,6 @@ mod tests {
         assert_eq!(snapshot.sites.len(), 1);
         assert_eq!(snapshot.sites[0].current_kind, "adaptive");
         assert_eq!(snapshot.models.len(), 1);
-        assert_eq!(snapshot.record_count(), 4);
+        assert_eq!(snapshot.record_count(), 3);
     }
 }

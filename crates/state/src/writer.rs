@@ -223,7 +223,6 @@ mod tests {
                 history_instances: 60,
             }],
             models: Vec::new(),
-            profiles: Vec::new(),
         }
     }
 

@@ -20,9 +20,8 @@
 
 use cs_state::writer::{FRAME_OVERHEAD, HEADER_LEN, SYNC};
 use cs_state::{
-    decode_lenient, encode_snapshot, load_lenient, sweep_stale_temps, write_atomic,
-    CorruptionReason, MetaRecord, ModelBlobRecord, ProfileSummaryRecord, Record, SiteRecord,
-    Snapshot,
+    crc32, decode_lenient, encode_snapshot, load_lenient, sweep_stale_temps, write_atomic,
+    CorruptionReason, MetaRecord, ModelBlobRecord, Record, SiteRecord, Snapshot,
 };
 
 fn sample_snapshot() -> Snapshot {
@@ -42,10 +41,6 @@ fn sample_snapshot() -> Snapshot {
         models: vec![ModelBlobRecord {
             family: "lists".into(),
             text: "# collectionswitch model v1\nabstraction list\n".into(),
-        }],
-        profiles: vec![ProfileSummaryRecord {
-            site: "cursor".into(),
-            entries: vec![("profiles_ingested".into(), 240), ("ops".into(), 48_000)],
         }],
     }
 }
@@ -176,7 +171,7 @@ fn torn_mix_of_two_generations_salvages_only_real_records() {
     new.meta.as_mut().unwrap().seq = 12;
     new.sites[0].current_kind = "adaptive".into();
     new.sites[2].current_kind = "open-fastutil".into();
-    new.profiles.clear(); // generations may differ in length
+    new.models.clear(); // generations may differ in length
     let old_bytes = encode_snapshot(&old);
     let new_bytes = encode_snapshot(&new);
     let mut union = old.records();
@@ -282,4 +277,83 @@ fn multi_region_corruption_is_accounted_per_region() {
         assert_eq!(incident.reason, CorruptionReason::CrcMismatch);
     }
     assert_salvaged_subset(&report.snapshot, &originals);
+}
+
+/// Frames `payload` as a record with wire tag `kind`:
+/// `SYNC | kind:u8 | len:u32 | payload | crc32(kind+len+payload):u32`.
+fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = SYNC.to_vec();
+    out.push(kind);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    let crc = crc32(&out[SYNC.len()..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
+/// A per-site profile-summary payload (wire tag 4) as earlier versions
+/// wrote one per site: the site name, a `u32` entry count, then each
+/// entry's key and `u64` value; strings carry a `u32` length prefix, and
+/// integers are little-endian.
+fn profile_summary_payload(site: &str, entries: &[(&str, u64)]) -> Vec<u8> {
+    fn put_str(out: &mut Vec<u8>, s: &str) {
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+    }
+    let mut out = Vec::new();
+    put_str(&mut out, site);
+    out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for &(key, value) in entries {
+        put_str(&mut out, key);
+        out.extend_from_slice(&value.to_le_bytes());
+    }
+    out
+}
+
+#[test]
+fn retired_profile_summary_frames_load_clean() {
+    let snapshot = Snapshot {
+        meta: None,
+        sites: vec![
+            site("cursor", "list", "array", "hasharray", 12, 1, 240),
+            site("dedup", "set", "chained", "array", 7, 1, 140),
+        ],
+        models: Vec::new(),
+    };
+    let bytes = encode_snapshot(&snapshot);
+    let second_site = frame_ranges(&bytes)[1].0;
+    let summary = profile_summary_payload(
+        "cursor",
+        &[
+            ("profiles_ingested", 240),
+            ("profiles_dropped", 0),
+            ("alloc_count", 480),
+            ("alloc_bytes", 23_040),
+        ],
+    );
+    let with_frame = |kind: u8| {
+        let mut image = bytes[..second_site].to_vec();
+        image.extend(frame(kind, &summary));
+        image.extend_from_slice(&bytes[second_site..]);
+        image
+    };
+
+    // A snapshot written before profile summaries were retired holds one
+    // between its site records: it loads clean, both sites intact.
+    let report = decode_lenient(&with_frame(4));
+    assert_eq!(
+        report.stats.records_quarantined(),
+        0,
+        "{:?}",
+        report.incidents
+    );
+    assert!(report.stats.is_clean(), "{:?}", report.stats);
+    assert_eq!(report.stats.records_loaded, 2);
+    assert_eq!(report.snapshot, snapshot);
+
+    // A tag no version has written is still quarantined.
+    let report = decode_lenient(&with_frame(9));
+    assert_eq!(report.stats.decode_failures, 1);
+    assert_eq!(report.incidents[0].reason, CorruptionReason::DecodeFailure);
+    assert_eq!(report.snapshot, snapshot);
 }

@@ -15,8 +15,7 @@ use proptest::collection;
 use proptest::prelude::*;
 
 use cs_state::{
-    decode_lenient, encode_snapshot, MetaRecord, ModelBlobRecord, ProfileSummaryRecord, Record,
-    SiteRecord, Snapshot,
+    decode_lenient, encode_snapshot, MetaRecord, ModelBlobRecord, Record, SiteRecord, Snapshot,
 };
 
 fn name_strategy() -> BoxedStrategy<String> {
@@ -58,9 +57,8 @@ fn snapshot_strategy() -> BoxedStrategy<Snapshot> {
             }
             sites
         }),
-        collection::vec((name_strategy(), 0u64..u64::MAX), 0..4),
     )
-        .prop_map(|((seq, created), sites, counters)| Snapshot {
+        .prop_map(|((seq, created), sites)| Snapshot {
             meta: Some(MetaRecord {
                 seq,
                 created_unix_nanos: created,
@@ -71,10 +69,6 @@ fn snapshot_strategy() -> BoxedStrategy<Snapshot> {
             models: vec![ModelBlobRecord {
                 family: "lists".into(),
                 text: "# collectionswitch model v1\n".into(),
-            }],
-            profiles: vec![ProfileSummaryRecord {
-                site: "p".into(),
-                entries: counters,
             }],
         })
         .boxed()

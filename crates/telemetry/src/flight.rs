@@ -250,7 +250,7 @@ impl EngineEventSink for FlightRecorder {
             EngineEvent::Rollback(_) => "rollback",
             EngineEvent::Quarantine(_) => "quarantine",
             // A switch the allocation dimension decided: the incident
-            // preserves the alloc/energy cost columns and the measured
+            // preserves the alloc cost columns and the measured
             // bytes-per-op that justified trading time for churn.
             EngineEvent::Selection(s)
                 if s.outcome == cs_core::SelectionOutcome::Switched && s.alloc_driven =>
@@ -494,7 +494,6 @@ mod tests {
             current: "linked".into(),
             current_primary_cost: 40_000.0,
             current_alloc_cost: 40_000.0,
-            current_energy_cost: 52_000.0,
             alloc_bytes_per_op: 41.5,
             alloc_driven: true,
             candidates: vec![],

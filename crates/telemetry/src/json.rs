@@ -554,7 +554,6 @@ fn candidate_to_json(c: &CandidateEstimate) -> Json {
         .field("primary_ratio", c.primary_ratio)
         // NaN (excluded candidates are never costed) renders as null.
         .field("alloc_cost", c.alloc_cost)
-        .field("energy_cost", c.energy_cost)
         .field("satisfied", c.satisfied)
         .field("excluded", c.excluded)
 }
@@ -571,7 +570,6 @@ pub fn explanation_to_json(e: &SelectionExplanation) -> Json {
         .field("current", e.current.as_str())
         .field("current_primary_cost", e.current_primary_cost)
         .field("current_alloc_cost", e.current_alloc_cost)
-        .field("current_energy_cost", e.current_energy_cost)
         .field("alloc_bytes_per_op", e.alloc_bytes_per_op)
         .field("alloc_driven", e.alloc_driven)
         .field(

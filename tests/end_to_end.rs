@@ -288,31 +288,6 @@ fn full_app_checksums_are_mode_invariant() {
 }
 
 #[test]
-fn energy_rule_selects_along_the_synthetic_dimension() {
-    let engine = Switch::builder()
-        .rule(SelectionRule::r_energy())
-        .window(fast_window())
-        .guardrails(GuardrailConfig::disabled())
-        .build();
-    let ctx = engine.set_context::<i64>(SetKind::Chained);
-    for _ in 0..60 {
-        let mut s = ctx.create_set();
-        for v in 0..200 {
-            s.insert(v);
-        }
-        for v in 0..400 {
-            s.contains(&v);
-        }
-    }
-    engine.analyze_now();
-    assert_ne!(
-        ctx.current_kind(),
-        SetKind::Chained,
-        "the energy dimension (time + scaled alloc) must also improve"
-    );
-}
-
-#[test]
 fn footprint_rule_prefers_compact_layouts() {
     let engine = Switch::builder()
         .rule(SelectionRule::r_footprint())
