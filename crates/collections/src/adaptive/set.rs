@@ -92,9 +92,10 @@ impl<T: Eq + Hash + Clone> AdaptiveSet<T> {
     }
 
     fn transition_to_hash(&mut self) {
-        let old = std::mem::replace(&mut self.repr, Repr::Open(OpenHashSet::with_profile(
-            LibraryProfile::Koloboke,
-        )));
+        let old = std::mem::replace(
+            &mut self.repr,
+            Repr::Open(OpenHashSet::with_profile(LibraryProfile::Koloboke)),
+        );
         if let (Repr::Array(mut array), Repr::Open(open)) = (old, &mut self.repr) {
             SetOps::drain_into(&mut array, &mut |v| {
                 open.insert(v);

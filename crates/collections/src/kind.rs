@@ -385,12 +385,10 @@ mod tests {
     #[test]
     fn profiles_order_by_density() {
         assert!(
-            LibraryProfile::Koloboke.max_load_factor()
-                < LibraryProfile::Eclipse.max_load_factor()
+            LibraryProfile::Koloboke.max_load_factor() < LibraryProfile::Eclipse.max_load_factor()
         );
         assert!(
-            LibraryProfile::Eclipse.max_load_factor()
-                < LibraryProfile::FastUtil.max_load_factor()
+            LibraryProfile::Eclipse.max_load_factor() < LibraryProfile::FastUtil.max_load_factor()
         );
     }
 

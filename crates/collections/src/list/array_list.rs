@@ -117,15 +117,12 @@ impl<T> ArrayList<T> {
     /// Moves the buffer to a new allocation of exactly `new_cap` slots.
     fn reallocate(&mut self, new_cap: usize) {
         debug_assert!(new_cap >= self.len);
-        let mut new_buf: Box<[MaybeUninit<T>]> = (0..new_cap).map(|_| MaybeUninit::uninit()).collect();
+        let mut new_buf: Box<[MaybeUninit<T>]> =
+            (0..new_cap).map(|_| MaybeUninit::uninit()).collect();
         // SAFETY: source and destination do not overlap; the first `len`
         // slots of `buf` are initialized and `new_cap >= len`.
         unsafe {
-            ptr::copy_nonoverlapping(
-                self.buf.as_ptr(),
-                new_buf.as_mut_ptr(),
-                self.len,
-            );
+            ptr::copy_nonoverlapping(self.buf.as_ptr(), new_buf.as_mut_ptr(), self.len);
         }
         // The old buffer's slots are now logically moved out; dropping the
         // old Box must not drop elements (MaybeUninit never drops contents).
@@ -187,7 +184,11 @@ impl<T> ArrayList<T> {
     ///
     /// Panics if `index > len`.
     pub fn insert(&mut self, index: usize, value: T) {
-        assert!(index <= self.len, "insert index {index} out of bounds (len {})", self.len);
+        assert!(
+            index <= self.len,
+            "insert index {index} out of bounds (len {})",
+            self.len
+        );
         self.grow_for_push();
         // SAFETY: capacity > len after grow_for_push; shifting the
         // initialized tail right by one stays in bounds.
@@ -206,7 +207,11 @@ impl<T> ArrayList<T> {
     ///
     /// Panics if `index >= len`.
     pub fn remove(&mut self, index: usize) -> T {
-        assert!(index < self.len, "remove index {index} out of bounds (len {})", self.len);
+        assert!(
+            index < self.len,
+            "remove index {index} out of bounds (len {})",
+            self.len
+        );
         // SAFETY: `index < len`, so the slot is initialized; the shift copies
         // initialized slots left over the vacated one.
         unsafe {
@@ -236,7 +241,11 @@ impl<T> ArrayList<T> {
     ///
     /// Panics if `index >= len`.
     pub fn set(&mut self, index: usize, value: T) -> T {
-        assert!(index < self.len, "set index {index} out of bounds (len {})", self.len);
+        assert!(
+            index < self.len,
+            "set index {index} out of bounds (len {})",
+            self.len
+        );
         mem::replace(&mut self.as_mut_slice()[index], value)
     }
 

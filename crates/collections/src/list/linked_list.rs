@@ -209,7 +209,11 @@ impl<T> LinkedList<T> {
     ///
     /// Panics if `index > len`.
     pub fn insert(&mut self, index: usize, value: T) {
-        assert!(index <= self.len, "insert index {index} out of bounds (len {})", self.len);
+        assert!(
+            index <= self.len,
+            "insert index {index} out of bounds (len {})",
+            self.len
+        );
         if index == 0 {
             self.push_front(value);
         } else if index == self.len {
@@ -230,7 +234,11 @@ impl<T> LinkedList<T> {
     ///
     /// Panics if `index >= len`.
     pub fn remove(&mut self, index: usize) -> T {
-        assert!(index < self.len, "remove index {index} out of bounds (len {})", self.len);
+        assert!(
+            index < self.len,
+            "remove index {index} out of bounds (len {})",
+            self.len
+        );
         let idx = self.node_at(index);
         self.unlink(idx)
     }
@@ -252,7 +260,11 @@ impl<T> LinkedList<T> {
     ///
     /// Panics if `index >= len`.
     pub fn set(&mut self, index: usize, value: T) -> T {
-        assert!(index < self.len, "set index {index} out of bounds (len {})", self.len);
+        assert!(
+            index < self.len,
+            "set index {index} out of bounds (len {})",
+            self.len
+        );
         let idx = self.node_at(index);
         match &mut self.slots[idx] {
             Slot::Occupied { value: v, .. } => mem::replace(v, value),
@@ -433,7 +445,10 @@ mod tests {
     #[test]
     fn push_back_preserves_order() {
         let l: LinkedList<i32> = (0..10).collect();
-        assert_eq!(l.iter().copied().collect::<Vec<_>>(), (0..10).collect::<Vec<_>>());
+        assert_eq!(
+            l.iter().copied().collect::<Vec<_>>(),
+            (0..10).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -186,8 +186,7 @@ impl<K: Eq, V> Extend<(K, V)> for ArrayMap<K, V> {
 
 impl<K, V> HeapSize for ArrayMap<K, V> {
     fn heap_bytes(&self) -> usize {
-        self.keys.capacity() * mem::size_of::<K>()
-            + self.values.capacity() * mem::size_of::<V>()
+        self.keys.capacity() * mem::size_of::<K>() + self.values.capacity() * mem::size_of::<V>()
     }
 
     fn allocated_bytes(&self) -> u64 {

@@ -87,10 +87,7 @@ impl<K: Eq + Hash, V> ChainedHashMap<K, V> {
 
     fn rebuild_buckets(&mut self, count: usize) {
         debug_assert!(count.is_power_of_two());
-        let old = mem::replace(
-            &mut self.buckets,
-            (0..count).map(|_| None).collect(),
-        );
+        let old = mem::replace(&mut self.buckets, (0..count).map(|_| None).collect());
         self.allocated += (count * mem::size_of::<Bucket<K, V>>()) as u64;
         let mask = count - 1;
         for mut chain in old.into_vec() {
@@ -201,7 +198,6 @@ impl<K: Eq + Hash, V> ChainedHashMap<K, V> {
             cur = &mut cur.as_deref_mut().expect("checked above").next;
         }
     }
-
 }
 
 impl<K, V> ChainedHashMap<K, V> {
@@ -408,7 +404,11 @@ mod tests {
         for i in 0..13_i64 {
             m.insert(i, ());
         }
-        assert_eq!(m.bucket_count(), 32, "16 * 0.75 = 12 entries trigger doubling");
+        assert_eq!(
+            m.bucket_count(),
+            32,
+            "16 * 0.75 = 12 entries trigger doubling"
+        );
     }
 
     #[test]
@@ -437,7 +437,9 @@ mod tests {
         let mut std = StdMap::new();
         let mut x = 0xdeadbeef_u64;
         for _ in 0..5000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let key = (x >> 33) as i64 % 300;
             match x % 3 {
                 0 => assert_eq!(ours.insert(key, x), std.insert(key, x)),

@@ -404,7 +404,9 @@ mod tests {
         let mut std = StdMap::new();
         let mut x = 0xc0ffee_u64;
         for _ in 0..8000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let key = (x >> 33) as i64 % 400;
             match x % 4 {
                 0 | 3 => assert_eq!(ours.insert(key, x), std.insert(key, x)),

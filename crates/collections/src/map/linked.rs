@@ -172,8 +172,7 @@ impl<K: Eq + Hash, V> LinkedHashMap<K, V> {
             self.entries.push(EntrySlot::Occupied(entry));
             let new_cap = self.entries.capacity();
             if new_cap != old_cap {
-                self.allocated +=
-                    ((new_cap - old_cap) * mem::size_of::<EntrySlot<K, V>>()) as u64;
+                self.allocated += ((new_cap - old_cap) * mem::size_of::<EntrySlot<K, V>>()) as u64;
             }
             self.entries.len() - 1
         };
@@ -190,7 +189,8 @@ impl<K: Eq + Hash, V> LinkedHashMap<K, V> {
 
     /// Returns a reference to the value for `key`, if present.
     pub fn get(&self, key: &K) -> Option<&V> {
-        self.find(key, hash_one(key)).map(|idx| &self.entry(idx).value)
+        self.find(key, hash_one(key))
+            .map(|idx| &self.entry(idx).value)
     }
 
     /// Returns `true` if `key` has an entry.

@@ -507,7 +507,9 @@ mod tests {
         // Deterministic pseudo-random op mix.
         let mut x = 0x12345678_u64;
         for _ in 0..5000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let key = (x >> 33) as i64 % 500;
             match x % 3 {
                 0 => {

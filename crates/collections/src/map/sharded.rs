@@ -124,10 +124,7 @@ impl<K: Eq + Hash, V> ShardedHashMap<K, V> {
     /// Total entries over all shards (a point-in-time sum; other threads may
     /// be mutating concurrently).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| self.lock_shard(s).len())
-            .sum()
+        self.shards.iter().map(|s| self.lock_shard(s).len()).sum()
     }
 
     /// Returns `true` if no shard holds entries.
@@ -211,7 +208,11 @@ impl<K: Eq + Hash, V> HeapSize for ShardedHashMap<K, V> {
     fn allocated_bytes(&self) -> u64 {
         self.shards
             .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).allocated_bytes())
+            .map(|s| {
+                s.lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .allocated_bytes()
+            })
             .sum()
     }
 }

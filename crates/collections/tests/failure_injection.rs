@@ -163,7 +163,11 @@ fn adaptive_set_survives_panic_during_transition() {
     assert!(result.is_err());
     let mut live = Vec::new();
     set.for_each(|v| live.push(v.0));
-    assert_eq!(live.len(), SetOps::len(&set), "len out of sync with contents");
+    assert_eq!(
+        live.len(),
+        SetOps::len(&set),
+        "len out of sync with contents"
+    );
     for v in live {
         assert!(set.contains(&BombHash(v)), "{v} listed but not found");
     }
@@ -188,5 +192,9 @@ fn drop_after_caught_panic_is_clean() {
         disarm();
         // list dropped here
     }
-    assert_eq!(Rc::strong_count(&marker), 1, "elements leaked or double-freed");
+    assert_eq!(
+        Rc::strong_count(&marker),
+        1,
+        "elements leaked or double-freed"
+    );
 }
