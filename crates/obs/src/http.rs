@@ -24,9 +24,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cs_telemetry::{
-    health_to_json, manifest_entry_to_json, validate_prometheus_text, Json,
-};
+use cs_telemetry::{health_to_json, manifest_entry_to_json, validate_prometheus_text, Json};
 
 use parking_lot::Mutex;
 
@@ -145,13 +143,15 @@ fn accept_loop(
                 let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
                 let mut sink = [0u8; 1024];
                 let _ = stream.read(&mut sink);
-                let _ = stream.write_all(render_response(
-                    503,
-                    "Service Unavailable",
-                    "text/plain; charset=utf-8",
-                    "scrape backlog full\n",
-                )
-                .as_bytes());
+                let _ = stream.write_all(
+                    render_response(
+                        503,
+                        "Service Unavailable",
+                        "text/plain; charset=utf-8",
+                        "scrape backlog full\n",
+                    )
+                    .as_bytes(),
+                );
                 let _ = stream.shutdown(Shutdown::Write);
                 let deadline = Instant::now() + SHED_DRAIN;
                 loop {
@@ -261,9 +261,7 @@ fn route(core: &ObsCore, path: &str) -> String {
         p if p.starts_with("/explain/") => "explain",
         _ => "other",
     };
-    core.metrics
-        .scrape_for(&core.registry, endpoint)
-        .inc();
+    core.metrics.scrape_for(&core.registry, endpoint).inc();
     match endpoint {
         "metrics" => serve_metrics(core),
         "health" => serve_health(core),
@@ -352,7 +350,10 @@ fn serve_explain(core: &ObsCore, raw_id: &str) -> String {
         ),
         None => {
             let body = Json::object()
-                .field("error", "no such site (or no analysis round has scored it yet)")
+                .field(
+                    "error",
+                    "no such site (or no analysis round has scored it yet)",
+                )
                 .field("site_id", id)
                 .render();
             json_response(404, "Not Found", &body)

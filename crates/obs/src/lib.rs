@@ -155,8 +155,7 @@ pub(crate) struct SelfMetrics {
 
 /// Sub-millisecond through one-second buckets: a scrape is an in-memory
 /// render, so anything beyond 1 s is pathological and lands in `+Inf`.
-const SCRAPE_DURATION_BUCKETS: [f64; 8] =
-    [0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.25, 1.0];
+const SCRAPE_DURATION_BUCKETS: [f64; 8] = [0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.25, 1.0];
 
 impl SelfMetrics {
     fn register(registry: &MetricsRegistry) -> SelfMetrics {
@@ -638,7 +637,11 @@ mod tests {
         }
         assert!(obs.window_len() >= 3, "sampler thread ticked");
         let snap = obs.registry().snapshot();
-        assert!(snap.counter_total("cs_obs_sampler_ticks_total").unwrap_or(0) >= 3);
+        assert!(
+            snap.counter_total("cs_obs_sampler_ticks_total")
+                .unwrap_or(0)
+                >= 3
+        );
         obs.shutdown();
     }
 }

@@ -189,7 +189,13 @@ impl Window {
             .rev()
             .find_map(|f| f.counter(key).map(|v| (f.t_ns, v)))?;
         // A single matching frame answers nothing: delta needs a pair.
-        if first.0 == last.0 && self.frames.iter().filter(|f| f.counter(key).is_some()).count() < 2
+        if first.0 == last.0
+            && self
+                .frames
+                .iter()
+                .filter(|f| f.counter(key).is_some())
+                .count()
+                < 2
         {
             return None;
         }
@@ -231,7 +237,11 @@ mod tests {
             .map(|(k, v)| ((*k).to_owned(), *v))
             .collect();
         counters.sort();
-        Frame { t_ns, counters, sites }
+        Frame {
+            t_ns,
+            counters,
+            sites,
+        }
     }
 
     fn site(id: u64, ops: [u64; 4], alloc_bytes: u64) -> SiteSample {
