@@ -29,16 +29,7 @@ pub const RING_CAPACITY: usize = 1024;
 /// duration histograms. A final implicit `+Inf` bucket catches the rest;
 /// see [`SPAN_BUCKET_COUNT`].
 pub const SPAN_BUCKET_BOUNDS_NS: [u64; 10] = [
-    64,
-    256,
-    1_024,
-    4_096,
-    16_384,
-    65_536,
-    262_144,
-    1_048_576,
-    4_194_304,
-    16_777_216,
+    64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304, 16_777_216,
 ];
 
 /// Number of duration buckets per phase, including the implicit `+Inf`.
@@ -148,7 +139,15 @@ impl ThreadRing {
     /// Records one completed span. Owner thread only; lock-free and
     /// allocation-free — pre-sized slots and plain atomic stores.
     #[inline]
-    pub(crate) fn push(&self, site: u64, phase: Phase, depth: u8, start_ns: u64, dur_ns: u64, scale: u64) {
+    pub(crate) fn push(
+        &self,
+        site: u64,
+        phase: Phase,
+        depth: u8,
+        start_ns: u64,
+        dur_ns: u64,
+        scale: u64,
+    ) {
         let h = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(h as usize) & (RING_CAPACITY - 1)];
         slot.start.store(start_ns, Ordering::Relaxed);

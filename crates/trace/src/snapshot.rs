@@ -297,14 +297,14 @@ mod tests {
         assert_eq!(overhead.app_nanos, 1_000_000);
         // Only the outer Decision span counts toward framework time.
         assert!(overhead.framework_nanos > 0);
-        assert!(
-            overhead.framework_nanos
-                <= snap.phase_scaled_nanos()[Phase::Decision.index()]
-        );
+        assert!(overhead.framework_nanos <= snap.phase_scaled_nanos()[Phase::Decision.index()]);
         // Two recorded spans and four checked ops at calibrated unit cost.
         assert!(overhead.tracer_nanos > 0);
         let ratio = overhead.ratio();
-        assert!(ratio > 0.0 && ratio < 1.0, "self ratio {ratio} out of range");
+        assert!(
+            ratio > 0.0 && ratio < 1.0,
+            "self ratio {ratio} out of range"
+        );
         let pipeline = overhead.pipeline_ratio();
         assert!(
             pipeline > 0.0 && pipeline < 1.0,

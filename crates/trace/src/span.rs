@@ -186,9 +186,14 @@ impl Span {
         let dur_ns = now_ns().saturating_sub(self.start_ns);
         let _ = with_local(|local| {
             local.depth.set(local.depth.get().saturating_sub(1));
-            local
-                .ring
-                .push(self.site, self.phase, self.depth, self.start_ns, dur_ns, self.scale);
+            local.ring.push(
+                self.site,
+                self.phase,
+                self.depth,
+                self.start_ns,
+                dur_ns,
+                self.scale,
+            );
         });
     }
 }
