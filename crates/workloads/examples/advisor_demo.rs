@@ -29,9 +29,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
-use cs_analyzer::{
-    advise_file, extract, AdviseOptions, ExtractOptions,
-};
+use cs_analyzer::{advise_file, extract, AdviseOptions, ExtractOptions};
 use cs_model::CostDimension;
 
 /// A membership filter built on `Vec` — `contains` inside the request loop

@@ -241,7 +241,10 @@ mod tests {
         );
         let reads = report.per_op_totals[OpKind::Contains.index()];
         let frac = reads as f64 / report.total_ops as f64;
-        assert!((0.85..0.95).contains(&frac), "read fraction drifted: {frac}");
+        assert!(
+            (0.85..0.95).contains(&frac),
+            "read fraction drifted: {frac}"
+        );
         assert!(report.per_op_totals[OpKind::Populate.index()] > 0);
         assert!(report.per_op_totals[OpKind::Middle.index()] > 0);
     }

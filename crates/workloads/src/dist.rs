@@ -107,7 +107,10 @@ impl Zipf {
     /// Panics if `n == 0` or `s` is not finite and non-negative.
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf needs a non-empty key space");
-        assert!(s.is_finite() && s >= 0.0, "Zipf exponent must be finite and >= 0");
+        assert!(
+            s.is_finite() && s >= 0.0,
+            "Zipf exponent must be finite and >= 0"
+        );
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for rank in 1..=n {

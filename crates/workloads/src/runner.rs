@@ -269,8 +269,7 @@ fn run_site(
             let ctx = engine
                 .expect("FullAdap requires an engine")
                 .named_set_context::<i64>(default, spec.name.clone());
-            let metrics =
-                run_site_loop!(spec, rng, tick, || ctx.create_set(), drive_set_instance);
+            let metrics = run_site_loop!(spec, rng, tick, || ctx.create_set(), drive_set_instance);
             (metrics, ctx.current_kind().to_string())
         }
         (SiteKind::Map(default), Mode::Original) => {
@@ -297,8 +296,7 @@ fn run_site(
             let ctx = engine
                 .expect("FullAdap requires an engine")
                 .named_map_context::<i64, i64>(default, spec.name.clone());
-            let metrics =
-                run_site_loop!(spec, rng, tick, || ctx.create_map(), drive_map_instance);
+            let metrics = run_site_loop!(spec, rng, tick, || ctx.create_map(), drive_map_instance);
             (metrics, ctx.current_kind().to_string())
         }
     };
@@ -423,7 +421,10 @@ mod tests {
         let a = run_app(&app, Mode::Original, 9);
         let b = run_app(&app, Mode::InstanceAdap, 9);
         let c = run_app(&app, Mode::FullAdap(SelectionRule::r_time()), 9);
-        assert_eq!(a.checksum, b.checksum, "InstanceAdap must not change behaviour");
+        assert_eq!(
+            a.checksum, b.checksum,
+            "InstanceAdap must not change behaviour"
+        );
         assert_eq!(a.checksum, c.checksum, "FullAdap must not change behaviour");
     }
 
