@@ -234,9 +234,7 @@ pub fn run_cases(name: &str, body: impl Fn(&mut TestRng)) {
     }
     for case in 0..CASES {
         let mut rng = TestRng::seed_from_u64(base.wrapping_add(case));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            body(&mut rng)
-        }));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut rng)));
         if let Err(payload) = result {
             eprintln!(
                 "proptest '{name}' failed at case {case}/{CASES} \
