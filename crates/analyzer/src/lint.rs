@@ -9,10 +9,11 @@
 //! from the same tokens:
 //!
 //! * [`RULE_NO_UNWRAP`] — no `.unwrap()` / `.expect(` in `cs-core`'s
-//!   engine/select/guard hot paths. A panic inside the selection engine
-//!   takes down the host application the framework promised to speed up
-//!   (the guardrail PR exists precisely because adaptation must never make
-//!   things worse).
+//!   engine/select/guard hot paths, or in `cs-profile`'s recorder, whose
+//!   instrumented op every monitored handle and runtime shard runs. A
+//!   panic inside the selection engine or an op takes down the host
+//!   application the framework promised to speed up (the guardrails exist
+//!   precisely because adaptation must never make things worse).
 //! * [`RULE_NO_DISPATCH_UNDER_LOCK`] — no `.dispatch(` call while a named
 //!   lock guard is live. Sink dispatch runs arbitrary subscriber code;
 //!   doing so under an engine lock invites lock-order inversions (the
@@ -92,10 +93,11 @@ pub const RULE_NO_BLOCKING_IO_SAMPLER: &str = "no-blocking-io-in-sampler-path";
 pub const RULE_SHARED_WITHOUT_SYNC: &str = "shared-without-sync";
 
 /// Paths (workspace-relative, forward slashes) subject to the unwrap rule.
-/// The engine, selection, and guard modules are the in-process hot path of
-/// every host application; everything else may justify a panic.
+/// The engine, selection, and guard modules and the recorder that measures
+/// every monitored op are the in-process hot path of every host
+/// application; everything else may justify a panic.
 fn unwrap_rule_applies(path: &str) -> bool {
-    path.starts_with("crates/core/src/")
+    let core_hot = path.starts_with("crates/core/src/")
         && [
             "engine.rs",
             "select.rs",
@@ -104,7 +106,8 @@ fn unwrap_rule_applies(path: &str) -> bool {
             "handles.rs",
         ]
         .iter()
-        .any(|f| path.ends_with(f))
+        .any(|f| path.ends_with(f));
+    core_hot || path == "crates/profile/src/op.rs"
 }
 
 /// The lock and ring rules apply to the whole engine/runtime/telemetry
@@ -641,6 +644,18 @@ fn select(x: Option<u32>) -> u32 {
         assert_eq!(d[0].rule, RULE_NO_UNWRAP);
         assert_eq!(d[0].item, "select");
         assert_eq!(d[0].line, 3);
+    }
+
+    #[test]
+    fn expect_in_the_op_recorder_is_flagged() {
+        let src = "fn measure(x: Option<u32>) -> u32 { x.expect(\"op\") }";
+        let d = lint_file("crates/profile/src/op.rs", src);
+        assert_eq!(d.len(), 1);
+        assert_eq!(
+            (d[0].rule.as_str(), d[0].item.as_str()),
+            (RULE_NO_UNWRAP, "measure")
+        );
+        assert!(lint_file("crates/profile/src/histogram.rs", src).is_empty());
     }
 
     #[test]

@@ -255,6 +255,9 @@ impl<'a> Walker<'a> {
                 _ => return Some(Step::Token),
             },
             TokenKind::Ident => match t.text.as_str() {
+                // An `impl Trait` type: `impl` only ever sits in a type
+                // inside a pending fn's arguments or return type.
+                "impl" if self.pending_item.is_some() => Step::Scope,
                 "fn" | "mod" | "trait" | "struct" | "enum" | "union" | "impl" => {
                     if let Some(name) = self.item_name() {
                         self.pending_item = Some((name, self.pending_test));
@@ -368,19 +371,29 @@ impl<'a> Walker<'a> {
     }
 
     /// The name of the item whose keyword is at the cursor: the identifier
-    /// after it, or for an `impl` the last one before its `{`, `;` or
-    /// `where`, `for` excepted. `None` when no item follows (`fn(u8)`).
+    /// after it, or for an `impl` its self type's last path segment — the
+    /// last identifier outside any `<…>`, `(…)` or `[…]` before its `{`,
+    /// `;` or `where`, `for` excepted. `None` when no item follows
+    /// (`fn(u8)`).
     fn item_name(&self) -> Option<String> {
         if !self.cur().is_ident("impl") {
             let next = self.tok(self.pos + 1)?;
             return (next.kind == TokenKind::Ident).then(|| next.text.clone());
         }
         let mut name = "impl";
-        for t in &self.toks[self.pos + 1..] {
-            if t.is_punct('{') || t.is_punct(';') || t.is_ident("where") {
+        let mut nested = 0u32;
+        for (i, t) in self.toks.iter().enumerate().skip(self.pos + 1) {
+            if nested == 0 && (t.is_punct('{') || t.is_punct(';') || t.is_ident("where")) {
                 break;
             }
-            if t.kind == TokenKind::Ident && t.text != "for" {
+            if t.is_punct('<') || t.is_punct('(') || t.is_punct('[') {
+                nested += 1;
+            } else if t.is_punct(')') || t.is_punct(']') {
+                nested = nested.saturating_sub(1);
+            } else if t.is_punct('>') && !self.tok(i - 1).is_some_and(|p| p.is_punct('-')) {
+                // `>` closes a `<`; the `>` of an `->` does not.
+                nested = nested.saturating_sub(1);
+            } else if nested == 0 && t.kind == TokenKind::Ident && t.text != "for" {
                 name = &t.text;
             }
         }
@@ -484,15 +497,56 @@ mod tests {
     }
 
     #[test]
-    fn impl_for_where_is_named_by_its_last_header_ident() {
+    fn impl_for_where_is_named_by_its_self_type() {
         let src = "impl<T> A<T> for B<T> where T: Copy {
             fn m(&self) { for i in 0..4 { body(i); } }
         }
         impl Drop for Holder { fn drop(&mut self) { tail(); } }";
         let seen = walk(src, true);
         // `for` in the header is not a loop, and `where` ends the name.
-        assert_eq!(at(&seen, "body"), ("T::m", 1));
+        assert_eq!(at(&seen, "body"), ("B::m", 1));
         assert_eq!(at(&seen, "tail"), ("Holder::drop", 0));
+    }
+
+    #[test]
+    fn generic_impls_are_named_by_the_self_type_without_its_arguments() {
+        for (header, name) in [
+            ("impl<T> AnyList<T>", "AnyList"),
+            (
+                "impl<T: Eq + Hash> FromIterator<T> for AdaptiveList<T>",
+                "AdaptiveList",
+            ),
+            (
+                "impl<K, V> Default for AdaptiveMap<K, V> where K: Eq",
+                "AdaptiveMap",
+            ),
+            ("impl<'a, T> Iterator for Iter<'a, T>", "Iter"),
+            (
+                "impl<F: Fn(u8) -> bool> fmt::Debug for cs::Filter<F>",
+                "Filter",
+            ),
+            ("unsafe impl<T: Send> Send for Sharded<T>", "Sharded"),
+        ] {
+            let seen = walk(&format!("{header} {{ fn m() {{ body(); }} }}"), true);
+            assert_eq!(
+                at(&seen, "body"),
+                (format!("{name}::m").as_str(), 0),
+                "{header}"
+            );
+        }
+    }
+
+    #[test]
+    fn impl_trait_types_open_no_item() {
+        let src = "fn f(x: impl Into<String>) -> Vec<u8> where u8: Copy { arg(); }
+        fn g() -> impl Iterator<Item = u8> { ret(); }
+        fn h(items: &mut impl Extend<u8>, k: Box<impl Fn()>) { nested(); }
+        impl Holder { fn m(&self) -> impl Sized { inner(); } }";
+        let seen = walk(src, true);
+        assert_eq!(at(&seen, "arg"), ("f", 0));
+        assert_eq!(at(&seen, "ret"), ("g", 0));
+        assert_eq!(at(&seen, "nested"), ("h", 0));
+        assert_eq!(at(&seen, "inner"), ("Holder::m", 0));
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! * `dispatch/…`: 256 pushes and 256 lookups through the closed-world
 //!   enum, a boxed `dyn ListOps` and a direct `ArrayList` (DESIGN.md §4.1);
 //! * `monitoring/…`: 128 pushes and 128 lookups on a raw `AnyList`, a
-//!   monitored switch handle and an unmonitored one (DESIGN.md §4.2).
+//!   monitored switch handle on the first window's clock schedule and in
+//!   the steady state, and an unmonitored one (DESIGN.md §4.2);
+//! * `runtime/…`: one lookup over 1,000 keys in a raw `ShardedHashMap` and
+//!   in a cs-runtime `ConcurrentMap` on one thread (DESIGN.md §7.2).
 //!
 //! The only gate is completeness: every row carries a finite, positive
 //! time. No row's time is judged against another's. The binary installs
@@ -26,15 +29,20 @@
 use std::process::ExitCode;
 
 use cs_bench::{run_sweep, time_per_iter, Sweep, Timing};
+use cs_collections::ShardedHashMap;
 use cs_collections::{
     AnyList, AnyMap, AnySet, ArrayList, ListKind, ListOps, MapKind, MapOps, SetKind, SetOps,
 };
-use cs_core::{Switch, SwitchList};
+use cs_core::{SelectionRule, Switch, SwitchList};
 use cs_profile::WindowConfig;
+use cs_runtime::Runtime;
 use cs_telemetry::Json;
 
 /// Collection sizes of the per-variant rows.
 const SIZES: [usize; 3] = [10, 100, 1000];
+
+/// Keys of the runtime rows' maps.
+const RUNTIME_KEYS: u64 = 1000;
 
 /// One ladder row: its id, the collection ops one iteration runs, and
 /// the set-up that builds its input and then times one iteration.
@@ -156,10 +164,11 @@ fn ladder() -> Vec<Row> {
             })
         })
     }));
-    // A window of usize::MAX monitors every instance; a window of 0 none,
-    // the steady-state fast path.
+    // A window of usize::MAX monitors every instance and is never
+    // analysed, so every instance runs on the first window's clock
+    // schedule; a window of 0 monitors none, the unmonitored fast path.
     for (id, window_size) in [
-        ("monitoring/monitored_handle", usize::MAX),
+        ("monitoring/monitored_handle_first_window", usize::MAX),
         ("monitoring/unmonitored_handle", 0),
     ] {
         rows.push(row(id, 256, move |quick| {
@@ -177,6 +186,64 @@ fn ladder() -> Vec<Row> {
             })
         }));
     }
+    // The steady state perfbench's apps run: the default window of 100, one
+    // analysed window before timing, then a pass every 128 created
+    // instances. The impossible rule keeps the site on `array`, so the row
+    // differs from `raw_any_list` by monitoring and analysis alone.
+    rows.push(row("monitoring/monitored_handle_steady", 256, |quick| {
+        let engine = Switch::builder().rule(SelectionRule::impossible()).build();
+        let ctx = engine.list_context::<i64>(ListKind::Array);
+        let instance = || {
+            let mut list = ctx.create_list();
+            push_contains(&mut list, 128, SwitchList::push, SwitchList::contains)
+        };
+        (0..100).for_each(|_| _ = instance());
+        engine.analyze_now();
+        // 100 instances of 256 ops: one op in 100 is clocked.
+        assert_eq!(ctx.core().clock_period(), 100);
+        let mut created = 0u64;
+        time_per_iter(quick, || {
+            created += 1;
+            if created.is_multiple_of(128) {
+                engine.analyze_now();
+            }
+            instance()
+        })
+    }));
+
+    rows.push(row("runtime/sharded_map_get", 1, |quick| {
+        let map = ShardedHashMap::new();
+        for key in 0..RUNTIME_KEYS {
+            map.insert(key, key);
+        }
+        let mut key = 0;
+        time_per_iter(quick, || {
+            key = (key + 13) % RUNTIME_KEYS;
+            map.read(&key, |v| *v)
+        })
+    }));
+    // One thread at the default `RuntimeConfig`. 65 ops a key fill one
+    // analysed window, so the shards clock on its budget (one op in 253)
+    // rather than the first window's one in 8. The impossible rule keeps
+    // the site on `chained`.
+    rows.push(row("runtime/concurrent_map_get", 1, |quick| {
+        let runtime = Runtime::new(Switch::builder().rule(SelectionRule::impossible()).build());
+        let map = runtime.concurrent_map::<u64, u64>(MapKind::Chained);
+        for key in 0..RUNTIME_KEYS {
+            map.insert(key, key);
+        }
+        for _ in 0..64 {
+            (0..RUNTIME_KEYS).for_each(|key| _ = map.get(&key));
+        }
+        runtime.flush();
+        runtime.analyze_now();
+        assert_eq!(map.stats().rounds, 1, "one analysed window");
+        let mut key = 0;
+        time_per_iter(quick, || {
+            key = (key + 13) % RUNTIME_KEYS;
+            map.get(&key)
+        })
+    }));
     rows
 }
 
@@ -205,7 +272,7 @@ mod tests {
     /// Row ids are stable: recorded runs and EXPERIMENTS.md's before and
     /// after table are keyed on them.
     #[test]
-    fn the_ladder_holds_its_66_row_ids_in_order() {
+    fn the_ladder_holds_its_69_row_ids_in_order() {
         let lists = ["array", "linked", "hasharray", "adaptive"];
         let sets_and_maps = [
             "chained",
@@ -234,13 +301,16 @@ mod tests {
             "dispatch/boxed_dyn_push_contains",
             "dispatch/direct_push_contains",
             "monitoring/raw_any_list",
-            "monitoring/monitored_handle",
+            "monitoring/monitored_handle_first_window",
             "monitoring/unmonitored_handle",
+            "monitoring/monitored_handle_steady",
+            "runtime/sharded_map_get",
+            "runtime/concurrent_map_get",
         ] {
             expected.push(id.to_owned());
         }
         let ids: Vec<String> = ladder().into_iter().map(|(id, ..)| id).collect();
-        assert_eq!(ids.len(), 66);
+        assert_eq!(ids.len(), 69);
         assert_eq!(ids, expected);
     }
 }

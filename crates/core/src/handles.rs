@@ -2,32 +2,23 @@
 //!
 //! A handle owns the underlying variant (an [`AnyList`]/[`AnySet`]/
 //! [`AnyMap`]) and, when the allocation context sampled this instance for
-//! monitoring, an [`OpRecorder`] that counts critical operations. When the
-//! handle is dropped, the recorder is folded into a
+//! monitoring, an [`OpRecorder`]: the record of its critical operations,
+//! which owns the handle's clock sampler and measures every op the fast
+//! path in `timed!` does not take. When the handle is dropped, the
+//! recorder is folded into a
 //! [`WorkloadProfile`](cs_profile::WorkloadProfile) and pushed into the
 //! context's sink — the Rust equivalent of the paper's `WeakReference`-based
 //! end-of-life detection (§4.3), but exact and overhead-free.
 
 use std::hash::Hash;
-use std::time::Instant;
 
 use cs_collections::{AnyList, AnyMap, AnySet, HeapSize, ListOps, MapOps, SetOps};
-use cs_heap::{AllocDelta, AllocGuard};
-use cs_profile::{ClockSampler, OpKind, OpRecorder, ProfileSink};
-
-/// Whether recorded ops must take the instrumented path — an alloc guard
-/// and an op span on every op — because heap counting or tracing is on.
-/// A monitored handle reads it once, when its monitor is claimed; a
-/// `cs-runtime` shard on each of its slow-path ops.
-pub fn ops_instrumented() -> bool {
-    cs_heap::counting_active() || cs_trace::enabled()
-}
+use cs_profile::{ops_instrumented, ClockSampler, OpKind, OpRecorder, ProfileSink};
 
 /// Monitoring payload carried by sampled instances.
 #[derive(Debug)]
 pub(crate) struct Monitor {
     recorder: OpRecorder,
-    clock: ClockSampler,
     /// Whether heap counting or tracing was on when the monitor was
     /// claimed: every op then takes the instrumented path.
     instrumented: bool,
@@ -37,8 +28,7 @@ pub(crate) struct Monitor {
 impl Monitor {
     pub(crate) fn new(sink: ProfileSink, clock: ClockSampler) -> Self {
         Monitor {
-            recorder: OpRecorder::new(),
-            clock,
+            recorder: OpRecorder::new(clock),
             instrumented: ops_instrumented(),
             sink,
         }
@@ -46,26 +36,7 @@ impl Monitor {
 
     #[cfg(test)]
     pub(crate) fn clock(&self) -> ClockSampler {
-        self.clock
-    }
-
-    /// The fast path's whole bookkeeping: the op's count and size.
-    #[inline]
-    fn count(&mut self, op: OpKind, size: usize) {
-        self.recorder.record(op);
-        self.recorder.observe_size(size);
-    }
-
-    fn record(&mut self, op: OpKind, size: usize, nanos: u64, alloc: AllocDelta) {
-        // Spans the monitoring bookkeeping only — the op body already ran.
-        // Single-owner handles don't know their context id; the span is
-        // site-anonymous (site 0), unlike the runtime's per-site op spans.
-        let _span = cs_trace::op_span(0);
-        self.count(op, size);
-        self.recorder.add_nanos(nanos);
-        if alloc.count > 0 {
-            self.recorder.add_alloc(alloc.count, alloc.bytes);
-        }
+        self.recorder.clock()
     }
 
     fn finish(self) {
@@ -74,51 +45,29 @@ impl Monitor {
     }
 }
 
-/// Runs an op body on the instrumented path: inside an alloc guard, and
-/// between two clock reads when `scale` is set. Returns the body's output,
-/// its wall time scaled by `scale` (0 when unclocked) and the churn it
-/// allocated. Kept out of line so the fast path in `timed!` stays small.
-#[inline(never)]
-fn instrumented<R>(scale: Option<u64>, body: impl FnOnce() -> R) -> (R, u64, AllocDelta) {
-    let guard = AllocGuard::begin();
-    let start = scale.map(|scale| (scale, Instant::now()));
-    let out = body();
-    let nanos = start.map_or(0, |(scale, s)| {
-        (s.elapsed().as_nanos() as u64).saturating_mul(scale)
-    });
-    (out, nanos, guard.finish())
-}
-
 /// Runs `$body`; when the instance is monitored, additionally records the
-/// op. Every monitored op advances the recorder's [`ClockSampler`] and
+/// op. Every monitored op ticks the recorder's [`ClockSampler`] and
 /// records its count and its size, evaluated *after* the body so call sites
 /// can report post-operation length. An op takes the fast path — body,
 /// count, size, nothing more — when the sampler does not clock it and the
 /// monitor's `instrumented` flag is clear: one branch over two bits. The
 /// flag records whether heap counting or tracing was on when the monitor
 /// was claimed and is never re-read, so a handle claimed while tracing is
-/// off records no op spans for its life. Otherwise the op takes the
-/// `instrumented` path: an alloc guard, the op span, and, on the clocked
-/// op, two clock reads whose nanos are scaled by the period of the
-/// sampler's block that op fell in. Counts and sizes are therefore exact
-/// on every op, and allocation attribution is exact whenever counting is
-/// on. The alloc guard closes before the recorder runs, so monitoring
-/// bookkeeping never pollutes the attribution window. Unmonitored
-/// instances execute the body alone.
+/// off records no op spans for its life. Any other op is the recorder's
+/// [`OpRecorder::measure`], under a site-anonymous op span (site 0: a
+/// single-owner handle does not know its context id, unlike a runtime
+/// shard). Unmonitored instances execute the body alone.
 macro_rules! timed {
     ($self:ident, $op:expr, $len:expr, $body:expr) => {{
         match $self.monitor.as_mut() {
             None => $body,
             Some(m) => {
-                let clocked = m.clock.tick();
+                let clocked = m.recorder.tick();
                 if clocked | m.instrumented {
-                    let scale = clocked.then_some(m.clock.period());
-                    let (out, nanos, alloc) = instrumented(scale, || $body);
-                    m.record($op, $len, nanos, alloc);
-                    out
+                    m.recorder.measure(0, $op, clocked, || ($body, $len))
                 } else {
                     let out = $body;
-                    m.count($op, $len);
+                    m.recorder.count($op, $len);
                     out
                 }
             }
@@ -649,7 +598,7 @@ mod tests {
             AnyList::new(ListKind::Array),
             Some(Monitor::new(sink.clone(), ClockSampler::backoff(3, 40, 5))),
         );
-        let mut oracle = list.monitor.as_ref().unwrap().clock;
+        let mut oracle = list.monitor.as_ref().unwrap().recorder.clock();
         let mut scales = Vec::new();
         for v in 0..3_000 {
             let before = nanos(&list);

@@ -69,7 +69,7 @@ pub use event::{
     WarmStartEvent, WarmStartSiteEvent, WarmStartSiteOutcome,
 };
 pub use guard::GuardrailConfig;
-pub use handles::{ops_instrumented, SwitchList, SwitchMap, SwitchSet};
+pub use handles::{SwitchList, SwitchMap, SwitchSet};
 pub use kind_ext::Kind;
 pub use rules::{Criterion, ParseRuleError, SelectionRule};
 pub use select::{

@@ -4,11 +4,14 @@
 //! (paper §3.1 and §4.3, "Monitoring the Collections Usage").
 //!
 //! An allocation context monitors a *sample* of the collection instances it
-//! creates. Each monitored instance carries an [`OpRecorder`] that counts the
-//! paper's *critical operations* ([`OpKind`]) and tracks the maximum size the
-//! collection reaches. When the instance ends its life-cycle (in Rust:
-//! `Drop`, replacing the paper's `WeakReference` polling), the recorder is
-//! folded into a [`WorkloadProfile`] and pushed into the context's
+//! creates. Each monitored instance, and each shard of a concurrent runtime
+//! handle, carries an [`OpRecorder`]: it counts the paper's *critical
+//! operations* ([`OpKind`]), tracks the maximum size the collection
+//! reaches, and owns the stream's [`ClockSampler`] and the one
+//! instrumented op, [`OpRecorder::measure`] (alloc guard, sampled clock,
+//! op span). When the instance ends its life-cycle (in Rust: `Drop`,
+//! replacing the paper's `WeakReference` polling), the recorder is folded
+//! into a [`WorkloadProfile`] and pushed into the context's
 //! [`ProfileSink`].
 //!
 //! [`WindowConfig`]/[`WindowState`] implement the paper's *monitored window*
@@ -19,13 +22,13 @@
 //! ## Example
 //!
 //! ```
-//! use cs_profile::{OpKind, OpRecorder, ProfileSink};
+//! use cs_profile::{ClockSampler, OpKind, OpRecorder, ProfileSink};
 //!
 //! let sink = ProfileSink::bounded(8);
-//! let mut rec = OpRecorder::new();
-//! rec.record(OpKind::Populate);
-//! rec.record(OpKind::Contains);
-//! rec.observe_size(42);
+//! let mut rec = OpRecorder::new(ClockSampler::new(8, 0));
+//! rec.count(OpKind::Populate, 42);
+//! let clocked = rec.tick();
+//! assert!(rec.measure(0, OpKind::Contains, clocked, || (true, 42)));
 //! sink.push(rec.finish());
 //!
 //! let profiles = sink.drain();
@@ -45,7 +48,7 @@ mod sink;
 mod window;
 
 pub use histogram::{BucketAgg, ProfileHistogram};
-pub use op::{OpCounters, OpKind, OpRecorder};
+pub use op::{ops_instrumented, OpCounters, OpKind, OpRecorder};
 pub use profile::WorkloadProfile;
 pub use sample::ClockSampler;
 pub use sink::ProfileSink;

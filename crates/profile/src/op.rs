@@ -1,6 +1,12 @@
-//! Critical operations and their counters.
+//! Critical operations, their counters, and the recorder of a monitored
+//! op stream.
 
 use std::fmt;
+use std::time::Instant;
+
+use cs_heap::AllocGuard;
+
+use crate::{ClockSampler, WorkloadProfile};
 
 /// The paper's *critical operations* (§4.1.2): operations with at least
 /// linear asymptotic cost in some variant, which are therefore the only ones
@@ -133,8 +139,20 @@ impl OpCounters {
     }
 }
 
-/// Per-instance recorder carried by a monitored collection handle, and by
-/// each shard of a `cs-runtime` concurrent handle, behind the shard's lock.
+/// Whether recorded ops must take the instrumented path — an alloc guard
+/// and an op span on every op — because heap counting or tracing is on.
+/// A monitored handle reads it once, when its monitor is claimed; a
+/// `cs-runtime` shard on each of its slow-path ops.
+#[inline]
+pub fn ops_instrumented() -> bool {
+    cs_heap::counting_active() || cs_trace::enabled()
+}
+
+/// The record of one monitored op stream: a monitored collection handle's,
+/// or one shard's of a `cs-runtime` concurrent handle, behind the shard's
+/// lock. It owns the stream's [`ClockSampler`] and the one instrumented op,
+/// [`measure`](OpRecorder::measure). Each caller keeps its own fast path,
+/// which ticks the sampler and [`count`](OpRecorder::count)s.
 ///
 /// Single-owner by design: a monitored handle is not shared, and a shard's
 /// recorder is only touched under its lock, so plain fields beat atomics —
@@ -144,52 +162,100 @@ impl OpCounters {
 /// # Examples
 ///
 /// ```
-/// use cs_profile::{OpKind, OpRecorder};
+/// use cs_profile::{ClockSampler, OpKind, OpRecorder};
 ///
-/// let mut rec = OpRecorder::new();
-/// rec.record(OpKind::Populate);
-/// rec.observe_size(3);
+/// let mut rec = OpRecorder::new(ClockSampler::new(8, 0));
+/// let mut list = Vec::new();
+/// for v in 0..42 {
+///     if rec.tick() {
+///         rec.measure(0, OpKind::Populate, true, || (list.push(v), list.len()));
+///     } else {
+///         list.push(v);
+///         rec.count(OpKind::Populate, list.len());
+///     }
+/// }
 /// let profile = rec.finish();
-/// assert_eq!(profile.max_size(), 3);
+/// assert_eq!(profile.count(OpKind::Populate), 42);
+/// assert_eq!(profile.max_size(), 42);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct OpRecorder {
-    counters: OpCounters,
-    max_size: usize,
-    elapsed_nanos: u64,
-    contended: u64,
-    alloc_count: u64,
-    alloc_bytes: u64,
+    profile: WorkloadProfile,
+    clock: ClockSampler,
 }
 
 impl OpRecorder {
-    /// Creates a recorder with zeroed state.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty record whose ops are clocked on `clock`'s schedule.
+    pub fn new(clock: ClockSampler) -> Self {
+        let profile = WorkloadProfile::default();
+        OpRecorder { profile, clock }
     }
 
-    /// Records one execution of `op`.
+    /// Advances the sampler past one op and returns whether that op reads
+    /// the clock.
     #[inline]
-    pub fn record(&mut self, op: OpKind) {
-        self.counters.increment(op);
+    pub fn tick(&mut self) -> bool {
+        self.clock.tick()
     }
 
-    /// Updates the maximum observed collection size.
+    /// The stream's sampler.
     #[inline]
-    pub fn observe_size(&mut self, size: usize) {
-        if size > self.max_size {
-            self.max_size = size;
+    pub fn clock(&self) -> ClockSampler {
+        self.clock
+    }
+
+    /// Takes up clock period `period`, keeping the running countdown when
+    /// it is unchanged; a new period starts a fresh sampler at `seed`'s
+    /// phase.
+    #[inline]
+    pub fn arm(&mut self, period: u64, seed: u64) {
+        if self.clock.period() != period {
+            self.clock = ClockSampler::new(period, seed);
         }
     }
 
-    /// Adds wall time spent inside critical operations. The selection
-    /// guardrails use the accumulated nanos to verify that a switch
-    /// realized the improvement the cost model predicted. Callers that
-    /// sample the clock ([`ClockSampler`](crate::ClockSampler)) pass the
-    /// sampled op's nanos already scaled to the ops it stands for.
+    /// A fast-path op's whole bookkeeping: its count and the collection's
+    /// size after it.
     #[inline]
-    pub fn add_nanos(&mut self, nanos: u64) {
-        self.elapsed_nanos = self.elapsed_nanos.saturating_add(nanos);
+    pub fn count(&mut self, op: OpKind, size: usize) {
+        self.profile.counters.increment(op);
+        if size > self.profile.max_size {
+            self.profile.max_size = size;
+        }
+    }
+
+    /// The instrumented op. `body` runs the op and returns its output and
+    /// the size to record, read after the op. It runs inside an alloc
+    /// guard and, when `clocked`, between two clock reads. The guard
+    /// closes first, so the bookkeeping never pollutes the attribution
+    /// window; then, under an op span of `site`, the op's count and size,
+    /// its nanos scaled by the sampler's period (its block's) and its
+    /// attributed allocation are recorded. Out of line, so the callers'
+    /// fast paths stay small.
+    #[inline(never)]
+    pub fn measure<R>(
+        &mut self,
+        site: u64,
+        op: OpKind,
+        clocked: bool,
+        body: impl FnOnce() -> (R, usize),
+    ) -> R {
+        let guard = AllocGuard::begin();
+        let start = clocked.then(Instant::now);
+        let (out, size) = body();
+        let nanos = start.map_or(0, |start| start.elapsed().as_nanos() as u64);
+        let alloc = guard.finish();
+
+        // Spans the bookkeeping only: the op stays outside the framework's
+        // account.
+        let _span = cs_trace::op_span(site);
+        self.count(op, size);
+        let p = &mut self.profile;
+        let scaled = nanos.saturating_mul(self.clock.period());
+        p.elapsed_nanos = p.elapsed_nanos.saturating_add(scaled);
+        p.alloc_count = p.alloc_count.saturating_add(alloc.count);
+        p.alloc_bytes = p.alloc_bytes.saturating_add(alloc.bytes);
+        out
     }
 
     /// Notes that the most recent op waited for a lock (a concurrent
@@ -197,48 +263,30 @@ impl OpRecorder {
     /// runtime's per-site contention counter.
     #[inline]
     pub fn note_contended(&mut self) {
-        self.contended += 1;
+        self.profile.contended += 1;
     }
 
-    /// Current counters.
-    pub fn counters(&self) -> &OpCounters {
-        &self.counters
-    }
-
-    /// Largest size observed so far.
-    pub fn max_size(&self) -> usize {
-        self.max_size
-    }
-
-    /// Wall time accumulated via [`OpRecorder::add_nanos`].
-    pub fn elapsed_nanos(&self) -> u64 {
-        self.elapsed_nanos
-    }
-
-    /// Adds heap churn attributed to critical operations: allocation events
-    /// and requested bytes, measured per-site by `cs-heap` guards the same
-    /// way sampled wall time is measured for [`add_nanos`](OpRecorder::add_nanos).
+    /// Ops recorded so far.
     #[inline]
-    pub fn add_alloc(&mut self, count: u64, bytes: u64) {
-        self.alloc_count = self.alloc_count.saturating_add(count);
-        self.alloc_bytes = self.alloc_bytes.saturating_add(bytes);
+    pub fn total_ops(&self) -> u64 {
+        self.profile.total_ops()
     }
 
-    /// Allocation events accumulated via [`OpRecorder::add_alloc`].
-    pub fn alloc_count(&self) -> u64 {
-        self.alloc_count
+    /// Measured wall time so far: each clocked op's nanos scaled by the
+    /// period it stands for. The selection guardrails use it to verify
+    /// that a switch realized the improvement the cost model predicted.
+    pub fn elapsed_nanos(&self) -> u64 {
+        self.profile.elapsed_nanos()
     }
 
-    /// Allocation bytes accumulated via [`OpRecorder::add_alloc`].
-    pub fn alloc_bytes(&self) -> u64 {
-        self.alloc_bytes
+    /// Empties the record into a profile, keeping the clock running.
+    pub fn drain(&mut self) -> WorkloadProfile {
+        std::mem::take(&mut self.profile)
     }
 
-    /// Consumes the recorder into an immutable [`WorkloadProfile`](crate::WorkloadProfile).
-    pub fn finish(self) -> crate::WorkloadProfile {
-        crate::WorkloadProfile::with_nanos(self.counters, self.max_size, self.elapsed_nanos)
-            .with_contended(self.contended)
-            .with_alloc(self.alloc_count, self.alloc_bytes)
+    /// Consumes the recorder into an immutable [`WorkloadProfile`].
+    pub fn finish(self) -> WorkloadProfile {
+        self.profile
     }
 }
 
@@ -289,52 +337,81 @@ mod tests {
         assert_eq!(pairs, vec![(OpKind::Middle, 2)]);
     }
 
+    fn recorder() -> OpRecorder {
+        OpRecorder::new(ClockSampler::new(8, 0))
+    }
+
+    /// A body that runs until the clock has moved, so a clocked `measure`
+    /// of it reads at least one nanosecond.
+    fn spin() -> ((), usize) {
+        let start = Instant::now();
+        while start.elapsed().is_zero() {}
+        ((), 0)
+    }
+
     #[test]
     fn recorder_tracks_running_max() {
-        let mut r = OpRecorder::new();
-        r.observe_size(5);
-        r.observe_size(3);
-        r.observe_size(9);
-        r.observe_size(7);
-        assert_eq!(r.max_size(), 9);
+        let mut r = recorder();
+        r.count(OpKind::Populate, 5);
+        r.count(OpKind::Populate, 3);
+        r.measure(0, OpKind::Populate, false, || ((), 9));
+        r.count(OpKind::Populate, 7);
+        assert_eq!(r.finish().max_size(), 9);
     }
 
     #[test]
     fn finish_carries_state_into_profile() {
-        let mut r = OpRecorder::new();
-        r.record(OpKind::Contains);
-        r.record(OpKind::Contains);
-        r.observe_size(4);
-        r.add_nanos(250);
+        let mut r = recorder();
+        r.count(OpKind::Contains, 4);
+        let found = r.measure(0, OpKind::Contains, false, || (true, 2));
+        assert!(found, "measure returns the body's output");
         r.note_contended();
+        assert_eq!(r.total_ops(), 2);
         let p = r.finish();
         assert_eq!(p.count(OpKind::Contains), 2);
         assert_eq!(p.max_size(), 4);
-        assert_eq!(p.elapsed_nanos(), 250);
+        assert_eq!(p.elapsed_nanos(), 0, "no op was clocked");
         assert_eq!(p.contended(), 1);
     }
 
     #[test]
-    fn alloc_accumulates_into_profile() {
-        let mut r = OpRecorder::new();
-        r.record(OpKind::Populate);
-        r.add_alloc(3, 96);
-        r.add_alloc(1, 32);
-        assert_eq!(r.alloc_count(), 4);
-        assert_eq!(r.alloc_bytes(), 128);
-        let p = r.finish();
-        assert_eq!(p.alloc_count(), 4);
-        assert_eq!(p.alloc_bytes(), 128);
+    fn nanos_accumulate_and_saturate() {
+        // Period 1: every clocked op adds its own nanos; an unclocked one
+        // adds none.
+        let mut r = OpRecorder::new(ClockSampler::new(1, 0));
+        r.measure(0, OpKind::Iterate, true, spin);
+        let first = r.elapsed_nanos();
+        assert!(first > 0);
+        r.measure(0, OpKind::Iterate, false, spin);
+        assert_eq!(r.elapsed_nanos(), first);
+        r.measure(0, OpKind::Iterate, true, spin);
+        assert!(r.elapsed_nanos() > first);
+        // Scaled by a period of u64::MAX, one clocked op saturates, and
+        // the sum stays saturated.
+        let mut r = OpRecorder::new(ClockSampler::new(u64::MAX, 0));
+        r.measure(0, OpKind::Iterate, true, spin);
+        assert_eq!(r.elapsed_nanos(), u64::MAX);
+        r.measure(0, OpKind::Iterate, true, spin);
+        assert_eq!(r.elapsed_nanos(), u64::MAX);
+        assert_eq!(r.finish().elapsed_nanos(), u64::MAX);
     }
 
     #[test]
-    fn nanos_accumulate_and_saturate() {
-        let mut r = OpRecorder::new();
-        r.add_nanos(40);
-        r.add_nanos(2);
-        assert_eq!(r.elapsed_nanos(), 42);
-        r.add_nanos(u64::MAX);
-        assert_eq!(r.elapsed_nanos(), u64::MAX);
-        assert_eq!(r.finish().elapsed_nanos(), u64::MAX);
+    fn drain_empties_the_record_and_keeps_the_clock_running() {
+        let mut r = recorder();
+        let mut oracle = r.clock();
+        for size in 0..5 {
+            assert_eq!(r.tick(), oracle.tick());
+            r.count(OpKind::Middle, size);
+        }
+        r.note_contended();
+        let p = r.drain();
+        assert_eq!(
+            (p.count(OpKind::Middle), p.max_size(), p.contended()),
+            (5, 4, 1)
+        );
+        assert_eq!(r.clock(), oracle, "the countdown runs on");
+        assert_eq!(r.total_ops(), 0);
+        assert_eq!(r.drain(), WorkloadProfile::default());
     }
 }

@@ -19,12 +19,13 @@ use crate::op::{OpCounters, OpKind};
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WorkloadProfile {
-    counters: OpCounters,
-    max_size: usize,
-    elapsed_nanos: u64,
-    contended: u64,
-    alloc_count: u64,
-    alloc_bytes: u64,
+    // Crate-visible: an `OpRecorder` builds its profile in place.
+    pub(crate) counters: OpCounters,
+    pub(crate) max_size: usize,
+    pub(crate) elapsed_nanos: u64,
+    pub(crate) contended: u64,
+    pub(crate) alloc_count: u64,
+    pub(crate) alloc_bytes: u64,
 }
 
 impl WorkloadProfile {

@@ -35,12 +35,12 @@ struct SinkInner {
 /// # Examples
 ///
 /// ```
-/// use cs_profile::{OpRecorder, ProfileSink};
+/// use cs_profile::{ProfileSink, WorkloadProfile};
 ///
 /// let sink = ProfileSink::bounded(16);
 /// let clone = sink.clone();
 /// std::thread::spawn(move || {
-///     clone.push(OpRecorder::new().finish());
+///     clone.push(WorkloadProfile::default());
 /// })
 /// .join()
 /// .unwrap();
@@ -137,15 +137,18 @@ impl ProfileSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OpKind, OpRecorder};
+    use crate::{OpCounters, OpKind};
+
+    /// A profile whose only content is its max size.
+    fn sized(max_size: usize) -> WorkloadProfile {
+        WorkloadProfile::new(OpCounters::new(), max_size)
+    }
 
     #[test]
     fn push_then_drain_round_trips() {
         let sink = ProfileSink::bounded(10);
         for i in 0..10 {
-            let mut r = OpRecorder::new();
-            r.observe_size(i);
-            sink.push(r.finish());
+            sink.push(sized(i));
         }
         assert_eq!(sink.len(), 10);
         let drained = sink.drain();
@@ -158,9 +161,7 @@ mod tests {
     fn drain_each_visits_oldest_first_and_empties() {
         let sink = ProfileSink::bounded(4);
         for i in 0..4 {
-            let mut r = OpRecorder::new();
-            r.observe_size(i);
-            sink.push(r.finish());
+            sink.push(sized(i));
         }
         let mut seen = Vec::new();
         sink.drain_each(|p| seen.push(p.max_size()));
@@ -172,7 +173,7 @@ mod tests {
     fn clones_share_the_buffer() {
         let sink = ProfileSink::bounded(1);
         let clone = sink.clone();
-        clone.push(OpRecorder::new().finish());
+        clone.push(WorkloadProfile::default());
         assert_eq!(sink.len(), 1);
     }
 
@@ -184,9 +185,9 @@ mod tests {
                 let s = sink.clone();
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        let mut r = OpRecorder::new();
-                        r.record(OpKind::Contains);
-                        s.push(r.finish());
+                        let mut counters = OpCounters::new();
+                        counters.increment(OpKind::Contains);
+                        s.push(WorkloadProfile::new(counters, 0));
                     }
                 })
             })
@@ -201,9 +202,7 @@ mod tests {
     fn bounded_sink_drops_oldest_and_counts() {
         let sink = ProfileSink::bounded(3);
         for i in 0..7usize {
-            let mut r = OpRecorder::new();
-            r.observe_size(i);
-            sink.push(r.finish());
+            sink.push(sized(i));
         }
         assert_eq!(sink.len(), 3);
         assert_eq!(sink.dropped(), 4);

@@ -3,9 +3,10 @@
 //! ops are recorded.
 //!
 //! Each shard holds the engine-selected variant *and* the record of the ops
-//! that reach it — an [`OpRecorder`], a [`ClockSampler`] and the time of its
-//! last flush — behind the mutex every op takes anyway, so recording needs
-//! no thread-local access and writes nothing outside the shard.
+//! that reach it — an [`OpRecorder`], which owns the shard's
+//! [`ClockSampler`], and the time of its last flush — behind the mutex every
+//! op takes anyway, so recording needs no thread-local access and writes
+//! nothing outside the shard.
 //!
 //! * **Epochs.** A shard's recorder is drained under its lock once it holds
 //!   `flush_ops` ops, once it is older than the flush interval (probed every
@@ -22,14 +23,15 @@
 //!   nanos by `P`, the site's [`ContextCore::clock_period`]. It reads `P`
 //!   when built, after each flush and at each migration, keeping its
 //!   countdown while `P` is unchanged; its phase is seeded with its index.
-//!   Every op opens an [`AllocGuard`] while counting is active, so counts,
-//!   sizes and allocation attribution are exact.
+//!   While counting is active every op is measured, so counts, sizes and
+//!   allocation attribution are exact.
 //! * **Fast and slow path.** An op whose shard is current, whose clock
 //!   does not fire and whose shard's countdown to the next trigger check
 //!   has not run out records its count, its size and the contended bit,
 //!   nothing else. Every other op takes the slow path, the one place the
-//!   cut, the clock, the alloc guard, the op span and the triggers run. It
-//!   re-reads whether counting or tracing is on — if so, the countdown
+//!   cut and the triggers run; its migration and body are the recorder's
+//!   [`OpRecorder::measure`] (the clock, the alloc guard and the op span).
+//!   It re-reads whether counting or tracing is on — if so, the countdown
 //!   stays at 1 and every op comes back — and sets the countdown, at most
 //!   64, so a change of either reaches the shard within 64 ops.
 
@@ -38,8 +40,7 @@ use std::time::Instant;
 
 use cs_collections::{AnyMap, AnySet, MapKind, MapOps, SetKind, SetOps};
 use cs_core::{ContextCore, Kind};
-use cs_heap::AllocGuard;
-use cs_profile::{ClockSampler, OpKind, OpRecorder, WorkloadProfile};
+use cs_profile::{ops_instrumented, ClockSampler, OpKind, OpRecorder, WorkloadProfile};
 use parking_lot::Mutex;
 
 use crate::site::SiteShared;
@@ -101,7 +102,6 @@ pub(crate) struct Shard<C> {
     /// [`ContextCore::current_index`].
     kind: usize,
     rec: OpRecorder,
-    clock: ClockSampler,
     last_flush: Instant,
     /// Ops up to and including the next one that must take the slow path:
     /// the next whose recorded count reaches `flush_ops` or a multiple of
@@ -119,8 +119,7 @@ impl<C: Variant> Shard<C> {
         Shard {
             kind: data.kind().index(),
             data,
-            rec: OpRecorder::new(),
-            clock,
+            rec: OpRecorder::new(clock),
             last_flush: now,
             countdown: 1,
         }
@@ -128,23 +127,12 @@ impl<C: Variant> Shard<C> {
 }
 
 impl<C> Shard<C> {
-    fn recorded(&self) -> u64 {
-        self.rec.counters().total()
-    }
-
-    /// Takes up the site's clock period, keeping the running countdown
-    /// when it is unchanged.
-    fn arm(&mut self, period: u64, seed: u64) {
-        if self.clock.period() != period {
-            self.clock = ClockSampler::new(period, seed);
-        }
-    }
-
-    /// Ends the shard's epoch: empties the recorder and re-arms the clock.
+    /// Ends the shard's epoch: empties the recorder and re-arms its clock
+    /// with the site's period.
     fn drain(&mut self, now: Instant, period: u64, seed: u64) -> WorkloadProfile {
         self.last_flush = now;
-        self.arm(period, seed);
-        std::mem::take(&mut self.rec).finish()
+        self.rec.arm(period, seed);
+        self.rec.drain()
     }
 }
 
@@ -233,27 +221,25 @@ impl<C: Variant> Shards<C> {
         f: impl FnOnce(&mut C) -> R,
     ) -> (R, Option<WorkloadProfile>) {
         let fast = shard.countdown > 1
-            && !shard.clock.fires_next()
+            && !shard.rec.clock().fires_next()
             && shard.kind == self.core.current_index();
         if !fast {
             return self.record_slow(shard, seed, op, contended, f);
         }
         shard.countdown -= 1;
         // Never fires here: it only moves the sampler's countdown on.
-        shard.clock.tick();
+        shard.rec.tick();
         let out = f(&mut shard.data);
-        shard.rec.record(op);
-        shard.rec.observe_size(shard.data.len());
+        shard.rec.count(op, shard.data.len());
         if contended {
             shard.rec.note_contended();
         }
         (out, None)
     }
 
-    /// The op's slow path: the migration cut if the shard lags, the sampled
-    /// clock and the alloc guard around migration plus body, the op span
-    /// and the bookkeeping, the count and time triggers, then the
-    /// countdown to the next op that must come here.
+    /// The op's slow path: the migration cut if the shard lags, migration
+    /// plus body measured by the recorder, the count and time triggers,
+    /// then the countdown to the next op that must come here.
     #[inline(never)]
     fn record_slow<R>(
         &self,
@@ -268,33 +254,19 @@ impl<C: Variant> Shards<C> {
         if lagging {
             self.cut(shard, seed);
         }
-        let clocked = shard.clock.tick();
-        let alloc = AllocGuard::begin();
-        let start = clocked.then(Instant::now);
-        if lagging {
-            shard.data.migrate(C::Kind::from_index(want));
-            shard.kind = want;
-        }
-        let out = f(&mut shard.data);
-        let nanos = start.map(|start| start.elapsed());
-        let alloc = alloc.finish();
-
-        // Spans the bookkeeping only; the op itself stays outside the
-        // framework's account.
-        let _span = cs_trace::op_span(self.site.id());
-        shard.rec.record(op);
-        shard.rec.observe_size(shard.data.len());
+        let clocked = shard.rec.tick();
+        let out = shard.rec.measure(self.site.id(), op, clocked, || {
+            if lagging {
+                shard.data.migrate(C::Kind::from_index(want));
+                shard.kind = want;
+            }
+            let out = f(&mut shard.data);
+            (out, shard.data.len())
+        });
         if contended {
             shard.rec.note_contended();
         }
-        if let Some(nanos) = nanos {
-            let scaled = (nanos.as_nanos() as u64).saturating_mul(shard.clock.period());
-            shard.rec.add_nanos(scaled);
-        }
-        if alloc.count > 0 {
-            shard.rec.add_alloc(alloc.count, alloc.bytes);
-        }
-        let recorded = shard.recorded();
+        let recorded = shard.rec.total_ops();
         let boundary = if recorded >= self.flush_ops {
             Some(Instant::now())
         } else if recorded & CLOCK_CHECK_MASK == 0 {
@@ -307,7 +279,7 @@ impl<C: Variant> Shards<C> {
         let epoch = boundary.map(|now| shard.drain(now, self.core.clock_period(), seed));
         // Below `flush_ops` now: a count that reached it was drained.
         let recorded = if epoch.is_some() { 0 } else { recorded };
-        shard.countdown = if cs_core::ops_instrumented() {
+        shard.countdown = if ops_instrumented() {
             1
         } else {
             (self.flush_ops - recorded).min(CLOCK_CHECK_MASK + 1 - (recorded & CLOCK_CHECK_MASK))
@@ -319,12 +291,12 @@ impl<C: Variant> Shards<C> {
     /// exact totals and `cs-trace`, but not the engine, and its clock takes
     /// up the site's current period.
     fn cut(&self, shard: &mut Shard<C>, seed: u64) {
-        if shard.recorded() > 0 {
-            let stale = std::mem::take(&mut shard.rec).finish();
+        if shard.rec.total_ops() > 0 {
+            let stale = shard.rec.drain();
             self.site.publish_totals(&stale);
             cs_trace::credit_app_ops(stale.total_ops());
         }
-        shard.arm(self.core.clock_period(), seed);
+        shard.rec.arm(self.core.clock_period(), seed);
     }
 
     /// Hands one drained epoch to the site, outside any shard lock.
@@ -352,7 +324,7 @@ impl<C: Variant> Shards<C> {
                     self.cut(&mut shard, seed as u64);
                     None
                 } else {
-                    (shard.recorded() > 0).then(|| shard.drain(now, period, seed as u64))
+                    (shard.rec.total_ops() > 0).then(|| shard.drain(now, period, seed as u64))
                 }
             };
             if let Some(profile) = epoch {
@@ -574,8 +546,8 @@ mod tests {
             shard.data.migrate(MapKind::Array);
             shard.kind = MapKind::Array.index();
             shard.countdown = 64;
-            shard.clock = ClockSampler::new(1_000, 1);
-            assert!(!shard.clock.fires_next());
+            shard.rec.arm(1_000, 1);
+            assert!(!shard.rec.clock().fires_next());
         }
         insert(&shards, 70);
         let shard = shards.shards[0].lock();
@@ -586,24 +558,21 @@ mod tests {
         // the site's exact totals, not as an epoch.
         let stats = shards.site.stats();
         assert_eq!((stats.total_ops, stats.flushes), (70, 0));
-        assert_eq!(shard.recorded(), 1);
+        assert_eq!(shard.rec.total_ops(), 1);
     }
 
     #[test]
     fn a_shard_keeps_its_countdown_until_the_period_changes() {
         let shards = test_map(1_000_000, 1);
         let mut shard = shards.shards[0].lock();
-        let period = shard.clock.period();
+        let period = shard.rec.clock().period();
         assert_eq!(period, shards.core.clock_period());
         // Seed 0 clocks the first op, then one in every period.
-        assert!(shard.clock.tick());
-        shard.arm(period, 0);
-        assert!((1..period).all(|_| !shard.clock.tick()), "countdown kept");
-        assert!(shard.clock.tick());
-        shard.arm(1, 0);
-        assert!(
-            shard.clock.tick() && shard.clock.tick(),
-            "re-armed at P = 1"
-        );
+        assert!(shard.rec.tick());
+        shard.rec.arm(period, 0);
+        assert!((1..period).all(|_| !shard.rec.tick()), "countdown kept");
+        assert!(shard.rec.tick());
+        shard.rec.arm(1, 0);
+        assert!(shard.rec.tick() && shard.rec.tick(), "re-armed at P = 1");
     }
 }
