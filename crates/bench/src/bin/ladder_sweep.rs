@@ -19,7 +19,10 @@
 //!   monitored switch handle on the first window's clock schedule and in
 //!   the steady state, and an unmonitored one (DESIGN.md §4.2);
 //! * `runtime/…`: one lookup over 1,000 keys in a raw `ShardedHashMap` and
-//!   in a cs-runtime `ConcurrentMap` on one thread (DESIGN.md §7.2).
+//!   in a cs-runtime `ConcurrentMap` (DESIGN.md §7), on one thread and, in
+//!   the `_2t` rows, while a second thread runs the same lookups on the
+//!   same map. On a machine with one hardware thread the `_2t` rows time
+//!   preemption, not contention; the stamp's `hw_threads` says which.
 //!
 //! The only gate is completeness: every row carries a finite, positive
 //! time. No row's time is judged against another's. The binary installs
@@ -27,6 +30,7 @@
 //! that does not count its heap.
 
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use cs_bench::{run_sweep, time_per_iter, Sweep, Timing};
 use cs_collections::ShardedHashMap;
@@ -211,40 +215,62 @@ fn ladder() -> Vec<Row> {
         })
     }));
 
-    rows.push(row("runtime/sharded_map_get", 1, |quick| {
-        let map = ShardedHashMap::new();
-        for key in 0..RUNTIME_KEYS {
-            map.insert(key, key);
-        }
-        let mut key = 0;
-        time_per_iter(quick, || {
-            key = (key + 13) % RUNTIME_KEYS;
-            map.read(&key, |v| *v)
-        })
-    }));
-    // One thread at the default `RuntimeConfig`. 65 ops a key fill one
-    // analysed window, so the shards clock on its budget (one op in 253)
-    // rather than the first window's one in 8. The impossible rule keeps
-    // the site on `chained`.
-    rows.push(row("runtime/concurrent_map_get", 1, |quick| {
-        let runtime = Runtime::new(Switch::builder().rule(SelectionRule::impossible()).build());
-        let map = runtime.concurrent_map::<u64, u64>(MapKind::Chained);
-        for key in 0..RUNTIME_KEYS {
-            map.insert(key, key);
-        }
-        for _ in 0..64 {
-            (0..RUNTIME_KEYS).for_each(|key| _ = map.get(&key));
-        }
-        runtime.flush();
-        runtime.analyze_now();
-        assert_eq!(map.stats().rounds, 1, "one analysed window");
-        let mut key = 0;
-        time_per_iter(quick, || {
-            key = (key + 13) % RUNTIME_KEYS;
-            map.get(&key)
-        })
-    }));
+    // The concurrent rows run at the default `RuntimeConfig`. 65 ops a key
+    // fill one analysed window, so the shards clock on its budget (one op
+    // in 253) rather than the first window's one in 8. The impossible rule
+    // keeps the site on `chained`.
+    for (suffix, contended) in [("", false), ("_2t", true)] {
+        let id = |name| format!("runtime/{name}{suffix}");
+        rows.push(row(id("sharded_map_get"), 1, move |quick| {
+            let map = ShardedHashMap::new();
+            for key in 0..RUNTIME_KEYS {
+                map.insert(key, key);
+            }
+            time_lookups(quick, contended, |key| map.read(&key, |v| *v))
+        }));
+        rows.push(row(id("concurrent_map_get"), 1, move |quick| {
+            let runtime = Runtime::new(Switch::builder().rule(SelectionRule::impossible()).build());
+            let map = runtime.concurrent_map::<u64, u64>(MapKind::Chained);
+            for key in 0..RUNTIME_KEYS {
+                map.insert(key, key);
+            }
+            for _ in 0..64 {
+                (0..RUNTIME_KEYS).for_each(|key| _ = map.get(&key));
+            }
+            runtime.flush();
+            runtime.analyze_now();
+            assert_eq!(map.stats().rounds, 1, "one analysed window");
+            time_lookups(quick, contended, |key| map.get(&key))
+        }));
+    }
     rows
+}
+
+/// Times one lookup of a rotating key through `get`. With `contended`, a
+/// scoped second thread runs the same lookup loop from the middle of the
+/// key range until the timing returns, and is joined before this does.
+fn time_lookups<R>(quick: bool, contended: bool, get: impl Fn(u64) -> R + Sync) -> Timing {
+    let get = &get;
+    let lookups = |mut key: u64| {
+        move || {
+            key = (key + 13) % RUNTIME_KEYS;
+            get(key)
+        }
+    };
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        if contended {
+            scope.spawn(|| {
+                let mut lookup = lookups(RUNTIME_KEYS / 2);
+                while !done.load(Ordering::Relaxed) {
+                    std::hint::black_box(lookup());
+                }
+            });
+        }
+        let timing = time_per_iter(quick, lookups(0));
+        done.store(true, Ordering::Relaxed);
+        timing
+    })
 }
 
 /// One iteration of the dispatch and monitoring rows: push `0..n`, then
@@ -272,7 +298,7 @@ mod tests {
     /// Row ids are stable: recorded runs and EXPERIMENTS.md's before and
     /// after table are keyed on them.
     #[test]
-    fn the_ladder_holds_its_69_row_ids_in_order() {
+    fn the_ladder_holds_its_71_row_ids_in_order() {
         let lists = ["array", "linked", "hasharray", "adaptive"];
         let sets_and_maps = [
             "chained",
@@ -306,11 +332,13 @@ mod tests {
             "monitoring/monitored_handle_steady",
             "runtime/sharded_map_get",
             "runtime/concurrent_map_get",
+            "runtime/sharded_map_get_2t",
+            "runtime/concurrent_map_get_2t",
         ] {
             expected.push(id.to_owned());
         }
         let ids: Vec<String> = ladder().into_iter().map(|(id, ..)| id).collect();
-        assert_eq!(ids.len(), 69);
+        assert_eq!(ids.len(), 71);
         assert_eq!(ids, expected);
     }
 }

@@ -24,6 +24,13 @@
 //! rendering of every snapshot is gated by the exposition validator — the
 //! benchmark doubles as an end-to-end telemetry test.
 //!
+//! Because it counts the heap, [`cs_profile::ops_instrumented`] is true
+//! throughout, so every op of the swept map takes the shards' slow path
+//! (an alloc guard and an op span each): the sweep times the runtime as
+//! a heap-counting program runs it, never the fast path an uncounted,
+//! untraced program takes. `ladder_sweep`'s `runtime/*` rows, on one
+//! thread and on two, time that fast path.
+//!
 //! `--out PATH` selects the results file, default `BENCH_runtime.json`.
 
 use std::process::ExitCode;

@@ -164,6 +164,14 @@ impl<K: Kind> ContextCore<K> {
         }
     }
 
+    /// Attributed allocation churn `(events, bytes)` currently held in the
+    /// site's decayed workload history — the observable behind the
+    /// alloc-rate dimension.
+    pub fn history_alloc(&self) -> (u64, u64) {
+        let history = self.history.lock();
+        (history.alloc_count(), history.alloc_bytes())
+    }
+
     /// Whether the shared freeze flag is raised (engine degraded).
     pub fn is_frozen(&self) -> bool {
         self.frozen.load(Ordering::Acquire)
@@ -490,11 +498,6 @@ pub trait AnyContext: Send + Sync + fmt::Debug {
     /// overflowed between analysis passes.
     fn profiles_dropped(&self) -> u64;
 
-    /// Attributed allocation churn `(events, bytes)` currently held in the
-    /// site's decayed workload history — the observable behind the
-    /// alloc-rate dimension.
-    fn history_alloc(&self) -> (u64, u64);
-
     /// Mean attributed allocation bytes per aggregated operation in the
     /// site's workload history; `0.0` before any monitored instance landed.
     /// Exported on [`SiteManifestEntry`](crate::SiteManifestEntry) rows so
@@ -565,11 +568,6 @@ impl<K: ModelFamily> AnyContext for ContextCore<K> {
 
     fn profiles_dropped(&self) -> u64 {
         self.sink.dropped()
-    }
-
-    fn history_alloc(&self) -> (u64, u64) {
-        let history = self.history.lock();
-        (history.alloc_count(), history.alloc_bytes())
     }
 
     fn history_alloc_per_op(&self) -> f64 {

@@ -17,7 +17,9 @@ use crate::site::{SiteShared, SiteStats};
 #[derive(Debug, Clone, Copy)]
 pub struct RuntimeConfig {
     /// Lock-striped shards per concurrent handle (rounded up to a power of
-    /// two). More shards, less contention, more per-handle memory.
+    /// two). More shards, less contention, more per-handle memory: each
+    /// shard costs a 256-byte, cache-line-aligned stripe (its lock, its op
+    /// record and the collection's header) plus the collection's contents.
     pub shards: usize,
     /// Count trigger: a shard's buffer flushes once it holds this many
     /// ops. One flush is one "finished monitored instance" to the engine,

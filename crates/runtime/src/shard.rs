@@ -34,6 +34,12 @@
 //!   It re-reads whether counting or tracing is on — if so, the countdown
 //!   stays at 1 and every op comes back — and sets the countdown, at most
 //!   64, so a change of either reaches the shard within 64 ops.
+//! * **Layout.** Each shard's mutex leads a [`Stripe`] aligned to 128
+//!   bytes, so no two stripes share a cache line. Inside it the lock word
+//!   comes first, then the fast path's own state (the countdown it
+//!   decrements, the kind index it compares, the recorder it writes), then
+//!   the collection, then the time of the last flush, which only the slow
+//!   path reads.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -94,15 +100,13 @@ impl<T: Eq + std::hash::Hash + Clone> Variant for AnySet<T> {
     }
 }
 
-/// One stripe: the collection and the record of the ops that reached it.
+/// The collection of one stripe and the record of the ops that reached it.
+///
+/// `repr(C)` keeps the declared order: the fast path's own state first,
+/// starting in the line of the lock word ahead of it in the [`Stripe`],
+/// then the collection, then the state only the slow path touches.
+#[repr(C)]
 pub(crate) struct Shard<C> {
-    data: C,
-    /// The index of `data`'s variant in its kind family, set at build and
-    /// at migration: the fast path compares it with the site's
-    /// [`ContextCore::current_index`].
-    kind: usize,
-    rec: OpRecorder,
-    last_flush: Instant,
     /// Ops up to and including the next one that must take the slow path:
     /// the next whose recorded count reaches `flush_ops` or a multiple of
     /// 64, or, while counting or tracing is on, the next op (1). Set by
@@ -110,6 +114,13 @@ pub(crate) struct Shard<C> {
     /// as it is: emptying the recorder only moves the next check later, so
     /// the countdown runs out early, never late.
     countdown: u64,
+    /// The index of `data`'s variant in its kind family, set at build and
+    /// at migration: the fast path compares it with the site's
+    /// [`ContextCore::current_index`].
+    kind: usize,
+    rec: OpRecorder,
+    data: C,
+    last_flush: Instant,
 }
 
 impl<C: Variant> Shard<C> {
@@ -117,11 +128,11 @@ impl<C: Variant> Shard<C> {
     /// Its first op takes the slow path, which sets the countdown.
     pub(crate) fn new(data: C, clock: ClockSampler, now: Instant) -> Self {
         Shard {
-            kind: data.kind().index(),
-            data,
-            rec: OpRecorder::new(clock),
-            last_flush: now,
             countdown: 1,
+            kind: data.kind().index(),
+            rec: OpRecorder::new(clock),
+            data,
+            last_flush: now,
         }
     }
 }
@@ -136,31 +147,47 @@ impl<C> Shard<C> {
     }
 }
 
+/// One lock stripe: a shard behind its mutex, aligned so that no two
+/// stripes share a cache line. The alignment sits here rather than on
+/// [`Shard`]: the mutex stores its value at the value's alignment after
+/// the lock word, so an aligned `Shard` would leave the lock word alone in
+/// a line of its own.
+#[repr(align(128))]
+pub(crate) struct Stripe<C>(Mutex<Shard<C>>);
+
+impl<C> std::ops::Deref for Stripe<C> {
+    type Target = Mutex<Shard<C>>;
+
+    fn deref(&self) -> &Mutex<Shard<C>> {
+        &self.0
+    }
+}
+
 /// The shards of one concurrent handle, and the site they record into.
 pub(crate) struct Shards<C: Variant> {
     pub(crate) site: Arc<SiteShared>,
     pub(crate) core: Arc<ContextCore<C::Kind>>,
     flush_ops: u64,
     flush_nanos: u64,
-    pub(crate) shards: Box<[Mutex<Shard<C>>]>,
+    pub(crate) shards: Box<[Stripe<C>]>,
     mask: u64,
 }
 
 impl<C: Variant> Shards<C> {
     /// `config.shards` shards (rounded up to a power of two), all built on
-    /// one clock reading: `stripe` makes each from the site's current kind,
+    /// one clock reading: `shard` makes each from the site's current kind,
     /// a clock armed with the site's period and seeded with the shard's
-    /// index, and that reading.
+    /// index, and that reading, and each goes into a stripe of its own.
     pub(crate) fn new(
         site: Arc<SiteShared>,
         core: Arc<ContextCore<C::Kind>>,
         config: &RuntimeConfig,
-        stripe: impl Fn(C::Kind, ClockSampler, Instant) -> Mutex<Shard<C>>,
+        shard: impl Fn(C::Kind, ClockSampler, Instant) -> Mutex<Shard<C>>,
     ) -> Self {
         let n = config.shards.next_power_of_two();
         let (kind, period, now) = (core.current_kind(), core.clock_period(), Instant::now());
         let shards = (0..n as u64)
-            .map(|seed| stripe(kind, ClockSampler::new(period, seed), now))
+            .map(|seed| Stripe(shard(kind, ClockSampler::new(period, seed), now)))
             .collect();
         Shards {
             site,
@@ -559,6 +586,61 @@ mod tests {
         let stats = shards.site.stats();
         assert_eq!((stats.total_ops, stats.flushes), (70, 0));
         assert_eq!(shard.rec.total_ops(), 1);
+    }
+
+    /// A built stripe owns its cache lines, with the lock word, the
+    /// countdown and the kind in its first one and everything a fast-path
+    /// op writes ahead of the collection.
+    fn assert_striped<C: Variant>(shards: &Shards<C>) {
+        use std::mem::{align_of_val, offset_of, size_of, size_of_val};
+        fn addr<T>(place: &T) -> usize {
+            std::ptr::from_ref(place).addr()
+        }
+        let stripe = &shards.shards[0];
+        let (align, size) = (align_of_val(stripe), size_of_val(stripe));
+        assert!(align >= 64, "stripes aligned to {align} bytes share lines");
+        assert_eq!(size % align, 0, "a {size}-byte stripe spills into the next");
+        let data = offset_of!(Shard<C>, data);
+        for (field, at) in [
+            ("countdown", offset_of!(Shard<C>, countdown)),
+            ("kind", offset_of!(Shard<C>, kind)),
+            ("rec", offset_of!(Shard<C>, rec)),
+        ] {
+            assert!(
+                at < data,
+                "{field} at {at} follows the collection at {data}"
+            );
+        }
+        // `offset_of!` cannot see through the mutex: measure a built one.
+        let shard = stripe.lock();
+        let at = |place: usize| place - addr(stripe);
+        assert_eq!(
+            at(addr(&*shard)) + size_of::<Shard<C>>(),
+            size_of::<Mutex<Shard<C>>>(),
+            "the lock word fills the mutex's bytes ahead of the shard"
+        );
+        for (field, end) in [
+            ("countdown", at(addr(&shard.countdown)) + 8),
+            ("kind", at(addr(&shard.kind)) + 8),
+        ] {
+            assert!(
+                end <= 64,
+                "{field} ends at byte {end}, past the lock's line"
+            );
+        }
+    }
+
+    #[test]
+    fn each_stripe_owns_its_cache_lines_and_leads_with_the_hot_fields() {
+        assert_striped(&test_map(1_000, 4));
+        let engine = Switch::builder().build();
+        let ctx = engine.named_set_context::<u64>(SetKind::Chained, "stripe-test");
+        let site = Arc::new(SiteShared::new(ctx.core().clone()));
+        let config = RuntimeConfig::default();
+        let set = Shards::new(site, Arc::clone(ctx.core()), &config, |kind, clock, now| {
+            Mutex::new(Shard::new(AnySet::<u64>::new(kind), clock, now))
+        });
+        assert_striped(&set);
     }
 
     #[test]
