@@ -589,8 +589,8 @@ mod tests {
     }
 
     /// A built stripe owns its cache lines, with the lock word, the
-    /// countdown and the kind in its first one and everything a fast-path
-    /// op writes ahead of the collection.
+    /// countdown and the kind in its first one and the fast path's own
+    /// state ahead of the collection.
     fn assert_striped<C: Variant>(shards: &Shards<C>) {
         use std::mem::{align_of_val, offset_of, size_of, size_of_val};
         fn addr<T>(place: &T) -> usize {
