@@ -9,15 +9,15 @@
 //! subject) and the computed optimal thresholds for all three adaptive
 //! collections. `--sweep` additionally reports how end-to-end lookup time
 //! varies around the chosen threshold (the sensitivity ablation from
-//! DESIGN.md §4.5).
-
-use std::time::Instant;
+//! DESIGN.md §4.5): the median and IQR of one pass of the lookup scenario
+//! over `cs_model::timing::time_per_iter`'s samples, each [`SAMPLE`] long.
 
 use cs_collections::AdaptiveSet;
 use cs_model::default_models;
 use cs_model::threshold::{
     list_benefit_curve, map_benefit_curve, optimal_threshold, set_benefit_curve,
 };
+use cs_model::timing::{time_per_iter, SAMPLE};
 
 fn main() {
     let sweep = std::env::args().any(|a| a == "--sweep");
@@ -53,30 +53,26 @@ fn main() {
     if sweep {
         println!();
         println!("# Sensitivity sweep: measured lookup-scenario time by threshold");
-        println!("threshold\ttime_ms");
+        println!("threshold\tns_per_pass\tiqr_ns");
         for threshold in [10, 20, 30, 40, 50, 60, 80, 120] {
-            let t = measure_lookup_scenario(threshold);
-            println!("{threshold}\t{:.2}", t * 1e3);
+            let t = time_per_iter(SAMPLE, || lookup_scenario(threshold));
+            println!("{threshold}\t{:.0}\t{:.0}", t.median_ns, t.iqr_ns);
         }
     }
 }
 
-/// The paper's threshold-finding scenario: populate to a spread of sizes and
-/// look up every element once.
-fn measure_lookup_scenario(threshold: usize) -> f64 {
-    let start = Instant::now();
-    for _ in 0..200 {
-        for size in (8..=96).step_by(8) {
-            let mut set = AdaptiveSet::with_threshold(threshold);
-            for v in 0..size as i64 {
-                set.insert(v);
-            }
-            let mut hits = 0;
-            for v in 0..size as i64 {
-                hits += usize::from(set.contains(&v));
-            }
-            assert_eq!(hits, size);
+/// One pass of the paper's threshold-finding scenario: populate to a
+/// spread of sizes and look up every element once.
+fn lookup_scenario(threshold: usize) {
+    for size in (8..=96).step_by(8) {
+        let mut set = AdaptiveSet::with_threshold(threshold);
+        for v in 0..size as i64 {
+            set.insert(v);
         }
+        let mut hits = 0;
+        for v in 0..size as i64 {
+            hits += usize::from(set.contains(&v));
+        }
+        assert_eq!(hits, size);
     }
-    start.elapsed().as_secs_f64()
 }

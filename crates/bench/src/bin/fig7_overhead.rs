@@ -12,12 +12,13 @@
 //! expected to be flat-ish in the window size, as in the paper. One more
 //! row prices the other half of the monitoring cost: folding one finished
 //! instance's profile into the histogram. Each row prints the median and
-//! IQR of nanoseconds per call over `cs_bench::time_per_iter`'s samples.
+//! IQR of nanoseconds per call over `cs_model::timing::time_per_iter`'s
+//! samples, each [`SAMPLE`] long.
 
-use cs_bench::time_per_iter;
 use cs_collections::ListKind;
 use cs_core::{select_variant, SelectionRule, Switch};
 use cs_model::default_models;
+use cs_model::timing::{time_per_iter, SAMPLE};
 use cs_profile::{OpCounters, OpKind, ProfileHistogram, WindowConfig, WorkloadProfile};
 
 fn main() {
@@ -35,7 +36,7 @@ fn main() {
             c.add(OpKind::Middle, 1);
             hist.add(&WorkloadProfile::new(c, 10 + (i % 700)));
         }
-        let t = time_per_iter(false, || {
+        let t = time_per_iter(SAMPLE, || {
             select_variant(model, &rule, ListKind::Array, &hist)
         });
         println!("{window}\t{:.1}\t{:.1}", t.median_ns, t.iqr_ns);
@@ -49,7 +50,7 @@ fn main() {
     counters.add(OpKind::Contains, 10);
     let profile = WorkloadProfile::new(counters, 333);
     let mut hist = ProfileHistogram::new();
-    let t = time_per_iter(false, || hist.add(std::hint::black_box(&profile)));
+    let t = time_per_iter(SAMPLE, || hist.add(std::hint::black_box(&profile)));
     std::hint::black_box(&hist);
     println!("histogram_fold_ns\t{:.1}\t{:.1}", t.median_ns, t.iqr_ns);
 

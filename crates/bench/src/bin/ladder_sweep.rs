@@ -6,13 +6,16 @@
 //! ```
 //!
 //! Writes `BENCH_ladder.json` (schema in EXPERIMENTS.md): one row per id,
-//! each timed by [`time_per_iter`] and recording the median and IQR of
+//! each timed by [`time_per_iter`] (`cs_model::timing`, the loop the model
+//! builder calibrates with) and recording the median and IQR of
 //! nanoseconds per iteration, the collection ops one iteration runs and
 //! the sample count. The rows are
 //!
 //! * `list_contains/<kind>/<size>`, `set_populate/…` and `map_get/…`: the
-//!   raw `Any*` variants at sizes 10, 100 and 1000, the measurement core
-//!   behind the Table 3 models;
+//!   model builder's own List Contains, Set Populate and Map Contains
+//!   cells on the raw `Any*` variants at sizes 10, 100 and 1000, so they
+//!   are raw points of the Table 3 calibration (a lookup walks the keys
+//!   with stride 23; a populate iteration fills and drops a fresh set);
 //! * `dispatch/…`: 256 pushes and 256 lookups through the closed-world
 //!   enum, a boxed `dyn ListOps` and a direct `ArrayList` (DESIGN.md §4.1);
 //! * `monitoring/…`: 128 pushes and 128 lookups on a raw `AnyList`, a
@@ -31,14 +34,14 @@
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
-use cs_bench::{run_sweep, time_per_iter, Sweep, Timing};
-use cs_collections::ShardedHashMap;
-use cs_collections::{
-    AnyList, AnyMap, AnySet, ArrayList, ListKind, ListOps, MapKind, MapOps, SetKind, SetOps,
-};
+use cs_bench::{run_sweep, Sweep};
+use cs_collections::{AnyList, ArrayList, ListKind, ListOps, MapKind, SetKind, ShardedHashMap};
 use cs_core::{SelectionRule, Switch, SwitchList};
-use cs_profile::WindowConfig;
+use cs_model::builder::{time_list_cell, time_map_cell, time_set_cell};
+use cs_model::timing::{time_per_iter, Timing, QUICK_SAMPLE, SAMPLE};
+use cs_profile::{OpKind, WindowConfig};
 use cs_runtime::Runtime;
 use cs_telemetry::Json;
 
@@ -49,10 +52,11 @@ const SIZES: [usize; 3] = [10, 100, 1000];
 const RUNTIME_KEYS: u64 = 1000;
 
 /// One ladder row: its id, the collection ops one iteration runs, and
-/// the set-up that builds its input and then times one iteration.
-type Row = (String, usize, Box<dyn FnOnce(bool) -> Timing>);
+/// the set-up that builds its input and then times one iteration at the
+/// given sample length.
+type Row = (String, usize, Box<dyn FnOnce(Duration) -> Timing>);
 
-fn row(id: impl Into<String>, ops: usize, time: impl FnOnce(bool) -> Timing + 'static) -> Row {
+fn row(id: impl Into<String>, ops: usize, time: impl FnOnce(Duration) -> Timing + 'static) -> Row {
     (id.into(), ops, Box::new(time))
 }
 
@@ -62,9 +66,10 @@ fn main() -> ExitCode {
 
 fn sweep(sweep: &mut Sweep) -> Json {
     println!("id\tmedian_ns\tiqr_ns\tops_per_iter");
+    let sample = if sweep.quick() { QUICK_SAMPLE } else { SAMPLE };
     let mut rows = Vec::new();
     for (id, ops_per_iter, time) in ladder() {
-        let t = time(sweep.quick());
+        let t = time(sample);
         println!("{id}\t{:.1}\t{:.1}\t{ops_per_iter}", t.median_ns, t.iqr_ns);
         sweep.check(t.median_ns.is_finite() && t.median_ns > 0.0, || {
             format!(
@@ -92,17 +97,7 @@ fn ladder() -> Vec<Row> {
             rows.push(row(
                 format!("list_contains/{kind}/{size}"),
                 1,
-                move |quick| {
-                    let mut list = AnyList::new(kind);
-                    for v in 0..size as i64 {
-                        ListOps::push(&mut list, v);
-                    }
-                    let mut key = 0i64;
-                    time_per_iter(quick, || {
-                        key = (key + 7) % size as i64;
-                        ListOps::contains(&list, &key)
-                    })
-                },
+                move |sample| time_list_cell(kind, OpKind::Contains, size, sample),
             ));
         }
     }
@@ -111,57 +106,41 @@ fn ladder() -> Vec<Row> {
             rows.push(row(
                 format!("set_populate/{kind}/{size}"),
                 size,
-                move |quick| {
-                    time_per_iter(quick, || {
-                        let mut set = AnySet::new(kind);
-                        for v in 0..size as i64 {
-                            SetOps::insert(&mut set, v);
-                        }
-                        SetOps::len(&set)
-                    })
-                },
+                move |sample| time_set_cell(kind, OpKind::Populate, size, sample),
             ));
         }
     }
     for kind in MapKind::ALL {
         for size in SIZES {
-            rows.push(row(format!("map_get/{kind}/{size}"), 1, move |quick| {
-                let mut map = AnyMap::new(kind);
-                for v in 0..size as i64 {
-                    MapOps::map_insert(&mut map, v, v);
-                }
-                let mut key = 0i64;
-                time_per_iter(quick, || {
-                    key = (key + 13) % size as i64;
-                    MapOps::map_get(&map, &key)
-                })
+            rows.push(row(format!("map_get/{kind}/{size}"), 1, move |sample| {
+                time_map_cell(kind, OpKind::Contains, size, sample)
             }));
         }
     }
 
-    rows.push(row("dispatch/enum_push_contains", 512, |quick| {
-        time_per_iter(quick, || {
+    rows.push(row("dispatch/enum_push_contains", 512, |sample| {
+        time_per_iter(sample, || {
             let mut list = AnyList::new(ListKind::Array);
             push_contains(&mut list, 256, ListOps::push, |l, v| {
                 ListOps::contains(l, v)
             })
         })
     }));
-    rows.push(row("dispatch/boxed_dyn_push_contains", 512, |quick| {
-        time_per_iter(quick, || {
+    rows.push(row("dispatch/boxed_dyn_push_contains", 512, |sample| {
+        time_per_iter(sample, || {
             let mut list: Box<dyn ListOps<i64>> = Box::new(ArrayList::new());
             push_contains(&mut *list, 256, |l, v| l.push(v), |l, v| l.contains(v))
         })
     }));
-    rows.push(row("dispatch/direct_push_contains", 512, |quick| {
-        time_per_iter(quick, || {
+    rows.push(row("dispatch/direct_push_contains", 512, |sample| {
+        time_per_iter(sample, || {
             let mut list = ArrayList::new();
             push_contains(&mut list, 256, ArrayList::push, |l, v| l.contains(v))
         })
     }));
 
-    rows.push(row("monitoring/raw_any_list", 256, |quick| {
-        time_per_iter(quick, || {
+    rows.push(row("monitoring/raw_any_list", 256, |sample| {
+        time_per_iter(sample, || {
             let mut list = AnyList::new(ListKind::Array);
             push_contains(&mut list, 128, ListOps::push, |l, v| {
                 ListOps::contains(l, v)
@@ -175,7 +154,7 @@ fn ladder() -> Vec<Row> {
         ("monitoring/monitored_handle_first_window", usize::MAX),
         ("monitoring/unmonitored_handle", 0),
     ] {
-        rows.push(row(id, 256, move |quick| {
+        rows.push(row(id, 256, move |sample| {
             let engine = Switch::builder()
                 .window(WindowConfig {
                     window_size,
@@ -183,7 +162,7 @@ fn ladder() -> Vec<Row> {
                 })
                 .build();
             let ctx = engine.list_context::<i64>(ListKind::Array);
-            time_per_iter(quick, || {
+            time_per_iter(sample, || {
                 let mut list = ctx.create_list();
                 assert_eq!(list.is_monitored(), window_size > 0);
                 push_contains(&mut list, 128, SwitchList::push, SwitchList::contains)
@@ -194,7 +173,7 @@ fn ladder() -> Vec<Row> {
     // analysed window before timing, then a pass every 128 created
     // instances. The impossible rule keeps the site on `array`, so the row
     // differs from `raw_any_list` by monitoring and analysis alone.
-    rows.push(row("monitoring/monitored_handle_steady", 256, |quick| {
+    rows.push(row("monitoring/monitored_handle_steady", 256, |sample| {
         let engine = Switch::builder().rule(SelectionRule::impossible()).build();
         let ctx = engine.list_context::<i64>(ListKind::Array);
         let instance = || {
@@ -206,7 +185,7 @@ fn ladder() -> Vec<Row> {
         // 100 instances of 256 ops: one op in 100 is clocked.
         assert_eq!(ctx.core().clock_period(), 100);
         let mut created = 0u64;
-        time_per_iter(quick, || {
+        time_per_iter(sample, || {
             created += 1;
             if created.is_multiple_of(128) {
                 engine.analyze_now();
@@ -221,14 +200,14 @@ fn ladder() -> Vec<Row> {
     // keeps the site on `chained`.
     for (suffix, contended) in [("", false), ("_2t", true)] {
         let id = |name| format!("runtime/{name}{suffix}");
-        rows.push(row(id("sharded_map_get"), 1, move |quick| {
+        rows.push(row(id("sharded_map_get"), 1, move |sample| {
             let map = ShardedHashMap::new();
             for key in 0..RUNTIME_KEYS {
                 map.insert(key, key);
             }
-            time_lookups(quick, contended, |key| map.read(&key, |v| *v))
+            time_lookups(sample, contended, |key| map.read(&key, |v| *v))
         }));
-        rows.push(row(id("concurrent_map_get"), 1, move |quick| {
+        rows.push(row(id("concurrent_map_get"), 1, move |sample| {
             let runtime = Runtime::new(Switch::builder().rule(SelectionRule::impossible()).build());
             let map = runtime.concurrent_map::<u64, u64>(MapKind::Chained);
             for key in 0..RUNTIME_KEYS {
@@ -240,7 +219,7 @@ fn ladder() -> Vec<Row> {
             runtime.flush();
             runtime.analyze_now();
             assert_eq!(map.stats().rounds, 1, "one analysed window");
-            time_lookups(quick, contended, |key| map.get(&key))
+            time_lookups(sample, contended, |key| map.get(&key))
         }));
     }
     rows
@@ -249,7 +228,7 @@ fn ladder() -> Vec<Row> {
 /// Times one lookup of a rotating key through `get`. With `contended`, a
 /// scoped second thread runs the same lookup loop from the middle of the
 /// key range until the timing returns, and is joined before this does.
-fn time_lookups<R>(quick: bool, contended: bool, get: impl Fn(u64) -> R + Sync) -> Timing {
+fn time_lookups<R>(sample: Duration, contended: bool, get: impl Fn(u64) -> R + Sync) -> Timing {
     let get = &get;
     let lookups = |mut key: u64| {
         move || {
@@ -267,7 +246,7 @@ fn time_lookups<R>(quick: bool, contended: bool, get: impl Fn(u64) -> R + Sync) 
                 }
             });
         }
-        let timing = time_per_iter(quick, lookups(0));
+        let timing = time_per_iter(sample, lookups(0));
         done.store(true, Ordering::Relaxed);
         timing
     })

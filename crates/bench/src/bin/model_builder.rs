@@ -5,15 +5,19 @@
 //! cargo run --release -p cs-bench --bin model_builder [--paper] [out_dir]
 //! ```
 //!
-//! By default runs the quick plan (seconds); `--paper` runs the full
-//! factorial plan with the paper's steady-state protocol (15 warm-up + 30
-//! measured iterations per cell; minutes). Models are written in the
-//! `cs-model` text format to `out_dir` (default `target/models`).
+//! By default runs the quick plan (five sizes, 8 ms samples; under a
+//! minute); `--paper` runs the full factorial plan at 80 ms samples (about
+//! half an hour). Every cell is timed by `cs_model::timing::time_per_iter`:
+//! a warm-up of 2.5 samples, then nine samples, of which the median is the
+//! cell's cost. Models are written with [`Models::save_to_dir`] to
+//! `out_dir` (default `target/models`).
 
 use std::path::PathBuf;
 
+use cs_core::Models;
 use cs_model::builder::{build_list_model, build_map_model, build_set_model, BuilderConfig};
-use cs_model::persist;
+use cs_model::CostDimension;
+use cs_profile::OpKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,45 +34,34 @@ fn main() {
         BuilderConfig::quick()
     };
     println!(
-        "# Table 3 factorial calibration: {} sizes x 4 scenarios x all variants ({} warm-up + {} measured iters)",
+        "# Table 3 factorial calibration: {} sizes x 4 scenarios x all variants ({:?} samples)",
         cfg.sizes.len(),
-        cfg.warmup_iters,
-        cfg.measured_iters
+        cfg.sample
     );
 
     std::fs::create_dir_all(&out_dir).expect("create output directory");
 
     let started = std::time::Instant::now();
-    let lists = build_list_model(&cfg);
+    let list = build_list_model(&cfg);
     println!("# lists calibrated ({:?})", started.elapsed());
-    let sets = build_set_model(&cfg);
+    let set = build_set_model(&cfg);
     println!("# sets calibrated ({:?})", started.elapsed());
-    let maps = build_map_model(&cfg);
+    let map = build_map_model(&cfg);
     println!("# maps calibrated ({:?})", started.elapsed());
 
     // Atomic writes: a calibration run killed mid-save must never leave a
     // torn model file for the next engine boot to choke on.
-    {
-        let path = out_dir.join("lists.model");
-        persist::save_to_path(&lists, &path).expect("write model file");
-        println!("# wrote {}", path.display());
-        let path = out_dir.join("sets.model");
-        persist::save_to_path(&sets, &path).expect("write model file");
-        println!("# wrote {}", path.display());
-        let path = out_dir.join("maps.model");
-        persist::save_to_path(&maps, &path).expect("write model file");
-        println!("# wrote {}", path.display());
-    }
+    let models = Models { list, set, map };
+    models.save_to_dir(&out_dir).expect("write model files");
+    println!("# wrote {}", out_dir.display());
 
     // Spot-print the headline crossover the models encode: measured cost of
     // one `contains` per variant at small vs large sizes.
-    use cs_model::CostDimension;
-    use cs_profile::OpKind;
     println!();
     println!("# measured contains cost (ns) by list variant");
     println!("variant   \t@size10\t@size1000");
     for kind in cs_collections::ListKind::ALL {
-        let v = lists.variant(kind).expect("calibrated");
+        let v = models.list.variant(kind).expect("calibrated");
         println!(
             "{:10}\t{:.1}\t{:.1}",
             kind.to_string(),

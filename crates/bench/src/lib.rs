@@ -27,13 +27,16 @@
 //! which owns their command line (`--quick`, `--out PATH`), the stamp at
 //! the head of every artifact, and the gate; `runtime_sweep` and
 //! `overhead_sweep` share one concurrent-map run, [`run_concurrent_map`].
-//! Micro timings (`ladder_sweep`, `fig7_overhead`) go through one timing
-//! loop, [`time_per_iter`].
+//! Micro timings (`ladder_sweep`, `fig3_threshold --sweep`,
+//! `fig7_overhead`) go through the workspace's one timing loop,
+//! [`cs_model::timing::time_per_iter`], which also calibrates every cell of
+//! `model_builder`; the ladder's per-variant rows time the builder's own
+//! cells.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cs_collections::MapKind;
 use cs_core::Switch;
@@ -250,70 +253,6 @@ fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".into())
 }
 
-/// Warm-up before a timing's first sample.
-const WARM_UP: Duration = Duration::from_millis(200);
-/// Samples per timing.
-const SAMPLES: usize = 9;
-/// Wall time one sample spans.
-const SAMPLE: Duration = Duration::from_millis(80);
-
-/// What [`time_per_iter`] measured: nanoseconds per call of a routine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Timing {
-    /// Median of the samples' nanoseconds per call.
-    pub median_ns: f64,
-    /// Third minus first quartile of the samples' nanoseconds per call.
-    pub iqr_ns: f64,
-    /// Number of samples.
-    pub samples: usize,
-}
-
-impl Timing {
-    /// Median and interquartile range of `samples` (any order), each
-    /// quartile linearly interpolated between the sorted samples.
-    fn of(samples: &mut [f64]) -> Timing {
-        samples.sort_by(f64::total_cmp);
-        let quantile = |q: f64| {
-            let pos = (samples.len() - 1) as f64 * q;
-            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
-            samples[lo] + (samples[hi] - samples[lo]) * (pos - lo as f64)
-        };
-        Timing {
-            median_ns: quantile(0.5),
-            iqr_ns: quantile(0.75) - quantile(0.25),
-            samples: samples.len(),
-        }
-    }
-}
-
-/// Times `routine` in nanoseconds per call: a 200 ms warm-up that also
-/// sizes a batch to ~1 ms of calls, so clock reads stay out of the
-/// measurement, then 9 samples, each whole batches run for 80 ms. Every
-/// result passes through [`std::hint::black_box`]. `quick` (the CI budget)
-/// cuts both durations tenfold.
-pub fn time_per_iter<R>(quick: bool, mut routine: impl FnMut() -> R) -> Timing {
-    let scale = if quick { 10 } else { 1 };
-    // Runs `batch` calls at a time until `budget` has passed; nanos per call.
-    let mut run = |budget: Duration, batch: u64| {
-        let start = Instant::now();
-        let mut calls = 0u64;
-        loop {
-            for _ in 0..batch {
-                std::hint::black_box(routine());
-            }
-            calls += batch;
-            let elapsed = start.elapsed();
-            if elapsed >= budget {
-                return elapsed.as_nanos() as f64 / calls as f64;
-            }
-        }
-    };
-    let per_call = run(WARM_UP / scale, 1);
-    let batch = ((1e6 / per_call.max(1.0)) as u64).clamp(1, 1_000_000);
-    let mut samples: [f64; SAMPLES] = std::array::from_fn(|_| run(SAMPLE / scale, batch));
-    Timing::of(&mut samples)
-}
-
 /// Key skew of the concurrent-map runs' Zipf draw.
 pub const MAP_ZIPF_EXPONENT: f64 = 0.99;
 /// Share of the concurrent-map runs' ops that are reads.
@@ -449,18 +388,6 @@ mod tests {
         assert!(improvement_pct(10.0, 8.0) > 0.0);
         assert!(improvement_pct(10.0, 12.0) < 0.0);
         assert_eq!(improvement_pct(0.0, 5.0), 0.0);
-    }
-
-    #[test]
-    fn timing_reports_the_median_and_interquartile_range_of_its_samples() {
-        // Odd count: the quartiles fall on samples.
-        let odd = Timing::of(&mut [50.0, 10.0, 30.0, 20.0, 40.0]);
-        assert_eq!((odd.median_ns, odd.iqr_ns, odd.samples), (30.0, 20.0, 5));
-        // Even count: median 25, quartiles 17.5 and 32.5.
-        let even = Timing::of(&mut [40.0, 10.0, 30.0, 20.0]);
-        assert_eq!((even.median_ns, even.iqr_ns, even.samples), (25.0, 15.0, 4));
-        let one = Timing::of(&mut [7.0]);
-        assert_eq!((one.median_ns, one.iqr_ns, one.samples), (7.0, 0.0, 1));
     }
 
     #[test]

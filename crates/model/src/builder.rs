@@ -8,25 +8,27 @@
 //! | Data type | `i64` (the paper uses `Integer`) |
 //! | Data distribution | uniform |
 //!
-//! Each (variant, scenario, size) cell follows the paper's steady-state
-//! protocol: warm-up iterations followed by measured iterations, averaging
-//! the per-operation cost. Time is measured with [`std::time::Instant`];
-//! the memory dimensions are *exact* — read from the structures'
-//! [`cs_collections::HeapSize`] byte accounting rather than a GC
-//! profiler (see DESIGN.md, substitution table).
+//! Each (variant, scenario, size) cell is one routine that
+//! [`time_per_iter`] times with the paper's steady-state protocol: a
+//! warm-up, then measured samples, of which the median is the cell's cost.
+//! The routines are public per abstraction ([`time_list_cell`],
+//! [`time_set_cell`], [`time_map_cell`]), so the cost ladder's per-variant
+//! rows time exactly what the calibration fits. The memory dimensions are
+//! *exact* — read from the structures' [`cs_collections::HeapSize`] byte
+//! accounting rather than a GC profiler (see DESIGN.md, substitution
+//! table).
 
-use std::time::Instant;
+use std::time::Duration;
 
 use cs_collections::{
     AnyList, AnyMap, AnySet, HeapSize, ListKind, ListOps, MapKind, MapOps, SetKind, SetOps,
 };
 use cs_profile::OpKind;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use crate::dimension::CostDimension;
 use crate::perf::{PerformanceModel, VariantCostModel};
 use crate::poly::Polynomial;
+use crate::timing::{time_per_iter, Timing, QUICK_SAMPLE, SAMPLE};
 
 /// Configuration of a calibration run.
 ///
@@ -34,10 +36,11 @@ use crate::poly::Polynomial;
 ///
 /// ```
 /// use cs_model::builder::BuilderConfig;
+/// use cs_model::timing::SAMPLE;
 ///
 /// let full = BuilderConfig::paper();
-/// assert_eq!(full.warmup_iters, 15);
-/// assert_eq!(full.measured_iters, 30);
+/// assert_eq!(full.sizes.len(), 21);
+/// assert_eq!(full.sample, SAMPLE);
 /// let quick = BuilderConfig::quick();
 /// assert!(quick.sizes.len() < full.sizes.len());
 /// ```
@@ -45,42 +48,27 @@ use crate::poly::Polynomial;
 pub struct BuilderConfig {
     /// Collection sizes to sample (Table 3).
     pub sizes: Vec<usize>,
-    /// Unmeasured warm-up iterations per cell (paper: 15).
-    pub warmup_iters: usize,
-    /// Measured iterations per cell (paper: 30).
-    pub measured_iters: usize,
-    /// Operations per timed batch inside one iteration.
-    pub batch: usize,
-    /// Polynomial degree of the fitted models (paper: 3).
-    pub degree: usize,
-    /// RNG seed for the uniform key distribution.
-    pub seed: u64,
+    /// Length of one [`time_per_iter`] sample of each cell.
+    pub sample: Duration,
 }
 
 impl BuilderConfig {
-    /// The paper's full factorial plan (Table 3) and steady-state protocol.
+    /// The paper's full factorial plan (Table 3) at the full [`SAMPLE`].
     pub fn paper() -> Self {
         let mut sizes = vec![10, 50];
         sizes.extend((2..=20).map(|i| i * 50)); // 100, 150, …, 1000
         BuilderConfig {
             sizes,
-            warmup_iters: 15,
-            measured_iters: 30,
-            batch: 64,
-            degree: Polynomial::PAPER_DEGREE,
-            seed: 0x5eed,
+            sample: SAMPLE,
         }
     }
 
-    /// A reduced plan for tests and smoke runs (seconds, not minutes).
+    /// Five of the plan's sizes at the [`QUICK_SAMPLE`], for smoke runs
+    /// (under a minute).
     pub fn quick() -> Self {
         BuilderConfig {
             sizes: vec![10, 100, 250, 500, 1000],
-            warmup_iters: 1,
-            measured_iters: 3,
-            batch: 16,
-            degree: Polynomial::PAPER_DEGREE,
-            seed: 0x5eed,
+            sample: QUICK_SAMPLE,
         }
     }
 }
@@ -91,286 +79,204 @@ impl Default for BuilderConfig {
     }
 }
 
-/// One measured cell of the factorial plan.
-#[derive(Debug, Clone, Copy)]
-struct Cell {
-    /// Average nanoseconds per operation.
-    time_ns: f64,
-    /// Average bytes allocated per operation (populate only; zero elsewhere).
-    alloc_bytes: f64,
-    /// Heap footprint of the populated structure (bytes).
-    footprint: f64,
-}
+/// Step between the keys the Contains cell looks up. 23 is prime and
+/// divides no plan size, so the walk visits every key of a `0..size`
+/// collection before it repeats one.
+const STRIDE: i64 = 23;
 
-/// Times `reps` repetitions of `f`, returning average ns per repetition.
-fn time_per_rep(reps: usize, mut f: impl FnMut()) -> f64 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / reps.max(1) as f64
-}
-
-/// Generic scenario driver: everything the bench loop needs from one
-/// abstraction, so lists/sets/maps share the measurement protocol.
-trait Subject {
-    fn fresh(&self) -> Self;
-    fn populate_one(&mut self, key: i64);
+/// What a cell needs from one abstraction, so lists, sets and maps share
+/// the cell routines.
+trait Subject: HeapSize {
+    type Kind: Copy;
+    fn create(kind: Self::Kind) -> Self;
+    fn add(&mut self, key: i64);
     fn lookup(&self, key: i64) -> bool;
-    fn iterate(&self) -> u64;
+    fn traverse(&self) -> u64;
+    /// One middle insert+remove pair that leaves the contents unchanged.
     fn middle(&mut self);
-    fn footprint(&self) -> usize;
-    fn allocated(&self) -> u64;
-    fn len(&self) -> usize;
+    fn size(&self) -> usize;
 }
 
-struct ListSubject {
-    kind: ListKind,
-    inner: AnyList<i64>,
-}
-
-impl Subject for ListSubject {
-    fn fresh(&self) -> Self {
-        ListSubject {
-            kind: self.kind,
-            inner: AnyList::new(self.kind),
-        }
+impl Subject for AnyList<i64> {
+    type Kind = ListKind;
+    fn create(kind: ListKind) -> Self {
+        AnyList::new(kind)
     }
-    fn populate_one(&mut self, key: i64) {
-        self.inner.push(key);
+    fn add(&mut self, key: i64) {
+        self.push(key);
     }
     fn lookup(&self, key: i64) -> bool {
-        self.inner.contains(&key)
+        self.contains(&key)
     }
-    fn iterate(&self) -> u64 {
+    fn traverse(&self) -> u64 {
         let mut acc = 0_u64;
-        self.inner
-            .for_each_value(&mut |v| acc = acc.wrapping_add(*v as u64));
+        self.for_each_value(&mut |v| acc = acc.wrapping_add(*v as u64));
         acc
     }
     fn middle(&mut self) {
-        let mid = ListOps::len(&self.inner) / 2;
-        self.inner.list_insert(mid, -1);
-        self.inner.list_remove(mid);
+        let mid = ListOps::len(self) / 2;
+        self.list_insert(mid, -1);
+        self.list_remove(mid);
     }
-    fn footprint(&self) -> usize {
-        self.inner.heap_bytes()
-    }
-    fn allocated(&self) -> u64 {
-        self.inner.allocated_bytes()
-    }
-    fn len(&self) -> usize {
-        ListOps::len(&self.inner)
+    fn size(&self) -> usize {
+        ListOps::len(self)
     }
 }
 
-struct SetSubject {
-    kind: SetKind,
-    inner: AnySet<i64>,
-}
-
-impl Subject for SetSubject {
-    fn fresh(&self) -> Self {
-        SetSubject {
-            kind: self.kind,
-            inner: AnySet::new(self.kind),
-        }
+impl Subject for AnySet<i64> {
+    type Kind = SetKind;
+    fn create(kind: SetKind) -> Self {
+        AnySet::new(kind)
     }
-    fn populate_one(&mut self, key: i64) {
-        self.inner.insert(key);
+    fn add(&mut self, key: i64) {
+        self.insert(key);
     }
     fn lookup(&self, key: i64) -> bool {
-        self.inner.contains(&key)
+        self.contains(&key)
     }
-    fn iterate(&self) -> u64 {
+    fn traverse(&self) -> u64 {
         let mut acc = 0_u64;
-        self.inner
-            .for_each_value(&mut |v| acc = acc.wrapping_add(*v as u64));
+        self.for_each_value(&mut |v| acc = acc.wrapping_add(*v as u64));
         acc
     }
     fn middle(&mut self) {
         // Sets have no positional middle; the critical cost is a
         // remove+reinsert pair, linear on array variants.
-        let len = SetOps::len(&self.inner) as i64;
-        let key = len / 2;
-        self.inner.set_remove(&key);
-        self.inner.insert(key);
+        let key = SetOps::len(self) as i64 / 2;
+        self.set_remove(&key);
+        self.insert(key);
     }
-    fn footprint(&self) -> usize {
-        self.inner.heap_bytes()
-    }
-    fn allocated(&self) -> u64 {
-        self.inner.allocated_bytes()
-    }
-    fn len(&self) -> usize {
-        SetOps::len(&self.inner)
+    fn size(&self) -> usize {
+        SetOps::len(self)
     }
 }
 
-struct MapSubject {
-    kind: MapKind,
-    inner: AnyMap<i64, i64>,
-}
-
-impl Subject for MapSubject {
-    fn fresh(&self) -> Self {
-        MapSubject {
-            kind: self.kind,
-            inner: AnyMap::new(self.kind),
-        }
+impl Subject for AnyMap<i64, i64> {
+    type Kind = MapKind;
+    fn create(kind: MapKind) -> Self {
+        AnyMap::new(kind)
     }
-    fn populate_one(&mut self, key: i64) {
-        self.inner.map_insert(key, key);
+    fn add(&mut self, key: i64) {
+        self.map_insert(key, key);
     }
     fn lookup(&self, key: i64) -> bool {
-        self.inner.map_get(&key).is_some()
+        self.map_get(&key).is_some()
     }
-    fn iterate(&self) -> u64 {
+    fn traverse(&self) -> u64 {
         let mut acc = 0_u64;
-        self.inner
-            .for_each_entry(&mut |_, v| acc = acc.wrapping_add(*v as u64));
+        self.for_each_entry(&mut |_, v| acc = acc.wrapping_add(*v as u64));
         acc
     }
     fn middle(&mut self) {
-        let len = MapOps::len(&self.inner) as i64;
-        let key = len / 2;
-        self.inner.map_remove(&key);
-        self.inner.map_insert(key, key);
+        let key = MapOps::len(self) as i64 / 2;
+        self.map_remove(&key);
+        self.map_insert(key, key);
     }
-    fn footprint(&self) -> usize {
-        self.inner.heap_bytes()
-    }
-    fn allocated(&self) -> u64 {
-        self.inner.allocated_bytes()
-    }
-    fn len(&self) -> usize {
-        MapOps::len(&self.inner)
+    fn size(&self) -> usize {
+        MapOps::len(self)
     }
 }
 
-/// Measures one (variant, op, size) cell.
-fn measure_cell<S: Subject>(
-    proto: &S,
-    op: OpKind,
-    size: usize,
-    cfg: &BuilderConfig,
-    rng: &mut StdRng,
-) -> Cell {
-    let mut times = Vec::with_capacity(cfg.measured_iters);
-    let mut alloc = 0.0;
-    let mut footprint = 0.0;
+/// A fresh `kind` collection holding `0..size`.
+fn filled<S: Subject>(kind: S::Kind, size: usize) -> S {
+    let mut subject = S::create(kind);
+    (0..size as i64).for_each(|key| subject.add(key));
+    subject
+}
 
-    for iter in 0..(cfg.warmup_iters + cfg.measured_iters) {
-        let measured = iter >= cfg.warmup_iters;
-        let cell = match op {
-            OpKind::Populate => {
-                let mut subj = proto.fresh();
-                let t = time_per_rep(size, || {
-                    // Uniform keys, dense enough to exercise duplicates in
-                    // sets/maps only rarely.
-                    let key = subj.len() as i64;
-                    subj.populate_one(std::hint::black_box(key));
-                });
-                Cell {
-                    time_ns: t,
-                    alloc_bytes: subj.allocated() as f64 / size.max(1) as f64,
-                    footprint: subj.footprint() as f64,
-                }
-            }
-            OpKind::Contains => {
-                let mut subj = proto.fresh();
-                for k in 0..size as i64 {
-                    subj.populate_one(k);
-                }
-                let keys: Vec<i64> = (0..cfg.batch)
-                    .map(|_| rng.gen_range(0..size.max(1) as i64))
-                    .collect();
-                let mut i = 0;
-                let t = time_per_rep(cfg.batch, || {
-                    let hit = subj.lookup(std::hint::black_box(keys[i]));
-                    std::hint::black_box(hit);
-                    i += 1;
-                });
-                Cell {
-                    time_ns: t,
-                    alloc_bytes: 0.0,
-                    footprint: subj.footprint() as f64,
-                }
-            }
-            OpKind::Iterate => {
-                let mut subj = proto.fresh();
-                for k in 0..size as i64 {
-                    subj.populate_one(k);
-                }
-                let t = time_per_rep(cfg.batch.min(16), || {
-                    std::hint::black_box(subj.iterate());
-                });
-                Cell {
-                    time_ns: t,
-                    alloc_bytes: 0.0,
-                    footprint: subj.footprint() as f64,
-                }
-            }
-            OpKind::Middle => {
-                let mut subj = proto.fresh();
-                for k in 0..size as i64 {
-                    subj.populate_one(k);
-                }
-                let t = time_per_rep(cfg.batch, || {
-                    subj.middle();
-                }) / 2.0; // insert+remove pair → per op
-                Cell {
-                    time_ns: t,
-                    alloc_bytes: 0.0,
-                    footprint: subj.footprint() as f64,
-                }
-            }
-        };
-        if measured {
-            times.push(cell.time_ns);
-            alloc = cell.alloc_bytes;
-            footprint = cell.footprint;
+/// Times one call of the (`kind`, `op`, `size`) cell's routine. Per call,
+/// Populate fills a fresh collection with `0..size` and drops it; Contains
+/// looks up one key of a prebuilt `0..size` collection, walking the keys
+/// with [`STRIDE`]; Iterate is one traversal; Middle one insert+remove
+/// pair.
+fn time_cell<S: Subject>(kind: S::Kind, op: OpKind, size: usize, sample: Duration) -> Timing {
+    match op {
+        OpKind::Populate => time_per_iter(sample, || filled::<S>(kind, size).size()),
+        OpKind::Contains => {
+            let subject = filled::<S>(kind, size);
+            let mut key = 0;
+            time_per_iter(sample, || {
+                key = (key + STRIDE) % size.max(1) as i64;
+                subject.lookup(key)
+            })
+        }
+        OpKind::Iterate => {
+            let subject = filled::<S>(kind, size);
+            time_per_iter(sample, || subject.traverse())
+        }
+        OpKind::Middle => {
+            let mut subject = filled::<S>(kind, size);
+            time_per_iter(sample, || subject.middle())
         }
     }
-    // Median is robuster than mean against scheduler noise.
-    times.sort_by(f64::total_cmp);
-    let time_ns = times[times.len() / 2];
-    Cell {
-        time_ns,
-        alloc_bytes: alloc,
-        footprint,
-    }
 }
 
-/// Calibrates one variant from measured cells.
-fn build_variant_model<S: Subject>(proto: &S, cfg: &BuilderConfig) -> VariantCostModel {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+/// Times one call of a list cell's routine: `op` on a `size`-element
+/// `kind` list, each sample `sample` long. The calibration's per-op cost
+/// divides a Populate call by `size` and a Middle call by 2.
+pub fn time_list_cell(kind: ListKind, op: OpKind, size: usize, sample: Duration) -> Timing {
+    time_cell::<AnyList<i64>>(kind, op, size, sample)
+}
+
+/// Times one call of a set cell's routine (see [`time_list_cell`]).
+pub fn time_set_cell(kind: SetKind, op: OpKind, size: usize, sample: Duration) -> Timing {
+    time_cell::<AnySet<i64>>(kind, op, size, sample)
+}
+
+/// Times one call of a map cell's routine (see [`time_list_cell`]).
+pub fn time_map_cell(kind: MapKind, op: OpKind, size: usize, sample: Duration) -> Timing {
+    time_cell::<AnyMap<i64, i64>>(kind, op, size, sample)
+}
+
+/// Calibrates one variant: a time curve per op from its cells, and the
+/// populate allocation and the footprint from one filled collection per
+/// size, read outside the timing.
+fn build_variant_model<S: Subject>(kind: S::Kind, cfg: &BuilderConfig) -> VariantCostModel {
     let xs: Vec<f64> = cfg.sizes.iter().map(|&s| s as f64).collect();
+    let fit = |ys: &[f64]| Polynomial::fit(&xs, ys, Polynomial::PAPER_DEGREE);
     let mut model = VariantCostModel::new();
-    let mut footprints = vec![0.0; cfg.sizes.len()];
+    // (bytes allocated per populated element, footprint) per size.
+    let memory: Vec<(f64, f64)> = cfg
+        .sizes
+        .iter()
+        .map(|&size| {
+            let subject = filled::<S>(kind, size);
+            (
+                subject.allocated_bytes() as f64 / size.max(1) as f64,
+                subject.heap_bytes() as f64,
+            )
+        })
+        .collect();
 
     for op in OpKind::ALL {
-        let mut times = Vec::with_capacity(cfg.sizes.len());
-        let mut allocs = Vec::with_capacity(cfg.sizes.len());
-        for (i, &size) in cfg.sizes.iter().enumerate() {
-            let cell = measure_cell(proto, op, size, cfg, &mut rng);
-            times.push(cell.time_ns);
-            allocs.push(cell.alloc_bytes);
-            if op == OpKind::Populate {
-                footprints[i] = cell.footprint;
-            }
-        }
-        let tpoly = Polynomial::fit(&xs, &times, cfg.degree).unwrap_or_else(|_| {
+        let (times, allocs): (Vec<f64>, Vec<f64>) = cfg
+            .sizes
+            .iter()
+            .zip(&memory)
+            .map(|(&size, &(alloc, _))| {
+                let per_call = time_cell::<S>(kind, op, size, cfg.sample).median_ns;
+                match op {
+                    OpKind::Populate => (per_call / size.max(1) as f64, alloc),
+                    OpKind::Middle => (per_call / 2.0, 0.0),
+                    OpKind::Contains | OpKind::Iterate => (per_call, 0.0),
+                }
+            })
+            .unzip();
+        let tpoly = fit(&times).unwrap_or_else(|_| {
             Polynomial::constant(times.iter().sum::<f64>() / times.len() as f64)
         });
-        let apoly =
-            Polynomial::fit(&xs, &allocs, cfg.degree).unwrap_or_else(|_| Polynomial::zero());
         model.set_op_cost(CostDimension::Time, op, tpoly);
-        model.set_op_cost(CostDimension::Alloc, op, apoly);
+        model.set_op_cost(
+            CostDimension::Alloc,
+            op,
+            fit(&allocs).unwrap_or_else(|_| Polynomial::zero()),
+        );
     }
-    let fpoly =
-        Polynomial::fit(&xs, &footprints, cfg.degree).unwrap_or_else(|_| Polynomial::zero());
-    model.set_instance_cost(CostDimension::Footprint, fpoly);
+    let footprints: Vec<f64> = memory.iter().map(|&(_, footprint)| footprint).collect();
+    model.set_instance_cost(
+        CostDimension::Footprint,
+        fit(&footprints).unwrap_or_else(|_| Polynomial::zero()),
+    );
     model
 }
 
@@ -379,19 +285,20 @@ fn build_variant_model<S: Subject>(proto: &S, cfg: &BuilderConfig) -> VariantCos
 /// # Examples
 ///
 /// ```
+/// use std::time::Duration;
 /// use cs_model::builder::{build_list_model, BuilderConfig};
 ///
-/// let model = build_list_model(&BuilderConfig::quick());
+/// let cfg = BuilderConfig {
+///     sample: Duration::from_micros(50),
+///     ..BuilderConfig::quick()
+/// };
+/// let model = build_list_model(&cfg);
 /// assert_eq!(model.len(), 4);
 /// ```
 pub fn build_list_model(cfg: &BuilderConfig) -> PerformanceModel<ListKind> {
     let mut model = PerformanceModel::new();
     for kind in ListKind::ALL {
-        let proto = ListSubject {
-            kind,
-            inner: AnyList::new(kind),
-        };
-        model.insert_variant(kind, build_variant_model(&proto, cfg));
+        model.insert_variant(kind, build_variant_model::<AnyList<i64>>(kind, cfg));
     }
     model
 }
@@ -400,11 +307,7 @@ pub fn build_list_model(cfg: &BuilderConfig) -> PerformanceModel<ListKind> {
 pub fn build_set_model(cfg: &BuilderConfig) -> PerformanceModel<SetKind> {
     let mut model = PerformanceModel::new();
     for kind in SetKind::ALL {
-        let proto = SetSubject {
-            kind,
-            inner: AnySet::new(kind),
-        };
-        model.insert_variant(kind, build_variant_model(&proto, cfg));
+        model.insert_variant(kind, build_variant_model::<AnySet<i64>>(kind, cfg));
     }
     model
 }
@@ -413,11 +316,7 @@ pub fn build_set_model(cfg: &BuilderConfig) -> PerformanceModel<SetKind> {
 pub fn build_map_model(cfg: &BuilderConfig) -> PerformanceModel<MapKind> {
     let mut model = PerformanceModel::new();
     for kind in MapKind::ALL {
-        let proto = MapSubject {
-            kind,
-            inner: AnyMap::new(kind),
-        };
-        model.insert_variant(kind, build_variant_model(&proto, cfg));
+        model.insert_variant(kind, build_variant_model::<AnyMap<i64, i64>>(kind, cfg));
     }
     model
 }
@@ -429,11 +328,7 @@ mod tests {
     fn tiny() -> BuilderConfig {
         BuilderConfig {
             sizes: vec![10, 50, 200, 600, 1000],
-            warmup_iters: 0,
-            measured_iters: 1,
-            batch: 8,
-            degree: 3,
-            seed: 7,
+            sample: Duration::from_micros(50),
         }
     }
 

@@ -22,6 +22,8 @@
 //!   the `tc` total-cost evaluation.
 //! * [`builder`] — the micro-benchmark harness that calibrates a model on
 //!   the current hardware (the paper's "Model Builder" component).
+//! * [`timing`] — the workspace's one micro-timing loop, which the builder
+//!   times its cells with and the cost ladder and figure binaries share.
 //! * [`default_models`] — analytically seeded models shipped with the crate
 //!   so the framework runs deterministically without a calibration pass.
 //! * [`threshold`] — the transition-threshold analysis of adaptive
@@ -58,6 +60,7 @@ mod perf;
 pub mod persist;
 mod poly;
 pub mod threshold;
+pub mod timing;
 
 pub use curve::CostCurve;
 pub use dimension::CostDimension;

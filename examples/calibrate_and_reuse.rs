@@ -13,13 +13,15 @@ use collection_switch::prelude::*;
 fn main() {
     let dir = std::env::temp_dir().join("collectionswitch-models");
 
-    // Startup path: reuse persisted models if a calibration already ran.
+    // Startup path: reuse persisted models if a calibration already ran;
+    // any file the loader had to replace with a built-in model means it
+    // did not.
     let models = match Models::load_from_dir(&dir) {
-        Ok(models) => {
+        (models, fallbacks) if fallbacks.is_empty() => {
             println!("loaded calibrated models from {}", dir.display());
             models
         }
-        Err(_) => {
+        _ => {
             println!("calibrating on this machine (quick plan)…");
             let cfg = BuilderConfig::quick();
             let started = std::time::Instant::now();

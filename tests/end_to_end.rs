@@ -137,11 +137,7 @@ fn calibrated_models_drive_the_engine() {
     // the full pipeline of the paper's Fig. 1.
     let cfg = builder::BuilderConfig {
         sizes: vec![10, 100, 400, 1000],
-        warmup_iters: 0,
-        measured_iters: 1,
-        batch: 8,
-        degree: 3,
-        seed: 1,
+        sample: Duration::from_micros(50),
     };
     let models = Models {
         list: builder::build_list_model(&cfg),
