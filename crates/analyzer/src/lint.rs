@@ -49,11 +49,11 @@
 //!   it is where the raw I/O is supposed to live.
 //! * [`RULE_NO_BLOCKING_IO_SAMPLER`] — no filesystem or socket tokens
 //!   (`fs`/`File`/`OpenOptions`, `TcpStream`/`TcpListener`/`UdpSocket`)
-//!   in cs-obs's sampler-path modules (`sampler.rs`, `window.rs`,
-//!   `drift.rs`). The sampler thread ticks on a period and its published
+//!   in cs-obs's sampler-path modules (`sampler.rs`, `drift.rs`). The
+//!   sampler thread ticks on a period and its published
 //!   `cs_obs_sampler_overhead_ratio` assumes each tick is pure in-memory
-//!   work; a procfs read or a socket call on that path turns a bounded
-//!   tick into an unbounded one and quietly falsifies the overhead claim.
+//!   work; a procfs read or a socket call on that path turns a bounded tick
+//!   into an unbounded one and quietly falsifies the overhead claim.
 //!   All blocking I/O belongs in `http.rs` (the designated I/O module,
 //!   exempt) or behind the scrape-time `export` path.
 //! * [`RULE_SHARED_WITHOUT_SYNC`] — a collection binding captured by a
@@ -136,18 +136,12 @@ fn persist_rule_applies(path: &str) -> bool {
 }
 
 /// The sampler-path modules of cs-obs: everything the periodic sampler
-/// tick touches (sampling, the frame window, drift scoring). `http.rs` is
-/// the designated I/O module and `lib.rs` only wires — both exempt. New
-/// modules added to the crate are unguarded until listed here, because a
-/// new obs module is more likely an endpoint (I/O by design) than a new
-/// tick stage.
+/// tick touches (sampling, drift scoring). `http.rs` is the designated I/O
+/// module and `lib.rs` only wires — both exempt. New modules added to the
+/// crate are unguarded until listed here, because a new obs module is more
+/// likely an endpoint (I/O by design) than a new tick stage.
 fn sampler_rule_applies(path: &str) -> bool {
-    [
-        "crates/obs/src/sampler.rs",
-        "crates/obs/src/window.rs",
-        "crates/obs/src/drift.rs",
-    ]
-    .contains(&path)
+    ["crates/obs/src/sampler.rs", "crates/obs/src/drift.rs"].contains(&path)
 }
 
 /// Files containing the tracer's span fast path.
@@ -990,8 +984,8 @@ fn tick(core: &ObsCore) {
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, RULE_NO_BLOCKING_IO_SAMPLER);
 
-        let file_src = "fn push(&mut self) { let f = File::open(\"x\"); }";
-        assert_eq!(lint_file("crates/obs/src/window.rs", file_src).len(), 1);
+        let file_src = "fn observe(&mut self) { let f = File::open(\"x\"); }";
+        assert_eq!(lint_file("crates/obs/src/drift.rs", file_src).len(), 1);
     }
 
     #[test]

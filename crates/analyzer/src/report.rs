@@ -3,7 +3,7 @@
 //! schema sits next to the telemetry snapshot schema (see EXPERIMENTS.md)
 //! and CI can diff documents instead of scraping text.
 
-use cs_telemetry::Json;
+use cs_telemetry::{manifest_entry_to_json, Json};
 
 use crate::advise::SiteAdvice;
 use crate::dataflow::{CapacityBound, SiteFacts};
@@ -211,20 +211,7 @@ pub fn runtime_manifest_to_json(entries: &[cs_core::SiteManifestEntry]) -> Json 
         .field("kind", "runtime-manifest")
         .field(
             "sites",
-            Json::Array(
-                entries
-                    .iter()
-                    .map(|e| {
-                        Json::object()
-                            .field("id", e.id)
-                            .field("name", e.name.as_str())
-                            .field("abstraction", e.abstraction.to_string())
-                            .field("default_kind", e.default_kind.as_str())
-                            .field("current_kind", e.current_kind.as_str())
-                            .field("alloc_bytes_per_op", e.alloc_bytes_per_op)
-                    })
-                    .collect(),
-            ),
+            Json::Array(entries.iter().map(manifest_entry_to_json).collect()),
         )
 }
 

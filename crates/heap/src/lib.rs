@@ -19,8 +19,10 @@
 //!    without double-counting (see the exclusion-ledger notes on
 //!    [`AllocGuard`]).
 //! 3. [`process_account`] / [`peak_rss_bytes`] — the process-level heap
-//!    and RSS observables exported as `cs_heap_*` metrics and stamped onto
-//!    bench artifacts.
+//!    and RSS observables. The ledger is frozen into every flight-recorder
+//!    incident (`heap`) and every sweep artifact (`process.account`), and
+//!    cs-obs bands its allocation per sampler tick; peak RSS is scraped as
+//!    `cs_process_peak_rss_bytes`.
 //!
 //! ## Installing the allocator (bench/test binaries only)
 //!

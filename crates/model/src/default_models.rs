@@ -6,11 +6,14 @@
 //! ships *default* models so that selection behaves deterministically in
 //! tests and on machines where no calibration pass has run.
 //!
-//! The default models are constructed exactly like calibrated ones — cubic
-//! least-squares fits over sampled cost curves (so adaptive variants'
-//! piecewise behaviour is smoothed by the fit, just as a real benchmark fit
-//! smooths it) — but the sampled curves are analytic stand-ins whose shapes
-//! and crossovers encode the orderings the paper reports:
+//! The default models are not fitted. Every analytic cost function here is
+//! linear within a segment, and `curve()` turns it into the exact line
+//! through two of its points per segment: one segment over sizes 1–10,000
+//! for most variants, and for adaptive variants a two-piece [`CostCurve`]
+//! split at the transition threshold (paper Table 1), so their piecewise
+//! behaviour is kept rather than smoothed the way a calibrated model's
+//! single cubic smooths it. The functions are analytic stand-ins whose
+//! shapes and crossovers encode the orderings the paper reports:
 //!
 //! * array variants: smallest footprint and base allocation, linear
 //!   `contains`;

@@ -40,7 +40,7 @@
 
 use std::collections::HashMap;
 
-use crate::window::{trend_point, SiteSample};
+use cs_runtime::SiteStats;
 
 /// The banded dimensions of a site, in reporting order: the four op-mix
 /// fractions (`OpKind::index()` order) then the allocation rate.
@@ -133,16 +133,53 @@ impl Band {
     }
 }
 
-#[derive(Debug, Default)]
-struct SiteState {
-    /// The cumulative sample the next scored frame deltas against. Only
-    /// replaced when a frame is scored, so sub-threshold deltas accumulate.
-    basis: Option<SiteSample>,
-    bands: [Band; 5],
-    name: String,
+/// The cumulative counters of one site row that the bands read.
+#[derive(Debug, Clone, Copy)]
+struct Totals {
+    /// Op totals, indexed by `OpKind::index()`.
+    ops: [u64; 4],
+    /// Sum of `ops`.
+    total_ops: u64,
+    /// Attributed allocation bytes (0 without a counting allocator).
+    alloc_bytes: u64,
 }
 
-/// Per-site, per-dimension drift detection over cumulative site samples,
+impl Totals {
+    fn of(row: &SiteStats) -> Totals {
+        Totals {
+            ops: row.ops,
+            total_ops: row.total_ops,
+            alloc_bytes: row.alloc_bytes,
+        }
+    }
+}
+
+/// The delta between two cumulative readings of one site: the ops run in
+/// between, and the five banded values in [`DRIFT_DIMENSIONS`] order (the
+/// op-mix fractions, all zero when no op ran, then the allocation bytes
+/// per op).
+fn trend_point(prev: &Totals, cur: &Totals) -> (u64, [f64; 5]) {
+    let ops_in_frame = cur.total_ops.saturating_sub(prev.total_ops);
+    let mut values = [0.0f64; 5];
+    if ops_in_frame > 0 {
+        let per_op = |delta: u64| delta as f64 / ops_in_frame as f64;
+        for (i, value) in values[..4].iter_mut().enumerate() {
+            *value = per_op(cur.ops[i].saturating_sub(prev.ops[i]));
+        }
+        values[4] = per_op(cur.alloc_bytes.saturating_sub(prev.alloc_bytes));
+    }
+    (ops_in_frame, values)
+}
+
+#[derive(Debug, Default)]
+struct SiteState {
+    /// The cumulative reading the next scored frame deltas against. Only
+    /// replaced when a frame is scored, so sub-threshold deltas accumulate.
+    basis: Option<Totals>,
+    bands: [Band; 5],
+}
+
+/// Per-site, per-dimension drift detection over cumulative site rows,
 /// plus the `process` pseudo-site's allocation band.
 #[derive(Debug, Default)]
 pub struct DriftDetector {
@@ -165,29 +202,23 @@ impl DriftDetector {
         self.fired_total
     }
 
-    /// Scores one sampler tick: the cumulative site samples, and the
-    /// process's cumulative allocated bytes (the `cs-heap` ledger's
-    /// `alloc_bytes`). Returns every newly fired drift.
-    pub fn observe(&mut self, samples: &[SiteSample], process_alloc_bytes: u64) -> Vec<DriftEvent> {
+    /// Scores one sampler tick: the runtime's cumulative site rows
+    /// ([`Runtime::sites`](cs_runtime::Runtime::sites)), and the process's
+    /// cumulative allocated bytes (the `cs-heap` ledger's `alloc_bytes`).
+    /// Returns every newly fired drift.
+    pub fn observe(&mut self, rows: &[SiteStats], process_alloc_bytes: u64) -> Vec<DriftEvent> {
         let mut events = Vec::new();
-        for sample in samples {
-            let state = self.sites.entry(sample.id).or_default();
-            state.name = sample.name.clone();
+        for row in rows {
+            let state = self.sites.entry(row.id).or_default();
+            let cur = Totals::of(row);
             let Some(basis) = &state.basis else {
-                state.basis = Some(sample.clone());
+                state.basis = Some(cur);
                 continue;
             };
-            let point = trend_point(0, basis, sample);
-            if point.ops_in_frame < MIN_FRAME_OPS {
+            let (ops_in_frame, values) = trend_point(basis, &cur);
+            if ops_in_frame < MIN_FRAME_OPS {
                 continue;
             }
-            let values = [
-                point.mix[0],
-                point.mix[1],
-                point.mix[2],
-                point.mix[3],
-                point.alloc_bytes_per_op,
-            ];
             for (dim, (band, value)) in state.bands.iter_mut().zip(values).enumerate() {
                 let floor = if dim < 4 {
                     MIX_MIN_BAND
@@ -196,17 +227,17 @@ impl DriftDetector {
                 };
                 if let Some((mean, half)) = band.observe(value, floor) {
                     events.push(DriftEvent {
-                        site_id: sample.id,
-                        site: state.name.clone(),
+                        site_id: row.id,
+                        site: row.name.clone(),
                         dimension: DRIFT_DIMENSIONS[dim],
                         observed: value,
                         mean,
                         band: half,
-                        ops_in_frame: point.ops_in_frame,
+                        ops_in_frame,
                     });
                 }
             }
-            state.basis = Some(sample.clone());
+            state.basis = Some(cur);
         }
         if let Some(prev) = self.process_basis.replace(process_alloc_bytes) {
             let value = process_alloc_bytes.saturating_sub(prev) as f64;
@@ -231,14 +262,51 @@ impl DriftDetector {
 mod tests {
     use super::*;
 
-    fn sample(id: u64, ops: [u64; 4], alloc_bytes: u64) -> SiteSample {
-        SiteSample {
+    /// A runtime site row carrying only what the detector reads.
+    fn sample(id: u64, ops: [u64; 4], alloc_bytes: u64) -> SiteStats {
+        SiteStats {
             id,
             name: format!("s{id}"),
+            current_kind: String::new(),
             ops,
             total_ops: ops.iter().sum(),
+            sampled_nanos: 0,
+            max_size: 0,
+            flushes: 0,
+            contended: 0,
+            alloc_count: 0,
             alloc_bytes,
+            rounds: 0,
+            switches: 0,
+            rollbacks: 0,
         }
+    }
+
+    fn totals(ops: [u64; 4], alloc_bytes: u64) -> Totals {
+        Totals::of(&sample(1, ops, alloc_bytes))
+    }
+
+    #[test]
+    fn trend_point_yields_mix_and_alloc_rate_per_adjacent_pair() {
+        let a = totals([90, 10, 0, 0], 0);
+        let b = totals([180, 20, 0, 0], 800);
+        let c = totals([190, 110, 0, 0], 1000);
+        let (ops_in_frame, first) = trend_point(&a, &b);
+        assert_eq!(ops_in_frame, 100);
+        assert!((first[0] - 0.9).abs() < 1e-12);
+        assert!((first[4] - 8.0).abs() < 1e-12);
+        // The second interval flips toward reads.
+        let (_, second) = trend_point(&b, &c);
+        assert!((second[1] - 0.9).abs() < 1e-12);
+        assert!((second[4] - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn idle_interval_is_all_zero_not_nan() {
+        let idle = totals([10, 0, 0, 0], 100);
+        let (ops_in_frame, values) = trend_point(&idle, &idle);
+        assert_eq!(ops_in_frame, 0);
+        assert_eq!(values, [0.0; 5]);
     }
 
     /// The basis frame plus the warm-up: the first frame a band can fire on

@@ -12,8 +12,8 @@
 //! and every thread is joined.
 //!
 //! This module is the designated home of all socket I/O in the crate; the
-//! sampler-path modules (`sampler.rs`, `window.rs`, `drift.rs`) are held
-//! I/O-free by the analyzer's `no-blocking-io-in-sampler-path` lint.
+//! sampler-path modules (`sampler.rs`, `drift.rs`) are held I/O-free by the
+//! analyzer's `no-blocking-io-in-sampler-path` lint.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};

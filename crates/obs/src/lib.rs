@@ -1,8 +1,8 @@
 //! # cs-obs
 //!
 //! The live operational plane for a CollectionSwitch process: an embedded,
-//! dependency-free scrape/debug HTTP server plus a windowed time-series
-//! with drift detection, wired to a running [`Switch`] or [`Runtime`].
+//! dependency-free scrape/debug HTTP server plus a sampler that feeds a
+//! drift detector, wired to a running [`Switch`] or [`Runtime`].
 //!
 //! The paper's §4.4 answer to "a switch made things worse and nobody can
 //! explain why" is detailed decision logging; the telemetry crate renders
@@ -17,12 +17,10 @@
 //!   degraded), `/sites` (the site manifest), `/explain/<site_id>` (the
 //!   live [`SelectionExplanation`](cs_core::SelectionExplanation)), and
 //!   `/incidents` (the flight recorder's ring as JSONL).
-//! * **A windowed time-series** ([`Window`]): a sampler thread (or manual
-//!   [`ObsHandle::tick`]) freezes the registry's counters and each site's
-//!   op totals into a fixed ring of frames, answering
-//!   [`delta`](ObsHandle::delta)/[`rate`](ObsHandle::rate) per counter and
-//!   [`site_trend`](ObsHandle::site_trend) per site without a metrics
-//!   backend in sight.
+//! * **A sampler**: a thread (or manual [`ObsHandle::tick`]) that keeps
+//!   the registry's engine and site counters current between scrapes and
+//!   hands each tick's site rows and heap ledger to the detector. It keeps
+//!   no history of its own; a metrics backend scraping `/metrics` does.
 //! * **A drift detector** ([`DriftDetector`]): EWMA bands over each
 //!   site's op-mix fractions and allocation rate, and over the bytes the
 //!   process allocates per frame (the `process` pseudo-site, read from the
@@ -31,9 +29,9 @@
 //!   counter — the operational mirror of the paper's phase-change premise,
 //!   and the stack's one statistical detector.
 //!
-//! The window holds 64 frames and the detector's tuning is fixed; the
-//! builder sets only deployment and wiring (address, workers, backlog,
-//! sampler interval, registry, flight recorder).
+//! The detector's tuning is fixed; the builder sets only deployment and
+//! wiring (address, workers, backlog, sampler interval, registry, flight
+//! recorder).
 //!
 //! ## Quickstart
 //!
@@ -55,27 +53,23 @@
 mod drift;
 mod http;
 mod sampler;
-mod window;
 
 pub use drift::{DriftDetector, DriftEvent, DRIFT_DIMENSIONS};
-pub use window::{Frame, SiteSample, TrendPoint, Window};
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cs_core::Switch;
-use cs_runtime::Runtime;
+use cs_runtime::{Runtime, SiteStats};
 use cs_telemetry::{
-    export_engine, export_process, Counter, FlightRecorder, FloatGauge, Gauge, Histogram,
-    MetricsRegistry,
+    export_engine, export_process, Counter, FlightRecorder, FloatGauge, Histogram, MetricsRegistry,
 };
 use parking_lot::Mutex;
 
 /// What the plane observes: a bare engine or a full runtime. The runtime
-/// variant adds per-site counters (and therefore site trends and site
-/// drift); the engine variant still serves every endpoint and bands the
-/// process.
+/// variant adds per-site counters (and therefore site drift); the engine
+/// variant still serves every endpoint and bands the process.
 #[derive(Debug, Clone)]
 pub(crate) enum Source {
     Engine(Switch),
@@ -112,20 +106,12 @@ impl Source {
         }
     }
 
-    pub(crate) fn site_samples(&self) -> Vec<SiteSample> {
+    /// The runtime's site rows, the detector's input; none for a bare
+    /// engine.
+    pub(crate) fn sites(&self) -> Vec<SiteStats> {
         match self {
             Source::Engine(_) => Vec::new(),
-            Source::Runtime(rt) => rt
-                .sites()
-                .into_iter()
-                .map(|s| SiteSample {
-                    id: s.id,
-                    name: s.name,
-                    ops: s.ops,
-                    total_ops: s.total_ops,
-                    alloc_bytes: s.alloc_bytes,
-                })
-                .collect(),
+            Source::Runtime(rt) => rt.sites(),
         }
     }
 
@@ -145,7 +131,6 @@ pub(crate) struct SelfMetrics {
     pub(crate) sampler_ticks: Counter,
     pub(crate) sampler_busy_nanos: Counter,
     pub(crate) sampler_overhead_ratio: FloatGauge,
-    pub(crate) window_frames: Gauge,
     pub(crate) handler_busy_nanos: Counter,
     pub(crate) scrape_duration: Histogram,
     pub(crate) scrape_errors: Counter,
@@ -173,11 +158,6 @@ impl SelfMetrics {
             sampler_overhead_ratio: registry.float_gauge(
                 "cs_obs_sampler_overhead_ratio",
                 "Sampler busy time over the plane's lifetime wall time.",
-                &[],
-            ),
-            window_frames: registry.gauge(
-                "cs_obs_window_frames",
-                "Frames currently held in the time-series ring.",
                 &[],
             ),
             handler_busy_nanos: registry.counter(
@@ -226,18 +206,14 @@ pub(crate) struct ObsCore {
     pub(crate) registry: MetricsRegistry,
     pub(crate) source: Source,
     pub(crate) flight: Option<Arc<FlightRecorder>>,
-    pub(crate) window: Mutex<Window>,
     pub(crate) drift: Mutex<DriftDetector>,
     pub(crate) metrics: SelfMetrics,
     pub(crate) started: Instant,
 }
 
-/// Frames the time-series ring holds.
-const WINDOW_FRAMES: usize = 64;
-
 /// Configures and launches an observation plane. Defaults: 2 HTTP
 /// workers, a 16-connection backlog, a 250 ms sampler and a fresh
-/// registry. The window (64 frames) and the drift detector are fixed.
+/// registry. The drift detector is fixed.
 #[derive(Debug)]
 pub struct ObsBuilder {
     addr: Option<String>,
@@ -268,8 +244,8 @@ impl ObsBuilder {
     }
 
     /// Serve HTTP on `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
-    /// Without an address no server starts — the window/drift plane still
-    /// runs, which is the headless-test configuration.
+    /// Without an address no server starts — the sampler and the drift
+    /// detector still run, which is the headless-test configuration.
     pub fn addr(mut self, addr: impl Into<String>) -> ObsBuilder {
         self.addr = Some(addr.into());
         self
@@ -316,14 +292,14 @@ impl ObsBuilder {
         self
     }
 
-    /// Launches the plane over a full runtime (per-site trends + drift).
+    /// Launches the plane over a full runtime (per-site drift).
     pub fn spawn_runtime(self, rt: &Runtime) -> std::io::Result<ObsHandle> {
         self.spawn(Source::Runtime(rt.clone()))
     }
 
     /// Launches the plane over a bare engine (no per-site runtime
-    /// counters, so no site trends or site drift — the process band and
-    /// every endpoint still work).
+    /// counters, so no site drift — the process band and every endpoint
+    /// still work).
     pub fn spawn_engine(self, engine: &Switch) -> std::io::Result<ObsHandle> {
         self.spawn(Source::Engine(engine.clone()))
     }
@@ -335,7 +311,6 @@ impl ObsBuilder {
             registry,
             source,
             flight: self.flight,
-            window: Mutex::new(Window::new(WINDOW_FRAMES)),
             drift: Mutex::new(DriftDetector::new()),
             metrics,
             started: Instant::now(),
@@ -360,9 +335,9 @@ impl ObsBuilder {
     }
 }
 
-/// A running observation plane: the server (if an address was given), the
-/// sampler (unless manual), and the query API over the window. Dropping
-/// the handle shuts everything down and joins every thread.
+/// A running observation plane: the server (if an address was given) and
+/// the sampler (unless manual). Dropping the handle shuts everything down
+/// and joins every thread.
 #[derive(Debug)]
 pub struct ObsHandle {
     core: Arc<ObsCore>,
@@ -386,33 +361,6 @@ impl ObsHandle {
     /// recorded as incidents and counted on `cs_obs_phase_shifts_total`.
     pub fn tick(&self) -> Vec<DriftEvent> {
         sampler::tick(&self.core)
-    }
-
-    /// Frames currently in the window.
-    pub fn window_len(&self) -> usize {
-        self.core.window.lock().len()
-    }
-
-    /// Counter increase across the window; see [`Window::delta`].
-    pub fn delta(&self, series_key: &str) -> Option<u64> {
-        self.core.window.lock().delta(series_key)
-    }
-
-    /// Counter rate (events/second) across the window; see
-    /// [`Window::rate`].
-    pub fn rate(&self, series_key: &str) -> Option<f64> {
-        self.core.window.lock().rate(series_key)
-    }
-
-    /// Every counter series key in the newest frame.
-    pub fn series_keys(&self) -> Vec<String> {
-        self.core.window.lock().keys()
-    }
-
-    /// Per-frame op-mix/alloc trend for one site; see
-    /// [`Window::site_trend`].
-    pub fn site_trend(&self, site_id: u64) -> Vec<TrendPoint> {
-        self.core.window.lock().site_trend(site_id)
     }
 
     /// Total drift events fired since launch.
@@ -591,7 +539,7 @@ mod tests {
     }
 
     #[test]
-    fn headless_plane_ticks_manually_and_answers_window_queries() {
+    fn headless_plane_ticks_manually() {
         use cs_collections::MapKind;
         let rt = Runtime::new(Switch::builder().build());
         let map = rt.named_concurrent_map::<u64, u64>(MapKind::Chained, "obs-map");
@@ -612,36 +560,32 @@ mod tests {
         rt.flush();
         obs.tick();
 
-        assert_eq!(obs.window_len(), 2);
-        let key = "cs_runtime_site_ops_total{site=\"obs-map\",op=\"contains\"}";
-        assert_eq!(obs.delta(key), Some(50), "keys: {:?}", obs.series_keys());
-        assert!(obs.rate(key).expect("two frames span time") > 0.0);
-
-        let trend = obs.site_trend(map.id());
-        assert_eq!(trend.len(), 1, "one adjacent frame pair");
-        assert_eq!(trend[0].ops_in_frame, 50);
-        assert!((trend[0].mix[1] - 1.0).abs() < 1e-12, "all contains");
+        let snap = obs.registry().snapshot();
+        assert_eq!(snap.counter_total("cs_obs_sampler_ticks_total"), Some(2));
+        // The ticks mirrored the site's 100 inserts and 50 lookups.
+        assert_eq!(snap.counter_total("cs_runtime_site_ops_total"), Some(150));
+        assert_eq!(obs.phase_shifts(), 0, "two ticks cannot fire a band");
         obs.shutdown();
     }
 
     #[test]
-    fn sampler_thread_fills_the_window_without_a_server() {
+    fn sampler_thread_ticks_without_a_server() {
         let rt = Runtime::new(Switch::builder().build());
         let obs = ObsBuilder::new()
             .sample_every(Duration::from_millis(5))
             .spawn_runtime(&rt)
             .expect("spawn");
+        let ticks = || {
+            obs.registry()
+                .snapshot()
+                .counter_total("cs_obs_sampler_ticks_total")
+                .unwrap_or(0)
+        };
         let deadline = Instant::now() + Duration::from_secs(5);
-        while obs.window_len() < 3 && Instant::now() < deadline {
+        while ticks() < 3 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(obs.window_len() >= 3, "sampler thread ticked");
-        let snap = obs.registry().snapshot();
-        assert!(
-            snap.counter_total("cs_obs_sampler_ticks_total")
-                .unwrap_or(0)
-                >= 3
-        );
+        assert!(ticks() >= 3, "sampler thread ticked");
         obs.shutdown();
     }
 }

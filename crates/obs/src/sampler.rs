@@ -1,13 +1,12 @@
 //! The sampler: a low-duty-cycle thread (or a manual [`tick`] in tests)
-//! that snapshots the in-memory observables into the window and feeds the
+//! that mirrors the in-memory observables into the registry and feeds the
 //! drift detector.
 //!
-//! Every tick does exactly four in-memory things: mirror the source's
-//! counters into the registry, freeze a [`Frame`](crate::window::Frame)
-//! into the window ring, score the per-site samples and the process's
-//! `cs-heap` allocation ledger against the drift bands, and update the
-//! sampler's own self-metrics (ticks, busy nanos, overhead ratio). The
-//! process-level gauges that read procfs are
+//! Every tick does exactly three in-memory things: mirror the source's
+//! counters into the registry, score the runtime's site rows and the
+//! process's `cs-heap` allocation ledger against the drift bands (recording
+//! whatever fires), and update the sampler's own self-metrics (ticks, busy
+//! nanos, overhead ratio). The process-level gauges that read procfs are
 //! deliberately *not* refreshed here — they belong to the scrape path
 //! (`GET /metrics`), where an operator is already paying for a syscall
 //! round-trip. The analyzer's `no-blocking-io-in-sampler-path` lint pins
@@ -21,35 +20,22 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use cs_telemetry::{Json, ValueSnapshot};
+use cs_telemetry::Json;
 
 use crate::drift::DriftEvent;
-use crate::window::Frame;
 use crate::ObsCore;
 
-/// Takes one sample: export → frame → drift → self-metrics. Returns the
-/// drift events fired, already recorded as incidents and counted on
+/// Takes one sample: export → drift → self-metrics. Returns the drift
+/// events fired, already recorded as incidents and counted on
 /// `cs_obs_phase_shifts_total`. Public so tests and examples can drive
 /// the plane deterministically instead of racing a timer thread.
 pub(crate) fn tick(core: &ObsCore) -> Vec<DriftEvent> {
     let busy = Instant::now();
     core.source.sample_into(&core.registry);
     let t_ns = core.started.elapsed().as_nanos() as u64;
-    let counters = flatten_counters(core);
-    let sites = core.source.site_samples();
+    let sites = core.source.sites();
     let process_alloc_bytes = cs_heap::process_account().alloc_bytes;
-
-    let events = {
-        let mut window = core.window.lock();
-        window.push(Frame {
-            t_ns,
-            counters,
-            sites: sites.clone(),
-        });
-        core.metrics.window_frames.set(window.len() as i64);
-        drop(window);
-        core.drift.lock().observe(&sites, process_alloc_bytes)
-    };
+    let events = core.drift.lock().observe(&sites, process_alloc_bytes);
 
     for event in &events {
         core.registry
@@ -77,44 +63,6 @@ pub(crate) fn tick(core: &ObsCore) -> Vec<DriftEvent> {
             .set(busy_total as f64 / wall_ns as f64);
     }
     events
-}
-
-/// Flattens the registry's counter series into sorted
-/// `(series-identity, total)` pairs for the frame.
-fn flatten_counters(core: &ObsCore) -> Vec<(String, u64)> {
-    let snapshot = core.registry.snapshot();
-    let mut out = Vec::new();
-    for family in &snapshot.families {
-        for series in &family.series {
-            let ValueSnapshot::Counter(total) = series.value else {
-                continue;
-            };
-            out.push((series_key(&family.name, &series.labels), total));
-        }
-    }
-    out.sort();
-    out
-}
-
-/// The Prometheus series identity: `name` or `name{k="v",…}`.
-pub(crate) fn series_key(name: &str, labels: &[(String, String)]) -> String {
-    if labels.is_empty() {
-        return name.to_owned();
-    }
-    let mut key = String::with_capacity(name.len() + 16 * labels.len());
-    key.push_str(name);
-    key.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            key.push(',');
-        }
-        key.push_str(k);
-        key.push_str("=\"");
-        key.push_str(v);
-        key.push('"');
-    }
-    key.push('}');
-    key
 }
 
 /// The incident `detail` payload for a fired drift.
@@ -169,23 +117,5 @@ impl SamplerHandle {
 impl Drop for SamplerHandle {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn series_keys_match_prometheus_identity() {
-        assert_eq!(series_key("cs_x_total", &[]), "cs_x_total");
-        let labels = vec![
-            ("site".to_owned(), "hot-map".to_owned()),
-            ("op".to_owned(), "contains".to_owned()),
-        ];
-        assert_eq!(
-            series_key("cs_runtime_site_ops_total", &labels),
-            "cs_runtime_site_ops_total{site=\"hot-map\",op=\"contains\"}"
-        );
     }
 }

@@ -7,7 +7,7 @@
 //! [`export_engine`] right before snapshotting, the way a Prometheus
 //! exporter refreshes on scrape.
 
-use cs_core::{EngineHealth, Switch, WarmStartReport};
+use cs_core::{EngineHealth, Switch};
 use cs_trace::{TraceSnapshot, SPAN_BUCKET_BOUNDS_NS};
 
 use crate::metrics::MetricsRegistry;
@@ -83,154 +83,6 @@ pub fn export_engine(registry: &MetricsRegistry, engine: &Switch) {
             &[],
         )
         .set_total(engine.analysis_time_total().as_nanos() as u64);
-}
-
-/// Writes a [`WarmStartReport`] into `registry` under the `cs_state_*`
-/// families: the lenient loader's salvage account (records loaded /
-/// quarantined / deduplicated), per-outcome site gauges, and the
-/// warm-start hit ratio. Idempotent, like every exporter here.
-pub fn export_warm_start(registry: &MetricsRegistry, report: &WarmStartReport) {
-    let totals: [(&str, &str, u64); 3] = [
-        (
-            "cs_state_records_loaded_total",
-            "Snapshot records salvaged by the lenient loader.",
-            report.records_loaded,
-        ),
-        (
-            "cs_state_records_quarantined_total",
-            "Snapshot records quarantined as corrupt (CRC, framing, or decode failure).",
-            report.records_quarantined,
-        ),
-        (
-            "cs_state_duplicates_dropped_total",
-            "Well-formed snapshot records dropped by last-wins deduplication.",
-            report.duplicates_dropped,
-        ),
-    ];
-    for (name, help, value) in totals {
-        registry.counter(name, help, &[]).set_total(value);
-    }
-    let gauges: [(&str, &str, i64); 5] = [
-        (
-            "cs_state_warm_sites_in_snapshot",
-            "Site records the imported snapshot carried.",
-            report.sites_in_snapshot as i64,
-        ),
-        (
-            "cs_state_warm_sites_applied",
-            "Snapshot site records validated and installed on live sites.",
-            report.applied as i64,
-        ),
-        (
-            "cs_state_warm_sites_rejected_stale",
-            "Snapshot site records rejected for a default-variant fingerprint mismatch.",
-            report.rejected_stale as i64,
-        ),
-        (
-            "cs_state_warm_sites_rejected_unknown",
-            "Snapshot site records rejected because their variant is unknown to this build.",
-            report.rejected_unknown as i64,
-        ),
-        (
-            "cs_state_warm_sites_unclaimed",
-            "Snapshot site records no live site has claimed yet.",
-            report.unclaimed as i64,
-        ),
-    ];
-    for (name, help, value) in gauges {
-        registry.gauge(name, help, &[]).set(value);
-    }
-    registry
-        .float_gauge(
-            "cs_state_warm_hit_ratio",
-            "Fraction of snapshot sites whose learned state was applied on warm start.",
-            &[],
-        )
-        .set(report.hit_ratio());
-}
-
-/// Mirrors the process-wide `cs-heap` allocation account into `registry`
-/// under the `cs_heap_*` families: the exact alloc/dealloc/realloc ledgers
-/// (counts and bytes), derived live bytes, thread-block registry size, the
-/// counting-allocator activation flag, and the kernel's peak-RSS reading.
-///
-/// Binaries that never installed [`cs_heap::CountingAlloc`] still export a
-/// consistent view: every ledger reads zero, `cs_heap_counting_active` is 0,
-/// and `cs_heap_peak_rss_bytes` still reports the kernel's number (it comes
-/// from `/proc`, not the allocator). Idempotent, like every exporter here.
-pub fn export_heap(registry: &MetricsRegistry) {
-    let account = cs_heap::process_account();
-    let totals: [(&str, &str, u64); 6] = [
-        (
-            "cs_heap_alloc_total",
-            "Allocation events observed by the counting allocator (including realloc's allocating half).",
-            account.alloc_count,
-        ),
-        (
-            "cs_heap_alloc_bytes_total",
-            "Bytes requested by allocation events.",
-            account.alloc_bytes,
-        ),
-        (
-            "cs_heap_dealloc_total",
-            "Free events observed by the counting allocator (including realloc's freeing half).",
-            account.dealloc_count,
-        ),
-        (
-            "cs_heap_dealloc_bytes_total",
-            "Bytes released by free events.",
-            account.dealloc_bytes,
-        ),
-        (
-            "cs_heap_realloc_total",
-            "Realloc events (also counted in the alloc/dealloc ledgers).",
-            account.realloc_count,
-        ),
-        (
-            "cs_heap_realloc_bytes_total",
-            "Bytes requested as realloc new sizes.",
-            account.realloc_bytes,
-        ),
-    ];
-    for (name, help, value) in totals {
-        registry.counter(name, help, &[]).set_total(value);
-    }
-    registry
-        .gauge(
-            "cs_heap_live_bytes",
-            "Bytes currently live per the counting allocator's ledger (alloc - dealloc).",
-            &[],
-        )
-        .set(account.live_bytes() as i64);
-    let (blocks_total, blocks_live) = cs_heap::thread_blocks();
-    registry
-        .gauge(
-            "cs_heap_thread_blocks",
-            "Per-thread counter blocks ever registered.",
-            &[],
-        )
-        .set(blocks_total as i64);
-    registry
-        .gauge(
-            "cs_heap_thread_blocks_live",
-            "Per-thread counter blocks belonging to still-live threads.",
-            &[],
-        )
-        .set(blocks_live as i64);
-    registry
-        .gauge(
-            "cs_heap_counting_active",
-            "1 when a counting global allocator has observed traffic in this process.",
-            &[],
-        )
-        .set(i64::from(cs_heap::counting_active()));
-    registry
-        .gauge(
-            "cs_heap_peak_rss_bytes",
-            "Peak resident set size of the process per the kernel (VmHWM), in bytes.",
-            &[],
-        )
-        .set(cs_heap::peak_rss_bytes() as i64);
 }
 
 /// Writes the process-level gauges into `registry`: how long this process
@@ -391,76 +243,6 @@ mod tests {
             registry.snapshot().gauge_value("cs_engine_degraded"),
             Some(0)
         );
-        crate::validate_prometheus_text(&registry.snapshot().to_prometheus_text())
-            .expect("valid exposition");
-    }
-
-    #[test]
-    fn warm_start_export_mirrors_the_report() {
-        use crate::metrics::ValueSnapshot;
-
-        let report = WarmStartReport {
-            source: "state.css".into(),
-            sites_in_snapshot: 4,
-            models_in_snapshot: 3,
-            applied: 3,
-            rejected_stale: 1,
-            rejected_unknown: 0,
-            unclaimed: 0,
-            records_loaded: 10,
-            records_quarantined: 2,
-            duplicates_dropped: 1,
-        };
-        let registry = MetricsRegistry::new();
-        export_warm_start(&registry, &report);
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter_value("cs_state_records_loaded_total"),
-            Some(10)
-        );
-        assert_eq!(
-            snap.counter_value("cs_state_records_quarantined_total"),
-            Some(2)
-        );
-        assert_eq!(snap.gauge_value("cs_state_warm_sites_applied"), Some(3));
-        assert_eq!(
-            snap.gauge_value("cs_state_warm_sites_rejected_stale"),
-            Some(1)
-        );
-        let hit = snap
-            .family("cs_state_warm_hit_ratio")
-            .and_then(|f| f.series.first())
-            .map(|s| match s.value {
-                ValueSnapshot::FloatGauge(v) => v,
-                _ => panic!("hit ratio must be a float gauge"),
-            })
-            .expect("hit ratio exported");
-        assert!((hit - 0.75).abs() < 1e-12, "hit ratio {hit}");
-
-        // Idempotent re-export, and the exposition stays well-formed.
-        export_warm_start(&registry, &report);
-        crate::validate_prometheus_text(&registry.snapshot().to_prometheus_text())
-            .expect("valid exposition");
-    }
-
-    #[test]
-    fn heap_export_is_consistent_without_a_counting_allocator() {
-        // This test binary does not install CountingAlloc, so every ledger
-        // must read zero while the export stays structurally complete and
-        // the exposition valid.
-        let registry = MetricsRegistry::new();
-        export_heap(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter_value("cs_heap_alloc_total"), Some(0));
-        assert_eq!(snap.counter_value("cs_heap_alloc_bytes_total"), Some(0));
-        assert_eq!(snap.counter_value("cs_heap_realloc_total"), Some(0));
-        assert_eq!(snap.gauge_value("cs_heap_live_bytes"), Some(0));
-        assert_eq!(snap.gauge_value("cs_heap_counting_active"), Some(0));
-        // Peak RSS comes from the kernel, not the allocator: nonzero even
-        // without counting.
-        assert!(snap.gauge_value("cs_heap_peak_rss_bytes").unwrap_or(0) > 0);
-        // Idempotent re-export, and the exposition stays well-formed.
-        export_heap(&registry);
         crate::validate_prometheus_text(&registry.snapshot().to_prometheus_text())
             .expect("valid exposition");
     }

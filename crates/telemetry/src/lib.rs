@@ -28,8 +28,11 @@
 //!   Prometheus text ([`TelemetrySnapshot::to_prometheus_text`]) or JSON
 //!   ([`TelemetrySnapshot::to_json`]); [`validate_prometheus_text`] checks
 //!   the exposition grammar and is run in CI.
-//! * [`export_engine`] — the pull side: mirrors [`cs_core::Switch::health`]
-//!   into `cs_engine_*` series on scrape.
+//! * [`export_engine`], [`export_process`], [`export_trace`] — the pull
+//!   side: mirror [`cs_core::Switch::health`], the process's uptime and
+//!   peak RSS, and the tracer's overhead account into `cs_engine_*`,
+//!   `cs_process_*` and `cs_trace_*` series on scrape. The heap ledger is
+//!   not a metric family: every incident freezes it (`heap`).
 //!
 //! ## Quickstart
 //!
@@ -73,10 +76,7 @@ mod metrics;
 mod prometheus;
 mod sinks;
 
-pub use export::{
-    export_engine, export_engine_health, export_heap, export_process, export_trace,
-    export_warm_start,
-};
+pub use export::{export_engine, export_engine_health, export_process, export_trace};
 pub use flight::FlightRecorder;
 pub use json::{
     event_to_json, explanation_to_json, health_to_json, heap_account_to_json,

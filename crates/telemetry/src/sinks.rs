@@ -67,6 +67,8 @@ impl MetricsSink {
             "model_fallback",
             "analyzer_panic",
             "degraded_entered",
+            "warm_start",
+            "warm_start_site",
         ] {
             registry.counter(
                 "cs_events_total",
@@ -287,7 +289,12 @@ impl EngineEventSink for JsonlSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cs_core::{ModelFallbackEvent, TransitionEvent};
+    use cs_collections::Abstraction;
+    use cs_core::{
+        AnalyzerPanicEvent, DegradedEvent, ModelFallbackEvent, QuarantineEvent, RollbackEvent,
+        SelectionExplanation, SelectionOutcome, TransitionEvent, WarmStartEvent,
+        WarmStartSiteEvent, WarmStartSiteOutcome,
+    };
 
     fn transition(name: &str) -> EngineEvent {
         EngineEvent::Transition(TransitionEvent::new(
@@ -321,6 +328,87 @@ mod tests {
         assert!(text.contains("cs_site_transitions_total{site=\"A\"} 2"));
         assert!(text.contains("cs_analysis_pass_seconds_count 1"));
         crate::validate_prometheus_text(&text).expect("valid exposition");
+    }
+
+    /// One event of each [`EngineEvent`] variant.
+    fn one_of_each() -> Vec<EngineEvent> {
+        vec![
+            transition("A"),
+            EngineEvent::Selection(SelectionExplanation {
+                context_id: 7,
+                context_name: "A".into(),
+                abstraction: Abstraction::List,
+                rule: "R_time".into(),
+                round: 2,
+                current: "array".into(),
+                current_primary_cost: 100.0,
+                current_alloc_cost: 0.0,
+                alloc_bytes_per_op: 0.0,
+                alloc_driven: false,
+                candidates: Vec::new(),
+                winner: None,
+                winning_margin: 0.0,
+                outcome: SelectionOutcome::NoCandidate,
+            }),
+            EngineEvent::Rollback(RollbackEvent {
+                context_id: 7,
+                context_name: "A".into(),
+                abstraction: Abstraction::List,
+                from: "hasharray".into(),
+                to: "array".into(),
+                predicted_ratio: 0.5,
+                realized_ratio: 2.0,
+                round: 3,
+            }),
+            EngineEvent::Quarantine(QuarantineEvent {
+                context_id: 7,
+                context_name: "A".into(),
+                abstraction: Abstraction::List,
+                candidate: "hasharray".into(),
+                until_round: 8,
+                strikes: 1,
+                round: 3,
+            }),
+            EngineEvent::ModelFallback(ModelFallbackEvent {
+                file: "lists.model".into(),
+                reason: "x".into(),
+            }),
+            EngineEvent::AnalyzerPanic(AnalyzerPanicEvent {
+                consecutive: 1,
+                message: "boom".into(),
+            }),
+            EngineEvent::DegradedEntered(DegradedEvent {
+                consecutive_failures: 3,
+            }),
+            EngineEvent::WarmStart(WarmStartEvent {
+                source: "state.css".into(),
+                sites_in_snapshot: 1,
+                models_in_snapshot: 0,
+                records_loaded: 1,
+                records_quarantined: 0,
+                duplicates_dropped: 0,
+                note: String::new(),
+            }),
+            EngineEvent::WarmStartSite(WarmStartSiteEvent {
+                context_id: 7,
+                context_name: "A".into(),
+                abstraction: Abstraction::List,
+                snapshot_kind: "array".into(),
+                outcome: WarmStartSiteOutcome::Applied,
+                detail: "resumed".into(),
+            }),
+        ]
+    }
+
+    #[test]
+    fn metrics_sink_exposes_every_event_kind_at_zero() {
+        let registry = MetricsRegistry::new();
+        let _sink = MetricsSink::new(registry.clone());
+        let text = registry.snapshot().to_prometheus_text();
+        for event in one_of_each() {
+            let series = format!("cs_events_total{{event=\"{}\"}} 0", event.kind_name());
+            assert!(text.contains(&series), "missing {series}:\n{text}");
+        }
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //!   allocator, scoped per-site attribution guards, and process heap/RSS
 //!   observables ([`cs_heap`]).
 //! * [`obs`] — the live operational plane: embedded scrape/debug HTTP
-//!   server, windowed time-series over the metrics registry, and op-mix
-//!   drift detection ([`cs_obs`]).
+//!   server and op-mix/allocation drift detection ([`cs_obs`]).
 //!
 //! ## Quickstart
 //!

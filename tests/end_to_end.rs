@@ -162,11 +162,12 @@ fn calibrated_models_drive_the_engine() {
         }
     }
     engine.analyze_now();
-    // One timed iteration per point, taken while other tests run, can
-    // misprice any variant, so where the site lands depends on this run's
-    // calibration. What does not: the engine puts it exactly where the
-    // selection algorithm puts the monitored workload (every instance 200
-    // pushes and 400 probes at size 200) under the calibrated model.
+    // Each calibration point is the median of nine 50 µs samples, taken
+    // while other tests run, which can still misprice a variant, so where
+    // the site lands depends on this run's calibration. What does not: the
+    // engine puts it exactly where the selection algorithm puts the
+    // monitored workload (every instance 200 pushes and 400 probes at size
+    // 200) under the calibrated model.
     let monitored = ctx.stats().history_instances;
     assert!(monitored > 0, "the analysis pass saw no monitored instance");
     let mut ops = OpCounters::new();
